@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import tempfile
 from pathlib import Path
 
 from .features import schema_as_dict
@@ -100,27 +99,12 @@ def _merge_extract_config(args) -> RunConfig:
     return RunConfig(**kwargs)
 
 
-def _materialize_stdin(inputs: list[str]) -> list[str]:
-    out = []
-    for item in inputs:
-        if item == "-":
-            tmp = tempfile.NamedTemporaryFile(mode="w", suffix=".ofn",
-                                              delete=False, encoding="utf-8")
-            tmp.write(sys.stdin.read())
-            tmp.close()
-            out.append(tmp.name)
-        else:
-            out.append(item)
-    return out
-
-
 def cmd_extract(args) -> int:
     try:
         config = _merge_extract_config(args)
     except (ValueError, OSError) as exc:
         print(f"ontoprof: error: {exc}", file=sys.stderr)
         return 1
-    config.inputs = _materialize_stdin(config.inputs)
     report = run(config)
     if report.aborted:
         for outcome in report.outcomes:
@@ -170,6 +154,9 @@ def cmd_check(args) -> int:
     except OntologyParseError as exc:
         for diag in exc.diagnostics:
             print(diag.format(), file=sys.stderr)
+        return 2
+    except RecursionError:
+        print(f"{origin}: error: nesting too deep (RecursionError)", file=sys.stderr)
         return 2
     print(f"{origin}: ok: {len(onto.axioms)} axioms "
           f"({onto.logical_axiom_count} logical)")

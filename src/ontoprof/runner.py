@@ -1,8 +1,10 @@
 """Corpus orchestration: walk inputs, extract per file in worker processes,
 emit deterministic feature matrices and a run report.
 
-Each file runs in its own process so a timeout can abandon a stuck parse
-without corrupting the run; results are reordered by discovery order before
+At most `parallelism` long-lived workers are started, each fed one file at a
+time over a pipe. A file's timeout starts when it is sent; a worker that
+overruns it or dies is terminated alone, and a replacement is started only
+if files are still waiting. Results are reordered by discovery order before
 emission, so parallel and serial runs produce identical bytes.
 """
 
@@ -14,6 +16,7 @@ import json
 import multiprocessing
 import multiprocessing.connection
 import os
+import sys
 import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -22,6 +25,7 @@ from .features import FEATURE_SCHEMA, SCHEMA_VERSION, extract_all, FeatureVector
 from .parser import OntologyParseError, parse_ontology
 
 DEFAULT_TIMEOUT = 300.0
+STDIN_ID = "<stdin>"  # the ontology id of input read from `-`
 
 
 @dataclass
@@ -53,7 +57,7 @@ class RunConfig:
 @dataclass
 class FileOutcome:
     path: str
-    status: str               # "ok" | "parse_error" | "timeout" | "io_error"
+    status: str  # "ok" | "parse_error" | "timeout" | "io_error" | "internal_error"
     vector: FeatureVector | None = None
     diagnostics: list[str] = field(default_factory=list)
     imports: list[str] = field(default_factory=list)
@@ -69,7 +73,8 @@ class CorpusReport:
 
     @property
     def totals(self) -> dict[str, int]:
-        counts = {"ok": 0, "parse_error": 0, "timeout": 0, "io_error": 0}
+        counts = {"ok": 0, "parse_error": 0, "timeout": 0, "io_error": 0,
+                  "internal_error": 0}
         for out in self.outcomes:
             counts[out.status] += 1
         return counts
@@ -103,14 +108,17 @@ class CorpusReport:
 def discover_inputs(config: RunConfig) -> list[str]:
     """Explicit files plus recursive .ofn walks, lexicographic, deduplicated.
 
-    Missing paths raise under the abort policy; under skip they stay in the
-    list and become io_error outcomes when the run reaches them.
+    `-` stands for standard input and is listed as STDIN_ID. Missing paths
+    raise under the abort policy; under skip they stay in the list and
+    become io_error outcomes when the run reaches them.
     """
     files: set[str] = set()
     missing: set[str] = set()
     for raw in config.inputs:
         p = Path(raw)
-        if p.is_dir():
+        if raw == "-":
+            files.add(STDIN_ID)
+        elif p.is_dir():
             files.update(str(f) for f in p.rglob("*.ofn") if f.is_file())
         elif p.is_file():
             files.add(raw)
@@ -121,10 +129,12 @@ def discover_inputs(config: RunConfig) -> list[str]:
     return sorted(files | missing)
 
 
-def _extract_file(path: str, follow_imports: bool,
+def _extract_file(path: str, text: str | None, follow_imports: bool,
                   weights: tuple[float, float, float]) -> FileOutcome:
+    """Outcome for one input; `text` is read from `path` when it is None."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        if text is None:
+            text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         return FileOutcome(path=path, status="io_error", diagnostics=[str(exc)])
     try:
@@ -168,15 +178,60 @@ def _resolve_imports(onto, path: str, seen: set[str] | None = None):
                     imports=onto.imports, annotations=onto.annotations)
 
 
-def _worker(path: str, follow_imports: bool, weights, conn):
-    try:
-        outcome = _extract_file(path, follow_imports, weights)
-    except BaseException as exc:  # keep the parent loop alive no matter what
-        outcome = FileOutcome(path=path, status="io_error", diagnostics=[repr(exc)])
-    try:
+def _serve(conn, follow_imports: bool, weights) -> None:
+    """Worker loop: answer each (path, text) job with its FileOutcome until
+    the None sentinel arrives."""
+    for path, text in iter(conn.recv, None):
+        try:
+            outcome = _extract_file(path, text, follow_imports, weights)
+        except Exception as exc:  # a bug or resource limit: report it, keep serving
+            outcome = FileOutcome(path=path, status="internal_error",
+                                  diagnostics=[f"{type(exc).__name__}: {exc}"])
         conn.send(outcome)
-    finally:
-        conn.close()
+
+
+class _Worker:
+    """One long-lived worker process, the parent's end of its pipe and the
+    file it is working on, if any."""
+
+    def __init__(self, ctx, config: RunConfig):
+        self.conn, child_conn = ctx.Pipe()
+        self.proc = ctx.Process(target=_serve, daemon=True,
+                                args=(child_conn, config.follow_imports,
+                                      config.cohesion_weights))
+        self.proc.start()
+        child_conn.close()
+        self.job: tuple[int, str] | None = None
+        self.deadline = 0.0
+
+    def send(self, idx: int, path: str, text: str | None, timeout: float) -> None:
+        self.job = (idx, path)
+        self.deadline = time.monotonic() + timeout
+        try:
+            self.conn.send((path, text))
+        except OSError:
+            pass  # the worker is gone; its pipe reads as EOF and recv reports it
+
+    def receive(self) -> FileOutcome:
+        try:
+            return self.conn.recv()
+        except (EOFError, OSError):  # OSError: reset by a worker that died unread
+            self.stop(kill=True)
+            return FileOutcome(path=self.job[1], status="internal_error",
+                               diagnostics=[f"worker exited with code {self.proc.exitcode}"])
+
+    def stop(self, kill: bool) -> None:
+        """Send the sentinel to an idle worker, or kill a busy one; then reap
+        it and close the pipe."""
+        if kill:
+            self.proc.terminate()
+        else:
+            try:
+                self.conn.send(None)
+            except OSError:
+                pass  # already exited
+        self.proc.join()
+        self.conn.close()
 
 
 def run(config: RunConfig) -> CorpusReport:
@@ -191,62 +246,59 @@ def run(config: RunConfig) -> CorpusReport:
                             wall_time_s=time.monotonic() - started)
     outcomes: dict[int, FileOutcome] = {}
     pending = list(enumerate(files))[::-1]
-    active: dict[int, tuple] = {}
+    workers: list[_Worker] = []
     aborted = False
     ctx = multiprocessing.get_context()
 
-    def abort_triggering(outcome: FileOutcome) -> bool:
-        return outcome.status != "ok" and config.on_error == "abort"
+    def record(idx: int, outcome: FileOutcome) -> None:
+        nonlocal aborted
+        outcomes[idx] = outcome
+        if outcome.status != "ok" and config.on_error == "abort":
+            aborted = True
 
-    while (pending or active) and not aborted:
-        while pending and len(active) < config.parallelism:
-            idx, path = pending.pop()
-            if not Path(path).exists():
-                outcomes[idx] = FileOutcome(path=path, status="io_error",
-                                            diagnostics=["input path does not exist"])
-                if abort_triggering(outcomes[idx]):
-                    aborted = True
+    try:
+        while not aborted:
+            while pending and not aborted:
+                worker = next((w for w in workers if w.job is None), None)
+                if worker is None and len(workers) >= config.parallelism:
                     break
-                continue
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_worker,
-                               args=(path, config.follow_imports,
-                                     config.cohesion_weights, child_conn))
-            proc.start()
-            child_conn.close()
-            deadline = time.monotonic() + config.per_file_timeout
-            active[idx] = (proc, parent_conn, deadline, path)
-        if aborted or not active:
-            continue
-        now = time.monotonic()
-        next_deadline = min(d for (_, _, d, _) in active.values())
-        wait_for = max(0.0, min(next_deadline - now, 0.2))
-        ready = multiprocessing.connection.wait(
-            [conn for (_, conn, _, _) in active.values()], timeout=wait_for)
-        finished: list[int] = []
-        for idx, (proc, conn, deadline, path) in active.items():
-            if conn in ready:
+                idx, path = pending.pop()
+                text = None
                 try:
-                    outcomes[idx] = conn.recv()
-                except EOFError:
-                    outcomes[idx] = FileOutcome(path=path, status="io_error",
-                                                diagnostics=["worker exited unexpectedly"])
-                finished.append(idx)
-            elif time.monotonic() >= deadline:
-                proc.terminate()
-                outcomes[idx] = FileOutcome(path=path, status="timeout")
-                finished.append(idx)
-        for idx in finished:
-            proc, conn, _, _ = active.pop(idx)
-            conn.close()
-            proc.join()
-            if abort_triggering(outcomes[idx]):
-                aborted = True
-    # On abort, files still in flight are terminated and get no outcome.
-    for proc, conn, _, _ in active.values():
-        proc.terminate()
-        conn.close()
-        proc.join()
+                    if path == STDIN_ID and "-" in config.inputs:
+                        text = sys.stdin.read()
+                    elif not Path(path).exists():
+                        raise FileNotFoundError("input path does not exist")
+                except (OSError, ValueError) as exc:
+                    record(idx, FileOutcome(path=path, status="io_error",
+                                            diagnostics=[str(exc)]))
+                    continue
+                if worker is None:
+                    worker = _Worker(ctx, config)
+                    workers.append(worker)
+                worker.send(idx, path, text, config.per_file_timeout)
+            busy = [w for w in workers if w.job is not None]
+            if aborted or not busy:
+                break
+            wait_for = max(0.0, min(w.deadline for w in busy) - time.monotonic())
+            ready = multiprocessing.connection.wait([w.conn for w in busy], timeout=wait_for)
+            for worker in busy:
+                idx, path = worker.job
+                if worker.conn in ready:
+                    outcome = worker.receive()
+                elif time.monotonic() >= worker.deadline:
+                    outcome = FileOutcome(path=path, status="timeout")
+                    worker.stop(kill=True)
+                else:
+                    continue
+                if worker.conn.closed:
+                    workers.remove(worker)
+                worker.job = None
+                record(idx, outcome)
+    finally:
+        # On abort, files still in flight are terminated and get no outcome.
+        for worker in workers:
+            worker.stop(kill=aborted or worker.job is not None)
     ordered = [outcomes[i] for i in sorted(outcomes)]
     return CorpusReport(outcomes=ordered, aborted=aborted,
                         wall_time_s=time.monotonic() - started)

@@ -97,6 +97,16 @@ def test_check_missing_file(tmp_path, capsys):
     assert main(["check", str(tmp_path / "missing.ofn")]) == 2
 
 
+def test_check_too_deep_nesting_is_a_diagnostic(tmp_path, capsys):
+    expr = ":B"
+    for _ in range(1000):
+        expr = f"ObjectComplementOf({expr})"
+    f = tmp_path / "deep.ofn"
+    f.write_text(f"Prefix(:=<http://x#>)\nOntology(\nSubClassOf(:A {expr})\n)\n")
+    assert main(["check", str(f)]) == 2
+    assert capsys.readouterr().err == f"{f}: error: nesting too deep (RecursionError)\n"
+
+
 def test_config_file_and_flag_override(corpus, tmp_path, capsys):
     cfg = tmp_path / "run.conf"
     cfg.write_text("# corpus run settings\nformat = json\ngroups = size\njobs = 1\n")
@@ -123,11 +133,18 @@ def test_stdin_input(corpus, capsys, monkeypatch):
     assert "<stdin>: ok" in capsys.readouterr().out
 
 
-def test_stdin_extract(capsys, monkeypatch):
+def test_stdin_extract(capsys, monkeypatch, tmp_path):
     import io
+    import tempfile
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
     monkeypatch.setattr("sys.stdin", io.StringIO(VALID))
     assert main(["extract", "-"]) == 0
-    assert len(capsys.readouterr().out.strip().splitlines()) == 2
+    rows = capsys.readouterr().out.strip().splitlines()
+    assert len(rows) == 2
+    assert rows[1].startswith("<stdin>,")
+    assert list(scratch.iterdir()) == []
 
 
 def test_timeout_flag_reaches_config(tmp_path, capsys):

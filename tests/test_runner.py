@@ -1,12 +1,20 @@
 """Corpus runner: discovery, isolation, timeouts, deterministic emission."""
 
 import json
+import multiprocessing
+import os
+import random
+import re
+import time
 
 import pytest
 
+from ontoprof import runner
 from ontoprof.features import extract_all
 from ontoprof.parser import parse_ontology
 from ontoprof.runner import RunConfig, discover_inputs, emit_matrix, run, write_outputs
+
+from golden_data import GOLDEN_DIR
 
 VALID = """Prefix(:=<http://example.org/r#>)
 Ontology(
@@ -55,7 +63,8 @@ def test_run_ok_corpus(tmp_path):
     corpus = make_corpus(tmp_path)
     report = run(RunConfig(inputs=[str(corpus)], parallelism=2, per_file_timeout=60))
     assert not report.aborted
-    assert report.totals == {"ok": 3, "parse_error": 0, "timeout": 0, "io_error": 0}
+    assert report.totals == {"ok": 3, "parse_error": 0, "timeout": 0, "io_error": 0,
+                             "internal_error": 0}
     matrix = emit_matrix(report.vectors())
     assert matrix.decode().count("\n") == 4  # header + 3 rows
 
@@ -200,3 +209,112 @@ def test_config_validation():
         RunConfig(inputs=[], format="xml")
     with pytest.raises(ValueError):
         RunConfig(inputs=[], feature_groups=("bogus",))
+
+
+def _patch_extractor(monkeypatch, name, action):
+    """Run `action` instead of extracting the file called `name`; forked
+    workers inherit the patch."""
+    extract = runner._extract_file
+
+    def patched(path, *args):
+        if path.endswith(name):
+            action()
+        return extract(path, *args)
+
+    monkeypatch.setattr(runner, "_extract_file", patched)
+
+
+def test_workers_are_reused(tmp_path, monkeypatch):
+    corpus = make_corpus(tmp_path, names=tuple(f"o{i:02d}" for i in range(20)))
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def spy(proc):
+        started.append(proc)
+        start(proc)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", spy)
+    report = run(RunConfig(inputs=[str(corpus)], parallelism=2, per_file_timeout=60))
+    assert report.totals["ok"] == 20
+    assert 1 <= len(started) <= 2
+    assert multiprocessing.active_children() == []
+
+
+def test_timeout_replaces_only_the_stuck_worker(tmp_path, monkeypatch):
+    corpus = make_corpus(tmp_path, names=("0stuck", "a", "b", "c"))
+    _patch_extractor(monkeypatch, "0stuck.ofn", lambda: time.sleep(60))
+    report = run(RunConfig(inputs=[str(corpus)], parallelism=1, per_file_timeout=1.0))
+    statuses = [o.status for o in report.outcomes]
+    assert statuses == ["timeout", "ok", "ok", "ok"]
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_death_is_internal_error(tmp_path, monkeypatch):
+    corpus = make_corpus(tmp_path, names=("a", "b", "c", "d"))
+    _patch_extractor(monkeypatch, "b.ofn", lambda: os._exit(3))
+    report = run(RunConfig(inputs=[str(corpus)], parallelism=1, per_file_timeout=60))
+    statuses = {o.path.rsplit("/", 1)[-1]: o.status for o in report.outcomes}
+    assert statuses == {"a.ofn": "ok", "b.ofn": "internal_error",
+                        "c.ofn": "ok", "d.ofn": "ok"}
+    died = report.outcomes[1]
+    assert died.diagnostics == ["worker exited with code 3"]
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_exception_is_internal_error(tmp_path):
+    deep = tmp_path / "deep.ofn"
+    expr = ":B"
+    for _ in range(1000):
+        expr = f"ObjectComplementOf({expr})"
+    deep.write_text(f"Prefix(:=<http://example.org/d#>)\nOntology(\nSubClassOf(:A {expr})\n)\n")
+    report = run(RunConfig(inputs=[str(deep)], parallelism=1, per_file_timeout=60))
+    assert report.totals["internal_error"] == 1
+    assert report.outcomes[0].diagnostics[0].startswith("RecursionError: ")
+
+
+def test_abort_leaves_no_worker_behind(tmp_path, monkeypatch):
+    corpus = make_corpus(tmp_path, names=("a", "b", "c", "d"))
+    (corpus / "0bad.ofn").write_text(MALFORMED)
+    _patch_extractor(monkeypatch, "a.ofn", lambda: time.sleep(60))
+    report = run(RunConfig(inputs=[str(corpus)], parallelism=2,
+                           per_file_timeout=60, on_error="abort"))
+    assert report.aborted
+    assert [o.status for o in report.outcomes] == ["parse_error"]
+    assert multiprocessing.active_children() == []
+
+
+def _mutants(count, seed):
+    """Seeded damage to the golden fixtures: truncate, drop or duplicate a
+    parenthesis, or swap two tokens."""
+    rng = random.Random(seed)
+    texts = [p.read_text(encoding="utf-8") for p in sorted(GOLDEN_DIR.glob("*.ofn"))]
+    for _ in range(count):
+        text = rng.choice(texts)
+        kind = rng.randrange(4)
+        if kind == 0:
+            yield text[:rng.randrange(len(text))]
+        elif kind in (1, 2):
+            at = rng.choice([m.start() for m in re.finditer(r"[()]", text)])
+            yield text[:at] + (text[at] * 2 if kind == 2 else "") + text[at + 1:]
+        else:
+            first, second = sorted(rng.sample(list(re.finditer(r"[^\s()]+", text)), 2),
+                                   key=lambda m: m.start())
+            yield (text[:first.start()] + second.group() + text[first.end():second.start()]
+                   + first.group() + text[second.end():])
+
+
+def test_mutation_fuzz_yields_rows_or_positioned_diagnostics(tmp_path):
+    corpus = tmp_path / "mutants"
+    corpus.mkdir()
+    for i, text in enumerate(_mutants(300, seed=2015)):
+        (corpus / f"m{i:03d}.ofn").write_text(text, encoding="utf-8")
+    started = time.monotonic()
+    report = run(RunConfig(inputs=[str(corpus)], parallelism=2, per_file_timeout=30))
+    assert time.monotonic() - started < 60
+    assert len(report.outcomes) == 300
+    positioned = re.compile(r":\d+:\d+: error: ")
+    for outcome in report.outcomes:
+        assert outcome.status in ("ok", "parse_error"), (outcome.path, outcome.diagnostics)
+        if outcome.status == "parse_error":
+            assert outcome.diagnostics, outcome.path
+            assert all(positioned.search(d) for d in outcome.diagnostics), outcome.diagnostics

@@ -77,7 +77,8 @@ def _merge_extract_config(args) -> RunConfig:
               if groups_raw else ("size", "expressivity", "structural", "syntactic"))
     timeout = args.timeout if args.timeout is not None else float(
         options.get("timeout", DEFAULT_TIMEOUT))
-    jobs = args.jobs if args.jobs is not None else int(options.get("jobs", 0)) or None
+    jobs = args.jobs if args.jobs is not None else (
+        int(options["jobs"]) if "jobs" in options else None)
     on_error = args.on_error or options.get("on_error", "skip")
     follow = (args.follow_imports if args.follow_imports is not None
               else options.get("follow_imports", "false").lower() in ("true", "1", "yes"))
@@ -120,6 +121,8 @@ def cmd_extract(args) -> int:
     if not config.output_path:
         sys.stdout.write(matrix.decode("utf-8"))
     for outcome in report.outcomes:
+        for warning in outcome.warnings:
+            print(warning, file=sys.stderr)
         if outcome.status != "ok":
             print(f"ontoprof: {outcome.path}: {outcome.status}", file=sys.stderr)
             for diag in outcome.diagnostics:

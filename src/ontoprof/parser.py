@@ -63,134 +63,97 @@ class OntologyParseError(Exception):
         self.diagnostics = diagnostics
 
 
+def _diagnostic(text: str, offset: int, message: str, origin: str) -> ParseDiagnostic:
+    """An error positioned at `offset`; line and column are 1-based and a
+    column counts characters, so tabs and carriage returns count as one."""
+    line = text.count("\n", 0, offset) + 1
+    column = offset - text.rfind("\n", 0, offset)
+    return ParseDiagnostic("error", line, column, message, origin)
+
+
 # ---------------------------------------------------------------------------
-# Lexer.
+# Lexer: one master regex, after the "Writing a Tokenizer" recipe of the
+# `re` docs. A token is a (kind, value, start, end) tuple. Each match is one
+# token plus the whitespace and comments after it, and the next match is
+# tried exactly where it ended. Whitespace is exactly [ \t\r\n]: any other
+# character outside a token is a lexical error. Matching is anchored rather
+# than searched with finditer, because a search past a failed offset retries
+# every later one, which is quadratic on a long line of unclosed '<'.
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    value: str
-    line: int
-    col: int
-    start: int
-    end: int
+_TOKEN_RE = re.compile(r"""
+    (?: (?P<LPAREN>\()
+      | (?P<RPAREN>\))
+      | (?P<EQUALS>=)
+      | (?P<DTMARK>\^\^)
+      | (?P<IRI><[^>\n]*>)
+      | (?P<STRING>"[^"\\]*(?:\\["\\][^"\\]*)*")
+      | (?P<LANGTAG>@[A-Za-z]+(?:-[A-Za-z0-9]+)*)
+      | (?P<NODEID>_:[A-Za-z0-9_.\-]+)
+      | (?P<PNAME>(?:[A-Za-z][A-Za-z0-9_.\-]*)?:[A-Za-z0-9_.\-]*)
+      | (?P<IDENT>[A-Za-z][A-Za-z0-9]*)
+      | (?P<INT>[0-9]+)
+    ) (?:[ \t\r\n]+|\#[^\n]*)*
+""", re.VERBOSE)
+_SKIP_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
+# A string literal up to its first invalid escape, or to the end of input.
+_STRING_PREFIX_RE = re.compile(r'"[^"\\]*(?:\\["\\][^"\\]*)*')
+# The value of a delimited token, without its delimiters.
+_VALUE_SLICE = {"IRI": slice(1, -1), "STRING": slice(1, -1),
+                "LANGTAG": slice(1, None), "NODEID": slice(2, None)}
 
 
-_NAME_RE = re.compile(r"([A-Za-z][A-Za-z0-9_.\-]*)?:([A-Za-z0-9_.\-]*)")
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
-_INT_RE = re.compile(r"[0-9]+")
-_NODEID_RE = re.compile(r"_:([A-Za-z0-9_.\-]+)")
-_LANGTAG_RE = re.compile(r"@([A-Za-z]+(?:-[A-Za-z0-9]+)*)")
+def _unescape(raw: str) -> str:
+    # Every backslash in a lexed string starts a \\ or \" escape, so the
+    # \\ pairs split cleanly from the left and only \" is left inside parts.
+    return "\\".join(part.replace('\\"', '"') for part in raw.split("\\\\"))
 
 
-class _Lexer:
-    def __init__(self, text: str, origin: str):
-        self.text = text
-        self.origin = origin
-        self.pos = 0
-        self.line = 1
-        self.col = 1
+def _lexical_error(text: str, offset: int, origin: str):
+    """Raise the diagnostic for the character at `offset`, where no token
+    matches."""
+    ch = text[offset]
+    if ch == "<":
+        message = "unterminated IRI"
+    elif ch == '"':
+        prefix_end = _STRING_PREFIX_RE.match(text, offset).end()
+        message = ("unterminated string literal" if prefix_end == len(text)
+                   else "invalid escape in string literal")
+    elif ch == "@":
+        message = "malformed language tag"
+    elif text.startswith("_:", offset):
+        message = "malformed anonymous individual"
+    else:
+        message = f"unexpected character {ch!r}"
+    raise OntologyParseError([_diagnostic(text, offset, f"lexical error: {message}", origin)])
 
-    def error(self, message: str):
-        raise OntologyParseError([ParseDiagnostic(
-            "error", self.line, self.col, f"lexical error: {message}", self.origin)])
 
-    def _advance(self, n: int):
-        chunk = self.text[self.pos:self.pos + n]
-        newlines = chunk.count("\n")
-        if newlines:
-            self.line += newlines
-            self.col = n - chunk.rfind("\n")
-        else:
-            self.col += n
-        self.pos += n
+_Tok = tuple[str, str, int, int]  # (kind, value, start offset, end offset)
 
-    def tokens(self) -> list[_Token]:
-        out: list[_Token] = []
-        text = self.text
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch in " \t\r\n":
-                self._advance(1)
-                continue
-            if ch == "#":
-                end = text.find("\n", self.pos)
-                self._advance((end if end >= 0 else len(text)) - self.pos)
-                continue
-            line, col, start = self.line, self.col, self.pos
-            if ch in "()=":
-                kinds = {"(": "LPAREN", ")": "RPAREN", "=": "EQUALS"}
-                self._advance(1)
-                out.append(_Token(kinds[ch], ch, line, col, start, self.pos))
-                continue
-            if text.startswith("^^", self.pos):
-                self._advance(2)
-                out.append(_Token("DTMARK", "^^", line, col, start, self.pos))
-                continue
-            if ch == "<":
-                end = text.find(">", self.pos + 1)
-                if end < 0 or "\n" in text[self.pos:end]:
-                    self.error("unterminated IRI")
-                iri = text[self.pos + 1:end]
-                self._advance(end + 1 - self.pos)
-                out.append(_Token("IRI", iri, line, col, start, self.pos))
-                continue
-            if ch == '"':
-                value = self._string()
-                out.append(_Token("STRING", value, line, col, start, self.pos))
-                continue
-            if ch == "@":
-                m = _LANGTAG_RE.match(text, self.pos)
-                if not m:
-                    self.error("malformed language tag")
-                self._advance(m.end() - self.pos)
-                out.append(_Token("LANGTAG", m.group(1), line, col, start, self.pos))
-                continue
-            if ch == "_" and text.startswith("_:", self.pos):
-                m = _NODEID_RE.match(text, self.pos)
-                if not m:
-                    self.error("malformed anonymous individual")
-                self._advance(m.end() - self.pos)
-                out.append(_Token("NODEID", m.group(1), line, col, start, self.pos))
-                continue
-            m = _NAME_RE.match(text, self.pos)
-            if m:
-                self._advance(m.end() - self.pos)
-                out.append(_Token("PNAME", m.group(0), line, col, start, self.pos))
-                continue
-            m = _IDENT_RE.match(text, self.pos)
-            if m:
-                self._advance(m.end() - self.pos)
-                out.append(_Token("IDENT", m.group(0), line, col, start, self.pos))
-                continue
-            m = _INT_RE.match(text, self.pos)
-            if m:
-                self._advance(m.end() - self.pos)
-                out.append(_Token("INT", m.group(0), line, col, start, self.pos))
-                continue
-            self.error(f"unexpected character {ch!r}")
-        out.append(_Token("EOF", "", self.line, self.col, self.pos, self.pos))
-        return out
 
-    def _string(self) -> str:
-        text = self.text
-        i = self.pos + 1
-        parts: list[str] = []
-        while i < len(text):
-            c = text[i]
-            if c == "\\":
-                if i + 1 >= len(text) or text[i + 1] not in '"\\':
-                    self.error("invalid escape in string literal")
-                parts.append(text[i + 1])
-                i += 2
-                continue
-            if c == '"':
-                self._advance(i + 1 - self.pos)
-                return "".join(parts)
-            parts.append(c)
-            i += 1
-        self.error("unterminated string literal")
-        raise AssertionError("unreachable")
+def _tokenize(text: str, origin: str) -> list[_Tok]:
+    """All tokens of `text`, ending with an EOF token; raises
+    OntologyParseError at the first character no token matches."""
+    match = _TOKEN_RE.match
+    pos = _SKIP_RE.match(text).end()
+    size = len(text)
+    tokens = []
+    append = tokens.append
+    while pos < size:
+        m = match(text, pos)
+        if m is None:
+            _lexical_error(text, pos, origin)
+        pos = m.end()
+        kind = m.lastgroup
+        start, end = m.span(kind)
+        value = m[kind]
+        cut = _VALUE_SLICE.get(kind)
+        if cut is not None:
+            value = value[cut]
+            if kind == "STRING" and "\\" in value:
+                value = _unescape(value)
+        append((kind, value, start, end))
+    append(("EOF", "", pos, pos))
+    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -229,43 +192,45 @@ class _Parser:
     def __init__(self, text: str, origin: str):
         self.text = text
         self.origin = origin
-        self.tokens = _Lexer(text, origin).tokens()
+        self.tokens = _tokenize(text, origin)
         self.i = 0
         self.prefixes = dict(STANDARD_PREFIXES)
 
     # -- token plumbing -----------------------------------------------------
 
-    def peek(self) -> _Token:
+    def peek(self) -> _Tok:
         return self.tokens[self.i]
 
-    def advance(self) -> _Token:
+    def advance(self) -> _Tok:
         tok = self.tokens[self.i]
-        if tok.kind != "EOF":
+        if tok[0] != "EOF":
             self.i += 1
         return tok
 
-    def fail(self, message: str, tok: _Token | None = None, kind: str = "syntax error"):
+    def fail(self, message: str, tok: _Tok | None = None, kind: str = "syntax error"):
         tok = tok or self.peek()
-        raise OntologyParseError([ParseDiagnostic(
-            "error", tok.line, tok.col, f"{kind}: {message}", self.origin)])
+        raise OntologyParseError([_diagnostic(self.text, tok[2], f"{kind}: {message}",
+                                              self.origin)])
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            self.fail(f"expected {what}, found {tok.value!r}" if tok.value
+    def expect(self, kind: str, what: str) -> _Tok:
+        """Consume a token of `kind`, which is never EOF."""
+        tok = self.tokens[self.i]
+        if tok[0] != kind:
+            self.fail(f"expected {what}, found {tok[1]!r}" if tok[1]
                       else f"expected {what}, found end of input")
-        return self.advance()
+        self.i += 1
+        return tok
 
     def at_keyword(self, *names: str) -> bool:
         tok = self.peek()
-        return tok.kind == "IDENT" and tok.value in names
+        return tok[0] == "IDENT" and tok[1] in names
 
     # -- IRIs and prefixes --------------------------------------------------
 
-    def resolve(self, tok: _Token) -> str:
-        if tok.kind == "IRI":
-            return tok.value
-        name = tok.value
+    def resolve(self, tok: _Tok) -> str:
+        if tok[0] == "IRI":
+            return tok[1]
+        name = tok[1]
         prefix, _, local = name.partition(":")
         prefix += ":"
         base = self.prefixes.get(prefix)
@@ -274,10 +239,11 @@ class _Parser:
         return base + local
 
     def parse_iri(self, what: str = "IRI") -> str:
-        tok = self.peek()
-        if tok.kind not in ("IRI", "PNAME"):
-            self.fail(f"expected {what}, found {tok.value!r}")
-        return self.resolve(self.advance())
+        tok = self.tokens[self.i]
+        if tok[0] not in ("IRI", "PNAME"):
+            self.fail(f"expected {what}, found {tok[1]!r}")
+        self.i += 1
+        return self.resolve(tok)
 
     # -- document -----------------------------------------------------------
 
@@ -289,32 +255,33 @@ class _Parser:
         self.advance()
         self.expect("LPAREN", "'('")
         iri = version = None
-        if self.peek().kind in ("IRI", "PNAME"):
+        if self.peek()[0] in ("IRI", "PNAME"):
             iri = self.parse_iri("ontology IRI")
-            if self.peek().kind in ("IRI", "PNAME"):
+            if self.peek()[0] in ("IRI", "PNAME"):
                 version = self.parse_iri("version IRI")
         imports: list[str] = []
         annotations: list[OntologyAnnotation] = []
         axioms: list[Axiom] = []
         while True:
             tok = self.peek()
-            if tok.kind == "RPAREN":
+            if tok[0] == "RPAREN":
                 self.advance()
                 break
-            if tok.kind == "EOF":
+            if tok[0] == "EOF":
                 self.fail("unexpected end of input inside Ontology(...)")
-            if self.at_keyword("Import"):
+            keyword = tok[1] if tok[0] == "IDENT" else None
+            if keyword == "Import":
                 self.advance()
                 self.expect("LPAREN", "'('")
                 imports.append(self.parse_iri("import IRI"))
                 self.expect("RPAREN", "')'")
-            elif self.at_keyword("Annotation"):
+            elif keyword == "Annotation":
                 annotations.append(self.parse_ontology_annotation())
             else:
                 axioms.append(self.parse_axiom())
         tok = self.peek()
-        if tok.kind != "EOF":
-            self.fail(f"unexpected trailing content {tok.value!r}")
+        if tok[0] != "EOF":
+            self.fail(f"unexpected trailing content {tok[1]!r}")
         return Ontology(axioms=tuple(axioms), iri=iri, version_iri=version,
                         imports=tuple(imports), annotations=tuple(annotations))
 
@@ -322,13 +289,13 @@ class _Parser:
         self.advance()
         self.expect("LPAREN", "'('")
         tok = self.expect("PNAME", "prefix name")
-        name = tok.value
+        name = tok[1]
         if not name.endswith(":"):
             self.fail("prefix declaration must end with ':'", tok)
         self.expect("EQUALS", "'='")
         target = self.expect("IRI", "full IRI")
         self.expect("RPAREN", "')'")
-        self.prefixes[name] = target.value
+        self.prefixes[name] = target[1]
 
     # -- annotations ----------------------------------------------------------
 
@@ -347,11 +314,11 @@ class _Parser:
 
     def parse_annotation_value(self):
         tok = self.peek()
-        if tok.kind == "STRING":
+        if tok[0] == "STRING":
             return self.parse_literal()
-        if tok.kind == "NODEID":
+        if tok[0] == "NODEID":
             self.advance()
-            return AnonymousIndividual(tok.value)
+            return AnonymousIndividual(tok[1])
         return IriRef(self.parse_iri("annotation value"))
 
     # -- shared pieces ----------------------------------------------------------
@@ -359,19 +326,19 @@ class _Parser:
     def parse_literal(self) -> Literal:
         tok = self.expect("STRING", "literal")
         nxt = self.peek()
-        if nxt.kind == "DTMARK":
+        if nxt[0] == "DTMARK":
             self.advance()
-            return Literal(tok.value, datatype=self.parse_iri("datatype IRI"))
-        if nxt.kind == "LANGTAG":
+            return Literal(tok[1], datatype=self.parse_iri("datatype IRI"))
+        if nxt[0] == "LANGTAG":
             self.advance()
-            return Literal(tok.value, language=nxt.value)
-        return Literal(tok.value)
+            return Literal(tok[1], language=nxt[1])
+        return Literal(tok[1])
 
     def parse_individual(self) -> Individual:
         tok = self.peek()
-        if tok.kind == "NODEID":
+        if tok[0] == "NODEID":
             self.advance()
-            return AnonymousIndividual(tok.value)
+            return AnonymousIndividual(tok[1])
         return self.parse_iri("individual")
 
     def parse_object_property(self) -> ObjectPropertyExpression:
@@ -385,25 +352,25 @@ class _Parser:
 
     def parse_data_range(self) -> DataRange:
         tok = self.peek()
-        if tok.kind == "IDENT" and tok.value in _DATA_RANGE_KEYWORDS:
+        if tok[0] == "IDENT" and tok[1] in _DATA_RANGE_KEYWORDS:
             self.advance()
             self.expect("LPAREN", "'('")
-            if tok.value == "DataComplementOf":
+            if tok[1] == "DataComplementOf":
                 dr = DataComplementOf(self.parse_data_range())
                 self.expect("RPAREN", "')'")
                 return dr
-            if tok.value == "DataOneOf":
+            if tok[1] == "DataOneOf":
                 literals = []
-                while self.peek().kind == "STRING":
+                while self.peek()[0] == "STRING":
                     literals.append(self.parse_literal())
                 if not literals:
                     self.fail("DataOneOf needs at least one literal", tok, kind="arity violation")
                 self.expect("RPAREN", "')'")
                 return DataOneOf(tuple(literals))
-            if tok.value == "DatatypeRestriction":
+            if tok[1] == "DatatypeRestriction":
                 datatype = self.parse_iri("datatype IRI")
                 facets = []
-                while self.peek().kind != "RPAREN":
+                while self.peek()[0] != "RPAREN":
                     facet = self.parse_iri("facet IRI")
                     facets.append((facet, self.parse_literal()))
                 if not facets:
@@ -412,13 +379,13 @@ class _Parser:
                 self.expect("RPAREN", "')'")
                 return DatatypeRestriction(datatype, tuple(facets))
             operands = []
-            while self.peek().kind != "RPAREN":
+            while self.peek()[0] != "RPAREN":
                 operands.append(self.parse_data_range())
             if len(operands) < 2:
-                self.fail(f"{tok.value} needs at least two operands", tok,
+                self.fail(f"{tok[1]} needs at least two operands", tok,
                           kind="arity violation")
             self.expect("RPAREN", "')'")
-            cls = DataIntersectionOf if tok.value == "DataIntersectionOf" else DataUnionOf
+            cls = DataIntersectionOf if tok[1] == "DataIntersectionOf" else DataUnionOf
             return cls(tuple(operands))
         return DatatypeRef(self.parse_iri("data range"))
 
@@ -426,28 +393,28 @@ class _Parser:
 
     def parse_class_expression(self) -> ClassExpression:
         tok = self.peek()
-        if tok.kind in ("IRI", "PNAME"):
+        if tok[0] in ("IRI", "PNAME"):
             return NamedClass(self.parse_iri("class"))
-        if tok.kind != "IDENT":
-            self.fail(f"expected class expression, found {tok.value!r}")
-        name = tok.value
-        handler = getattr(self, f"_ce_{name}", None)
+        if tok[0] != "IDENT":
+            self.fail(f"expected class expression, found {tok[1]!r}")
+        name = tok[1]
+        handler = _CE_HANDLERS.get(name)
         if name in _DATA_RESTRICTION_KEYWORDS:
             return self._parse_data_restriction(name)
         if handler is None:
             self.fail(f"unknown class expression constructor {name!r}", tok)
         self.advance()
         self.expect("LPAREN", "'('")
-        result = handler(tok)
+        result = handler(self, tok)
         self.expect("RPAREN", "')'")
         return result
 
-    def _nary_expressions(self, tok: _Token, minimum: int) -> tuple[ClassExpression, ...]:
+    def _nary_expressions(self, tok: _Tok, minimum: int) -> tuple[ClassExpression, ...]:
         operands = []
-        while self.peek().kind != "RPAREN":
+        while self.peek()[0] != "RPAREN":
             operands.append(self.parse_class_expression())
         if len(operands) < minimum:
-            self.fail(f"{tok.value} needs at least {minimum} operands", tok,
+            self.fail(f"{tok[1]} needs at least {minimum} operands", tok,
                       kind="arity violation")
         return tuple(operands)
 
@@ -462,7 +429,7 @@ class _Parser:
 
     def _ce_ObjectOneOf(self, tok):
         individuals = []
-        while self.peek().kind != "RPAREN":
+        while self.peek()[0] != "RPAREN":
             individuals.append(self.parse_individual())
         if not individuals:
             self.fail("ObjectOneOf needs at least one individual", tok,
@@ -485,9 +452,9 @@ class _Parser:
         n_tok = self.expect("INT", "non-negative integer")
         prop = self.parse_object_property()
         filler = None
-        if self.peek().kind != "RPAREN":
+        if self.peek()[0] != "RPAREN":
             filler = self.parse_class_expression()
-        return cls(int(n_tok.value), prop, filler)
+        return cls(int(n_tok[1]), prop, filler)
 
     def _ce_ObjectMinCardinality(self, tok):
         return self._cardinality(ObjectMinCardinality, tok)
@@ -502,10 +469,10 @@ class _Parser:
         tok = self.advance()
         self.expect("LPAREN", "'('")
         if name in ("DataMinCardinality", "DataMaxCardinality", "DataExactCardinality"):
-            n = int(self.expect("INT", "non-negative integer").value)
+            n = int(self.expect("INT", "non-negative integer")[1])
             prop = self.parse_iri("data property")
             rng = None
-            if self.peek().kind != "RPAREN":
+            if self.peek()[0] != "RPAREN":
                 rng = self.parse_data_range()
             self.expect("RPAREN", "')'")
             return DataRestriction(kind=name, props=(prop,), range=rng, n=n)
@@ -518,9 +485,9 @@ class _Parser:
         # followed by a data range; when the range is a bare datatype IRI it is
         # the last IRI before the closing paren.
         iris = [self.parse_iri("data property")]
-        while self.peek().kind in ("IRI", "PNAME"):
+        while self.peek()[0] in ("IRI", "PNAME"):
             iris.append(self.parse_iri("data property"))
-        if self.peek().kind == "RPAREN":
+        if self.peek()[0] == "RPAREN":
             if len(iris) < 2:
                 self.fail(f"{name} needs a data property and a data range", tok,
                           kind="arity violation")
@@ -534,17 +501,17 @@ class _Parser:
 
     def parse_axiom(self) -> Axiom:
         tok = self.peek()
-        if tok.kind != "IDENT":
-            self.fail(f"expected axiom, found {tok.value!r}")
-        handler = getattr(self, f"_ax_{tok.value}", None)
+        if tok[0] != "IDENT":
+            self.fail(f"expected axiom, found {tok[1]!r}")
+        handler = _AX_HANDLERS.get(tok[1])
         if handler is None:
-            if tok.value in _NON_AXIOM_KEYWORDS:
-                self.fail(f"{tok.value!r} cannot appear as an axiom", tok)
+            if tok[1] in _NON_AXIOM_KEYWORDS:
+                self.fail(f"{tok[1]!r} cannot appear as an axiom", tok)
             return self._unknown_construct()
         self.advance()
         self.expect("LPAREN", "'('")
         self.skip_inline_annotations()
-        axiom = handler(tok)
+        axiom = handler(self, tok)
         self.expect("RPAREN", "')'")
         return axiom
 
@@ -552,51 +519,51 @@ class _Parser:
         name_tok = self.advance()
         open_tok = self.expect("LPAREN", "'('")
         depth = 1
-        end = open_tok.end
+        end = open_tok[3]
         while depth:
             tok = self.advance()
-            if tok.kind == "EOF":
-                self.fail(f"unterminated construct {name_tok.value!r}", name_tok)
-            if tok.kind == "LPAREN":
+            if tok[0] == "EOF":
+                self.fail(f"unterminated construct {name_tok[1]!r}", name_tok)
+            if tok[0] == "LPAREN":
                 depth += 1
-            elif tok.kind == "RPAREN":
+            elif tok[0] == "RPAREN":
                 depth -= 1
-            end = tok.end
-        return UnknownAxiom(name=name_tok.value, text=self.text[name_tok.start:end])
+            end = tok[3]
+        return UnknownAxiom(name=name_tok[1], text=self.text[name_tok[2]:end])
 
     def _class_operands(self, tok, minimum=2) -> tuple[ClassExpression, ...]:
         operands = []
-        while self.peek().kind != "RPAREN":
+        while self.peek()[0] != "RPAREN":
             operands.append(self.parse_class_expression())
         if len(operands) < minimum:
-            self.fail(f"{tok.value} needs at least {minimum} class expressions", tok,
+            self.fail(f"{tok[1]} needs at least {minimum} class expressions", tok,
                       kind="arity violation")
         return tuple(operands)
 
     def _property_operands(self, tok, minimum=2) -> tuple[ObjectPropertyExpression, ...]:
         operands = []
-        while self.peek().kind != "RPAREN":
+        while self.peek()[0] != "RPAREN":
             operands.append(self.parse_object_property())
         if len(operands) < minimum:
-            self.fail(f"{tok.value} needs at least {minimum} object properties", tok,
+            self.fail(f"{tok[1]} needs at least {minimum} object properties", tok,
                       kind="arity violation")
         return tuple(operands)
 
     def _data_property_operands(self, tok, minimum=2) -> tuple[str, ...]:
         operands = []
-        while self.peek().kind != "RPAREN":
+        while self.peek()[0] != "RPAREN":
             operands.append(self.parse_iri("data property"))
         if len(operands) < minimum:
-            self.fail(f"{tok.value} needs at least {minimum} data properties", tok,
+            self.fail(f"{tok[1]} needs at least {minimum} data properties", tok,
                       kind="arity violation")
         return tuple(operands)
 
     def _individual_operands(self, tok, minimum=2) -> tuple[Individual, ...]:
         operands = []
-        while self.peek().kind != "RPAREN":
+        while self.peek()[0] != "RPAREN":
             operands.append(self.parse_individual())
         if len(operands) < minimum:
-            self.fail(f"{tok.value} needs at least {minimum} individuals", tok,
+            self.fail(f"{tok[1]} needs at least {minimum} individuals", tok,
                       kind="arity violation")
         return tuple(operands)
 
@@ -701,12 +668,12 @@ class _Parser:
         ce = self.parse_class_expression()
         self.expect("LPAREN", "'('")
         object_props = []
-        while self.peek().kind != "RPAREN":
+        while self.peek()[0] != "RPAREN":
             object_props.append(self.parse_object_property())
         self.expect("RPAREN", "')'")
         self.expect("LPAREN", "'('")
         data_props = []
-        while self.peek().kind != "RPAREN":
+        while self.peek()[0] != "RPAREN":
             data_props.append(self.parse_iri("data property"))
         self.expect("RPAREN", "')'")
         if not object_props and not data_props:
@@ -745,20 +712,20 @@ class _Parser:
 
     def _ax_Declaration(self, tok):
         kind_tok = self.peek()
-        if kind_tok.kind != "IDENT" or kind_tok.value not in _ENTITY_KEYWORDS:
-            self.fail(f"expected entity kind, found {kind_tok.value!r}")
+        if kind_tok[0] != "IDENT" or kind_tok[1] not in _ENTITY_KEYWORDS:
+            self.fail(f"expected entity kind, found {kind_tok[1]!r}")
         self.advance()
         self.expect("LPAREN", "'('")
         iri = self.parse_iri("entity IRI")
         self.expect("RPAREN", "')'")
-        return Declaration(Entity(iri, _ENTITY_KEYWORDS[kind_tok.value]))
+        return Declaration(Entity(iri, _ENTITY_KEYWORDS[kind_tok[1]]))
 
     def _ax_AnnotationAssertion(self, tok):
         prop = self.parse_iri("annotation property")
         subject_tok = self.peek()
-        if subject_tok.kind == "NODEID":
+        if subject_tok[0] == "NODEID":
             self.advance()
-            subject = AnonymousIndividual(subject_tok.value)
+            subject = AnonymousIndividual(subject_tok[1])
         else:
             subject = IriRef(self.parse_iri("annotation subject"))
         return AnnotationAssertion(prop, subject, self.parse_annotation_value())
@@ -774,6 +741,14 @@ class _Parser:
     def _ax_AnnotationPropertyRange(self, tok):
         return AnnotationPropertyRange(self.parse_iri("annotation property"),
                                        self.parse_iri("IRI"))
+
+
+# Constructor and axiom keywords mapped to the methods that parse their
+# arguments.
+_CE_HANDLERS = {name[len("_ce_"):]: fn for name, fn in vars(_Parser).items()
+                if name.startswith("_ce_")}
+_AX_HANDLERS = {name[len("_ax_"):]: fn for name, fn in vars(_Parser).items()
+                if name.startswith("_ax_")}
 
 
 def parse_ontology(text: str, origin: str = "<string>") -> Ontology:

@@ -62,6 +62,7 @@ class FileOutcome:
     diagnostics: list[str] = field(default_factory=list)
     imports: list[str] = field(default_factory=list)
     anonymous_individuals: int = 0
+    warnings: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -99,6 +100,7 @@ class CorpusReport:
                     "diagnostics": o.diagnostics,
                     "imports": o.imports,
                     "anonymous_individuals": o.anonymous_individuals,
+                    "warnings": o.warnings,
                 }
                 for o in self.outcomes
             ],
@@ -137,24 +139,28 @@ def _extract_file(path: str, text: str | None, follow_imports: bool,
             text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         return FileOutcome(path=path, status="io_error", diagnostics=[str(exc)])
+    warnings: list[str] = []
     try:
         onto = parse_ontology(text, origin=path)
         if follow_imports and onto.imports:
-            onto = _resolve_imports(onto, path)
+            onto = _resolve_imports(onto, path, warnings)
         vector = extract_all(onto, cohesion_weights=weights)
         return FileOutcome(
             path=path, status="ok", vector=vector,
             imports=list(onto.imports),
             anonymous_individuals=len(onto.signature.anonymous_individuals),
+            warnings=warnings,
         )
     except OntologyParseError as exc:
         return FileOutcome(path=path, status="parse_error",
                            diagnostics=[d.format() for d in exc.diagnostics])
 
 
-def _resolve_imports(onto, path: str, seen: set[str] | None = None):
+def _resolve_imports(onto, path: str, warnings: list[str], seen: set[str] | None = None):
     """Merge axioms from imports that point at reachable local files;
-    anything else is left to the report as an unresolved import."""
+    anything else is left to the report as an unresolved import. A local
+    file that cannot be read or parsed is not merged, and a warning naming
+    the import and the reason is appended to `warnings`."""
     from .model import Ontology
 
     seen = seen or {str(Path(path).resolve())}
@@ -170,9 +176,14 @@ def _resolve_imports(onto, path: str, seen: set[str] | None = None):
                 continue
             seen.add(resolved)
             imported = parse_ontology(target.read_text(encoding="utf-8"), origin=str(target))
-        except (OSError, UnicodeDecodeError, OntologyParseError):
+        except (OSError, UnicodeDecodeError) as exc:
+            warnings.append(f"{path}: warning: import <{iri}> not merged: {exc}")
             continue
-        imported = _resolve_imports(imported, str(target), seen)
+        except OntologyParseError as exc:
+            warnings.append(f"{path}: warning: import <{iri}> not merged: "
+                            f"{exc.diagnostics[0].format()}")
+            continue
+        imported = _resolve_imports(imported, str(target), warnings, seen)
         merged.extend(imported.axioms)
     return Ontology(axioms=tuple(merged), iri=onto.iri, version_iri=onto.version_iri,
                     imports=onto.imports, annotations=onto.annotations)

@@ -170,6 +170,28 @@ def test_follow_imports_flag(tmp_path, capsys):
     assert row.endswith(",2,2")  # SLA and SA count the merged axioms
 
 
+def test_follow_imports_prints_unmerged_import_warning(tmp_path, capsys):
+    (tmp_path / "bad.ofn").write_text("Ontology(\n  SubClassOf(:A :B) %)")
+    main_file = tmp_path / "main.ofn"
+    main_file.write_text(
+        "Prefix(:=<http://example.org/c#>)\nOntology(\nImport(<bad.ofn>)\n"
+        "SubClassOf(:X :Y)\n)")
+    assert main(["extract", "--follow-imports", "--groups", "size", str(main_file)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.strip().splitlines()[1].endswith(",1,1")
+    assert (f"{main_file}: warning: import <bad.ofn> not merged: {tmp_path / 'bad.ofn'}"
+            ":2:21: error: lexical error: unexpected character '%'") in captured.err.splitlines()
+
+
+def test_config_jobs_zero_is_a_usage_error(corpus, tmp_path, capsys):
+    cfg = tmp_path / "run.conf"
+    cfg.write_text("jobs = 0\n")
+    assert main(["extract", "--config", str(cfg), str(corpus)]) == 1
+    assert "parallelism must be >= 1" in capsys.readouterr().err
+    assert main(["extract", "--jobs", "0", str(corpus)]) == 1
+    assert "parallelism must be >= 1" in capsys.readouterr().err
+
+
 def test_config_supplies_inputs(corpus, tmp_path, capsys):
     cfg = tmp_path / "run.conf"
     cfg.write_text(f"inputs = {corpus}\ngroups = size\n")

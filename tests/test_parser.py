@@ -1,13 +1,15 @@
 """Parser and serializer: grammar coverage, diagnostics, round-trips."""
 
 import random
+import string
 
 import pytest
 
 from ontoprof import OntologyParseError, parse_ontology, serialize
 from ontoprof.model import (
-    DataRestriction, Declaration, EquivalentClasses,
-    NamedClass, ObjectIntersectionOf, ObjectInverseOf, PropertyChain,
+    XSD, AnnotationAssertion, DataPropertyAssertion, DataRestriction,
+    Declaration, EquivalentClasses, IriRef, Literal, NamedClass,
+    ObjectIntersectionOf, ObjectInverseOf, Ontology, PropertyChain,
     SubClassOf, SubObjectPropertyOf, UnknownAxiom,
 )
 
@@ -147,32 +149,101 @@ def test_determinism_identical_diagnostics():
     assert outcomes[0] == outcomes[1]
 
 
-MALFORMED = [
-    "",                                              # empty input
-    "Ontology",                                      # missing parens
-    "Ontology(",                                     # unterminated document
-    "Ontology(SubClassOf(:Man :Human)",              # missing final paren
-    "Prefix(:=<http://x/>)",                         # prefix only, no ontology
-    "Prefix(:=http://x/)\nOntology()",               # prefix target not an IRI
-    "Ontology(SubClassOf(:Man))",                    # arity violation
-    "Ontology(SubClassOf(:A :B :C))",                # too many operands
-    "Ontology(SubClassOf(:A ObjectIntersectionOf(:B)))",   # unary intersection
-    "Ontology(SubClassOf(:A ObjectUnionOf()))",      # empty union
-    "Ontology(SubClassOf(:A ObjectOneOf()))",        # empty enumeration
-    "Ontology(ObjectOneOf(:a))",                     # expression at axiom level
-    "Ontology(SubClassOf(:A ObjectMinCardinality(:r :B)))",  # missing number
-    "Ontology(SubClassOf(:A ObjectMinCardinality(2)))",      # missing property
-    "Ontology(SubClassOf(miss:A <http://x/B>))",     # unresolved prefix
-    "Ontology(SubClassOf(:A <http://x/B))",          # unterminated IRI
-    'Ontology(AnnotationAssertion(rdfs:label :A "x))',  # unterminated string
-    'Ontology(DataPropertyAssertion(:d :i "x\\q"))', # invalid escape
-    "Ontology(Declaration(Klass(:A)))",              # bad entity kind
-    "Ontology(SubClassOf(:A :B) %)",                 # stray character
-    "Ontology(HasKey(:A () ()))",                    # key without properties
-    "Ontology(DifferentIndividuals(:a))",            # singleton individuals
-    "Ontology(SubObjectPropertyOf(ObjectPropertyChain(:p) :q))",  # short chain
-    "Ontology(Import(:A :B))",                       # malformed import
+# Each case pairs a document with the exact diagnostic it must produce.
+# The lexer runs over the whole document before the parser, so a lexical
+# error anywhere wins over an earlier syntax error.
+MALFORMED_CASES = [
+    ("",                                             # empty input
+     "bad.ofn:1:1: error: syntax error: expected Ontology(...) document"),
+    ("Ontology",                                     # missing parens
+     "bad.ofn:1:9: error: syntax error: expected '(', found end of input"),
+    ("Ontology(",                                    # unterminated document
+     "bad.ofn:1:10: error: syntax error: unexpected end of input inside Ontology(...)"),
+    ("Ontology(SubClassOf(:Man :Human)",             # missing final paren
+     "bad.ofn:1:21: error: unresolved prefix: prefix ':' is not declared"),
+    ("Prefix(:=<http://x/>)",                        # prefix only, no ontology
+     "bad.ofn:1:22: error: syntax error: expected Ontology(...) document"),
+    ("Prefix(:=http://x/)\nOntology()",              # prefix target not an IRI
+     "bad.ofn:1:15: error: lexical error: unexpected character '/'"),
+    ("Ontology(SubClassOf(:Man))",                   # arity violation
+     "bad.ofn:1:21: error: unresolved prefix: prefix ':' is not declared"),
+    ("Ontology(SubClassOf(:A :B :C))",               # too many operands
+     "bad.ofn:1:21: error: unresolved prefix: prefix ':' is not declared"),
+    ("Ontology(SubClassOf(:A ObjectIntersectionOf(:B)))",  # unary intersection
+     "bad.ofn:1:21: error: unresolved prefix: prefix ':' is not declared"),
+    ("Ontology(SubClassOf(:A ObjectUnionOf()))",     # empty union
+     "bad.ofn:1:21: error: unresolved prefix: prefix ':' is not declared"),
+    ("Ontology(SubClassOf(:A ObjectOneOf()))",       # empty enumeration
+     "bad.ofn:1:21: error: unresolved prefix: prefix ':' is not declared"),
+    ("Ontology(ObjectOneOf(:a))",                    # expression at axiom level
+     "bad.ofn:1:10: error: syntax error: 'ObjectOneOf' cannot appear as an axiom"),
+    ("Ontology(SubClassOf(:A ObjectMinCardinality(:r :B)))",  # missing number
+     "bad.ofn:1:21: error: unresolved prefix: prefix ':' is not declared"),
+    ("Ontology(SubClassOf(:A ObjectMinCardinality(2)))",      # missing property
+     "bad.ofn:1:21: error: unresolved prefix: prefix ':' is not declared"),
+    ("Ontology(SubClassOf(miss:A <http://x/B>))",    # unresolved prefix
+     "bad.ofn:1:21: error: unresolved prefix: prefix 'miss:' is not declared"),
+    ("Ontology(SubClassOf(:A <http://x/B))",         # unterminated IRI
+     "bad.ofn:1:24: error: lexical error: unterminated IRI"),
+    ('Ontology(AnnotationAssertion(rdfs:label :A "x))',  # unterminated string
+     "bad.ofn:1:44: error: lexical error: unterminated string literal"),
+    ('Ontology(DataPropertyAssertion(:d :i "x\\q"))',  # invalid escape
+     "bad.ofn:1:38: error: lexical error: invalid escape in string literal"),
+    ("Ontology(Declaration(Klass(:A)))",             # bad entity kind
+     "bad.ofn:1:22: error: syntax error: expected entity kind, found 'Klass'"),
+    ("Ontology(SubClassOf(:A :B) %)",                # stray character
+     "bad.ofn:1:28: error: lexical error: unexpected character '%'"),
+    ("Ontology(HasKey(:A () ()))",                   # key without properties
+     "bad.ofn:1:17: error: unresolved prefix: prefix ':' is not declared"),
+    ("Ontology(DifferentIndividuals(:a))",           # singleton individuals
+     "bad.ofn:1:31: error: unresolved prefix: prefix ':' is not declared"),
+    ("Ontology(SubObjectPropertyOf(ObjectPropertyChain(:p) :q))",  # short chain
+     "bad.ofn:1:50: error: unresolved prefix: prefix ':' is not declared"),
+    ("Ontology(Import(:A :B))",                      # malformed import
+     "bad.ofn:1:17: error: unresolved prefix: prefix ':' is not declared"),
+    # Positions after CRLF, tabs, comments and multi-line strings.
+    ("Prefix(:=<http://x/>)\r\nOntology(\r\nSubClassOf(:A <http://x/B))",
+     "bad.ofn:3:15: error: lexical error: unterminated IRI"),
+    ("Ontology(\n\tSubClassOf(:A :B)\t%)",
+     "bad.ofn:2:20: error: lexical error: unexpected character '%'"),
+    ('# a comment ( with "quote\nOntology( # trailing <iri\n'
+     '  SubClassOf(:A :B) DataPropertyAssertion(:d :i "x\\q"))',
+     "bad.ofn:3:49: error: lexical error: invalid escape in string literal"),
+    ("Ontology(SubClassOf(:A <http://x/\nB>))",      # newline inside <...>
+     "bad.ofn:1:24: error: lexical error: unterminated IRI"),
+    ('Ontology(\nAnnotationAssertion(rdfs:label :A "line one\nline two))',
+     "bad.ofn:2:35: error: lexical error: unterminated string literal"),
+    ('Ontology(\nAnnotationAssertion(rdfs:label :A "a\nb\r\nc")\n  %)',
+     "bad.ofn:5:3: error: lexical error: unexpected character '%'"),
+    ("Prefix(:=<http://x/>)\r\nOntology(\r\n  SubClassOf(:A)\r\n)",
+     "bad.ofn:3:3: error: arity violation: SubClassOf needs at least 2 class expressions"),
+    ("Prefix(:=<http://x/>)\nOntology(SubClassOf(:A :B))\n# end\n)",
+     "bad.ofn:4:1: error: syntax error: unexpected trailing content ')'"),
+    ("Prefix(:=<http://x/>)\nOntology(\n  ClassAssertion(:A _:b1 )\n"
+     "  ObjectPropertyAssertion(:p :a)\n)",
+     "bad.ofn:4:32: error: syntax error: expected individual, found ')'"),
+    # One case per lexical message, and lexical errors after a syntax error.
+    ('Ontology(DataPropertyAssertion(:d :i "x\\',     # backslash at end of input
+     "bad.ofn:1:38: error: lexical error: invalid escape in string literal"),
+    ('Ontology(AnnotationAssertion(rdfs:label :A "x"@))',
+     "bad.ofn:1:47: error: lexical error: malformed language tag"),
+    ('Ontology(AnnotationAssertion(rdfs:label :A "x"@-en))',
+     "bad.ofn:1:47: error: lexical error: malformed language tag"),
+    ("Ontology(ClassAssertion(:A _: ))",
+     "bad.ofn:1:28: error: lexical error: malformed anonymous individual"),
+    ("Ontology(ClassAssertion(:A _x))",
+     "bad.ofn:1:28: error: lexical error: unexpected character '_'"),
+    ('Ontology(DataPropertyAssertion(:d :i "1"^xsd:integer))',
+     "bad.ofn:1:41: error: lexical error: unexpected character '^'"),
+    ("Ontology(SubClassOf(:A \u00e9))",
+     "bad.ofn:1:24: error: lexical error: unexpected character '\u00e9'"),
+    ("Ontology(SubClassOf(:A)) %",
+     "bad.ofn:1:26: error: lexical error: unexpected character '%'"),
 ]
+
+
+MALFORMED = [text for text, _ in MALFORMED_CASES]
+EXPECTED_DIAGNOSTIC = dict(MALFORMED_CASES)
 
 
 @pytest.mark.parametrize("text", MALFORMED)
@@ -185,6 +256,22 @@ def test_malformed_inputs_yield_positioned_diagnostics(text):
         assert d.severity == "error"
         assert d.line >= 1 and d.column >= 1
         assert d.format().startswith("bad.ofn:")
+    assert [d.format() for d in diags] == [EXPECTED_DIAGNOSTIC[text]]
+
+
+# Printable ASCII characters that cannot start a token on their own, plus
+# whitespace-like and non-ASCII characters outside the [ \t\r\n] set.
+SWEEP = [c for c in string.punctuation if c not in '()=<"@:#'] + [
+    "\f", "\v", "\u00a0", "\x00", "\u00e9"]
+
+
+@pytest.mark.parametrize("char", SWEEP, ids=[f"U+{ord(c):04X}" for c in SWEEP])
+def test_stray_character_at_axiom_level(char):
+    text = HEADER + "SubClassOf(:A :B)\n  " + char + " SubClassOf(:B :C)\n)\n"
+    with pytest.raises(OntologyParseError) as exc:
+        parse_ontology(text, origin="sweep.ofn")
+    assert [d.format() for d in exc.value.diagnostics] == [
+        f"sweep.ofn:4:3: error: lexical error: unexpected character {char!r}"]
 
 
 def test_malformed_suite_is_large_enough():
@@ -218,3 +305,49 @@ def test_round_trip_random_models():
     for _ in range(200):
         o = random_ontology(rng)
         assert parse_ontology(serialize(o)) == o
+
+
+ESCAPE_LITERALS = [
+    'say "hi"', "back\\slash", 'both \\\\" end', "# not a comment",
+    "(paren) )(", "line one\nline two\r\n", "\u00dcn\u00efc\u00f6de \u2014 \u65e5\u672c",
+    "", "\\", '"', '\\"\\\\"', 'x"@en', '"^^xsd:string',
+]
+
+
+def test_escaped_literals_round_trip():
+    ex = "http://example.org/t#"
+    axioms = []
+    for i, value in enumerate(ESCAPE_LITERALS):
+        axioms.append(DataPropertyAssertion(ex + "d", ex + f"i{i}", Literal(value)))
+        axioms.append(DataPropertyAssertion(ex + "d", ex + f"i{i}",
+                                            Literal(value, datatype=XSD + "string")))
+        axioms.append(AnnotationAssertion(ex + "note", IriRef(ex + f"i{i}"),
+                                          Literal(value, language="en")))
+    o = Ontology(axioms=tuple(axioms))
+    again = parse_ontology(serialize(o))
+    assert again == o
+    assert [ax.value.lexical for ax in again.axioms[::3]] == ESCAPE_LITERALS
+
+
+def test_two_megabyte_literal_with_many_escapes():
+    value = 'abcd"ef\\' * 200_000
+    escaped = value.replace("\\", "\\\\").replace('"', '\\"')
+    assert len(escaped) == 2_000_000
+    assert value.count('"') + value.count("\\") == 400_000  # one escape each
+    o = parse(f'DataPropertyAssertion(:d :i "{escaped}")')
+    assert o.axioms[0].value.lexical == value
+
+
+def test_lexical_error_on_a_long_line_is_found_at_once():
+    # Every later offset of the line would fail again; the lexer must stop
+    # at the first instead of searching on.
+    diags = diagnostics_of("<" * 200_000)
+    assert diags[0].format() == "test.ofn:3:1: error: lexical error: unterminated IRI"
+    diags = diagnostics_of(" " * 200_000 + "%")
+    assert diags[0].format() == ("test.ofn:3:200001: error: lexical error: "
+                                 "unexpected character '%'")
+
+
+def test_two_megabyte_comment():
+    o = parse("# " + 'x( "<\\' * 400_000 + "\nSubClassOf(:A :B)")
+    assert len(o.axioms) == 1

@@ -185,6 +185,42 @@ def test_follow_imports_merges_local_file(tmp_path):
     assert merged.vectors()[0][1]["SLA"] == 3
 
 
+def test_follow_imports_reports_imports_it_cannot_merge(tmp_path):
+    (tmp_path / "broken.ofn").write_text("Prefix(:=<http://example.org/b#>)\n"
+                                         "Ontology(\n  SubClassOf(:A)\n)\n")
+    (tmp_path / "latin1.ofn").write_bytes(b"Ontology(\xff)")
+    (tmp_path / "base.ofn").write_text(VALID)
+    importer = tmp_path / "main.ofn"
+    importer.write_text(
+        "Prefix(:=<http://example.org/r#>)\n"
+        "Ontology(\nImport(<broken.ofn>)\nImport(<latin1.ofn>)\nImport(<base.ofn>)\n"
+        "Import(<http://example.org/remote>)\nSubClassOf(:X :Y)\n)"
+    )
+    out = tmp_path / "m.csv"
+    config = RunConfig(inputs=[str(importer)], per_file_timeout=60, follow_imports=True,
+                       output_path=str(out))
+    report = run(config)
+    outcome = report.outcomes[0]
+    assert outcome.status == "ok"
+    assert outcome.vector["SLA"] == 3  # only base.ofn was merged
+    broken, latin1 = outcome.warnings
+    assert broken == (f"{importer}: warning: import <broken.ofn> not merged: "
+                      f"{tmp_path / 'broken.ofn'}:3:3: error: arity violation: "
+                      "SubClassOf needs at least 2 class expressions")
+    assert latin1.startswith(f"{importer}: warning: import <latin1.ofn> not merged: "
+                             "'utf-8' codec can't decode byte 0xff")
+    write_outputs(report, config)
+    payload = json.loads((tmp_path / "m.csv.report.json").read_text())
+    assert payload["outcomes"][0]["warnings"] == outcome.warnings
+    # The warnings change no matrix byte.
+    # Both now parse as empty ontologies, so the merge adds nothing.
+    (tmp_path / "broken.ofn").write_text("Ontology()")
+    (tmp_path / "latin1.ofn").write_text("Ontology()")
+    clean = run(config)
+    assert clean.outcomes[0].warnings == []
+    assert emit_matrix(clean.vectors()) == emit_matrix(report.vectors())
+
+
 def test_abort_on_missing_input(tmp_path):
     report = run(RunConfig(inputs=[str(tmp_path / "ghost.ofn")], on_error="abort",
                            per_file_timeout=60))

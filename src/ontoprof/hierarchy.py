@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .model import (
     EquivalentClasses, NamedClass, Ontology, SubClassOf, SubObjectPropertyOf,
@@ -27,10 +28,11 @@ class Hierarchy:
     scc_map: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        comp = _scc_map(self.nodes, self.direct_edges)
+        object.__setattr__(self, "scc_map", comp)
         object.__setattr__(self, "ndhc", len(self.direct_edges))
-        closure_size = _count_reachable_pairs(self.direct_edges)
+        closure_size = _count_reachable_pairs(self.direct_edges, comp)
         object.__setattr__(self, "nidhc", closure_size - len(self.direct_edges))
-        object.__setattr__(self, "scc_map", _scc_map(self.nodes, self.direct_edges))
 
     def parents(self) -> dict[str, set[str]]:
         out: dict[str, set[str]] = defaultdict(set)
@@ -52,29 +54,71 @@ def _adjacency(edges) -> dict[str, set[str]]:
     return adj
 
 
-def _count_reachable_pairs(edges) -> int:
+def _count_reachable_pairs(edges, comp: dict[str, int]) -> int:
     """Number of (u, v) pairs with a directed path of length >= 1 from u to v.
 
-    Counts per source without materializing the closure, so deep hierarchies
-    cost memory proportional to the node count, not the pair count.
+    Counted on the condensation `comp` from `_scc_map` without materializing
+    the closure (Purdom 1970; Nuutila 1995). Tarjan numbers a component only
+    after every component it reaches, so one pass in ascending id order sees
+    successors first. With the nodes laid out contiguously by component, a
+    component's reach is a Python-int bitset, the OR of its successors' reach
+    and members; each member of component c reaches its popcount, plus all of
+    c when c is cyclic (two or more members, or a self-loop). A component
+    with one successor d whose bitset no branching component reads keeps no
+    bitset: it reaches what d reaches plus d. So a tree costs memory linear
+    in its node count; on other graphs a bitset holds at most one bit per
+    node and is dropped after its last reader.
     """
-    adj = _adjacency(edges)
-    total = 0
-    for source in list(adj):
-        seen: set[str] = set()
-        stack = list(adj[source])
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(adj.get(v, ()))
-        total += len(seen)
+    if not edges:
+        return 0
+    n = max(comp.values()) + 1
+    size = [0] * n
+    for c in comp.values():
+        size[c] += 1
+    succ: list[set[int]] = [set() for _ in range(n)]
+    cyclic = [False] * n
+    for u, v in edges:
+        cu, cv = comp[u], comp[v]
+        if cu == cv:
+            cyclic[cu] = True
+        else:
+            succ[cu].add(cv)
+    # readers[d]: components that OR d's bitset into their own, i.e. the
+    # predecessors of d that branch or whose own bitset is read.
+    readers = [0] * n
+    for c in range(n - 1, -1, -1):
+        if len(succ[c]) >= 2 or readers[c]:
+            for d in succ[c]:
+                readers[d] += 1
+    reached = [0] * n  # nodes outside c that c's members reach
+    closed: dict[int, int] = {}  # bitset of c's reach and members, while read
+    total = offset = 0
+    for c in range(n):
+        targets = succ[c]
+        if len(targets) >= 2 or readers[c]:
+            reach = 0
+            for d in targets:
+                reach |= closed[d]
+                readers[d] -= 1
+                if not readers[d]:
+                    del closed[d]
+            reached[c] = reach.bit_count()
+            if readers[c]:
+                closed[c] = reach | ((1 << size[c]) - 1) << offset
+        elif targets:
+            (d,) = targets
+            reached[c] = reached[d] + size[d]
+        offset += size[c]
+        total += size[c] * (reached[c] + (size[c] if cyclic[c] else 0))
     return total
 
 
 def _scc_map(nodes, edges) -> dict[str, int]:
-    """Tarjan's algorithm, iterative; component ids in discovery order."""
+    """Tarjan's algorithm, iterative, over `nodes` and every edge endpoint.
+
+    Component ids follow completion order, so every component a component
+    reaches has a smaller id.
+    """
     adj = _adjacency(edges)
     index: dict[str, int] = {}
     lowlink: dict[str, int] = {}
@@ -84,7 +128,7 @@ def _scc_map(nodes, edges) -> dict[str, int]:
     counter = 0
     n_comps = 0
 
-    for root in sorted(nodes):
+    for root in chain(sorted(nodes), sorted(adj.keys() - nodes)):
         if root in index:
             continue
         work = [(root, iter(sorted(adj[root])))]

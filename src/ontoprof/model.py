@@ -680,10 +680,16 @@ def expression_depth(e: ClassExpression) -> int:
     """Nesting depth: named classes are 0, every constructor adds a level."""
     if isinstance(e, NamedClass):
         return 0
-    children = child_expressions(e)
-    if not children:
-        return 1
-    return 1 + max(expression_depth(c) for c in children)
+    deepest = 0
+    stack = [(e, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > deepest:
+            deepest = depth
+        for child in child_expressions(node):
+            if not isinstance(child, NamedClass):
+                stack.append((child, depth + 1))
+    return deepest
 
 
 def axiom_depth(axiom: Axiom) -> int:

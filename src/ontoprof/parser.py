@@ -216,7 +216,7 @@ class _Parser:
         """Consume a token of `kind`, which is never EOF."""
         tok = self.tokens[self.i]
         if tok[0] != kind:
-            self.fail(f"expected {what}, found {tok[1]!r}" if tok[1]
+            self.fail(f"expected {what}, found {tok[1]!r}" if tok[0] != "EOF"
                       else f"expected {what}, found end of input")
         self.i += 1
         return tok

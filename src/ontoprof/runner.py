@@ -16,6 +16,7 @@ import json
 import multiprocessing
 import multiprocessing.connection
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field, asdict
@@ -26,6 +27,7 @@ from .parser import OntologyParseError, parse_ontology
 
 DEFAULT_TIMEOUT = 300.0
 STDIN_ID = "<stdin>"  # the ontology id of input read from `-`
+_URI_SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*:")  # RFC 3986 scheme
 
 
 @dataclass
@@ -157,22 +159,28 @@ def _extract_file(path: str, text: str | None, follow_imports: bool,
 
 
 def _resolve_imports(onto, path: str, warnings: list[str], seen: set[str] | None = None):
-    """Merge axioms from imports that point at reachable local files;
-    anything else is left to the report as an unresolved import. A local
-    file that cannot be read or parsed is not merged, and a warning naming
-    the import and the reason is appended to `warnings`."""
+    """Merge axioms from imports that are local files (a `file://` IRI or
+    one without a URI scheme); remote imports are left to the report as
+    unresolved. A local file that is missing, unreadable or unparsable is
+    not merged, and a warning naming the import and the reason is appended
+    to `warnings`."""
     from .model import Ontology
 
     seen = seen or {str(Path(path).resolve())}
     merged = list(onto.axioms)
     for iri in onto.imports:
-        candidate = iri[len("file://"):] if iri.startswith("file://") else iri
+        if iri.startswith("file://"):
+            candidate = iri[len("file://"):]
+        elif _URI_SCHEME.match(iri):
+            continue  # remote: never fetched
+        else:
+            candidate = iri
         target = Path(candidate)
         if not target.is_absolute():
             target = Path(path).parent / candidate
         try:
             resolved = str(target.resolve())
-            if resolved in seen or not target.is_file():
+            if resolved in seen:
                 continue
             seen.add(resolved)
             imported = parse_ontology(target.read_text(encoding="utf-8"), origin=str(target))

@@ -14,11 +14,11 @@ from ontoprof.hierarchy import build_class_hierarchy, build_property_hierarchy, 
 from ontoprof.model import (
     ClassAssertion, DataPropertyAssertion, Declaration, Entity, EntityKind,
     EquivalentClasses, Literal, NamedClass, ObjectAllValuesFrom,
-    ObjectExactCardinality, ObjectHasValue, ObjectIntersectionOf,
-    ObjectMaxCardinality, ObjectMinCardinality, ObjectPropertyDomain,
-    ObjectPropertyRange, ObjectSomeValuesFrom, ObjectUnionOf, Ontology,
-    SameIndividual, SubClassOf, SymmetricObjectProperty,
-    TransitiveObjectProperty,
+    ObjectComplementOf, ObjectExactCardinality, ObjectHasValue,
+    ObjectIntersectionOf, ObjectMaxCardinality, ObjectMinCardinality,
+    ObjectPropertyDomain, ObjectPropertyRange, ObjectSomeValuesFrom,
+    ObjectUnionOf, Ontology, SameIndividual, SubClassOf,
+    SymmetricObjectProperty, TransitiveObjectProperty,
 )
 
 NS = "http://example.org/f#"
@@ -293,3 +293,11 @@ def test_extract_all_order_invariant():
     for _ in range(5):
         rng.shuffle(axioms)
         assert extract_all(Ontology(axioms=tuple(axioms))).values == base
+
+
+def test_extraction_has_no_recursion_limit():
+    expr = c("B")
+    for _ in range(5000):
+        expr = ObjectComplementOf(expr)
+    vector = extract_all(onto(SubClassOf(c("A"), expr)))
+    assert vector["AMP"] == 5000

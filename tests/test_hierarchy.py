@@ -165,3 +165,71 @@ def test_tangledness_bounds_hold():
             if h.ndhc >= 1:
                 assert max_parents >= 1
             assert max_depth(h) >= 0  # finite on every input, cycles included
+
+
+def _motif_edges(rng, names):
+    """Shapes random graphs rarely produce: a self-loop, a 2-cycle, and an
+    SCC with a nested 2-cycle between a diamond below it and one above."""
+    edges = set()
+    if len(names) >= 2 and rng.random() < 0.5:
+        a, b = rng.sample(names, 2)
+        edges |= {(a, b), (b, a)}
+    if rng.random() < 0.5:
+        a = rng.choice(names)
+        edges.add((a, a))
+    if len(names) >= 11 and rng.random() < 0.7:
+        d0, d1, d2, s0, s1, s2, s3, u0, u1, u2, u3 = rng.sample(names, 11)
+        edges |= {(d0, d1), (d0, d2), (d1, s0), (d2, s0)}
+        edges |= {(s0, s1), (s1, s2), (s2, s3), (s3, s0), (s1, s0)}
+        edges |= {(s2, u0), (u0, u1), (u0, u2), (u1, u3), (u2, u3)}
+    return edges
+
+
+def _random_digraph(rng):
+    n = rng.randint(1, 60)
+    names = [f"{NS}n{i}" for i in range(n)]
+    shape = rng.choice(("tree", "forest", "sparse", "medium", "dense"))
+    if shape in ("tree", "forest"):
+        keep = 1.0 if shape == "tree" else 0.6  # a forest leaves isolated nodes
+        edges = {(names[i], names[rng.randrange(i)]) for i in range(1, n)
+                 if rng.random() < keep}
+    else:
+        p = {"sparse": 1.0 / n, "medium": 4.0 / n, "dense": rng.uniform(0.3, 0.9)}[shape]
+        edges = {(a, b) for a in names for b in names if rng.random() < p}
+    edges |= _motif_edges(rng, names)
+    return names, frozenset(edges)
+
+
+def test_nidhc_matches_bruteforce_on_random_digraphs():
+    rng = random.Random(2024)
+    for _ in range(400):
+        names, edges = _random_digraph(rng)
+        pairs = oracles.reachability(names, edges)
+        # Edge endpoints missing from the node set still count.
+        for nodes in (frozenset(names), frozenset(rng.sample(names, len(names) // 2))):
+            h = Hierarchy(nodes=nodes, direct_edges=edges)
+            assert h.ndhc == len(edges)
+            assert h.nidhc == len(pairs) - len(edges)
+
+
+def _seeded_tree(rng, n, window):
+    """Child-to-parent edges of a tree whose node i hangs below one of the
+    `window` nodes before it, with every node's depth."""
+    parent = [rng.randrange(max(0, i - window), i) for i in range(1, n)]
+    depth = [0] * n
+    for i, p in enumerate(parent, start=1):
+        depth[i] = depth[p] + 1
+    names = [f"{NS}t{i}" for i in range(n)]
+    edges = frozenset((names[i], names[p]) for i, p in enumerate(parent, start=1))
+    return Hierarchy(nodes=frozenset(names), direct_edges=edges), depth
+
+
+def test_hundred_thousand_node_trees():
+    n = 100_000
+    for window, seed in ((n, 1), (200, 2)):  # shallow random tree, ~1000 deep
+        h, depth = _seeded_tree(random.Random(seed), n, window)
+        assert h.ndhc == n - 1
+        assert h.nidhc == sum(depth) - (n - 1)
+        assert max_depth(h) == max(depth)
+        if window == 200:
+            assert max(depth) >= 900

@@ -239,6 +239,9 @@ MALFORMED_CASES = [
      "bad.ofn:1:24: error: lexical error: unexpected character '\u00e9'"),
     ("Ontology(SubClassOf(:A)) %",
      "bad.ofn:1:26: error: lexical error: unexpected character '%'"),
+    # An empty string literal is a token, not the end of input.
+    ('Ontology(Declaration(Class(<http://e.org/A>) ""))',
+     "bad.ofn:1:46: error: syntax error: expected ')', found ''"),
 ]
 
 

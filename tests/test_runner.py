@@ -221,6 +221,37 @@ def test_follow_imports_reports_imports_it_cannot_merge(tmp_path):
     assert emit_matrix(clean.vectors()) == emit_matrix(report.vectors())
 
 
+def test_follow_imports_warns_about_missing_local_files(tmp_path):
+    (tmp_path / "base.ofn").write_text(VALID)
+    gone = tmp_path / "gone.ofn"
+    importer = tmp_path / "main.ofn"
+    importer.write_text(
+        "Prefix(:=<http://example.org/r#>)\n"
+        f"Ontology(\nImport(<missing.ofn>)\nImport(<file://{gone}>)\nImport(<base.ofn>)\n"
+        "Import(<missing.ofn>)\nImport(<http://example.org/remote.ofn>)\nSubClassOf(:X :Y)\n)"
+    )
+    out = tmp_path / "m.csv"
+    config = RunConfig(inputs=[str(importer)], per_file_timeout=60, follow_imports=True,
+                       output_path=str(out))
+    report = run(config)
+    outcome = report.outcomes[0]
+    assert outcome.status == "ok"
+    assert outcome.vector["SLA"] == 3  # only base.ofn was merged
+    # One warning per missing local file; the repeat and the remote import are silent.
+    assert outcome.warnings == [
+        f"{importer}: warning: import <missing.ofn> not merged: "
+        f"[Errno 2] No such file or directory: '{tmp_path / 'missing.ofn'}'",
+        f"{importer}: warning: import <file://{gone}> not merged: "
+        f"[Errno 2] No such file or directory: '{gone}'",
+    ]
+    # The warnings change no matrix byte: empty files merge nothing either.
+    (tmp_path / "missing.ofn").write_text("Ontology()")
+    gone.write_text("Ontology()")
+    clean = run(config)
+    assert clean.outcomes[0].warnings == []
+    assert emit_matrix(clean.vectors()) == emit_matrix(report.vectors())
+
+
 def test_abort_on_missing_input(tmp_path):
     report = run(RunConfig(inputs=[str(tmp_path / "ghost.ofn")], on_error="abort",
                            per_file_timeout=60))

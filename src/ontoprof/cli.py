@@ -158,9 +158,6 @@ def cmd_check(args) -> int:
         for diag in exc.diagnostics:
             print(diag.format(), file=sys.stderr)
         return 2
-    except RecursionError:
-        print(f"{origin}: error: nesting too deep (RecursionError)", file=sys.stderr)
-        return 2
     print(f"{origin}: ok: {len(onto.axioms)} axioms "
           f"({onto.logical_axiom_count} logical)")
     return 0

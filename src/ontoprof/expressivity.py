@@ -13,27 +13,11 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
+from itertools import chain
 
 from .model import (
-    OWL_THING,
-    AsymmetricObjectProperty, Axiom, ClassExpression, DataComplementOf,
-    DataIntersectionOf, DataOneOf, DataPropertyAssertion, DataPropertyDomain,
-    DataPropertyRange, DataRange, DataRestriction, DataUnionOf,
-    DatatypeDefinition, Declaration,
-    DisjointDataProperties, DisjointObjectProperties, EntityKind,
-    EquivalentDataProperties, EquivalentObjectProperties,
-    FunctionalDataProperty, FunctionalObjectProperty, HasKey,
-    InverseFunctionalObjectProperty, InverseObjectProperties,
-    IrreflexiveObjectProperty, NamedClass, NegativeDataPropertyAssertion,
-    NegativeObjectPropertyAssertion, ObjectAllValuesFrom,
-    ObjectExactCardinality, ObjectHasSelf, ObjectHasValue, ObjectInverseOf,
-    ObjectMaxCardinality, ObjectMinCardinality, ObjectOneOf,
-    ObjectPropertyAssertion, ObjectPropertyDomain, ObjectPropertyExpression,
-    ObjectPropertyRange, ObjectSomeValuesFrom, ObjectUnionOf,
-    ObjectComplementOf, Ontology, PropertyChain, ReflexiveObjectProperty,
-    SubDataPropertyOf, SubObjectPropertyOf, SymmetricObjectProperty,
-    TransitiveObjectProperty, class_expressions_of, is_logical, iter_nodes,
-    property_name,
+    Census, EquivalentObjectProperties, InverseObjectProperties, Ontology,
+    SubObjectPropertyOf, TransitiveObjectProperty, property_name,
 )
 
 
@@ -74,105 +58,18 @@ def _load_rule_table() -> dict[str, ProfileRules]:
 
 _RULES = _load_rule_table()
 
-_RESTRICTION_TYPES = (ObjectSomeValuesFrom, ObjectAllValuesFrom, ObjectHasValue,
-                      ObjectHasSelf, ObjectMinCardinality, ObjectMaxCardinality,
-                      ObjectExactCardinality)
-_CARDINALITY_TYPES = (ObjectMinCardinality, ObjectMaxCardinality, ObjectExactCardinality)
-_CHARACTERISTIC_TYPES = (FunctionalObjectProperty, InverseFunctionalObjectProperty,
-                         ReflexiveObjectProperty, IrreflexiveObjectProperty,
-                         SymmetricObjectProperty, AsymmetricObjectProperty,
-                         TransitiveObjectProperty)
 
-
-def _axiom_opes(ax: Axiom) -> list[ObjectPropertyExpression]:
-    """Every object-property expression an axiom mentions."""
-    opes: list[ObjectPropertyExpression] = []
-    for top in class_expressions_of(ax):
-        opes.extend(node.prop for node in iter_nodes(top)
-                    if isinstance(node, _RESTRICTION_TYPES))
-    if isinstance(ax, SubObjectPropertyOf):
-        if isinstance(ax.sub, PropertyChain):
-            opes.extend(ax.sub.operands)
-        else:
-            opes.append(ax.sub)
-        opes.append(ax.sup)
-    elif isinstance(ax, (EquivalentObjectProperties, DisjointObjectProperties)):
-        opes.extend(ax.operands)
-    elif isinstance(ax, InverseObjectProperties):
-        opes.extend((ax.first, ax.second))
-    elif isinstance(ax, (ObjectPropertyDomain, ObjectPropertyRange)):
-        opes.append(ax.prop)
-    elif isinstance(ax, _CHARACTERISTIC_TYPES):
-        opes.append(ax.prop)
-    elif isinstance(ax, HasKey):
-        opes.extend(ax.object_props)
-    elif isinstance(ax, (ObjectPropertyAssertion, NegativeObjectPropertyAssertion)):
-        opes.append(ax.prop)
-    return opes
-
-
-def _data_ranges_of(ax: Axiom) -> list[DataRange]:
-    ranges: list[DataRange] = []
-    for top in class_expressions_of(ax):
-        for node in iter_nodes(top):
-            if isinstance(node, DataRestriction) and node.range is not None:
-                ranges.append(node.range)
-    if isinstance(ax, DataPropertyRange):
-        ranges.append(ax.range)
-    elif isinstance(ax, DatatypeDefinition):
-        ranges.append(ax.range)
-    return ranges
-
-
-def _iter_data_range(dr: DataRange):
-    stack = [dr]
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (DataIntersectionOf, DataUnionOf)):
-            stack.extend(node.operands)
-        elif isinstance(node, DataComplementOf):
-            stack.append(node.operand)
-
-
-def _axiom_fits_profile(ax: Axiom, rules: ProfileRules) -> bool:
-    name = ax.axiom_type
-    if name in rules.forbidden_axioms:
-        return False
-    if (isinstance(ax, SubObjectPropertyOf) and ax.is_chain
-            and "SubObjectPropertyChain" in rules.forbidden_axioms):
-        return False
-    for top in class_expressions_of(ax):
-        for node in iter_nodes(top):
-            tag = node.kind if isinstance(node, DataRestriction) else type(node).__name__
-            if tag in rules.forbidden_constructors:
-                return False
-            if isinstance(node, ObjectOneOf) and rules.oneof_max_arity is not None:
-                if len(node.individuals) > rules.oneof_max_arity:
-                    return False
-            if isinstance(node, ObjectMaxCardinality) and rules.max_cardinality_bound is not None:
-                if node.n > rules.max_cardinality_bound:
-                    return False
-            if isinstance(node, DataRestriction) and node.n is not None:
-                if (node.kind == "DataMaxCardinality"
-                        and rules.max_cardinality_bound is not None
-                        and node.n > rules.max_cardinality_bound):
-                    return False
-    if "ObjectInverseOf" in rules.forbidden_constructors:
-        if any(isinstance(ope, ObjectInverseOf) for ope in _axiom_opes(ax)):
-            return False
-    for dr in _data_ranges_of(ax):
-        for node in _iter_data_range(dr):
-            if type(node).__name__ in rules.forbidden_constructors:
-                return False
-            if isinstance(node, DataOneOf) and rules.oneof_max_arity is not None:
-                if len(node.literals) > rules.oneof_max_arity:
-                    return False
-    return True
-
-
-def _fits_profile(o: Ontology, rules: ProfileRules) -> bool:
-    return all(_axiom_fits_profile(ax, rules) for ax in o.axioms if is_logical(ax))
+def _fits_profile(census: Census, rules: ProfileRules) -> bool:
+    """Every logical axiom fits the rules exactly when the axiom types and
+    tags seen in any of them miss the forbidden ones and the maxima stay
+    within the bounds."""
+    return (rules.forbidden_axioms.isdisjoint(census.axiom_types)
+            and rules.forbidden_constructors.isdisjoint(census.tags)
+            and (rules.oneof_max_arity is None
+                 or census.largest("ObjectOneOf", "DataOneOf") <= rules.oneof_max_arity)
+            and (rules.max_cardinality_bound is None
+                 or census.largest("ObjectMaxCardinality", "DataMaxCardinality")
+                 <= rules.max_cardinality_bound))
 
 
 def _non_simple_properties(o: Ontology) -> set[str]:
@@ -218,31 +115,15 @@ def _passes_dl(o: Ontology) -> bool:
         for j in range(i + 1, len(props)):
             if props[i] & props[j]:
                 return False
-    non_simple = _non_simple_properties(o)
-    if not non_simple:
-        return True
-    for ax in o.axioms:
-        for top in class_expressions_of(ax):
-            for node in iter_nodes(top):
-                if isinstance(node, _CARDINALITY_TYPES + (ObjectHasSelf,)):
-                    if property_name(node.prop) in non_simple:
-                        return False
-        if isinstance(ax, (FunctionalObjectProperty, InverseFunctionalObjectProperty,
-                           IrreflexiveObjectProperty, AsymmetricObjectProperty)):
-            if property_name(ax.prop) in non_simple:
-                return False
-        elif isinstance(ax, DisjointObjectProperties):
-            if any(property_name(p) in non_simple for p in ax.operands):
-                return False
-    return True
+    return _non_simple_properties(o).isdisjoint(o.census.simple_required)
 
 
 def profile_checks(o: Ontology) -> dict[str, bool]:
     """Outcome of each of the four membership checks."""
     return {
-        "EL": _fits_profile(o, _RULES["EL"]),
-        "QL": _fits_profile(o, _RULES["QL"]),
-        "RL": _fits_profile(o, _RULES["RL"]),
+        "EL": _fits_profile(o.census, _RULES["EL"]),
+        "QL": _fits_profile(o.census, _RULES["QL"]),
+        "RL": _fits_profile(o.census, _RULES["RL"]),
         "DL": _passes_dl(o),
     }
 
@@ -271,61 +152,33 @@ class DlName:
     flags: frozenset[str]
 
 
-def _is_top(ce: ClassExpression | None) -> bool:
-    return isinstance(ce, NamedClass) and ce.iri == OWL_THING
-
-
-_DATA_AXIOM_TYPES = (SubDataPropertyOf, EquivalentDataProperties,
-                     DisjointDataProperties, DataPropertyDomain, DataPropertyRange,
-                     FunctionalDataProperty, DatatypeDefinition,
-                     DataPropertyAssertion, NegativeDataPropertyAssertion)
+# Axiom types and node tags that put letters into the DL family name; the
+# census adds the letters that hang on fillers, keys and declarations.
+_LETTERS = {
+    "TransitiveObjectProperty": "S",
+    "SubObjectPropertyChain": "R", "ReflexiveObjectProperty": "R",
+    "IrreflexiveObjectProperty": "R", "DisjointObjectProperties": "R",
+    "ObjectHasSelf": "R",
+    "InverseObjectProperties": "I", "ObjectInverseOf": "I",
+    "FunctionalObjectProperty": "F", "InverseFunctionalObjectProperty": "F",
+    "FunctionalDataProperty": "DF",
+    "ObjectComplementOf": "C", "ObjectUnionOf": "C",
+    "ObjectOneOf": "O", "ObjectHasValue": "O",
+    **dict.fromkeys(("SubDataPropertyOf", "EquivalentDataProperties",
+                     "DisjointDataProperties", "DataPropertyDomain", "DataPropertyRange",
+                     "DatatypeDefinition", "DataPropertyAssertion",
+                     "NegativeDataPropertyAssertion", "DataSomeValuesFrom",
+                     "DataAllValuesFrom", "DataHasValue", "DataMinCardinality",
+                     "DataMaxCardinality", "DataExactCardinality"), "D"),
+}
 
 
 def dl_family_name(o: Ontology) -> DlName:
     """Letter-composed constructor-group name for the ontology's logic."""
-    flags: set[str] = set()
-    for ax in o.axioms:
-        if isinstance(ax, Declaration):
-            if ax.entity.kind in (EntityKind.DATA_PROPERTY, EntityKind.DATATYPE):
-                flags.add("D")
-            continue
-        if not is_logical(ax):
-            continue
-        if isinstance(ax, _DATA_AXIOM_TYPES):
-            flags.add("D")
-        if isinstance(ax, HasKey) and ax.data_props:
-            flags.add("D")
-        if isinstance(ax, TransitiveObjectProperty):
-            flags.add("S")
-        if isinstance(ax, SubObjectPropertyOf):
-            flags.add("R" if ax.is_chain else "H")
-        if isinstance(ax, (ReflexiveObjectProperty, IrreflexiveObjectProperty,
-                           DisjointObjectProperties)):
-            flags.add("R")
-        if isinstance(ax, InverseObjectProperties):
-            flags.add("I")
-        if isinstance(ax, (FunctionalObjectProperty, InverseFunctionalObjectProperty,
-                           FunctionalDataProperty)):
-            flags.add("F")
-        if any(isinstance(ope, ObjectInverseOf) for ope in _axiom_opes(ax)):
-            flags.add("I")
-        for top in class_expressions_of(ax):
-            for node in iter_nodes(top):
-                if isinstance(node, (ObjectComplementOf, ObjectUnionOf)):
-                    flags.add("C")
-                elif isinstance(node, ObjectSomeValuesFrom) and not _is_top(node.filler):
-                    flags.add("C")
-                elif isinstance(node, (ObjectOneOf, ObjectHasValue)):
-                    flags.add("O")
-                elif isinstance(node, ObjectHasSelf):
-                    flags.add("R")
-                elif isinstance(node, _CARDINALITY_TYPES):
-                    if node.filler is None or _is_top(node.filler):
-                        flags.add("N")
-                    else:
-                        flags.add("Q")
-                elif isinstance(node, DataRestriction):
-                    flags.add("D")
+    census = o.census
+    flags = set(census.dl_flags)
+    for name in chain(census.axiom_types, census.tags):
+        flags.update(_LETTERS.get(name, ""))
     base = "S" if "S" in flags else ("ALC" if "C" in flags else "AL")
     role = "R" if "R" in flags else ("H" if "H" in flags else "")
     nominal = "O" if "O" in flags else ""

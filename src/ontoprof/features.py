@@ -9,7 +9,7 @@ data/feature_schema.json.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .expressivity import dl_family_name, owl_profile
@@ -19,19 +19,10 @@ from .hierarchy import (
 )
 from .model import (
     BUILTIN_CLASSES, BUILTIN_DATA_PROPERTIES, BUILTIN_OBJECT_PROPERTIES,
-    CLASS_CONSTRUCTORS, LOGICAL_AXIOM_TYPES,
-    ClassExpression, DifferentIndividuals, DisjointClasses,
-    DisjointUnion, EquivalentClasses, InverseObjectProperties,
-    NamedClass, ObjectAllValuesFrom, ObjectExactCardinality, ObjectHasValue,
-    ObjectIntersectionOf, ObjectMaxCardinality, ObjectMinCardinality,
-    ObjectOneOf, ObjectPropertyDomain, ObjectPropertyRange,
-    ObjectSomeValuesFrom, ObjectUnionOf, Ontology, SameIndividual, SubClassOf,
-    SubObjectPropertyOf, TransitiveObjectProperty, SymmetricObjectProperty,
-    AsymmetricObjectProperty, ReflexiveObjectProperty, IrreflexiveObjectProperty,
-    FunctionalObjectProperty, InverseFunctionalObjectProperty,
-    axiom_depth, class_expressions_of, constructor_counts,
-    individual_occurrences, iter_nodes, named_classes_in, property_name,
-    property_occurrences,
+    CHARACTERISTIC_AXIOMS, CLASS_CONSTRUCTORS, LOGICAL_AXIOM_TYPES,
+    ClassExpression, DifferentIndividuals, InverseObjectProperties, NamedClass,
+    ObjectIntersectionOf, ObjectPropertyDomain, ObjectPropertyRange, Ontology,
+    SameIndividual, SubObjectPropertyOf, property_name,
 )
 
 SCHEMA_VERSION = "1"
@@ -40,9 +31,6 @@ PROPERTY_CHARACTERISTICS: tuple[str, ...] = (
     "Transitive", "Symmetric", "Asymmetric", "Reflexive", "Irreflexive",
     "Functional", "InverseFunctional", "Inverse", "Chain",
 )
-
-_CARDINALITY_TYPES = (ObjectMinCardinality, ObjectMaxCardinality, ObjectExactCardinality)
-
 
 def _ratio(num, den) -> float:
     return num / den if den > 0 else 0.0
@@ -222,187 +210,80 @@ def richness_features(o: Ontology, ch: Hierarchy) -> dict:
 
 
 def axiom_level_features(o: Ontology) -> dict:
+    census = o.census
     sla = o.logical_axiom_count
     out = {
         "RTBx": _ratio(len(o.tbox), sla),
         "RRBx": _ratio(len(o.rbox), sla),
         "RABx": _ratio(len(o.abox), sla),
     }
-    type_counts = Counter(ax.axiom_type for ax in o.logical_axioms)
     for t in LOGICAL_AXIOM_TYPES:
-        out[f"ATF_{t}"] = _ratio(type_counts[t], sla)
-    depths = [axiom_depth(ax) for ax in o.logical_axioms]
-    out["AMP"] = max(depths, default=0)
-    out["AAP"] = sum(depths) / sla if sla else 0.0
+        out[f"ATF_{t}"] = _ratio(census.axiom_types[t], sla)
+    out["AMP"] = census.depth_max
+    out["AAP"] = census.depth_sum / sla if sla else 0.0
     return out
 
 
 def constructor_features(o: Ontology) -> dict:
-    per_axiom = [constructor_counts(ax) for ax in o.tbox]
-    totals: Counter = Counter()
-    for counts in per_axiom:
-        totals.update(counts)
-    grand_total = sum(totals.values())
+    census = o.census
+    totals = census.constructors
+    grand_total = sum(totals[c] for c in CLASS_CONSTRUCTORS)
     out = {f"CCF_{c}": _ratio(totals[c], grand_total) for c in CLASS_CONSTRUCTORS}
-    max_per_axiom = max((sum(c.values()) for c in per_axiom), default=0)
-    out["OCCD"] = _ratio(grand_total, len(o.tbox) * max_per_axiom)
+    out["OCCD"] = _ratio(grand_total, len(o.tbox) * census.constructor_max)
     return out
 
 
-def _role_couplings(node: ObjectIntersectionOf) -> tuple[int, int]:
-    """(existential+universal, cardinality+universal) same-role couplings
-    among the direct operands of one intersection node."""
-    exist: Counter = Counter()
-    univ: Counter = Counter()
-    card: Counter = Counter()
-    for op in node.operands:
-        if isinstance(op, ObjectSomeValuesFrom):
-            exist[op.prop] += 1
-        elif isinstance(op, ObjectAllValuesFrom):
-            univ[op.prop] += 1
-        elif isinstance(op, _CARDINALITY_TYPES):
-            card[op.prop] += 1
-    euvi = sum(1 for r in exist if univ[r])
-    cuvi = sum(1 for r in card if univ[r])
-    return euvi, cuvi
-
-
 def pattern_counts(o: Ontology) -> PatternCount:
-    iu = euvi = cuvi = 0
-    pair_exist: Counter = Counter()
-    pair_univ: Counter = Counter()
-    pair_card: Counter = Counter()
-    for ax in o.tbox:
-        for top in class_expressions_of(ax):
-            for node in iter_nodes(top):
-                if isinstance(node, ObjectIntersectionOf):
-                    if any(isinstance(op, ObjectUnionOf) for op in node.operands):
-                        iu += 1
-                    e, c = _role_couplings(node)
-                    euvi += e
-                    cuvi += c
-                elif isinstance(node, ObjectUnionOf):
-                    if any(isinstance(op, ObjectIntersectionOf) for op in node.operands):
-                        iu += 1
-        if isinstance(ax, SubClassOf) and isinstance(ax.sub, NamedClass):
-            key = ax.sub.iri
-            if isinstance(ax.sup, ObjectSomeValuesFrom):
-                pair_exist[(key, ax.sup.prop)] += 1
-            elif isinstance(ax.sup, ObjectAllValuesFrom):
-                pair_univ[(key, ax.sup.prop)] += 1
-            elif isinstance(ax.sup, _CARDINALITY_TYPES):
-                pair_card[(key, ax.sup.prop)] += 1
-    euvi += sum(n * pair_univ[k] for k, n in pair_exist.items())
-    cuvi += sum(n * pair_univ[k] for k, n in pair_card.items())
-    return PatternCount(iu=iu, euvi=euvi, cuvi=cuvi)
+    census = o.census
+    return PatternCount(iu=census.iu, euvi=census.euvi, cuvi=census.cuvi)
 
 
 def class_level_features(o: Ontology, cyclic: frozenset[str]) -> dict:
+    census = o.census
     tbox_size = len(o.tbox)
     sc = len(o.signature.classes - BUILTIN_CLASSES)
-    pcd = npcd = gci = 0
-    nominal_defined: set[str] = set()
-    disjoint_classes: set[str] = set()
-    for ax in o.tbox:
-        if isinstance(ax, SubClassOf):
-            if isinstance(ax.sub, NamedClass):
-                pcd += 1
-                if _contains_nominal(ax.sup):
-                    nominal_defined.add(ax.sub.iri)
-            else:
-                gci += 1
-        elif isinstance(ax, EquivalentClasses):
-            named = [op for op in ax.operands if isinstance(op, NamedClass)]
-            if named:
-                npcd += 1
-                for i, op in enumerate(ax.operands):
-                    if not isinstance(op, NamedClass):
-                        continue
-                    if any(_contains_nominal(other)
-                           for j, other in enumerate(ax.operands) if j != i):
-                        nominal_defined.add(op.iri)
-            else:
-                gci += 1
-        elif isinstance(ax, (DisjointClasses, DisjointUnion)):
-            for top in class_expressions_of(ax):
-                disjoint_classes |= named_classes_in(top)
-    disjoint_classes -= BUILTIN_CLASSES
-    nominal_defined -= BUILTIN_CLASSES
     return {
-        "PCD": _ratio(pcd, tbox_size),
-        "NPCD": _ratio(npcd, tbox_size),
-        "GCI": _ratio(gci, tbox_size),
+        "PCD": _ratio(census.pcd, tbox_size),
+        "NPCD": _ratio(census.npcd, tbox_size),
+        "GCI": _ratio(census.gci, tbox_size),
         "CCyc": _ratio(len(cyclic - BUILTIN_CLASSES), sc),
-        "CDIJ": _ratio(len(disjoint_classes), sc),
-        "CNOM": _ratio(len(nominal_defined), sc),
+        "CDIJ": _ratio(len(census.disjoint_classes - BUILTIN_CLASSES), sc),
+        "CNOM": _ratio(len(census.nominal_defined - BUILTIN_CLASSES), sc),
     }
-
-
-def _contains_nominal(e: ClassExpression) -> bool:
-    return any(isinstance(node, (ObjectOneOf, ObjectHasValue)) for node in iter_nodes(e))
-
-
-_CHARACTERISTIC_AXIOMS = {
-    "Transitive": TransitiveObjectProperty,
-    "Symmetric": SymmetricObjectProperty,
-    "Asymmetric": AsymmetricObjectProperty,
-    "Reflexive": ReflexiveObjectProperty,
-    "Irreflexive": IrreflexiveObjectProperty,
-    "Functional": FunctionalObjectProperty,
-    "InverseFunctional": InverseFunctionalObjectProperty,
-}
 
 
 def property_level_features(o: Ontology) -> dict:
     declared: dict[str, set[str]] = {c: set() for c in PROPERTY_CHARACTERISTICS}
+    kinds = {t: name for name, t in CHARACTERISTIC_AXIOMS.items()}
     for ax in o.rbox:
-        for name, axiom_type in _CHARACTERISTIC_AXIOMS.items():
-            if isinstance(ax, axiom_type):
-                declared[name].add(property_name(ax.prop))
-        if isinstance(ax, InverseObjectProperties):
+        kind = kinds.get(type(ax))
+        if kind:
+            declared[kind].add(property_name(ax.prop))
+        elif isinstance(ax, InverseObjectProperties):
             declared["Inverse"].add(property_name(ax.first))
             declared["Inverse"].add(property_name(ax.second))
         elif isinstance(ax, SubObjectPropertyOf) and ax.is_chain:
             declared["Chain"].add(property_name(ax.sup))
-    usage: Counter = Counter()
-    for ax in o.tbox:
-        usage.update(property_occurrences(ax))
+    census = o.census
+    usage = census.property_usage
     opco = {c: sum(usage[p] for p in declared[c]) for c in PROPERTY_CHARACTERISTICS}
     total = sum(opco.values())
     out = {f"OPCF_{c}": _ratio(opco[c], total) for c in PROPERTY_CHARACTERISTICS}
-
-    mins: list[int] = []
-    maxs: list[int] = []
-    exacts: list[int] = []
-    for ax in o.axioms:
-        for top in class_expressions_of(ax):
-            for node in iter_nodes(top):
-                if isinstance(node, ObjectMinCardinality):
-                    mins.append(node.n)
-                elif isinstance(node, ObjectMaxCardinality):
-                    maxs.append(node.n)
-                elif isinstance(node, ObjectExactCardinality):
-                    exacts.append(node.n)
-    values = mins + maxs + exacts
-    out["HVC_Min"] = max(mins, default=0)
-    out["HVC_Max"] = max(maxs, default=0)
-    out["HVC_Exact"] = max(exacts, default=0)
-    out["AVC"] = sum(values) / len(values) if values else 0.0
+    count = total_value = 0
+    for (tag, n), k in census.sizes.items():
+        if tag in ("ObjectMinCardinality", "ObjectMaxCardinality", "ObjectExactCardinality"):
+            count += k
+            total_value += n * k
+    out["HVC_Min"] = census.largest("ObjectMinCardinality")
+    out["HVC_Max"] = census.largest("ObjectMaxCardinality")
+    out["HVC_Exact"] = census.largest("ObjectExactCardinality")
+    out["AVC"] = total_value / count if count else 0.0
     return out
 
 
 def individual_level_features(o: Ontology) -> dict:
+    census = o.census
     si = len(o.signature.individuals)
-    tbox_size = len(o.tbox)
-    occurrences = 0
-    axioms_with_nominals = 0
-    for ax in o.tbox:
-        found = 0
-        for top in class_expressions_of(ax):
-            found += len(individual_occurrences(top))
-        occurrences += found
-        if found:
-            axioms_with_nominals += 1
     different: set[str] = set()
     same: set[str] = set()
     for ax in o.abox:
@@ -411,8 +292,8 @@ def individual_level_features(o: Ontology) -> dict:
         elif isinstance(ax, SameIndividual):
             same |= {i for i in ax.individuals if isinstance(i, str)}
     return {
-        "NomTB": _ratio(occurrences, si),
-        "TBNom": _ratio(axioms_with_nominals, tbox_size),
+        "NomTB": _ratio(census.nominals, si),
+        "TBNom": _ratio(census.nominal_axioms, len(o.tbox)),
         "IDISJ": _ratio(len(different), si),
         "ISAM": _ratio(len(same), si),
     }
@@ -422,6 +303,7 @@ def extract_all(o: Ontology,
                 cohesion_weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3),
                 ) -> FeatureVector:
     """Full feature vector in schema order."""
+    o.census  # the one walk over the axioms, before the layers that read it
     ch = build_class_hierarchy(o)
     ph = build_property_hierarchy(o)
     patterns = pattern_counts(o)

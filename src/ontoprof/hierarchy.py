@@ -11,10 +11,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .model import (
-    EquivalentClasses, NamedClass, Ontology, SubClassOf, SubObjectPropertyOf,
-    named_classes_in,
-)
+from .model import EquivalentClasses, NamedClass, Ontology, SubClassOf, SubObjectPropertyOf
 
 
 @dataclass(frozen=True)
@@ -197,29 +194,20 @@ def build_property_hierarchy(o: Ontology) -> Hierarchy:
 
 
 def max_depth(h: Hierarchy) -> int:
-    """Longest path (in edges) through the condensation of the direct graph."""
+    """Longest path (in edges) through the condensation of the direct graph.
+
+    Every edge between components leads to a smaller id (see `_scc_map`),
+    so with the edges sorted by their source component each component's
+    height is final before any edge reads it.
+    """
     comp = h.scc_map
-    if not comp and not h.nodes:
-        return 0
-    comp_ids = set(comp.values())
-    succ: dict[int, set[int]] = defaultdict(set)
-    indegree: dict[int, int] = {c: 0 for c in comp_ids}
-    for child, parent in h.direct_edges:
-        cu, cv = comp[child], comp[parent]
-        if cu != cv and cv not in succ[cu]:
-            succ[cu].add(cv)
-            indegree[cv] += 1
-    # Longest-path DP over a topological order of the condensation DAG.
-    dist = {c: 0 for c in comp_ids}
-    queue = [c for c in comp_ids if indegree[c] == 0]
-    while queue:
-        u = queue.pop()
-        for v in succ[u]:
-            dist[v] = max(dist[v], dist[u] + 1)
-            indegree[v] -= 1
-            if indegree[v] == 0:
-                queue.append(v)
-    return max(dist.values(), default=0)
+    n = len(comp)
+    height = [0] * n
+    for key in sorted(comp[child] * n + comp[parent] for child, parent in h.direct_edges):
+        c, d = divmod(key, n)
+        if c != d and height[d] >= height[c]:
+            height[c] = height[d] + 1
+    return max(height, default=0)
 
 
 def fanout_stats(h: Hierarchy) -> tuple[int, float]:
@@ -248,20 +236,8 @@ def cyclic_classes(o: Ontology) -> frozenset[str]:
     SubClassOf or EquivalentClasses axioms; cycles are self-loops or
     components of size two or more in that dependency graph.
     """
-    deps: dict[str, set[str]] = defaultdict(set)
-    for ax in o.tbox:
-        if isinstance(ax, SubClassOf) and isinstance(ax.sub, NamedClass):
-            deps[ax.sub.iri] |= named_classes_in(ax.sup)
-        elif isinstance(ax, EquivalentClasses):
-            for i, op in enumerate(ax.operands):
-                if not isinstance(op, NamedClass):
-                    continue
-                for j, other in enumerate(ax.operands):
-                    if i != j:
-                        deps[op.iri] |= named_classes_in(other)
-    nodes = set(deps)
-    for targets in deps.values():
-        nodes |= targets
+    deps = o.census.dependencies
+    nodes = set(deps).union(*deps.values())
     edges = {(a, b) for a, targets in deps.items() for b in targets}
     comp = _scc_map(nodes, edges)
     sizes: dict[int, int] = defaultdict(int)

@@ -10,6 +10,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from itertools import chain
 from typing import Iterator, Union
 
 OWL = "http://www.w3.org/2002/07/owl#"
@@ -593,16 +595,33 @@ LOGICAL_AXIOM_TYPES: tuple[str, ...] = (
     "NegativeDataPropertyAssertion",
 )
 
+# Property characteristic axioms by the feature-name stem they count under.
+CHARACTERISTIC_AXIOMS = {
+    "Transitive": TransitiveObjectProperty,
+    "Symmetric": SymmetricObjectProperty,
+    "Asymmetric": AsymmetricObjectProperty,
+    "Reflexive": ReflexiveObjectProperty,
+    "Irreflexive": IrreflexiveObjectProperty,
+    "Functional": FunctionalObjectProperty,
+    "InverseFunctional": InverseFunctionalObjectProperty,
+}
+# Axioms about one object property expression, held in their `prop` field.
+_PROPERTY_AXIOM_TYPES = (ObjectPropertyDomain, ObjectPropertyRange,
+                         *CHARACTERISTIC_AXIOMS.values())
+# Characteristics OWL 2 DL allows on simple properties only.
+_SIMPLE_ROLE_AXIOMS = (FunctionalObjectProperty, InverseFunctionalObjectProperty,
+                       IrreflexiveObjectProperty, AsymmetricObjectProperty)
+_RESTRICTION_TYPES = (ObjectSomeValuesFrom, ObjectAllValuesFrom, ObjectHasValue,
+                      ObjectHasSelf, ObjectMinCardinality, ObjectMaxCardinality,
+                      ObjectExactCardinality)
+_CARDINALITY_TYPES = (ObjectMinCardinality, ObjectMaxCardinality, ObjectExactCardinality)
+
 _TBOX_TYPES = (SubClassOf, EquivalentClasses, DisjointClasses, DisjointUnion,
                HasKey, DatatypeDefinition)
 _RBOX_TYPES = (SubObjectPropertyOf, EquivalentObjectProperties, DisjointObjectProperties,
-               InverseObjectProperties, ObjectPropertyDomain, ObjectPropertyRange,
-               FunctionalObjectProperty, InverseFunctionalObjectProperty,
-               ReflexiveObjectProperty, IrreflexiveObjectProperty,
-               SymmetricObjectProperty, AsymmetricObjectProperty,
-               TransitiveObjectProperty, SubDataPropertyOf, EquivalentDataProperties,
-               DisjointDataProperties, DataPropertyDomain, DataPropertyRange,
-               FunctionalDataProperty)
+               InverseObjectProperties, *_PROPERTY_AXIOM_TYPES, SubDataPropertyOf,
+               EquivalentDataProperties, DisjointDataProperties, DataPropertyDomain,
+               DataPropertyRange, FunctionalDataProperty)
 _ABOX_TYPES = (SameIndividual, DifferentIndividuals, ClassAssertion,
                ObjectPropertyAssertion, NegativeObjectPropertyAssertion,
                DataPropertyAssertion, NegativeDataPropertyAssertion)
@@ -717,35 +736,240 @@ def count_constructor_occurrences(axiom: Axiom, constructor: str) -> int:
     return constructor_counts(axiom)[constructor]
 
 
-def named_classes_in(e: ClassExpression) -> set[str]:
-    """Distinct named classes occurring anywhere in an expression."""
-    return {node.iri for node in iter_nodes(e) if isinstance(node, NamedClass)}
+# ---------------------------------------------------------------------------
+# Census.
+
+def _is_top(ce: ClassExpression | None) -> bool:
+    return type(ce) is NamedClass and ce.iri == OWL_THING
 
 
-def individual_occurrences(e: ClassExpression) -> list[str]:
-    """Named-individual occurrences (with multiplicity) in an expression."""
-    found: list[str] = []
-    for node in iter_nodes(e):
-        if isinstance(node, ObjectOneOf):
-            found.extend(i for i in node.individuals if isinstance(i, str))
-        elif isinstance(node, ObjectHasValue) and isinstance(node.individual, str):
-            found.append(node.individual)
-    return found
+def _data_range_tags(dr: DataRange, tags: Counter, sizes: Counter) -> None:
+    """Count a data range's node names into `tags` and its DataOneOf
+    arities into `sizes`."""
+    stack = [dr]
+    while stack:
+        node = stack.pop()
+        t = type(node)
+        tags[t.__name__] += 1
+        if t is DataIntersectionOf or t is DataUnionOf:
+            stack.extend(node.operands)
+        elif t is DataComplementOf:
+            stack.append(node.operand)
+        elif t is DataOneOf:
+            sizes["DataOneOf", len(node.literals)] += 1
 
 
-def property_occurrences(axiom: Axiom) -> list[str]:
-    """Named object-property occurrences (with multiplicity) in an axiom's
-    class expressions and key lists."""
-    found: list[str] = []
-    for top in class_expressions_of(axiom):
-        for node in iter_nodes(top):
-            if isinstance(node, (ObjectSomeValuesFrom, ObjectAllValuesFrom, ObjectHasValue,
-                                 ObjectHasSelf, ObjectMinCardinality, ObjectMaxCardinality,
-                                 ObjectExactCardinality)):
-                found.append(property_name(node.prop))
-    if isinstance(axiom, HasKey):
-        found.extend(property_name(p) for p in axiom.object_props)
-    return found
+class Census:
+    """Counts, sets and maxima over the logical axioms, gathered in one
+    iterative walk of each axiom; the syntactic features, the profile checks
+    and the DL family name are arithmetic over it.
+
+    A node's tag is its constructor name, or the kind of a data restriction.
+    """
+
+    __slots__ = (
+        "axiom_types",       # logical axiom type names, plus SubObjectPropertyChain
+        "depth_sum", "depth_max",       # over axiom_depth of each logical axiom
+        "constructors",      # node tags (and data range names) in TBox axioms
+        "constructor_max",   # most class constructors in one TBox axiom
+        "tags",              # every tag and data range name, plus ObjectInverseOf
+        "property_usage",    # TBox restriction and key occurrences per property
+        "nominals",          # named-individual occurrences in TBox expressions
+        "nominal_axioms",    # TBox axioms with such an occurrence
+        "iu", "euvi", "cuvi",
+        "pcd", "npcd", "gci",
+        "nominal_defined",   # classes defined with a nominal
+        "disjoint_classes",  # classes under DisjointClasses or DisjointUnion
+        "dependencies",      # class -> named classes in its definitions
+        "sizes",             # (tag, cardinality or OneOf arity) occurrences
+        "simple_required",   # properties OWL 2 DL requires to be simple
+        "dl_flags",          # DL family letters no axiom type or tag implies
+    )
+
+    def __init__(self, o: Ontology):
+        axiom_types: Counter = Counter()
+        constructors: Counter = Counter()
+        other_tags: Counter = Counter()
+        usage: Counter = Counter()       # property expressions in TBox axioms
+        other_opes: Counter = Counter()  # and in RBox and ABox axioms
+        sizes: Counter = Counter()
+        pair_exist: Counter = Counter()  # (named class, property) per SubClassOf
+        pair_univ: Counter = Counter()
+        pair_card: Counter = Counter()
+        simple: set = set()
+        flags: set[str] = set()
+        deps: dict[str, set[str]] = {}
+        nominal_defined: set[str] = set()
+        disjoint: set[str] = set()
+        depth_sum = depth_max = constructor_max = nominals = nominal_axioms = 0
+        iu = euvi = cuvi = pcd = npcd = gci = 0
+        for tbox, axioms in ((True, o.tbox), (False, o.rbox), (False, o.abox)):
+            tags, opes = (constructors, usage) if tbox else (other_tags, other_opes)
+            for ax in axioms:
+                t = type(ax)
+                axiom_types[t.__name__] += 1
+                parts = []  # (named classes, has a nominal) per top-level expression
+                deepest = count = named = 0
+                for top in class_expressions_of(ax):
+                    if type(top) is NamedClass:
+                        parts.append(((top.iri,), False))
+                        continue
+                    names: list[str] = []
+                    nominal = False
+                    stack = [(top, 1)]
+                    while stack:
+                        node, d = stack.pop()
+                        nt = type(node)
+                        if nt is NamedClass:
+                            names.append(node.iri)
+                            continue
+                        if d > deepest:
+                            deepest = d
+                        if nt is DataRestriction:
+                            tags[node.kind] += 1
+                            if node.n is not None:
+                                sizes[node.kind, node.n] += 1
+                            if node.range is not None:
+                                _data_range_tags(node.range, tags, sizes)
+                            continue
+                        tag = nt.__name__
+                        tags[tag] += 1
+                        count += 1
+                        d += 1
+                        if nt is ObjectIntersectionOf or nt is ObjectUnionOf:
+                            ops = node.operands
+                            for op in ops:
+                                stack.append((op, d))
+                            if not tbox:
+                                continue
+                            if nt is ObjectUnionOf:
+                                iu += any(type(op) is ObjectIntersectionOf for op in ops)
+                                continue
+                            iu += any(type(op) is ObjectUnionOf for op in ops)
+                            univ = {op.prop for op in ops if type(op) is ObjectAllValuesFrom}
+                            if univ:
+                                euvi += len(univ.intersection(
+                                    op.prop for op in ops if type(op) is ObjectSomeValuesFrom))
+                                cuvi += len(univ.intersection(
+                                    op.prop for op in ops if type(op) in _CARDINALITY_TYPES))
+                        elif nt is ObjectComplementOf:
+                            stack.append((node.operand, d))
+                        elif nt is ObjectOneOf:
+                            nominal = True
+                            sizes[tag, len(node.individuals)] += 1
+                            named += sum(type(i) is str for i in node.individuals)
+                        else:  # a restriction on an object property expression
+                            opes[node.prop] += 1
+                            if nt is ObjectSomeValuesFrom:
+                                if not _is_top(node.filler):
+                                    flags.add("C")
+                                stack.append((node.filler, d))
+                            elif nt is ObjectAllValuesFrom:
+                                stack.append((node.filler, d))
+                            elif nt is ObjectHasValue:
+                                nominal = True
+                                named += type(node.individual) is str
+                            else:  # ObjectHasSelf or a cardinality restriction
+                                simple.add(node.prop)
+                                if nt is not ObjectHasSelf:
+                                    sizes[tag, node.n] += 1
+                                    filler = node.filler
+                                    flags.add("N" if filler is None or _is_top(filler) else "Q")
+                                    if filler is not None:
+                                        stack.append((filler, d))
+                    parts.append((names, nominal))
+                depth_sum += deepest
+                if deepest > depth_max:
+                    depth_max = deepest
+                if tbox:
+                    if count > constructor_max:
+                        constructor_max = count
+                    nominals += named
+                    nominal_axioms += named > 0
+                    if t is SubClassOf:
+                        sub, sup = ax.sub, ax.sup
+                        if type(sub) is NamedClass:
+                            pcd += 1
+                            names, nominal = parts[1]
+                            deps.setdefault(sub.iri, set()).update(names)
+                            if nominal:
+                                nominal_defined.add(sub.iri)
+                            st = type(sup)
+                            if st is ObjectSomeValuesFrom:
+                                pair_exist[sub.iri, sup.prop] += 1
+                            elif st is ObjectAllValuesFrom:
+                                pair_univ[sub.iri, sup.prop] += 1
+                            elif st in _CARDINALITY_TYPES:
+                                pair_card[sub.iri, sup.prop] += 1
+                        else:
+                            gci += 1
+                    elif t is EquivalentClasses:
+                        defined = [(i, op.iri) for i, op in enumerate(ax.operands)
+                                   if type(op) is NamedClass]
+                        npcd += bool(defined)
+                        gci += not defined
+                        for i, iri in defined:
+                            targets = deps.setdefault(iri, set())
+                            for j, (names, nominal) in enumerate(parts):
+                                if j != i:
+                                    targets.update(names)
+                                    if nominal:
+                                        nominal_defined.add(iri)
+                    elif t is DisjointClasses or t is DisjointUnion:
+                        for names, _ in parts:
+                            disjoint.update(names)
+                    elif t is HasKey:
+                        opes.update(ax.object_props)
+                        if ax.data_props:
+                            flags.add("D")
+                    elif t is DatatypeDefinition:
+                        _data_range_tags(ax.range, tags, sizes)
+                elif t is SubObjectPropertyOf:
+                    if type(ax.sub) is PropertyChain:
+                        axiom_types["SubObjectPropertyChain"] += 1
+                        opes.update(ax.sub.operands)
+                    else:
+                        flags.add("H")
+                        opes[ax.sub] += 1
+                    opes[ax.sup] += 1
+                elif t is EquivalentObjectProperties or t is DisjointObjectProperties:
+                    opes.update(ax.operands)
+                    if t is DisjointObjectProperties:
+                        simple.update(ax.operands)
+                elif t is InverseObjectProperties:
+                    opes.update((ax.first, ax.second))
+                elif (t in _PROPERTY_AXIOM_TYPES or t is ObjectPropertyAssertion
+                      or t is NegativeObjectPropertyAssertion):
+                    opes[ax.prop] += 1
+                    if t in _SIMPLE_ROLE_AXIOMS:
+                        simple.add(ax.prop)
+                elif t is DataPropertyRange:
+                    _data_range_tags(ax.range, tags, sizes)
+        for ax in o.non_logical:
+            if type(ax) is Declaration and ax.entity.kind in (EntityKind.DATA_PROPERTY,
+                                                              EntityKind.DATATYPE):
+                flags.add("D")
+        self.tags = set(constructors) | set(other_tags)
+        if any(type(p) is ObjectInverseOf for p in chain(usage, other_opes)):
+            self.tags.add("ObjectInverseOf")
+        self.property_usage = Counter()
+        for p, n in usage.items():
+            self.property_usage[property_name(p)] += n
+        self.axiom_types, self.constructors, self.sizes = axiom_types, constructors, sizes
+        self.depth_sum, self.depth_max, self.constructor_max = depth_sum, depth_max, constructor_max
+        self.nominals, self.nominal_axioms = nominals, nominal_axioms
+        self.iu = iu
+        self.euvi = euvi + sum(n * pair_univ[k] for k, n in pair_exist.items())
+        self.cuvi = cuvi + sum(n * pair_univ[k] for k, n in pair_card.items())
+        self.pcd, self.npcd, self.gci = pcd, npcd, gci
+        self.nominal_defined, self.disjoint_classes = nominal_defined, disjoint
+        self.dependencies = deps
+        self.simple_required = {property_name(p) for p in simple}
+        self.dl_flags = flags
+
+    def largest(self, *tags: str) -> int:
+        """Largest cardinality or OneOf arity under the given tags, 0 if none."""
+        return max((n for tag, n in self.sizes if tag in tags), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -822,9 +1046,7 @@ class _SignatureBuilder:
             elif isinstance(node, ObjectHasValue):
                 self.ope(node.prop)
                 self.individual(node.individual)
-            elif isinstance(node, (ObjectSomeValuesFrom, ObjectAllValuesFrom, ObjectHasSelf,
-                                   ObjectMinCardinality, ObjectMaxCardinality,
-                                   ObjectExactCardinality)):
+            elif isinstance(node, _RESTRICTION_TYPES):
                 self.ope(node.prop)
             elif isinstance(node, DataRestriction):
                 self.data_properties.update(node.props)
@@ -860,11 +1082,7 @@ class _SignatureBuilder:
         elif isinstance(ax, InverseObjectProperties):
             self.ope(ax.first)
             self.ope(ax.second)
-        elif isinstance(ax, (ObjectPropertyDomain, ObjectPropertyRange,
-                             FunctionalObjectProperty, InverseFunctionalObjectProperty,
-                             ReflexiveObjectProperty, IrreflexiveObjectProperty,
-                             SymmetricObjectProperty, AsymmetricObjectProperty,
-                             TransitiveObjectProperty)):
+        elif isinstance(ax, _PROPERTY_AXIOM_TYPES):
             self.ope(ax.prop)
         elif isinstance(ax, SubDataPropertyOf):
             self.data_properties.update((ax.sub, ax.sup))
@@ -939,6 +1157,11 @@ class Ontology:
         object.__setattr__(self, "rbox", tuple(buckets[Category.RBOX]))
         object.__setattr__(self, "abox", tuple(buckets[Category.ABOX]))
         object.__setattr__(self, "non_logical", tuple(buckets[Category.NON_LOGICAL]))
+
+    @cached_property
+    def census(self) -> Census:
+        """One walk over the logical axioms, taken on first use."""
+        return Census(self)
 
     @property
     def logical_axioms(self) -> tuple[Axiom, ...]:

@@ -753,4 +753,10 @@ _AX_HANDLERS = {name[len("_ax_"):]: fn for name, fn in vars(_Parser).items()
 
 def parse_ontology(text: str, origin: str = "<string>") -> Ontology:
     """Parse one functional-syntax document; raises OntologyParseError."""
-    return _Parser(text, origin).parse_document()
+    parser = _Parser(text, origin)
+    try:
+        return parser.parse_document()
+    except RecursionError:
+        pass  # leave the except block so the deep traceback is freed first
+    parser.fail("nesting is deeper than the parser's recursion limit",
+                kind="limit exceeded")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 
 from .model import (
-    OWL, RDF, RDFS, XSD,
+    OWL, RDF, RDFS, XSD, CHARACTERISTIC_AXIOMS,
     AnnotationAssertion, AnnotationPropertyDomain, AnnotationPropertyRange,
     AnonymousIndividual, Axiom, ClassAssertion, ClassExpression,
     DataComplementOf, DataIntersectionOf, DataOneOf, DataPropertyAssertion,
@@ -32,14 +32,6 @@ from .model import (
 
 _PREFIX_ORDER = (("owl:", OWL), ("rdf:", RDF), ("rdfs:", RDFS), ("xsd:", XSD))
 _SAFE_LOCAL = re.compile(r"[A-Za-z0-9_.\-]*\Z")
-
-_CHARACTERISTIC_AXIOMS = (
-    "FunctionalObjectProperty", "InverseFunctionalObjectProperty",
-    "ReflexiveObjectProperty", "IrreflexiveObjectProperty",
-    "SymmetricObjectProperty", "AsymmetricObjectProperty",
-    "TransitiveObjectProperty",
-)
-
 
 def _iri(iri: str) -> str:
     for prefix, base in _PREFIX_ORDER:
@@ -154,7 +146,7 @@ def _axiom(ax: Axiom) -> str:
         return f"ObjectPropertyDomain({_ope(ax.prop)} {_ce(ax.domain)})"
     if isinstance(ax, ObjectPropertyRange):
         return f"ObjectPropertyRange({_ope(ax.prop)} {_ce(ax.range)})"
-    if name in _CHARACTERISTIC_AXIOMS:
+    if type(ax) in CHARACTERISTIC_AXIOMS.values():
         return f"{name}({_ope(ax.prop)})"
     if isinstance(ax, SubDataPropertyOf):
         return f"SubDataPropertyOf({_iri(ax.sub)} {_iri(ax.sup)})"

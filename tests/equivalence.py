@@ -7,6 +7,7 @@ recomputed here from oracle quantities and compared at 1e-9 for ratios.
 import random
 from collections import Counter
 
+from ontoprof.expressivity import profile_checks
 from ontoprof.features import extract_all
 from ontoprof.hierarchy import build_class_hierarchy, build_property_hierarchy
 from ontoprof.model import CLASS_CONSTRUCTORS, LOGICAL_AXIOM_TYPES, Ontology
@@ -70,6 +71,11 @@ def check_against_oracles(o: Ontology):
     if grand:
         assert_close(sum(vector[f"CCF_{c}"] for c in CLASS_CONSTRUCTORS), 1.0,
                      "CCF closure")
+
+    # Expressivity: the profile checks axiom by axiom, and the DL letters.
+    assert profile_checks(o) == oracles.profile_checks(o)
+    assert vector["OPR"] == oracles.profile_label(o)
+    assert vector["DFN"] == oracles.dl_name(o)
 
     # Coupling patterns.
     iu, euvi, cuvi = oracles.pattern_counts(o)

@@ -235,7 +235,8 @@ def property_edges(o):
 def signature_names(o):
     """Entity names by kind, recollected with a scratch walker."""
     out = {"classes": set(), "object_properties": set(), "data_properties": set(),
-           "individuals": set(), "datatypes": set(), "anonymous": set()}
+           "individuals": set(), "datatypes": set(), "anonymous": set(),
+           "annotation_properties": {a.prop for a in o.annotations}}
 
     def prop_of(ope):
         return ope.prop if tag(ope) == "ObjectInverseOf" else ope
@@ -338,12 +339,18 @@ def signature_names(o):
             bucket = {"Class": "classes", "Datatype": "datatypes",
                       "ObjectProperty": "object_properties",
                       "DataProperty": "data_properties",
-                      "NamedIndividual": "individuals"}.get(kind)
+                      "NamedIndividual": "individuals",
+                      "AnnotationProperty": "annotation_properties"}.get(kind)
             if bucket:
                 out[bucket].add(ax.entity.iri)
         elif name == "AnnotationAssertion":
+            out["annotation_properties"].add(ax.prop)
             if tag(ax.value) == "Literal":
                 lit(ax.value)
+        elif name == "SubAnnotationPropertyOf":
+            out["annotation_properties"].update((ax.sub, ax.sup))
+        elif name in ("AnnotationPropertyDomain", "AnnotationPropertyRange"):
+            out["annotation_properties"].add(ax.prop)
     return out
 
 
@@ -527,3 +534,219 @@ def cardinality_values(o):
                 elif name == "ObjectExactCardinality":
                     exacts.append(node.n)
     return mins, maxs, exacts
+
+
+# ---------------------------------------------------------------------------
+# Expressivity: each profile checked axiom by axiom against the rule file,
+# and the DL family letters collected axiom by axiom.
+
+def profile_rules():
+    """{profile: (forbidden axioms, forbidden constructors, OneOf arity
+    bound, max-cardinality bound)}, read straight from the rule file."""
+    import configparser
+    from importlib import resources
+    cp = configparser.ConfigParser()
+    cp.read_string(resources.files("ontoprof.data").joinpath("profile_rules.txt").read_text())
+    return {name: (set(cp.get(name, "forbid-axiom", fallback="").split()),
+                   set(cp.get(name, "forbid-constructor", fallback="").split()),
+                   cp.getint(name, "oneof-max-arity", fallback=None),
+                   cp.getint(name, "max-cardinality-bound", fallback=None))
+            for name in ("EL", "QL", "RL")}
+
+
+def _prop_of(ope):
+    return ope.prop if tag(ope) == "ObjectInverseOf" else ope
+
+
+def _is_thing(e):
+    return tag(e) == "NamedClass" and e.iri == "http://www.w3.org/2002/07/owl#Thing"
+
+
+def axiom_property_expressions(axiom):
+    """Every object property expression an axiom mentions (data property
+    names may ride along; they are never inverses)."""
+    name = tag(axiom)
+    found = [node.prop for top in top_expressions(axiom) for node in walk_expr(top)
+             if tag(node) in RESTRICTION_NAMES]
+    if name == "SubObjectPropertyOf":
+        found += list(axiom.sub.operands) if tag(axiom.sub) == "PropertyChain" else [axiom.sub]
+        found.append(axiom.sup)
+    elif name in ("EquivalentObjectProperties", "DisjointObjectProperties"):
+        found += list(axiom.operands)
+    elif name == "InverseObjectProperties":
+        found += [axiom.first, axiom.second]
+    elif name == "HasKey":
+        found += list(axiom.object_props)
+    elif hasattr(axiom, "prop"):
+        found.append(axiom.prop)
+    return found
+
+
+def walk_data_range(r):
+    yield r
+    name = tag(r)
+    if name in ("DataIntersectionOf", "DataUnionOf"):
+        for op in r.operands:
+            yield from walk_data_range(op)
+    elif name == "DataComplementOf":
+        yield from walk_data_range(r.operand)
+
+
+def axiom_data_ranges(axiom):
+    found = [node.range for top in top_expressions(axiom) for node in walk_expr(top)
+             if tag(node) == "DataRestriction" and node.range is not None]
+    if tag(axiom) in ("DataPropertyRange", "DatatypeDefinition"):
+        found.append(axiom.range)
+    return found
+
+
+def axiom_fits(axiom, rules) -> bool:
+    axioms, constructors, oneof_max, max_card = rules
+    name = tag(axiom)
+    if name in axioms:
+        return False
+    if (name == "SubObjectPropertyOf" and tag(axiom.sub) == "PropertyChain"
+            and "SubObjectPropertyChain" in axioms):
+        return False
+    for top in top_expressions(axiom):
+        for node in walk_expr(top):
+            kind = node.kind if tag(node) == "DataRestriction" else tag(node)
+            if kind in constructors:
+                return False
+            if (oneof_max is not None and kind == "ObjectOneOf"
+                    and len(node.individuals) > oneof_max):
+                return False
+            if (max_card is not None and kind in ("ObjectMaxCardinality", "DataMaxCardinality")
+                    and node.n > max_card):
+                return False
+    if "ObjectInverseOf" in constructors and any(
+            tag(p) == "ObjectInverseOf" for p in axiom_property_expressions(axiom)):
+        return False
+    for r in axiom_data_ranges(axiom):
+        for node in walk_data_range(r):
+            if tag(node) in constructors:
+                return False
+            if oneof_max is not None and tag(node) == "DataOneOf" and len(node.literals) > oneof_max:
+                return False
+    return True
+
+
+def passes_dl(o) -> bool:
+    """No class/datatype or property-kind punning, and no non-simple
+    property where OWL 2 DL needs a simple one."""
+    names = signature_names(o)
+    if names["classes"] & names["datatypes"]:
+        return False
+    kinds = [names["object_properties"], names["data_properties"],
+             names["annotation_properties"]]
+    if any(kinds[i] & kinds[j] for i in range(3) for j in range(i + 1, 3)):
+        return False
+    non_simple, links = set(), set()
+    for ax in o.axioms:
+        name = tag(ax)
+        if name == "TransitiveObjectProperty":
+            non_simple.add(_prop_of(ax.prop))
+        elif name == "SubObjectPropertyOf" and tag(ax.sub) == "PropertyChain":
+            non_simple.add(_prop_of(ax.sup))
+        elif name == "SubObjectPropertyOf":
+            links.add((_prop_of(ax.sub), _prop_of(ax.sup)))
+        elif name == "EquivalentObjectProperties":
+            links.update((_prop_of(a), _prop_of(b)) for a in ax.operands for b in ax.operands)
+        elif name == "InverseObjectProperties":
+            a, b = _prop_of(ax.first), _prop_of(ax.second)
+            links.update(((a, b), (b, a)))
+    while True:
+        grown = {b for a, b in links if a in non_simple} - non_simple
+        if not grown:
+            break
+        non_simple |= grown
+    for ax in o.axioms:
+        name = tag(ax)
+        needs_simple = [node.prop for top in top_expressions(ax) for node in walk_expr(top)
+                        if tag(node) in ("ObjectMinCardinality", "ObjectMaxCardinality",
+                                         "ObjectExactCardinality", "ObjectHasSelf")]
+        if name in ("FunctionalObjectProperty", "InverseFunctionalObjectProperty",
+                    "IrreflexiveObjectProperty", "AsymmetricObjectProperty"):
+            needs_simple.append(ax.prop)
+        elif name == "DisjointObjectProperties":
+            needs_simple += list(ax.operands)
+        if any(_prop_of(p) in non_simple for p in needs_simple):
+            return False
+    return True
+
+
+def profile_checks(o):
+    logical = [ax for ax in o.axioms if category(ax) != "NonLogical"]
+    checks = {name: all(axiom_fits(ax, rules) for ax in logical)
+              for name, rules in profile_rules().items()}
+    checks["DL"] = passes_dl(o)
+    return checks
+
+
+def profile_label(o) -> str:
+    checks = profile_checks(o)
+    if all(checks.values()):
+        return "PFULL"
+    return next((name for name in ("EL", "QL", "RL", "DL") if checks[name]), "PNAN")
+
+
+DATA_AXIOM_NAMES = {"SubDataPropertyOf", "EquivalentDataProperties", "DisjointDataProperties",
+                    "DataPropertyDomain", "DataPropertyRange", "FunctionalDataProperty",
+                    "DatatypeDefinition", "DataPropertyAssertion",
+                    "NegativeDataPropertyAssertion"}
+
+
+def dl_flags(o):
+    flags = set()
+    for ax in o.axioms:
+        name = tag(ax)
+        if name == "Declaration":
+            if ax.entity.kind.value in ("DataProperty", "Datatype"):
+                flags.add("D")
+            continue
+        if category(ax) == "NonLogical":
+            continue
+        if name in DATA_AXIOM_NAMES or (name == "HasKey" and ax.data_props):
+            flags.add("D")
+        if name == "TransitiveObjectProperty":
+            flags.add("S")
+        if name == "SubObjectPropertyOf":
+            flags.add("R" if tag(ax.sub) == "PropertyChain" else "H")
+        if name in ("ReflexiveObjectProperty", "IrreflexiveObjectProperty",
+                    "DisjointObjectProperties"):
+            flags.add("R")
+        if name == "InverseObjectProperties":
+            flags.add("I")
+        if name in ("FunctionalObjectProperty", "InverseFunctionalObjectProperty",
+                    "FunctionalDataProperty"):
+            flags.add("F")
+        if any(tag(p) == "ObjectInverseOf" for p in axiom_property_expressions(ax)):
+            flags.add("I")
+        for top in top_expressions(ax):
+            for node in walk_expr(top):
+                kind = tag(node)
+                if kind in ("ObjectComplementOf", "ObjectUnionOf"):
+                    flags.add("C")
+                elif kind == "ObjectSomeValuesFrom" and not _is_thing(node.filler):
+                    flags.add("C")
+                elif kind in ("ObjectOneOf", "ObjectHasValue"):
+                    flags.add("O")
+                elif kind == "ObjectHasSelf":
+                    flags.add("R")
+                elif kind in ("ObjectMinCardinality", "ObjectMaxCardinality",
+                              "ObjectExactCardinality"):
+                    qualified = node.filler is not None and not _is_thing(node.filler)
+                    flags.add("Q" if qualified else "N")
+                elif kind == "DataRestriction":
+                    flags.add("D")
+    return flags
+
+
+def dl_name(o) -> str:
+    """S, ALC or AL; then R or H; O; I; Q, N or F; then (D)."""
+    f = dl_flags(o)
+    base = "S" if "S" in f else "ALC" if "C" in f else "AL"
+    role = "R" if "R" in f else "H" if "H" in f else ""
+    number = next((x for x in "QNF" if x in f), "")
+    return (base + role + ("O" if "O" in f else "") + ("I" if "I" in f else "")
+            + number + ("(D)" if "D" in f else ""))

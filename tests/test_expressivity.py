@@ -4,11 +4,14 @@ import random
 
 from ontoprof.expressivity import dl_family_name, owl_profile, profile_checks, ProfileLabel
 from ontoprof.model import (
-    NamedClass, ObjectAllValuesFrom, ObjectMinCardinality, ObjectSomeValuesFrom,
-    Ontology, SubClassOf, OWL_THING,
+    XSD, ClassAssertion, DataComplementOf, DataIntersectionOf, DataOneOf,
+    DataPropertyRange, DataRestriction, DatatypeDefinition, DatatypeRef,
+    DataUnionOf, Literal, NamedClass, ObjectAllValuesFrom, ObjectInverseOf,
+    ObjectMinCardinality, ObjectSomeValuesFrom, Ontology, SubClassOf, OWL_THING,
 )
 from ontoprof.parser import parse_ontology
 
+from equivalence import check_against_oracles
 from gen import random_axiom, random_ontology, Vocabulary
 from golden_data import GOLDEN_DIR
 
@@ -159,3 +162,38 @@ def test_order_invariance():
         p = Ontology(axioms=tuple(shuffled))
         assert owl_profile(o) is owl_profile(p)
         assert dl_family_name(o) == dl_family_name(p)
+
+
+def _random_data_range(rng, depth):
+    """The data ranges tests/gen.py never builds: OneOf of arity 1-3 and
+    nested Boolean combinations."""
+    kind = rng.randrange(5 if depth else 2)
+    if kind == 0:
+        return DataOneOf(tuple(Literal(str(i), XSD + "integer")
+                               for i in range(rng.randint(1, 3))))
+    if kind == 1:
+        return DatatypeRef(XSD + "integer")
+    if kind == 4:
+        return DataComplementOf(_random_data_range(rng, depth - 1))
+    operands = (_random_data_range(rng, depth - 1), _random_data_range(rng, depth - 1))
+    return (DataIntersectionOf if kind == 2 else DataUnionOf)(operands)
+
+
+def test_profile_and_dl_name_match_the_oracles_on_data_ranges():
+    rng = random.Random(2015)
+    labels = set()
+    for _ in range(300):
+        prop = ObjectInverseOf(NS + "r") if rng.random() < 0.2 else NS + "r"
+        axioms = [SubClassOf(c("A"), ObjectSomeValuesFrom(prop, c("B")))]
+        for _ in range(rng.randint(1, 3)):
+            dr = _random_data_range(rng, 2)
+            restriction = DataRestriction(kind=rng.choice(("DataSomeValuesFrom",
+                                                           "DataAllValuesFrom")),
+                                          props=(NS + "d",), range=dr)
+            axioms.append(rng.choice((DataPropertyRange(NS + "d", dr),
+                                      DatatypeDefinition(NS + "dt", dr),
+                                      SubClassOf(c("A"), restriction),
+                                      ClassAssertion(restriction, NS + "i"))))
+        vector = check_against_oracles(onto(*axioms))
+        labels.add(vector["OPR"])
+    assert labels == {"EL", "QL", "DL", "PFULL"}

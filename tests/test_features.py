@@ -1,6 +1,11 @@
 """Extractor operations against hand-evaluated cases."""
 
+import importlib
+import importlib.util
 import random
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +16,9 @@ from ontoprof.features import (
     pattern_counts, property_level_features, richness_features, size_features,
 )
 from ontoprof.hierarchy import build_class_hierarchy, build_property_hierarchy, cyclic_classes
+from ontoprof.parser import parse_ontology
+
+from golden_data import GOLDEN_DIR
 from ontoprof.model import (
     ClassAssertion, DataPropertyAssertion, Declaration, Entity, EntityKind,
     EquivalentClasses, Literal, NamedClass, ObjectAllValuesFrom,
@@ -301,3 +309,27 @@ def test_extraction_has_no_recursion_limit():
         expr = ObjectComplementOf(expr)
     vector = extract_all(onto(SubClassOf(c("A"), expr)))
     assert vector["AMP"] == 5000
+
+
+def test_extract_all_calls_each_traced_layer_once(monkeypatch):
+    """The traced benchmark times the layers by swapping wrappers in for the
+    module globals in its LAYER_CALLS; a layer that stops being called by
+    that name would drop out of the trace unnoticed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    calls: Counter = Counter()
+    for module_name, attr, span in tracing.LAYER_CALLS:
+        module = importlib.import_module(module_name)
+
+        def spy(*args, _original=getattr(module, attr), _span=span, **kwargs):
+            calls[_span] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, spy)
+    o = parse_ontology((GOLDEN_DIR / "family_kb.ofn").read_text(encoding="utf-8"))
+    assert calls == {"model.build": 1}
+    extract_all(o)
+    assert calls == {span: 1 for _, _, span in tracing.LAYER_CALLS}

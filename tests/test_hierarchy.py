@@ -205,11 +205,13 @@ def test_nidhc_matches_bruteforce_on_random_digraphs():
     for _ in range(400):
         names, edges = _random_digraph(rng)
         pairs = oracles.reachability(names, edges)
+        longest = oracles.longest_condensation_path(names, edges)
         # Edge endpoints missing from the node set still count.
         for nodes in (frozenset(names), frozenset(rng.sample(names, len(names) // 2))):
             h = Hierarchy(nodes=nodes, direct_edges=edges)
             assert h.ndhc == len(edges)
             assert h.nidhc == len(pairs) - len(edges)
+            assert max_depth(h) == longest
 
 
 def _seeded_tree(rng, n, window):

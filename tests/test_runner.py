@@ -328,15 +328,29 @@ def test_worker_death_is_internal_error(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_worker_exception_is_internal_error(tmp_path):
+def test_worker_exception_is_internal_error(tmp_path, monkeypatch):
+    corpus = make_corpus(tmp_path, names=("a", "b", "c"))
+
+    def fail():
+        raise RuntimeError("extractor bug")
+
+    _patch_extractor(monkeypatch, "b.ofn", fail)
+    report = run(RunConfig(inputs=[str(corpus)], parallelism=1, per_file_timeout=60))
+    assert [o.status for o in report.outcomes] == ["ok", "internal_error", "ok"]
+    assert report.outcomes[1].diagnostics == ["RuntimeError: extractor bug"]
+
+
+def test_nesting_too_deep_to_parse_is_a_positioned_parse_error(tmp_path):
     deep = tmp_path / "deep.ofn"
     expr = ":B"
     for _ in range(1000):
         expr = f"ObjectComplementOf({expr})"
     deep.write_text(f"Prefix(:=<http://example.org/d#>)\nOntology(\nSubClassOf(:A {expr})\n)\n")
     report = run(RunConfig(inputs=[str(deep)], parallelism=1, per_file_timeout=60))
-    assert report.totals["internal_error"] == 1
-    assert report.outcomes[0].diagnostics[0].startswith("RecursionError: ")
+    assert report.totals["parse_error"] == 1
+    (diagnostic,) = report.outcomes[0].diagnostics
+    assert re.fullmatch(re.escape(f"{deep}:3:") + r"\d+: error: limit exceeded: nesting is "
+                        r"deeper than the parser's recursion limit", diagnostic)
 
 
 def test_abort_leaves_no_worker_behind(tmp_path, monkeypatch):

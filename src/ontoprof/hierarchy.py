@@ -110,58 +110,62 @@ def _count_reachable_pairs(edges, comp: dict[str, int]) -> int:
     return total
 
 
-def _scc_map(nodes, edges) -> dict[str, int]:
-    """Tarjan's algorithm, iterative, over `nodes` and every edge endpoint.
+def _components(roots, adj) -> list[list]:
+    """Tarjan's algorithm, iterative: the strongly connected components
+    reachable from `roots` over the successor lists in `adj` (a node missing
+    from it has none), each after every component it reaches."""
+    num: dict = {}  # DFS number while on the stack, `done` after
+    stack: list = []
+    components: list[list] = []
+    done = float("inf")
+    counter = 0
+    for root in roots:
+        if root in num:
+            continue
+        num[root] = counter
+        stack.append(root)
+        work = [[root, iter(adj.get(root, ())), counter]]  # node, successors, lowlink
+        counter += 1
+        while work:
+            frame = work[-1]
+            v, it, low = frame
+            for w in it:
+                nw = num.get(w)
+                if nw is None:
+                    num[w] = counter
+                    stack.append(w)
+                    frame[2] = low
+                    work.append([w, iter(adj.get(w, ())), counter])
+                    counter += 1
+                    break
+                if nw < low:
+                    low = nw
+            else:
+                work.pop()
+                if work and low < work[-1][2]:
+                    work[-1][2] = low
+                if low == num[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        num[w] = done
+                        component.append(w)
+                        if w == v:
+                            break
+                    components.append(component)
+    return components
 
-    Component ids follow completion order, so every component a component
-    reaches has a smaller id.
+
+def _scc_map(nodes, edges) -> dict[str, int]:
+    """Component id per node, over `nodes` and every edge endpoint.
+
+    Ids follow completion order, so every component a component reaches has
+    a smaller id. That holds for any visiting order, and nothing reads more
+    of the ids, so the nodes are not sorted first.
     """
     adj = _adjacency(edges)
-    index: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    comp: dict[str, int] = {}
-    counter = 0
-    n_comps = 0
-
-    for root in chain(sorted(nodes), sorted(adj.keys() - nodes)):
-        if root in index:
-            continue
-        work = [(root, iter(sorted(adj[root])))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(sorted(adj[w]))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp[w] = n_comps
-                    if w == v:
-                        break
-                n_comps += 1
-    return comp
+    roots = chain(nodes, adj.keys() - nodes)
+    return {v: c for c, members in enumerate(_components(roots, adj)) for v in members}
 
 
 def build_class_hierarchy(o: Ontology) -> Hierarchy:
@@ -169,10 +173,12 @@ def build_class_hierarchy(o: Ontology) -> Hierarchy:
     equivalences; axioms with any complex side contribute nothing."""
     edges: set[tuple[str, str]] = set()
     for ax in o.tbox:
-        if isinstance(ax, SubClassOf):
-            if isinstance(ax.sub, NamedClass) and isinstance(ax.sup, NamedClass):
-                edges.add((ax.sub.iri, ax.sup.iri))
-        elif isinstance(ax, EquivalentClasses):
+        t = type(ax)
+        if t is SubClassOf:
+            sub, sup = ax
+            if type(sub) is NamedClass and type(sup) is NamedClass:
+                edges.add((sub.iri, sup.iri))
+        elif t is EquivalentClasses:
             if all(isinstance(op, NamedClass) for op in ax.operands):
                 names = [op.iri for op in ax.operands]
                 for a in names:
@@ -237,12 +243,10 @@ def cyclic_classes(o: Ontology) -> frozenset[str]:
     components of size two or more in that dependency graph.
     """
     deps = o.census.dependencies
-    nodes = set(deps).union(*deps.values())
-    edges = {(a, b) for a, targets in deps.items() for b in targets}
-    comp = _scc_map(nodes, edges)
-    sizes: dict[int, int] = defaultdict(int)
-    for c in comp.values():
-        sizes[c] += 1
-    cyclic = {n for n in nodes if sizes[comp[n]] >= 2}
-    cyclic |= {a for a, b in edges if a == b}
+    # A class no definition mentions is on no cycle, so no search starts there.
+    mentioned = set().union(*deps.values())
+    cyclic: set[str] = set()
+    for members in _components([a for a in deps if a in mentioned], deps):
+        if len(members) > 1 or members[0] in deps.get(members[0], ()):
+            cyclic.update(members)
     return frozenset(cyclic)

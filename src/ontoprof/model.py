@@ -3,6 +3,13 @@
 Entities, class expressions, property expressions, axioms and the Ontology
 container, plus the tree walkers every analysis pass is built on.  All model
 values are immutable after construction and safe to share across threads.
+
+The grammar is stated once, in NODES: for every node type its
+functional-syntax keyword, its KB category and its fields in syntax order,
+each with a Shape, after the W3C OWL 2 Structural Specification
+(https://www.w3.org/TR/owl2-syntax/).  The node classes are made from it by
+`_node`, and the parser, the serializer, the signature walk and the walkers
+below all read it.
 """
 
 from __future__ import annotations
@@ -10,9 +17,16 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
+from operator import itemgetter
 from typing import Iterator, Union
+
+try:  # the C field accessor namedtuple uses; a property is the portable equivalent
+    from _collections import _tuplegetter
+except ImportError:
+    def _tuplegetter(index, doc):
+        return property(itemgetter(index), doc=doc)
 
 OWL = "http://www.w3.org/2002/07/owl#"
 RDF = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -38,35 +52,237 @@ class EntityKind(Enum):
     NAMED_INDIVIDUAL = "NamedIndividual"
 
 
-@dataclass(frozen=True)
-class Entity:
-    """A named term: (IRI, kind) pair."""
-
-    iri: str
-    kind: EntityKind
-
-    def __post_init__(self):
-        if not self.iri:
-            raise ValueError("entity IRI must be non-empty")
+class Category(Enum):
+    TBOX = "TBox"
+    RBOX = "RBox"
+    ABOX = "ABox"
+    NON_LOGICAL = "NonLogical"
 
 
-@dataclass(frozen=True)
-class AnonymousIndividual:
-    node_id: str
+# ---------------------------------------------------------------------------
+# Shapes: how a field is written, and what it adds to the signature.
+
+# The signature sets a bare IRI can feed, in Signature field order.
+(CLASSES, OBJECT_PROPERTIES, DATA_PROPERTIES, INDIVIDUALS, DATATYPES,
+ ANNOTATION_PROPERTIES, ANONYMOUS) = range(7)
 
 
+class Shape:
+    """One field's syntax.
+
+    `kind` names the routine that parses and serializes one value: an IRI,
+    a class or property expression, an individual, a literal, a data range,
+    an integer, or one of the irregular pieces (entity, facets, annotation
+    subject and value, ObjectPropertyChain, the leading data properties of
+    DataSomeValuesFrom).  `what` is the value's name in diagnostics.  A bare
+    IRI in the field feeds signature set `sig` (None: none).  A `many` field
+    holds a tuple of at least `minimum` and at most `maximum` values, written
+    in parentheses if `paren`; an `optional` field may be None.
+    """
+
+    __slots__ = ("kind", "what", "plural", "sig", "many", "minimum", "maximum",
+                 "optional", "paren")
+
+    def __init__(self, kind: str, what: str, sig: int | None = None, *,
+                 plural: str | None = None, many: bool = False, minimum: int = 0,
+                 maximum: int | None = None, optional: bool = False, paren: bool = False):
+        self.kind, self.what, self.plural, self.sig = kind, what, plural or what + "s", sig
+        self.many, self.minimum, self.maximum = many, minimum, maximum
+        self.optional, self.paren = optional, paren
+
+    def times(self, minimum: int, maximum: int | None = None, paren: bool = False) -> Shape:
+        """A tuple of values of this shape."""
+        return Shape(self.kind, self.what, self.sig, plural=self.plural, many=True,
+                     minimum=minimum, maximum=maximum, paren=paren)
+
+    def or_none(self) -> Shape:
+        return Shape(self.kind, self.what, self.sig, plural=self.plural, optional=True)
+
+
+def shortfall(keyword: str, shape: Shape) -> str:
+    """The message for fewer values than a many-shape needs."""
+    n = shape.minimum
+    return f"{keyword} needs at least {n} {shape.what if n == 1 else shape.plural}"
+
+
+CLASS_IRI = Shape("iri", "class", CLASSES)
+DATATYPE_IRI = Shape("iri", "datatype IRI", DATATYPES)
+OBJECT_PROPERTY = Shape("iri", "object property", OBJECT_PROPERTIES,
+                        plural="object properties")
+DATA_PROPERTY = Shape("iri", "data property", DATA_PROPERTIES, plural="data properties")
+ANNOTATION_PROPERTY = Shape("iri", "annotation property", ANNOTATION_PROPERTIES,
+                            plural="annotation properties")
+IRI = Shape("iri", "IRI")
+ENTITY_IRI = Shape("entity_iri", "entity IRI")  # feeds the set of its entity kind
+CE = Shape("ce", "class expression")
+OPE = Shape("ope", "object property", OBJECT_PROPERTIES, plural="object properties")
+INDIVIDUAL = Shape("individual", "individual", INDIVIDUALS)
+LITERAL = Shape("literal", "literal")
+DATA_RANGE = Shape("data_range", "data range")
+INTEGER = Shape("int", "non-negative integer")
+NODE_ID = Shape("node_id", "anonymous individual", ANONYMOUS)
+TEXT = Shape("text", "text")  # a plain string that is not an IRI
+ENTITY = Shape("entity", "entity kind")
+SUB_PROPERTY = Shape("sub_property", "object property", OBJECT_PROPERTIES)
+FACETS = Shape("facets", "facet", many=True, minimum=1)
+LEADING_DATA_PROPERTIES = Shape("leading_iris", "data property", DATA_PROPERTIES,
+                                plural="data properties", many=True, minimum=1)
+ANNOTATION_SUBJECT = Shape("annotation_subject", "annotation subject")
+ANNOTATION_VALUE = Shape("annotation_value", "annotation value")
+
+
+# ---------------------------------------------------------------------------
+# The node table and the node classes made from it.
+
+class NodeSpec:
+    """One NODES entry.
+
+    `forms` maps each keyword the node is written with to the value of its
+    `kind` field (None for a node with one keyword) and the (field index,
+    shape) steps in syntax order.  `check` states a constraint across fields
+    and returns the message when it fails.
+    """
+
+    __slots__ = ("name", "keyword", "category", "fields", "shapes", "forms", "by_kind",
+                 "check", "checked")
+
+    def __init__(self, name, keyword, category, fields, forms, check):
+        self.name, self.keyword, self.category, self.check = name, keyword, category, check
+        self.fields = tuple(f for f, _ in fields)
+        self.shapes = tuple(s for _, s in fields)
+        if forms is None:
+            steps = tuple(enumerate(self.shapes))
+            forms = {} if keyword is None else {keyword: (None, steps)}
+        else:
+            forms = {kw: (kind, tuple((self.fields.index(f), s) for f, s in steps))
+                     for kw, (kind, steps) in forms.items()}
+        self.forms = forms
+        self.by_kind = {kind: (kw, steps) for kw, (kind, steps) in forms.items()}
+        self.checked = tuple((i, s) for i, s in enumerate(self.shapes)
+                             if s.minimum or s.kind in ("int", "entity_iri"))
+
+    def bind(self, args: tuple, kwargs: dict) -> list:
+        """Positional and keyword arguments as the field values; an omitted
+        optional field is None."""
+        n = len(self.fields)
+        if len(args) > n:
+            raise TypeError(f"{self.name}() takes {n} arguments but {len(args)} were given")
+        values = list(args) + [_MISSING] * (n - len(args))
+        for key, value in kwargs.items():
+            if key not in self.fields:
+                raise TypeError(f"{self.name}() got an unexpected keyword argument {key!r}")
+            i = self.fields.index(key)
+            if values[i] is not _MISSING:
+                raise TypeError(f"{self.name}() got multiple values for argument {key!r}")
+            values[i] = value
+        for i, value in enumerate(values):
+            if value is _MISSING:
+                if not self.shapes[i].optional:
+                    raise TypeError(f"{self.name}() missing argument {self.fields[i]!r}")
+                values[i] = None
+        return values
+
+    def validate(self, values) -> None:
+        for i, shape in self.checked:
+            v = values[i]
+            if shape.minimum and len(v) < shape.minimum:
+                raise ValueError(shortfall(self.name, shape))
+            if shape.kind == "int" and v is not None and v < 0:
+                raise ValueError("cardinality must be non-negative")
+            if shape.kind == "entity_iri" and not v:
+                raise ValueError("entity IRI must be non-empty")
+        if self.check is not None:
+            message = self.check(values)
+            if message:
+                raise ValueError(message)
+
+
+_MISSING = object()
+NODES: dict[type, NodeSpec] = {}
+
+
+class Node(tuple):
+    """A model value: the tuple of its fields, equal to another node only of
+    the same type, immutable and without a __dict__."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        spec = NODES[cls]
+        if kwargs or len(args) != len(spec.fields):
+            args = spec.bind(args, kwargs)
+        spec.validate(args)
+        return tuple.__new__(cls, args)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash((type(self), tuple.__hash__(self)))
+
+    def __repr__(self):
+        fields = NODES[type(self)].fields
+        return f"{type(self).__name__}({', '.join(f'{f}={v!r}' for f, v in zip(fields, self))})"
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+
+class ClassExpression(Node):
+    __slots__ = ()
+
+
+class DataRange(Node):
+    __slots__ = ()
+
+
+class Axiom(Node):
+    __slots__ = ()
+
+    @property
+    def axiom_type(self) -> str:
+        return type(self).__name__
+
+
+_SAME = object()
+
+
+def _node(name, base, *fields, keyword=_SAME, category=None, forms=None, check=None):
+    """A node class with one read-only property per field, and its NODES
+    entry.  `keyword` defaults to the class name; None means the node is
+    written without one (a bare IRI, a literal)."""
+    namespace = {"__slots__": (), "__module__": __name__, "__qualname__": name}
+    for i, (f, shape) in enumerate(fields):
+        namespace[f] = _tuplegetter(i, f"field {i}: {shape.what}")
+    cls = type(name, (base,), namespace)
+    NODES[cls] = NodeSpec(name, name if keyword is _SAME else keyword, category, fields,
+                          forms, check)
+    return cls
+
+
+# Entities and other leaves ------------------------------------------------------
+
+Entity = _node("Entity", Node, ("iri", ENTITY_IRI), ("kind", TEXT), keyword=None,
+               forms={k.value: (k, (("iri", ENTITY_IRI),)) for k in EntityKind})
 # Named individuals are plain IRI strings; anonymous ones carry a node id.
+AnonymousIndividual = _node("AnonymousIndividual", Node, ("node_id", NODE_ID), keyword=None)
 Individual = Union[str, AnonymousIndividual]
-
-
-@dataclass(frozen=True)
-class ObjectInverseOf:
-    """Inverse of a named object property (never nested)."""
-
-    prop: str
-
-
+# Inverse of a named object property (never nested).
+ObjectInverseOf = _node("ObjectInverseOf", Node, ("prop", OBJECT_PROPERTY))
 ObjectPropertyExpression = Union[str, ObjectInverseOf]
+Literal = _node("Literal", Node, ("lexical", TEXT), ("datatype", DATATYPE_IRI.or_none()),
+                ("language", TEXT.or_none()), keyword=None)
+# Composition of object properties on the sub side of a property axiom.
+PropertyChain = _node("PropertyChain", Node, ("operands", OPE.times(2)),
+                      keyword="ObjectPropertyChain")
+# An IRI used as an annotation subject or value.
+IriRef = _node("IriRef", Node, ("iri", IRI), keyword=None)
+AnnotationValue = Union[IriRef, Literal, AnonymousIndividual]
+OntologyAnnotation = _node("OntologyAnnotation", Node, ("prop", ANNOTATION_PROPERTY),
+                           ("value", ANNOTATION_VALUE), keyword="Annotation")
 
 
 def property_name(ope: ObjectPropertyExpression) -> str:
@@ -74,166 +290,48 @@ def property_name(ope: ObjectPropertyExpression) -> str:
     return ope.prop if isinstance(ope, ObjectInverseOf) else ope
 
 
-@dataclass(frozen=True)
-class Literal:
-    lexical: str
-    datatype: str | None = None
-    language: str | None = None
+# Data ranges: structure is kept for round-tripping; the signature takes
+# their datatype IRIs and literal datatypes.
 
+DatatypeRef = _node("DatatypeRef", DataRange, ("iri", DATATYPE_IRI), keyword=None)
+DataIntersectionOf = _node("DataIntersectionOf", DataRange, ("operands", DATA_RANGE.times(2)))
+DataUnionOf = _node("DataUnionOf", DataRange, ("operands", DATA_RANGE.times(2)))
+DataComplementOf = _node("DataComplementOf", DataRange, ("operand", DATA_RANGE))
+DataOneOf = _node("DataOneOf", DataRange, ("literals", LITERAL.times(1)))
+DatatypeRestriction = _node("DatatypeRestriction", DataRange, ("datatype", DATATYPE_IRI),
+                            ("facets", FACETS))
 
-# ---------------------------------------------------------------------------
-# Data ranges (kept opaque: structure is preserved for round-tripping, only
-# datatype IRIs are harvested for the signature).
+# Class expressions ---------------------------------------------------------------
 
-class DataRange:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class DatatypeRef(DataRange):
-    iri: str
-
-
-@dataclass(frozen=True)
-class DataIntersectionOf(DataRange):
-    operands: tuple[DataRange, ...]
-
-
-@dataclass(frozen=True)
-class DataUnionOf(DataRange):
-    operands: tuple[DataRange, ...]
-
-
-@dataclass(frozen=True)
-class DataComplementOf(DataRange):
-    operand: DataRange
-
-
-@dataclass(frozen=True)
-class DataOneOf(DataRange):
-    literals: tuple[Literal, ...]
-
-
-@dataclass(frozen=True)
-class DatatypeRestriction(DataRange):
-    datatype: str
-    facets: tuple[tuple[str, Literal], ...]
-
-
-# ---------------------------------------------------------------------------
-# Class expressions.
-
-class ClassExpression:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class NamedClass(ClassExpression):
-    iri: str
-
-
-@dataclass(frozen=True)
-class ObjectIntersectionOf(ClassExpression):
-    operands: tuple[ClassExpression, ...]
-
-    def __post_init__(self):
-        if len(self.operands) < 2:
-            raise ValueError("ObjectIntersectionOf needs at least two operands")
-
-
-@dataclass(frozen=True)
-class ObjectUnionOf(ClassExpression):
-    operands: tuple[ClassExpression, ...]
-
-    def __post_init__(self):
-        if len(self.operands) < 2:
-            raise ValueError("ObjectUnionOf needs at least two operands")
-
-
-@dataclass(frozen=True)
-class ObjectComplementOf(ClassExpression):
-    operand: ClassExpression
-
-
-@dataclass(frozen=True)
-class ObjectOneOf(ClassExpression):
-    individuals: tuple[Individual, ...]
-
-    def __post_init__(self):
-        if not self.individuals:
-            raise ValueError("ObjectOneOf needs at least one individual")
-
-
-@dataclass(frozen=True)
-class ObjectSomeValuesFrom(ClassExpression):
-    prop: ObjectPropertyExpression
-    filler: ClassExpression
-
-
-@dataclass(frozen=True)
-class ObjectAllValuesFrom(ClassExpression):
-    prop: ObjectPropertyExpression
-    filler: ClassExpression
-
-
-@dataclass(frozen=True)
-class ObjectHasValue(ClassExpression):
-    prop: ObjectPropertyExpression
-    individual: Individual
-
-
-@dataclass(frozen=True)
-class ObjectHasSelf(ClassExpression):
-    prop: ObjectPropertyExpression
-
-
-@dataclass(frozen=True)
-class ObjectMinCardinality(ClassExpression):
-    n: int
-    prop: ObjectPropertyExpression
-    filler: ClassExpression | None = None
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("cardinality must be non-negative")
-
-
-@dataclass(frozen=True)
-class ObjectMaxCardinality(ClassExpression):
-    n: int
-    prop: ObjectPropertyExpression
-    filler: ClassExpression | None = None
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("cardinality must be non-negative")
-
-
-@dataclass(frozen=True)
-class ObjectExactCardinality(ClassExpression):
-    n: int
-    prop: ObjectPropertyExpression
-    filler: ClassExpression | None = None
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("cardinality must be non-negative")
-
-
-@dataclass(frozen=True)
-class DataRestriction(ClassExpression):
-    """Any data-property restriction, kept opaque behind a kind tag.
-
-    kind is one of DataSomeValuesFrom, DataAllValuesFrom, DataHasValue,
-    DataMinCardinality, DataMaxCardinality, DataExactCardinality.
-    """
-
-    kind: str
-    props: tuple[str, ...]
-    range: DataRange | None = None
-    value: Literal | None = None
-    n: int | None = None
-
+NamedClass = _node("NamedClass", ClassExpression, ("iri", CLASS_IRI), keyword=None)
+ObjectIntersectionOf = _node("ObjectIntersectionOf", ClassExpression, ("operands", CE.times(2)))
+ObjectUnionOf = _node("ObjectUnionOf", ClassExpression, ("operands", CE.times(2)))
+ObjectComplementOf = _node("ObjectComplementOf", ClassExpression, ("operand", CE))
+ObjectOneOf = _node("ObjectOneOf", ClassExpression, ("individuals", INDIVIDUAL.times(1)))
+ObjectSomeValuesFrom = _node("ObjectSomeValuesFrom", ClassExpression, ("prop", OPE),
+                             ("filler", CE))
+ObjectAllValuesFrom = _node("ObjectAllValuesFrom", ClassExpression, ("prop", OPE),
+                            ("filler", CE))
+ObjectHasValue = _node("ObjectHasValue", ClassExpression, ("prop", OPE),
+                       ("individual", INDIVIDUAL))
+ObjectHasSelf = _node("ObjectHasSelf", ClassExpression, ("prop", OPE))
+_CARDINALITY = (("n", INTEGER), ("prop", OPE), ("filler", CE.or_none()))
+ObjectMinCardinality = _node("ObjectMinCardinality", ClassExpression, *_CARDINALITY)
+ObjectMaxCardinality = _node("ObjectMaxCardinality", ClassExpression, *_CARDINALITY)
+ObjectExactCardinality = _node("ObjectExactCardinality", ClassExpression, *_CARDINALITY)
+# Any data-property restriction, kept opaque behind a kind tag: its keyword.
+_ONE_DATA_PROPERTY = DATA_PROPERTY.times(1, 1)
+DataRestriction = _node(
+    "DataRestriction", ClassExpression, ("kind", TEXT), ("props", DATA_PROPERTY.times(1)),
+    ("range", DATA_RANGE.or_none()), ("value", LITERAL.or_none()), ("n", INTEGER.or_none()),
+    keyword=None, forms={
+        **{kw: (kw, (("props", LEADING_DATA_PROPERTIES), ("range", DATA_RANGE)))
+           for kw in ("DataSomeValuesFrom", "DataAllValuesFrom")},
+        "DataHasValue": ("DataHasValue", (("props", _ONE_DATA_PROPERTY), ("value", LITERAL))),
+        **{kw: (kw, (("n", INTEGER), ("props", _ONE_DATA_PROPERTY),
+                     ("range", DATA_RANGE.or_none())))
+           for kw in ("DataMinCardinality", "DataMaxCardinality", "DataExactCardinality")},
+    })
 
 # The counted class-constructor set: the eleven non-named object constructors.
 # This tuple is a frozen constant; data restrictions are deliberately outside it.
@@ -250,314 +348,90 @@ CLASS_CONSTRUCTORS: tuple[str, ...] = (
     "ObjectMaxCardinality",
     "ObjectExactCardinality",
 )
-
-_CONSTRUCTOR_TYPES = (
-    ObjectIntersectionOf,
-    ObjectUnionOf,
-    ObjectComplementOf,
-    ObjectOneOf,
-    ObjectSomeValuesFrom,
-    ObjectAllValuesFrom,
-    ObjectHasValue,
-    ObjectHasSelf,
-    ObjectMinCardinality,
-    ObjectMaxCardinality,
-    ObjectExactCardinality,
-)
-
-
-# ---------------------------------------------------------------------------
-# Axioms.
-
-class Axiom:
-    __slots__ = ()
-
-    @property
-    def axiom_type(self) -> str:
-        return type(self).__name__
-
-
-@dataclass(frozen=True)
-class PropertyChain:
-    """Composition of object properties on the sub side of a property axiom."""
-
-    operands: tuple[ObjectPropertyExpression, ...]
-
-    def __post_init__(self):
-        if len(self.operands) < 2:
-            raise ValueError("property chain needs at least two operands")
-
-
-# Class axioms -------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SubClassOf(Axiom):
-    sub: ClassExpression
-    sup: ClassExpression
-
-
-@dataclass(frozen=True)
-class EquivalentClasses(Axiom):
-    operands: tuple[ClassExpression, ...]
-
-    def __post_init__(self):
-        if len(self.operands) < 2:
-            raise ValueError("EquivalentClasses needs at least two operands")
-
-
-@dataclass(frozen=True)
-class DisjointClasses(Axiom):
-    operands: tuple[ClassExpression, ...]
-
-    def __post_init__(self):
-        if len(self.operands) < 2:
-            raise ValueError("DisjointClasses needs at least two operands")
-
-
-@dataclass(frozen=True)
-class DisjointUnion(Axiom):
-    cls: str
-    operands: tuple[ClassExpression, ...]
-
-    def __post_init__(self):
-        if len(self.operands) < 2:
-            raise ValueError("DisjointUnion needs at least two union operands")
-
-
-# Object property axioms ----------------------------------------------------
-
-@dataclass(frozen=True)
-class SubObjectPropertyOf(Axiom):
-    sub: Union[ObjectPropertyExpression, PropertyChain]
-    sup: ObjectPropertyExpression
-
-    @property
-    def is_chain(self) -> bool:
-        return isinstance(self.sub, PropertyChain)
-
-
-@dataclass(frozen=True)
-class EquivalentObjectProperties(Axiom):
-    operands: tuple[ObjectPropertyExpression, ...]
-
-
-@dataclass(frozen=True)
-class DisjointObjectProperties(Axiom):
-    operands: tuple[ObjectPropertyExpression, ...]
-
-
-@dataclass(frozen=True)
-class InverseObjectProperties(Axiom):
-    first: ObjectPropertyExpression
-    second: ObjectPropertyExpression
-
-
-@dataclass(frozen=True)
-class ObjectPropertyDomain(Axiom):
-    prop: ObjectPropertyExpression
-    domain: ClassExpression
-
-
-@dataclass(frozen=True)
-class ObjectPropertyRange(Axiom):
-    prop: ObjectPropertyExpression
-    range: ClassExpression
-
-
-@dataclass(frozen=True)
-class FunctionalObjectProperty(Axiom):
-    prop: ObjectPropertyExpression
-
-
-@dataclass(frozen=True)
-class InverseFunctionalObjectProperty(Axiom):
-    prop: ObjectPropertyExpression
-
-
-@dataclass(frozen=True)
-class ReflexiveObjectProperty(Axiom):
-    prop: ObjectPropertyExpression
-
-
-@dataclass(frozen=True)
-class IrreflexiveObjectProperty(Axiom):
-    prop: ObjectPropertyExpression
-
-
-@dataclass(frozen=True)
-class SymmetricObjectProperty(Axiom):
-    prop: ObjectPropertyExpression
-
-
-@dataclass(frozen=True)
-class AsymmetricObjectProperty(Axiom):
-    prop: ObjectPropertyExpression
-
-
-@dataclass(frozen=True)
-class TransitiveObjectProperty(Axiom):
-    prop: ObjectPropertyExpression
-
-
-# Data property axioms ------------------------------------------------------
-
-@dataclass(frozen=True)
-class SubDataPropertyOf(Axiom):
-    sub: str
-    sup: str
-
-
-@dataclass(frozen=True)
-class EquivalentDataProperties(Axiom):
-    operands: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class DisjointDataProperties(Axiom):
-    operands: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class DataPropertyDomain(Axiom):
-    prop: str
-    domain: ClassExpression
-
-
-@dataclass(frozen=True)
-class DataPropertyRange(Axiom):
-    prop: str
-    range: DataRange
-
-
-@dataclass(frozen=True)
-class FunctionalDataProperty(Axiom):
-    prop: str
-
-
-# Other schema axioms --------------------------------------------------------
-
-@dataclass(frozen=True)
-class DatatypeDefinition(Axiom):
-    datatype: str
-    range: DataRange
-
-
-@dataclass(frozen=True)
-class HasKey(Axiom):
-    ce: ClassExpression
-    object_props: tuple[ObjectPropertyExpression, ...]
-    data_props: tuple[str, ...]
-
-
-# Assertions ------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SameIndividual(Axiom):
-    individuals: tuple[Individual, ...]
-
-    def __post_init__(self):
-        if len(self.individuals) < 2:
-            raise ValueError("SameIndividual needs at least two individuals")
-
-
-@dataclass(frozen=True)
-class DifferentIndividuals(Axiom):
-    individuals: tuple[Individual, ...]
-
-    def __post_init__(self):
-        if len(self.individuals) < 2:
-            raise ValueError("DifferentIndividuals needs at least two individuals")
-
-
-@dataclass(frozen=True)
-class ClassAssertion(Axiom):
-    ce: ClassExpression
-    individual: Individual
-
-
-@dataclass(frozen=True)
-class ObjectPropertyAssertion(Axiom):
-    prop: ObjectPropertyExpression
-    source: Individual
-    target: Individual
-
-
-@dataclass(frozen=True)
-class NegativeObjectPropertyAssertion(Axiom):
-    prop: ObjectPropertyExpression
-    source: Individual
-    target: Individual
-
-
-@dataclass(frozen=True)
-class DataPropertyAssertion(Axiom):
-    prop: str
-    source: Individual
-    value: Literal
-
-
-@dataclass(frozen=True)
-class NegativeDataPropertyAssertion(Axiom):
-    prop: str
-    source: Individual
-    value: Literal
-
-
-# Non-logical axioms -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class IriRef:
-    """An IRI used as an annotation subject or value."""
-
-    iri: str
-
-
-AnnotationValue = Union[IriRef, Literal, AnonymousIndividual]
-
-
-@dataclass(frozen=True)
-class Declaration(Axiom):
-    entity: Entity
-
-
-@dataclass(frozen=True)
-class AnnotationAssertion(Axiom):
-    prop: str
-    subject: Union[IriRef, AnonymousIndividual]
-    value: AnnotationValue
-
-
-@dataclass(frozen=True)
-class SubAnnotationPropertyOf(Axiom):
-    sub: str
-    sup: str
-
-
-@dataclass(frozen=True)
-class AnnotationPropertyDomain(Axiom):
-    prop: str
-    domain: str
-
-
-@dataclass(frozen=True)
-class AnnotationPropertyRange(Axiom):
-    prop: str
-    range: str
-
-
-@dataclass(frozen=True)
-class UnknownAxiom(Axiom):
-    """An unrecognized construct preserved verbatim (e.g. rules)."""
-
-    name: str
-    text: str
-
-
-@dataclass(frozen=True)
-class OntologyAnnotation:
-    prop: str
-    value: AnnotationValue
-
+_CONSTRUCTOR_TYPES = tuple(t for t in NODES if t.__name__ in CLASS_CONSTRUCTORS)
+
+# Axioms, by KB category --------------------------------------------------------------
+
+_T, _R, _A, _N = Category.TBOX, Category.RBOX, Category.ABOX, Category.NON_LOGICAL
+_CES = CE.times(2)
+_OPES = OPE.times(2)
+_DATA_PROPERTIES = DATA_PROPERTY.times(2)
+_INDIVIDUALS = INDIVIDUAL.times(2)
+
+SubClassOf = _node("SubClassOf", Axiom, ("sub", CE), ("sup", CE), category=_T)
+EquivalentClasses = _node("EquivalentClasses", Axiom, ("operands", _CES), category=_T)
+DisjointClasses = _node("DisjointClasses", Axiom, ("operands", _CES), category=_T)
+DisjointUnion = _node("DisjointUnion", Axiom, ("cls", CLASS_IRI), ("operands", _CES),
+                      category=_T)
+HasKey = _node("HasKey", Axiom, ("ce", CE), ("object_props", OPE.times(0, paren=True)),
+               ("data_props", DATA_PROPERTY.times(0, paren=True)), category=_T,
+               check=lambda v: "" if v[1] or v[2] else "HasKey needs at least one key property")
+DatatypeDefinition = _node("DatatypeDefinition", Axiom, ("datatype", DATATYPE_IRI),
+                           ("range", DATA_RANGE), category=_T)
+
+SubObjectPropertyOf = _node("SubObjectPropertyOf", Axiom, ("sub", SUB_PROPERTY), ("sup", OPE),
+                            category=_R)
+SubObjectPropertyOf.is_chain = property(lambda self: type(self[0]) is PropertyChain)
+EquivalentObjectProperties = _node("EquivalentObjectProperties", Axiom, ("operands", _OPES),
+                                   category=_R)
+DisjointObjectProperties = _node("DisjointObjectProperties", Axiom, ("operands", _OPES),
+                                 category=_R)
+InverseObjectProperties = _node("InverseObjectProperties", Axiom, ("first", OPE),
+                                ("second", OPE), category=_R)
+ObjectPropertyDomain = _node("ObjectPropertyDomain", Axiom, ("prop", OPE), ("domain", CE),
+                             category=_R)
+ObjectPropertyRange = _node("ObjectPropertyRange", Axiom, ("prop", OPE), ("range", CE),
+                            category=_R)
+FunctionalObjectProperty = _node("FunctionalObjectProperty", Axiom, ("prop", OPE), category=_R)
+InverseFunctionalObjectProperty = _node("InverseFunctionalObjectProperty", Axiom,
+                                        ("prop", OPE), category=_R)
+ReflexiveObjectProperty = _node("ReflexiveObjectProperty", Axiom, ("prop", OPE), category=_R)
+IrreflexiveObjectProperty = _node("IrreflexiveObjectProperty", Axiom, ("prop", OPE),
+                                  category=_R)
+SymmetricObjectProperty = _node("SymmetricObjectProperty", Axiom, ("prop", OPE), category=_R)
+AsymmetricObjectProperty = _node("AsymmetricObjectProperty", Axiom, ("prop", OPE), category=_R)
+TransitiveObjectProperty = _node("TransitiveObjectProperty", Axiom, ("prop", OPE), category=_R)
+SubDataPropertyOf = _node("SubDataPropertyOf", Axiom, ("sub", DATA_PROPERTY),
+                          ("sup", DATA_PROPERTY), category=_R)
+EquivalentDataProperties = _node("EquivalentDataProperties", Axiom,
+                                 ("operands", _DATA_PROPERTIES), category=_R)
+DisjointDataProperties = _node("DisjointDataProperties", Axiom, ("operands", _DATA_PROPERTIES),
+                               category=_R)
+DataPropertyDomain = _node("DataPropertyDomain", Axiom, ("prop", DATA_PROPERTY),
+                           ("domain", CE), category=_R)
+DataPropertyRange = _node("DataPropertyRange", Axiom, ("prop", DATA_PROPERTY),
+                          ("range", DATA_RANGE), category=_R)
+FunctionalDataProperty = _node("FunctionalDataProperty", Axiom, ("prop", DATA_PROPERTY),
+                               category=_R)
+
+SameIndividual = _node("SameIndividual", Axiom, ("individuals", _INDIVIDUALS), category=_A)
+DifferentIndividuals = _node("DifferentIndividuals", Axiom, ("individuals", _INDIVIDUALS),
+                             category=_A)
+ClassAssertion = _node("ClassAssertion", Axiom, ("ce", CE), ("individual", INDIVIDUAL),
+                       category=_A)
+_OBJECT_ASSERTION = (("prop", OPE), ("source", INDIVIDUAL), ("target", INDIVIDUAL))
+ObjectPropertyAssertion = _node("ObjectPropertyAssertion", Axiom, *_OBJECT_ASSERTION,
+                                category=_A)
+NegativeObjectPropertyAssertion = _node("NegativeObjectPropertyAssertion", Axiom,
+                                        *_OBJECT_ASSERTION, category=_A)
+_DATA_ASSERTION = (("prop", DATA_PROPERTY), ("source", INDIVIDUAL), ("value", LITERAL))
+DataPropertyAssertion = _node("DataPropertyAssertion", Axiom, *_DATA_ASSERTION, category=_A)
+NegativeDataPropertyAssertion = _node("NegativeDataPropertyAssertion", Axiom, *_DATA_ASSERTION,
+                                      category=_A)
+
+Declaration = _node("Declaration", Axiom, ("entity", ENTITY), category=_N)
+AnnotationAssertion = _node("AnnotationAssertion", Axiom, ("prop", ANNOTATION_PROPERTY),
+                            ("subject", ANNOTATION_SUBJECT), ("value", ANNOTATION_VALUE),
+                            category=_N)
+SubAnnotationPropertyOf = _node("SubAnnotationPropertyOf", Axiom, ("sub", ANNOTATION_PROPERTY),
+                                ("sup", ANNOTATION_PROPERTY), category=_N)
+AnnotationPropertyDomain = _node("AnnotationPropertyDomain", Axiom,
+                                 ("prop", ANNOTATION_PROPERTY), ("domain", IRI), category=_N)
+AnnotationPropertyRange = _node("AnnotationPropertyRange", Axiom,
+                                ("prop", ANNOTATION_PROPERTY), ("range", IRI), category=_N)
+# An unrecognized construct preserved verbatim (e.g. rules).
+UnknownAxiom = _node("UnknownAxiom", Axiom, ("name", TEXT), ("text", TEXT), keyword=None,
+                     category=_N)
 
 # The frozen enumeration of logical axiom types, in vector-schema order.
 LOGICAL_AXIOM_TYPES: tuple[str, ...] = (
@@ -611,38 +485,13 @@ _PROPERTY_AXIOM_TYPES = (ObjectPropertyDomain, ObjectPropertyRange,
 # Characteristics OWL 2 DL allows on simple properties only.
 _SIMPLE_ROLE_AXIOMS = (FunctionalObjectProperty, InverseFunctionalObjectProperty,
                        IrreflexiveObjectProperty, AsymmetricObjectProperty)
-_RESTRICTION_TYPES = (ObjectSomeValuesFrom, ObjectAllValuesFrom, ObjectHasValue,
-                      ObjectHasSelf, ObjectMinCardinality, ObjectMaxCardinality,
-                      ObjectExactCardinality)
 _CARDINALITY_TYPES = (ObjectMinCardinality, ObjectMaxCardinality, ObjectExactCardinality)
-
-_TBOX_TYPES = (SubClassOf, EquivalentClasses, DisjointClasses, DisjointUnion,
-               HasKey, DatatypeDefinition)
-_RBOX_TYPES = (SubObjectPropertyOf, EquivalentObjectProperties, DisjointObjectProperties,
-               InverseObjectProperties, *_PROPERTY_AXIOM_TYPES, SubDataPropertyOf,
-               EquivalentDataProperties, DisjointDataProperties, DataPropertyDomain,
-               DataPropertyRange, FunctionalDataProperty)
-_ABOX_TYPES = (SameIndividual, DifferentIndividuals, ClassAssertion,
-               ObjectPropertyAssertion, NegativeObjectPropertyAssertion,
-               DataPropertyAssertion, NegativeDataPropertyAssertion)
-
-
-class Category(Enum):
-    TBOX = "TBox"
-    RBOX = "RBox"
-    ABOX = "ABox"
-    NON_LOGICAL = "NonLogical"
 
 
 def axiom_category(axiom: Axiom) -> Category:
     """Total, deterministic TBox/RBox/ABox/NonLogical assignment."""
-    if isinstance(axiom, _TBOX_TYPES):
-        return Category.TBOX
-    if isinstance(axiom, _RBOX_TYPES):
-        return Category.RBOX
-    if isinstance(axiom, _ABOX_TYPES):
-        return Category.ABOX
-    return Category.NON_LOGICAL
+    spec = NODES.get(type(axiom))
+    return spec.category if spec is not None and spec.category else Category.NON_LOGICAL
 
 
 def is_logical(axiom: Axiom) -> bool:
@@ -652,17 +501,45 @@ def is_logical(axiom: Axiom) -> bool:
 # ---------------------------------------------------------------------------
 # Walkers.
 
+# Per node type, the (field index, how) of its class-expression fields: one
+# expression, a tuple of them, or a class IRI that stands for a named class.
+_ONE, _MANY, _NAMED = range(3)
+_OPERANDS = {
+    t: tuple((i, _MANY if s.many else _ONE) if s.kind == "ce" else (i, _NAMED)
+             for i, s in enumerate(spec.shapes)
+             if s.kind == "ce" or (s is CLASS_IRI and issubclass(t, Axiom)))
+    for t, spec in NODES.items()}
+
+
+def _operands(plan, node) -> tuple:
+    out = ()
+    for i, how in plan:
+        v = node[i]
+        if how == _MANY:
+            out += v
+        elif how == _NAMED:
+            out += (NamedClass(v),)
+        elif v is not None:
+            out += (v,)
+    return out
+
+
+def _operand_getter(plan):
+    """node -> its class-expression operands as `plan` says, with one
+    itemgetter call where the operands are plain fields."""
+    if len(plan) >= 2 and all(how == _ONE for _, how in plan):
+        return itemgetter(*(i for i, _ in plan))
+    if len(plan) == 1 and plan[0][1] == _MANY:
+        return itemgetter(plan[0][0])
+    return partial(_operands, plan)
+
+
+_OPERAND_GETTERS = {t: _operand_getter(plan) for t, plan in _OPERANDS.items()}
+
+
 def child_expressions(e: ClassExpression) -> tuple[ClassExpression, ...]:
     """Direct class-expression children of an expression node."""
-    if isinstance(e, (ObjectIntersectionOf, ObjectUnionOf)):
-        return e.operands
-    if isinstance(e, ObjectComplementOf):
-        return (e.operand,)
-    if isinstance(e, (ObjectSomeValuesFrom, ObjectAllValuesFrom)):
-        return (e.filler,)
-    if isinstance(e, (ObjectMinCardinality, ObjectMaxCardinality, ObjectExactCardinality)):
-        return () if e.filler is None else (e.filler,)
-    return ()
+    return _OPERAND_GETTERS[type(e)](e)
 
 
 def iter_nodes(e: ClassExpression) -> Iterator[ClassExpression]:
@@ -676,23 +553,7 @@ def iter_nodes(e: ClassExpression) -> Iterator[ClassExpression]:
 
 def class_expressions_of(axiom: Axiom) -> tuple[ClassExpression, ...]:
     """Top-level class-expression operands of an axiom."""
-    if isinstance(axiom, SubClassOf):
-        return (axiom.sub, axiom.sup)
-    if isinstance(axiom, (EquivalentClasses, DisjointClasses)):
-        return axiom.operands
-    if isinstance(axiom, DisjointUnion):
-        return (NamedClass(axiom.cls),) + axiom.operands
-    if isinstance(axiom, ObjectPropertyDomain):
-        return (axiom.domain,)
-    if isinstance(axiom, ObjectPropertyRange):
-        return (axiom.range,)
-    if isinstance(axiom, DataPropertyDomain):
-        return (axiom.domain,)
-    if isinstance(axiom, HasKey):
-        return (axiom.ce,)
-    if isinstance(axiom, ClassAssertion):
-        return (axiom.ce,)
-    return ()
+    return _OPERAND_GETTERS[type(axiom)](axiom)
 
 
 def expression_depth(e: ClassExpression) -> int:
@@ -803,6 +664,7 @@ class Census:
         disjoint: set[str] = set()
         depth_sum = depth_max = constructor_max = nominals = nominal_axioms = 0
         iu = euvi = cuvi = pcd = npcd = gci = 0
+        operands_of = _OPERAND_GETTERS  # class_expressions_of, without its call
         for tbox, axioms in ((True, o.tbox), (False, o.rbox), (False, o.abox)):
             tags, opes = (constructors, usage) if tbox else (other_tags, other_opes)
             for ax in axioms:
@@ -810,7 +672,7 @@ class Census:
                 axiom_types[t.__name__] += 1
                 parts = []  # (named classes, has a nominal) per top-level expression
                 deepest = count = named = 0
-                for top in class_expressions_of(ax):
+                for top in operands_of[t](ax):
                     if type(top) is NamedClass:
                         parts.append(((top.iri,), False))
                         continue
@@ -887,7 +749,7 @@ class Census:
                     nominals += named
                     nominal_axioms += named > 0
                     if t is SubClassOf:
-                        sub, sup = ax.sub, ax.sup
+                        sub, sup = ax
                         if type(sub) is NamedClass:
                             pcd += 1
                             names, nominal = parts[1]
@@ -986,147 +848,39 @@ class Signature:
     anonymous_individuals: frozenset[str] = frozenset()
 
 
-class _SignatureBuilder:
-    def __init__(self):
-        self.classes: set[str] = set()
-        self.object_properties: set[str] = set()
-        self.data_properties: set[str] = set()
-        self.individuals: set[str] = set()
-        self.datatypes: set[str] = set()
-        self.annotation_properties: set[str] = set()
-        self.anonymous: set[str] = set()
+_ENTITY_SETS = {EntityKind.CLASS: CLASSES, EntityKind.DATATYPE: DATATYPES,
+                EntityKind.OBJECT_PROPERTY: OBJECT_PROPERTIES,
+                EntityKind.DATA_PROPERTY: DATA_PROPERTIES,
+                EntityKind.ANNOTATION_PROPERTY: ANNOTATION_PROPERTIES,
+                EntityKind.NAMED_INDIVIDUAL: INDIVIDUALS}
+_CATEGORIES = tuple(Category)
+# How the signature walk reads a field: one value, a tuple of values, a value
+# that may be empty, a declared entity, or datatype facets.
+_WALK_ONE, _WALK_MANY, _WALK_OPTIONAL, _WALK_ENTITY, _WALK_FACETS = range(5)
 
-    def build(self) -> Signature:
-        return Signature(
-            classes=frozenset(self.classes),
-            object_properties=frozenset(self.object_properties),
-            data_properties=frozenset(self.data_properties),
-            individuals=frozenset(self.individuals),
-            datatypes=frozenset(self.datatypes),
-            annotation_properties=frozenset(self.annotation_properties),
-            anonymous_individuals=frozenset(self.anonymous),
-        )
 
-    def individual(self, ind: Individual):
-        if isinstance(ind, AnonymousIndividual):
-            self.anonymous.add(ind.node_id)
-        else:
-            self.individuals.add(ind)
+def _walk_plan(shape: Shape):
+    """(how, signature set) for a field the signature walk reads, or None."""
+    if shape.kind in ("text", "int", "entity_iri") or (shape.kind == "iri" and shape.sig is None):
+        return None
+    if shape.kind == "entity":
+        return _WALK_ENTITY, None
+    if shape.kind == "facets":
+        return _WALK_FACETS, None
+    how = _WALK_MANY if shape.many else _WALK_OPTIONAL if shape.optional else _WALK_ONE
+    return how, shape.sig
 
-    def ope(self, ope: ObjectPropertyExpression):
-        self.object_properties.add(property_name(ope))
 
-    def literal(self, lit: Literal):
-        if lit.datatype:
-            self.datatypes.add(lit.datatype)
-
-    def data_range(self, dr: DataRange):
-        if isinstance(dr, DatatypeRef):
-            self.datatypes.add(dr.iri)
-        elif isinstance(dr, (DataIntersectionOf, DataUnionOf)):
-            for op in dr.operands:
-                self.data_range(op)
-        elif isinstance(dr, DataComplementOf):
-            self.data_range(dr.operand)
-        elif isinstance(dr, DataOneOf):
-            for lit in dr.literals:
-                self.literal(lit)
-        elif isinstance(dr, DatatypeRestriction):
-            self.datatypes.add(dr.datatype)
-            for _, lit in dr.facets:
-                self.literal(lit)
-
-    def expression(self, e: ClassExpression):
-        for node in iter_nodes(e):
-            if isinstance(node, NamedClass):
-                self.classes.add(node.iri)
-            elif isinstance(node, ObjectOneOf):
-                for ind in node.individuals:
-                    self.individual(ind)
-            elif isinstance(node, ObjectHasValue):
-                self.ope(node.prop)
-                self.individual(node.individual)
-            elif isinstance(node, _RESTRICTION_TYPES):
-                self.ope(node.prop)
-            elif isinstance(node, DataRestriction):
-                self.data_properties.update(node.props)
-                if node.range is not None:
-                    self.data_range(node.range)
-                if node.value is not None:
-                    self.literal(node.value)
-
-    def declaration(self, entity: Entity):
-        target = {
-            EntityKind.CLASS: self.classes,
-            EntityKind.DATATYPE: self.datatypes,
-            EntityKind.OBJECT_PROPERTY: self.object_properties,
-            EntityKind.DATA_PROPERTY: self.data_properties,
-            EntityKind.ANNOTATION_PROPERTY: self.annotation_properties,
-            EntityKind.NAMED_INDIVIDUAL: self.individuals,
-        }[entity.kind]
-        target.add(entity.iri)
-
-    def axiom(self, ax: Axiom):
-        for e in class_expressions_of(ax):
-            self.expression(e)
-        if isinstance(ax, SubObjectPropertyOf):
-            if isinstance(ax.sub, PropertyChain):
-                for op in ax.sub.operands:
-                    self.ope(op)
-            else:
-                self.ope(ax.sub)
-            self.ope(ax.sup)
-        elif isinstance(ax, (EquivalentObjectProperties, DisjointObjectProperties)):
-            for op in ax.operands:
-                self.ope(op)
-        elif isinstance(ax, InverseObjectProperties):
-            self.ope(ax.first)
-            self.ope(ax.second)
-        elif isinstance(ax, _PROPERTY_AXIOM_TYPES):
-            self.ope(ax.prop)
-        elif isinstance(ax, SubDataPropertyOf):
-            self.data_properties.update((ax.sub, ax.sup))
-        elif isinstance(ax, (EquivalentDataProperties, DisjointDataProperties)):
-            self.data_properties.update(ax.operands)
-        elif isinstance(ax, (DataPropertyDomain, FunctionalDataProperty)):
-            self.data_properties.add(ax.prop)
-        elif isinstance(ax, DataPropertyRange):
-            self.data_properties.add(ax.prop)
-            self.data_range(ax.range)
-        elif isinstance(ax, DatatypeDefinition):
-            self.datatypes.add(ax.datatype)
-            self.data_range(ax.range)
-        elif isinstance(ax, HasKey):
-            for op in ax.object_props:
-                self.ope(op)
-            self.data_properties.update(ax.data_props)
-        elif isinstance(ax, (SameIndividual, DifferentIndividuals)):
-            for ind in ax.individuals:
-                self.individual(ind)
-        elif isinstance(ax, ClassAssertion):
-            self.individual(ax.individual)
-        elif isinstance(ax, (ObjectPropertyAssertion, NegativeObjectPropertyAssertion)):
-            self.ope(ax.prop)
-            self.individual(ax.source)
-            self.individual(ax.target)
-        elif isinstance(ax, (DataPropertyAssertion, NegativeDataPropertyAssertion)):
-            self.data_properties.add(ax.prop)
-            self.individual(ax.source)
-            self.literal(ax.value)
-        elif isinstance(ax, Declaration):
-            self.declaration(ax.entity)
-        elif isinstance(ax, AnnotationAssertion):
-            self.annotation_properties.add(ax.prop)
-            if isinstance(ax.subject, AnonymousIndividual):
-                self.anonymous.add(ax.subject.node_id)
-            if isinstance(ax.value, Literal):
-                self.literal(ax.value)
-            elif isinstance(ax.value, AnonymousIndividual):
-                self.anonymous.add(ax.value.node_id)
-        elif isinstance(ax, SubAnnotationPropertyOf):
-            self.annotation_properties.update((ax.sub, ax.sup))
-        elif isinstance(ax, (AnnotationPropertyDomain, AnnotationPropertyRange)):
-            self.annotation_properties.add(ax.prop)
+# Per node type: its KB category index and the (field index, how, signature
+# set) of each field the walk reads.
+_SIGNATURE_PLANS = {
+    t: (_CATEGORIES.index(spec.category or Category.NON_LOGICAL),
+        tuple((i, *plan) for i, plan in enumerate(map(_walk_plan, spec.shapes)) if plan))
+    for t, spec in NODES.items()}
+# Node types that are one IRI or node id: it goes straight into its set.
+_LEAVES = {t: spec.shapes[0].sig for t, spec in NODES.items()
+           if len(spec.shapes) == 1 and not issubclass(t, Axiom)
+           and spec.shapes[0].kind in ("iri", "node_id")}
 
 
 @dataclass(frozen=True)
@@ -1145,18 +899,54 @@ class Ontology:
     non_logical: tuple[Axiom, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        builder = _SignatureBuilder()
-        buckets: dict[Category, list[Axiom]] = {c: [] for c in Category}
+        """Bucket the axioms by category and gather the signature in the same
+        pass: each node's fields are read as their shapes say, with an
+        explicit stack for nested expressions and data ranges."""
+        sets = tuple(set() for _ in range(ANONYMOUS + 1))
+        buckets = tuple([] for _ in _CATEGORIES)
+        plans = _SIGNATURE_PLANS
+        # IRIs that feed no signature set land in a set that is dropped.
+        leaf_set = {t: set() if s is None else sets[s] for t, s in _LEAVES.items()}.get
+        stack = []
+        push = stack.append
         for ax in self.axioms:
-            builder.axiom(ax)
-            buckets[axiom_category(ax)].append(ax)
-        for anno in self.annotations:
-            builder.annotation_properties.add(anno.prop)
-        object.__setattr__(self, "signature", builder.build())
-        object.__setattr__(self, "tbox", tuple(buckets[Category.TBOX]))
-        object.__setattr__(self, "rbox", tuple(buckets[Category.RBOX]))
-        object.__setattr__(self, "abox", tuple(buckets[Category.ABOX]))
-        object.__setattr__(self, "non_logical", tuple(buckets[Category.NON_LOGICAL]))
+            category, plan = plans[type(ax)]
+            buckets[category].append(ax)
+            node = ax
+            while True:
+                for i, how, sig in plan:
+                    v = node[i]
+                    if how == _WALK_ONE:
+                        values = (v,)
+                    elif how == _WALK_MANY:
+                        values = v
+                    elif how == _WALK_OPTIONAL:
+                        if not v:
+                            continue
+                        values = (v,)
+                    elif how == _WALK_ENTITY:
+                        sets[_ENTITY_SETS[v.kind]].add(v.iri)
+                        continue
+                    else:  # _WALK_FACETS
+                        stack.extend(literal for _, literal in v)
+                        continue
+                    for x in values:
+                        if type(x) is str:
+                            sets[sig].add(x)
+                        else:
+                            target = leaf_set(type(x))
+                            if target is None:
+                                push(x)
+                            else:
+                                target.add(x[0])
+                if not stack:
+                    break
+                node = stack.pop()
+                plan = plans[type(node)][1]
+        sets[ANNOTATION_PROPERTIES].update(anno.prop for anno in self.annotations)
+        object.__setattr__(self, "signature", Signature(*map(frozenset, sets)))
+        for name, bucket in zip(("tbox", "rbox", "abox", "non_logical"), buckets):
+            object.__setattr__(self, name, tuple(bucket))
 
     @cached_property
     def census(self) -> Census:

@@ -9,30 +9,13 @@ verbatim as non-logical axioms.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 from .model import (
-    OWL, RDF, RDFS, XSD,
-    AnnotationAssertion, AnnotationPropertyDomain, AnnotationPropertyRange,
-    AnonymousIndividual, AsymmetricObjectProperty, Axiom, ClassAssertion,
-    ClassExpression, DataComplementOf, DataIntersectionOf, DataOneOf,
-    DataPropertyAssertion, DataPropertyDomain, DataPropertyRange, DataRange,
-    DataRestriction, DataUnionOf, DatatypeDefinition, DatatypeRef,
-    DatatypeRestriction, Declaration, DifferentIndividuals, DisjointClasses,
-    DisjointDataProperties, DisjointObjectProperties, DisjointUnion, Entity,
-    EntityKind, EquivalentClasses, EquivalentDataProperties,
-    EquivalentObjectProperties, FunctionalDataProperty, FunctionalObjectProperty,
-    HasKey, Individual, InverseFunctionalObjectProperty, InverseObjectProperties,
-    IriRef, IrreflexiveObjectProperty, Literal, NamedClass,
-    NegativeDataPropertyAssertion, NegativeObjectPropertyAssertion,
-    ObjectAllValuesFrom, ObjectComplementOf, ObjectExactCardinality,
-    ObjectHasSelf, ObjectHasValue, ObjectIntersectionOf, ObjectInverseOf,
-    ObjectMaxCardinality, ObjectMinCardinality, ObjectOneOf,
-    ObjectPropertyAssertion, ObjectPropertyDomain, ObjectPropertyExpression,
-    ObjectPropertyRange, ObjectSomeValuesFrom, ObjectUnionOf, Ontology,
-    OntologyAnnotation, PropertyChain, ReflexiveObjectProperty, SameIndividual,
-    SubAnnotationPropertyOf, SubClassOf, SubDataPropertyOf, SubObjectPropertyOf,
-    SymmetricObjectProperty, TransitiveObjectProperty, UnknownAxiom,
+    CE, NODES, OWL, RDF, RDFS, XSD, AnonymousIndividual, Axiom, ClassExpression,
+    DataRange, DatatypeRef, Entity, IriRef, Literal, NamedClass, Node, ObjectInverseOf,
+    Ontology, OntologyAnnotation, PropertyChain, Shape, UnknownAxiom, shortfall,
 )
 
 STANDARD_PREFIXES = {
@@ -157,35 +140,11 @@ def _tokenize(text: str, origin: str) -> list[_Tok]:
 
 
 # ---------------------------------------------------------------------------
-# Parser.
+# Parser: one routine per field shape, driven by the node table. A routine
+# takes the field's shape and the keyword token of the node being parsed,
+# which positions its arity violations.
 
-_ENTITY_KEYWORDS = {
-    "Class": EntityKind.CLASS,
-    "Datatype": EntityKind.DATATYPE,
-    "ObjectProperty": EntityKind.OBJECT_PROPERTY,
-    "DataProperty": EntityKind.DATA_PROPERTY,
-    "AnnotationProperty": EntityKind.ANNOTATION_PROPERTY,
-    "NamedIndividual": EntityKind.NAMED_INDIVIDUAL,
-}
-
-_DATA_RESTRICTION_KEYWORDS = {
-    "DataSomeValuesFrom", "DataAllValuesFrom", "DataHasValue",
-    "DataMinCardinality", "DataMaxCardinality", "DataExactCardinality",
-}
-
-_DATA_RANGE_KEYWORDS = {
-    "DataIntersectionOf", "DataUnionOf", "DataComplementOf", "DataOneOf",
-    "DatatypeRestriction",
-}
-
-# Keywords that are valid somewhere in the grammar but never as an axiom;
-# seeing one at axiom level is a syntax error, not an unknown construct.
-_NON_AXIOM_KEYWORDS = _DATA_RESTRICTION_KEYWORDS | _DATA_RANGE_KEYWORDS | set(_ENTITY_KEYWORDS) | {
-    "ObjectIntersectionOf", "ObjectUnionOf", "ObjectComplementOf", "ObjectOneOf",
-    "ObjectSomeValuesFrom", "ObjectAllValuesFrom", "ObjectHasValue", "ObjectHasSelf",
-    "ObjectMinCardinality", "ObjectMaxCardinality", "ObjectExactCardinality",
-    "ObjectInverseOf", "ObjectPropertyChain", "Prefix", "Ontology",
-}
+_new = tuple.__new__
 
 
 class _Parser:
@@ -297,223 +256,23 @@ class _Parser:
         self.expect("RPAREN", "')'")
         self.prefixes[name] = target[1]
 
-    # -- annotations ----------------------------------------------------------
-
     def parse_ontology_annotation(self) -> OntologyAnnotation:
-        self.advance()  # Annotation
-        self.expect("LPAREN", "'('")
-        self.skip_inline_annotations()
-        prop = self.parse_iri("annotation property")
-        value = self.parse_annotation_value()
-        self.expect("RPAREN", "')'")
-        return OntologyAnnotation(prop=prop, value=value)
+        return self.parse_node(self.peek(), _ANNOTATION, annotated=True)
 
     def skip_inline_annotations(self):
         while self.at_keyword("Annotation"):
             self.parse_ontology_annotation()
 
-    def parse_annotation_value(self):
-        tok = self.peek()
-        if tok[0] == "STRING":
-            return self.parse_literal()
-        if tok[0] == "NODEID":
-            self.advance()
-            return AnonymousIndividual(tok[1])
-        return IriRef(self.parse_iri("annotation value"))
-
-    # -- shared pieces ----------------------------------------------------------
-
-    def parse_literal(self) -> Literal:
-        tok = self.expect("STRING", "literal")
-        nxt = self.peek()
-        if nxt[0] == "DTMARK":
-            self.advance()
-            return Literal(tok[1], datatype=self.parse_iri("datatype IRI"))
-        if nxt[0] == "LANGTAG":
-            self.advance()
-            return Literal(tok[1], language=nxt[1])
-        return Literal(tok[1])
-
-    def parse_individual(self) -> Individual:
-        tok = self.peek()
-        if tok[0] == "NODEID":
-            self.advance()
-            return AnonymousIndividual(tok[1])
-        return self.parse_iri("individual")
-
-    def parse_object_property(self) -> ObjectPropertyExpression:
-        if self.at_keyword("ObjectInverseOf"):
-            self.advance()
-            self.expect("LPAREN", "'('")
-            prop = self.parse_iri("object property")
-            self.expect("RPAREN", "')'")
-            return ObjectInverseOf(prop)
-        return self.parse_iri("object property")
-
-    def parse_data_range(self) -> DataRange:
-        tok = self.peek()
-        if tok[0] == "IDENT" and tok[1] in _DATA_RANGE_KEYWORDS:
-            self.advance()
-            self.expect("LPAREN", "'('")
-            if tok[1] == "DataComplementOf":
-                dr = DataComplementOf(self.parse_data_range())
-                self.expect("RPAREN", "')'")
-                return dr
-            if tok[1] == "DataOneOf":
-                literals = []
-                while self.peek()[0] == "STRING":
-                    literals.append(self.parse_literal())
-                if not literals:
-                    self.fail("DataOneOf needs at least one literal", tok, kind="arity violation")
-                self.expect("RPAREN", "')'")
-                return DataOneOf(tuple(literals))
-            if tok[1] == "DatatypeRestriction":
-                datatype = self.parse_iri("datatype IRI")
-                facets = []
-                while self.peek()[0] != "RPAREN":
-                    facet = self.parse_iri("facet IRI")
-                    facets.append((facet, self.parse_literal()))
-                if not facets:
-                    self.fail("DatatypeRestriction needs at least one facet", tok,
-                              kind="arity violation")
-                self.expect("RPAREN", "')'")
-                return DatatypeRestriction(datatype, tuple(facets))
-            operands = []
-            while self.peek()[0] != "RPAREN":
-                operands.append(self.parse_data_range())
-            if len(operands) < 2:
-                self.fail(f"{tok[1]} needs at least two operands", tok,
-                          kind="arity violation")
-            self.expect("RPAREN", "')'")
-            cls = DataIntersectionOf if tok[1] == "DataIntersectionOf" else DataUnionOf
-            return cls(tuple(operands))
-        return DatatypeRef(self.parse_iri("data range"))
-
-    # -- class expressions -------------------------------------------------------
-
-    def parse_class_expression(self) -> ClassExpression:
-        tok = self.peek()
-        if tok[0] in ("IRI", "PNAME"):
-            return NamedClass(self.parse_iri("class"))
-        if tok[0] != "IDENT":
-            self.fail(f"expected class expression, found {tok[1]!r}")
-        name = tok[1]
-        handler = _CE_HANDLERS.get(name)
-        if name in _DATA_RESTRICTION_KEYWORDS:
-            return self._parse_data_restriction(name)
-        if handler is None:
-            self.fail(f"unknown class expression constructor {name!r}", tok)
-        self.advance()
-        self.expect("LPAREN", "'('")
-        result = handler(self, tok)
-        self.expect("RPAREN", "')'")
-        return result
-
-    def _nary_expressions(self, tok: _Tok, minimum: int) -> tuple[ClassExpression, ...]:
-        operands = []
-        while self.peek()[0] != "RPAREN":
-            operands.append(self.parse_class_expression())
-        if len(operands) < minimum:
-            self.fail(f"{tok[1]} needs at least {minimum} operands", tok,
-                      kind="arity violation")
-        return tuple(operands)
-
-    def _ce_ObjectIntersectionOf(self, tok):
-        return ObjectIntersectionOf(self._nary_expressions(tok, 2))
-
-    def _ce_ObjectUnionOf(self, tok):
-        return ObjectUnionOf(self._nary_expressions(tok, 2))
-
-    def _ce_ObjectComplementOf(self, tok):
-        return ObjectComplementOf(self.parse_class_expression())
-
-    def _ce_ObjectOneOf(self, tok):
-        individuals = []
-        while self.peek()[0] != "RPAREN":
-            individuals.append(self.parse_individual())
-        if not individuals:
-            self.fail("ObjectOneOf needs at least one individual", tok,
-                      kind="arity violation")
-        return ObjectOneOf(tuple(individuals))
-
-    def _ce_ObjectSomeValuesFrom(self, tok):
-        return ObjectSomeValuesFrom(self.parse_object_property(), self.parse_class_expression())
-
-    def _ce_ObjectAllValuesFrom(self, tok):
-        return ObjectAllValuesFrom(self.parse_object_property(), self.parse_class_expression())
-
-    def _ce_ObjectHasValue(self, tok):
-        return ObjectHasValue(self.parse_object_property(), self.parse_individual())
-
-    def _ce_ObjectHasSelf(self, tok):
-        return ObjectHasSelf(self.parse_object_property())
-
-    def _cardinality(self, cls, tok):
-        n_tok = self.expect("INT", "non-negative integer")
-        prop = self.parse_object_property()
-        filler = None
-        if self.peek()[0] != "RPAREN":
-            filler = self.parse_class_expression()
-        return cls(int(n_tok[1]), prop, filler)
-
-    def _ce_ObjectMinCardinality(self, tok):
-        return self._cardinality(ObjectMinCardinality, tok)
-
-    def _ce_ObjectMaxCardinality(self, tok):
-        return self._cardinality(ObjectMaxCardinality, tok)
-
-    def _ce_ObjectExactCardinality(self, tok):
-        return self._cardinality(ObjectExactCardinality, tok)
-
-    def _parse_data_restriction(self, name: str) -> DataRestriction:
-        tok = self.advance()
-        self.expect("LPAREN", "'('")
-        if name in ("DataMinCardinality", "DataMaxCardinality", "DataExactCardinality"):
-            n = int(self.expect("INT", "non-negative integer")[1])
-            prop = self.parse_iri("data property")
-            rng = None
-            if self.peek()[0] != "RPAREN":
-                rng = self.parse_data_range()
-            self.expect("RPAREN", "')'")
-            return DataRestriction(kind=name, props=(prop,), range=rng, n=n)
-        if name == "DataHasValue":
-            prop = self.parse_iri("data property")
-            value = self.parse_literal()
-            self.expect("RPAREN", "')'")
-            return DataRestriction(kind=name, props=(prop,), value=value)
-        # DataSomeValuesFrom / DataAllValuesFrom allow several data properties
-        # followed by a data range; when the range is a bare datatype IRI it is
-        # the last IRI before the closing paren.
-        iris = [self.parse_iri("data property")]
-        while self.peek()[0] in ("IRI", "PNAME"):
-            iris.append(self.parse_iri("data property"))
-        if self.peek()[0] == "RPAREN":
-            if len(iris) < 2:
-                self.fail(f"{name} needs a data property and a data range", tok,
-                          kind="arity violation")
-            props, rng = tuple(iris[:-1]), DatatypeRef(iris[-1])
-        else:
-            props, rng = tuple(iris), self.parse_data_range()
-        self.expect("RPAREN", "')'")
-        return DataRestriction(kind=name, props=props, range=rng)
-
-    # -- axioms ----------------------------------------------------------------
-
     def parse_axiom(self) -> Axiom:
         tok = self.peek()
         if tok[0] != "IDENT":
             self.fail(f"expected axiom, found {tok[1]!r}")
-        handler = _AX_HANDLERS.get(tok[1])
-        if handler is None:
+        form = _AXIOM_FORMS.get(tok[1])
+        if form is None:
             if tok[1] in _NON_AXIOM_KEYWORDS:
                 self.fail(f"{tok[1]!r} cannot appear as an axiom", tok)
             return self._unknown_construct()
-        self.advance()
-        self.expect("LPAREN", "'('")
-        self.skip_inline_annotations()
-        axiom = handler(self, tok)
-        self.expect("RPAREN", "')'")
-        return axiom
+        return self.parse_node(tok, form, annotated=True)
 
     def _unknown_construct(self) -> UnknownAxiom:
         name_tok = self.advance()
@@ -531,224 +290,226 @@ class _Parser:
             end = tok[3]
         return UnknownAxiom(name=name_tok[1], text=self.text[name_tok[2]:end])
 
-    def _class_operands(self, tok, minimum=2) -> tuple[ClassExpression, ...]:
-        operands = []
-        while self.peek()[0] != "RPAREN":
-            operands.append(self.parse_class_expression())
-        if len(operands) < minimum:
-            self.fail(f"{tok[1]} needs at least {minimum} class expressions", tok,
-                      kind="arity violation")
-        return tuple(operands)
+    # -- nodes --------------------------------------------------------------
 
-    def _property_operands(self, tok, minimum=2) -> tuple[ObjectPropertyExpression, ...]:
-        operands = []
-        while self.peek()[0] != "RPAREN":
-            operands.append(self.parse_object_property())
-        if len(operands) < minimum:
-            self.fail(f"{tok[1]} needs at least {minimum} object properties", tok,
-                      kind="arity violation")
-        return tuple(operands)
+    def parse_node(self, tok: _Tok, form, annotated: bool = False):
+        """The node written `keyword(...)`, where `tok` is the keyword and the
+        current token: its fields parsed step by step as the form says.
+        Axioms and annotations may open with annotations, which are skipped."""
+        cls, template, steps, check = form
+        self.i += 1
+        self.expect("LPAREN", "'('")
+        if annotated:
+            self.skip_inline_annotations()
+        args = template.copy()
+        for where, parse, shape in steps:
+            args[where] = parse(self, shape, tok)
+        if check is not None:
+            message = check(args)
+            if message:
+                self.fail(message, tok, kind="arity violation")
+        self.expect("RPAREN", "')'")
+        return _new(cls, args)
 
-    def _data_property_operands(self, tok, minimum=2) -> tuple[str, ...]:
-        operands = []
-        while self.peek()[0] != "RPAREN":
-            operands.append(self.parse_iri("data property"))
-        if len(operands) < minimum:
-            self.fail(f"{tok[1]} needs at least {minimum} data properties", tok,
-                      kind="arity violation")
-        return tuple(operands)
-
-    def _individual_operands(self, tok, minimum=2) -> tuple[Individual, ...]:
-        operands = []
-        while self.peek()[0] != "RPAREN":
-            operands.append(self.parse_individual())
-        if len(operands) < minimum:
-            self.fail(f"{tok[1]} needs at least {minimum} individuals", tok,
-                      kind="arity violation")
-        return tuple(operands)
-
-    # Class axioms.
-
-    def _ax_SubClassOf(self, tok):
-        operands = self._class_operands(tok, 2)
-        if len(operands) != 2:
-            self.fail("SubClassOf takes exactly two class expressions", tok,
-                      kind="arity violation")
-        return SubClassOf(operands[0], operands[1])
-
-    def _ax_EquivalentClasses(self, tok):
-        return EquivalentClasses(self._class_operands(tok, 2))
-
-    def _ax_DisjointClasses(self, tok):
-        return DisjointClasses(self._class_operands(tok, 2))
-
-    def _ax_DisjointUnion(self, tok):
-        cls = self.parse_iri("class")
-        return DisjointUnion(cls, self._class_operands(tok, 2))
-
-    # Object property axioms.
-
-    def _ax_SubObjectPropertyOf(self, tok):
-        if self.at_keyword("ObjectPropertyChain"):
-            chain_tok = self.advance()
+    def parse_many(self, shape: Shape, owner: _Tok) -> tuple:
+        """Values of one shape up to ')' (or `shape.maximum` of them)."""
+        item = _ITEM_ROUTINES[shape.kind]
+        if shape.paren:
             self.expect("LPAREN", "'('")
-            sub = PropertyChain(self._property_operands(chain_tok, 2))
+        tokens = self.tokens
+        maximum = shape.maximum
+        values = []
+        while tokens[self.i][0] != "RPAREN" and len(values) != maximum:
+            values.append(item(self, shape, owner))
+        if len(values) < shape.minimum:
+            self.fail(shortfall(owner[1], shape), owner, kind="arity violation")
+        if shape.paren:
             self.expect("RPAREN", "')'")
-        else:
-            sub = self.parse_object_property()
-        return SubObjectPropertyOf(sub, self.parse_object_property())
+        return tuple(values)
 
-    def _ax_EquivalentObjectProperties(self, tok):
-        return EquivalentObjectProperties(self._property_operands(tok, 2))
+    def parse_optional(self, shape: Shape, owner: _Tok):
+        """A trailing value, or None before ')'."""
+        if self.tokens[self.i][0] == "RPAREN":
+            return None
+        return _ITEM_ROUTINES[shape.kind](self, shape, owner)
 
-    def _ax_DisjointObjectProperties(self, tok):
-        return DisjointObjectProperties(self._property_operands(tok, 2))
+    def parse_name(self, shape: Shape, owner: _Tok) -> str:
+        return self.parse_iri(shape.what)
 
-    def _ax_InverseObjectProperties(self, tok):
-        return InverseObjectProperties(self.parse_object_property(),
-                                       self.parse_object_property())
+    def parse_entity_iri(self, shape: Shape, owner: _Tok) -> str:
+        tok = self.peek()
+        iri = self.parse_iri(shape.what)
+        if not iri:
+            self.fail("entity IRI must be non-empty", tok)
+        return iri
 
-    def _ax_ObjectPropertyDomain(self, tok):
-        return ObjectPropertyDomain(self.parse_object_property(),
-                                    self.parse_class_expression())
+    def parse_integer(self, shape: Shape, owner: _Tok) -> int:
+        tok = self.expect("INT", "non-negative integer")
+        try:
+            return int(tok[1])
+        except ValueError:
+            pass
+        # More digits than int() converts; failing outside the handler keeps
+        # the ValueError out of the diagnostic's traceback.
+        self.fail(f"integer has more than {sys.get_int_max_str_digits()} digits", tok,
+                  kind="limit exceeded")
 
-    def _ax_ObjectPropertyRange(self, tok):
-        return ObjectPropertyRange(self.parse_object_property(),
-                                   self.parse_class_expression())
+    def parse_class_expression(self, shape: Shape | None = None, owner: _Tok | None = None):
+        tok = self.tokens[self.i]
+        kind = tok[0]
+        if kind == "IRI" or kind == "PNAME":
+            self.i += 1
+            return _new(NamedClass, (tok[1] if kind == "IRI" else self.resolve(tok),))
+        if kind != "IDENT":
+            self.fail(f"expected class expression, found {tok[1]!r}")
+        form = _CE_FORMS.get(tok[1])
+        if form is None:
+            self.fail(f"unknown class expression constructor {tok[1]!r}", tok)
+        return self.parse_node(tok, form)
 
-    def _ax_FunctionalObjectProperty(self, tok):
-        return FunctionalObjectProperty(self.parse_object_property())
+    def parse_object_property(self, shape: Shape | None = None, owner: _Tok | None = None):
+        tok = self.tokens[self.i]
+        if tok[0] == "IDENT" and tok[1] == "ObjectInverseOf":
+            return self.parse_node(tok, _INVERSE)
+        return self.parse_iri("object property")
 
-    def _ax_InverseFunctionalObjectProperty(self, tok):
-        return InverseFunctionalObjectProperty(self.parse_object_property())
+    def parse_sub_property(self, shape: Shape, owner: _Tok):
+        tok = self.tokens[self.i]
+        if tok[0] == "IDENT" and tok[1] == "ObjectPropertyChain":
+            return self.parse_node(tok, _CHAIN)
+        return self.parse_object_property()
 
-    def _ax_ReflexiveObjectProperty(self, tok):
-        return ReflexiveObjectProperty(self.parse_object_property())
+    def parse_individual(self, shape: Shape | None = None, owner: _Tok | None = None):
+        tok = self.tokens[self.i]
+        if tok[0] == "NODEID":
+            self.i += 1
+            return _new(AnonymousIndividual, (tok[1],))
+        return self.parse_iri("individual")
 
-    def _ax_IrreflexiveObjectProperty(self, tok):
-        return IrreflexiveObjectProperty(self.parse_object_property())
+    def parse_literal(self, shape: Shape | None = None, owner: _Tok | None = None) -> Literal:
+        tok = self.expect("STRING", "literal")
+        nxt = self.tokens[self.i]
+        if nxt[0] == "DTMARK":
+            self.i += 1
+            return _new(Literal, (tok[1], self.parse_iri("datatype IRI"), None))
+        if nxt[0] == "LANGTAG":
+            self.i += 1
+            return _new(Literal, (tok[1], None, nxt[1]))
+        return _new(Literal, (tok[1], None, None))
 
-    def _ax_SymmetricObjectProperty(self, tok):
-        return SymmetricObjectProperty(self.parse_object_property())
+    def parse_data_range(self, shape: Shape | None = None, owner: _Tok | None = None):
+        tok = self.tokens[self.i]
+        if tok[0] == "IDENT":
+            form = _DATA_RANGE_FORMS.get(tok[1])
+            if form is not None:
+                return self.parse_node(tok, form)
+        return _new(DatatypeRef, (self.parse_iri("data range"),))
 
-    def _ax_AsymmetricObjectProperty(self, tok):
-        return AsymmetricObjectProperty(self.parse_object_property())
+    def parse_facets(self, shape: Shape, owner: _Tok) -> tuple:
+        facets = []
+        while self.tokens[self.i][0] != "RPAREN":
+            facet = self.parse_iri("facet IRI")
+            facets.append((facet, self.parse_literal()))
+        if len(facets) < shape.minimum:
+            self.fail(shortfall(owner[1], shape), owner, kind="arity violation")
+        return tuple(facets)
 
-    def _ax_TransitiveObjectProperty(self, tok):
-        return TransitiveObjectProperty(self.parse_object_property())
+    def parse_leading_iris(self, shape: Shape, owner: _Tok) -> tuple:
+        """The data properties of DataSomeValuesFrom/DataAllValuesFrom: every
+        IRI up to the data range, which is the last IRI when it is a bare
+        datatype."""
+        tokens = self.tokens
+        props = [self.parse_iri(shape.what)]
+        while tokens[self.i][0] in ("IRI", "PNAME") and tokens[self.i + 1][0] != "RPAREN":
+            props.append(self.parse_iri(shape.what))
+        if tokens[self.i][0] == "RPAREN":
+            self.fail(f"{owner[1]} needs a data property and a data range", owner,
+                      kind="arity violation")
+        return tuple(props)
 
-    # Data property axioms.
+    def parse_entity(self, shape: Shape, owner: _Tok) -> Entity:
+        tok = self.peek()
+        form = _ENTITY_FORMS.get(tok[1]) if tok[0] == "IDENT" else None
+        if form is None:
+            self.fail(f"expected entity kind, found {tok[1]!r}")
+        return self.parse_node(tok, form)
 
-    def _ax_SubDataPropertyOf(self, tok):
-        return SubDataPropertyOf(self.parse_iri("data property"),
-                                 self.parse_iri("data property"))
+    def parse_annotation_subject(self, shape: Shape, owner: _Tok):
+        tok = self.peek()
+        if tok[0] == "NODEID":
+            self.i += 1
+            return _new(AnonymousIndividual, (tok[1],))
+        return _new(IriRef, (self.parse_iri(shape.what),))
 
-    def _ax_EquivalentDataProperties(self, tok):
-        return EquivalentDataProperties(self._data_property_operands(tok, 2))
-
-    def _ax_DisjointDataProperties(self, tok):
-        return DisjointDataProperties(self._data_property_operands(tok, 2))
-
-    def _ax_DataPropertyDomain(self, tok):
-        return DataPropertyDomain(self.parse_iri("data property"),
-                                  self.parse_class_expression())
-
-    def _ax_DataPropertyRange(self, tok):
-        return DataPropertyRange(self.parse_iri("data property"), self.parse_data_range())
-
-    def _ax_FunctionalDataProperty(self, tok):
-        return FunctionalDataProperty(self.parse_iri("data property"))
-
-    # Other schema axioms.
-
-    def _ax_DatatypeDefinition(self, tok):
-        return DatatypeDefinition(self.parse_iri("datatype"), self.parse_data_range())
-
-    def _ax_HasKey(self, tok):
-        ce = self.parse_class_expression()
-        self.expect("LPAREN", "'('")
-        object_props = []
-        while self.peek()[0] != "RPAREN":
-            object_props.append(self.parse_object_property())
-        self.expect("RPAREN", "')'")
-        self.expect("LPAREN", "'('")
-        data_props = []
-        while self.peek()[0] != "RPAREN":
-            data_props.append(self.parse_iri("data property"))
-        self.expect("RPAREN", "')'")
-        if not object_props and not data_props:
-            self.fail("HasKey needs at least one key property", tok, kind="arity violation")
-        return HasKey(ce, tuple(object_props), tuple(data_props))
-
-    # Assertions.
-
-    def _ax_SameIndividual(self, tok):
-        return SameIndividual(self._individual_operands(tok, 2))
-
-    def _ax_DifferentIndividuals(self, tok):
-        return DifferentIndividuals(self._individual_operands(tok, 2))
-
-    def _ax_ClassAssertion(self, tok):
-        return ClassAssertion(self.parse_class_expression(), self.parse_individual())
-
-    def _ax_ObjectPropertyAssertion(self, tok):
-        return ObjectPropertyAssertion(self.parse_object_property(),
-                                       self.parse_individual(), self.parse_individual())
-
-    def _ax_NegativeObjectPropertyAssertion(self, tok):
-        return NegativeObjectPropertyAssertion(self.parse_object_property(),
-                                               self.parse_individual(),
-                                               self.parse_individual())
-
-    def _ax_DataPropertyAssertion(self, tok):
-        return DataPropertyAssertion(self.parse_iri("data property"),
-                                     self.parse_individual(), self.parse_literal())
-
-    def _ax_NegativeDataPropertyAssertion(self, tok):
-        return NegativeDataPropertyAssertion(self.parse_iri("data property"),
-                                             self.parse_individual(), self.parse_literal())
-
-    # Non-logical axioms.
-
-    def _ax_Declaration(self, tok):
-        kind_tok = self.peek()
-        if kind_tok[0] != "IDENT" or kind_tok[1] not in _ENTITY_KEYWORDS:
-            self.fail(f"expected entity kind, found {kind_tok[1]!r}")
-        self.advance()
-        self.expect("LPAREN", "'('")
-        iri = self.parse_iri("entity IRI")
-        self.expect("RPAREN", "')'")
-        return Declaration(Entity(iri, _ENTITY_KEYWORDS[kind_tok[1]]))
-
-    def _ax_AnnotationAssertion(self, tok):
-        prop = self.parse_iri("annotation property")
-        subject_tok = self.peek()
-        if subject_tok[0] == "NODEID":
-            self.advance()
-            subject = AnonymousIndividual(subject_tok[1])
-        else:
-            subject = IriRef(self.parse_iri("annotation subject"))
-        return AnnotationAssertion(prop, subject, self.parse_annotation_value())
-
-    def _ax_SubAnnotationPropertyOf(self, tok):
-        return SubAnnotationPropertyOf(self.parse_iri("annotation property"),
-                                       self.parse_iri("annotation property"))
-
-    def _ax_AnnotationPropertyDomain(self, tok):
-        return AnnotationPropertyDomain(self.parse_iri("annotation property"),
-                                        self.parse_iri("IRI"))
-
-    def _ax_AnnotationPropertyRange(self, tok):
-        return AnnotationPropertyRange(self.parse_iri("annotation property"),
-                                       self.parse_iri("IRI"))
+    def parse_annotation_value(self, shape: Shape, owner: _Tok):
+        if self.peek()[0] == "STRING":
+            return self.parse_literal()
+        return self.parse_annotation_subject(shape, owner)
 
 
-# Constructor and axiom keywords mapped to the methods that parse their
-# arguments.
-_CE_HANDLERS = {name[len("_ce_"):]: fn for name, fn in vars(_Parser).items()
-                if name.startswith("_ce_")}
-_AX_HANDLERS = {name[len("_ax_"):]: fn for name, fn in vars(_Parser).items()
-                if name.startswith("_ax_")}
+_ITEM_ROUTINES = {
+    "iri": _Parser.parse_name, "entity_iri": _Parser.parse_entity_iri,
+    "int": _Parser.parse_integer, "ce": _Parser.parse_class_expression,
+    "ope": _Parser.parse_object_property, "sub_property": _Parser.parse_sub_property,
+    "individual": _Parser.parse_individual, "literal": _Parser.parse_literal,
+    "data_range": _Parser.parse_data_range, "entity": _Parser.parse_entity,
+    "annotation_subject": _Parser.parse_annotation_subject,
+    "annotation_value": _Parser.parse_annotation_value,
+}
+# Shapes whose tuple of values is written irregularly.
+_FIELD_ROUTINES = {"facets": _Parser.parse_facets, "leading_iris": _Parser.parse_leading_iris}
+
+
+def _steps(steps) -> tuple:
+    """(where, routine, shape) per parse step. Class expressions side by side
+    are read as one list, so a missing one is counted, not expected."""
+    out = []
+    k = 0
+    while k < len(steps):
+        index, shape = steps[k]
+        run = k
+        while (run < len(steps) and steps[run][1].kind == "ce"
+               and not (steps[run][1].many or steps[run][1].optional)):
+            run += 1
+        if run - k >= 2:
+            out.append((slice(index, index + run - k), _Parser.parse_many,
+                        CE.times(run - k, run - k)))
+            k = run
+            continue
+        routine = _FIELD_ROUTINES.get(shape.kind)
+        if routine is None:
+            routine = (_Parser.parse_many if shape.many else
+                       _Parser.parse_optional if shape.optional else
+                       _ITEM_ROUTINES[shape.kind])
+        out.append((index, routine, shape))
+        k += 1
+    return tuple(out)
+
+
+def _forms(*bases: type) -> dict:
+    """keyword -> (class, argument template, steps, check) for every node
+    type under `bases` that is written with a keyword."""
+    forms = {}
+    for cls, spec in NODES.items():
+        if issubclass(cls, bases):
+            for keyword, (kind, steps) in spec.forms.items():
+                template = [None] * len(spec.fields)
+                if kind is not None:
+                    template[spec.fields.index("kind")] = kind
+                forms[keyword] = (cls, template, _steps(steps), spec.check)
+    return forms
+
+
+_CE_FORMS = _forms(ClassExpression)
+_DATA_RANGE_FORMS = _forms(DataRange)
+_AXIOM_FORMS = _forms(Axiom)
+_ENTITY_FORMS = _forms(Entity)
+_INVERSE = _forms(ObjectInverseOf)["ObjectInverseOf"]
+_CHAIN = _forms(PropertyChain)["ObjectPropertyChain"]
+_ANNOTATION = _forms(OntologyAnnotation)["Annotation"]
+# Keywords that are valid somewhere in the grammar but never as an axiom;
+# seeing one at axiom level is a syntax error, not an unknown construct.
+_NON_AXIOM_KEYWORDS = (set(_forms(Node)) - set(_AXIOM_FORMS)) | {"Prefix", "Ontology"}
 
 
 def parse_ontology(text: str, origin: str = "<string>") -> Ontology:

@@ -40,6 +40,11 @@ def check_against_oracles(o: Ontology):
     assert vector["SDT"] == len(names["datatypes"])
     assert vector["SLA"] == sla
     assert vector["SA"] == len(o.axioms)
+    sig = o.signature
+    for field in ("classes", "object_properties", "data_properties", "individuals",
+                  "datatypes", "annotation_properties"):
+        assert getattr(sig, field) == names[field], field
+    assert sig.anonymous_individuals == names["anonymous"]
 
     # KB partition and per-type frequencies.
     cats = Counter(oracles.category(ax) for ax in o.axioms)

@@ -345,6 +345,9 @@ def signature_names(o):
                 out[bucket].add(ax.entity.iri)
         elif name == "AnnotationAssertion":
             out["annotation_properties"].add(ax.prop)
+            for part in (ax.subject, ax.value):
+                if tag(part) == "AnonymousIndividual":
+                    out["anonymous"].add(part.node_id)
             if tag(ax.value) == "Literal":
                 lit(ax.value)
         elif name == "SubAnnotationPropertyOf":

@@ -34,6 +34,14 @@ def random_corpus():
 
 
 @pytest.fixture(scope="module")
+def every_form_corpus():
+    """Random ontologies that also use the non-logical axiom forms, every
+    data range and every data restriction."""
+    rng = random.Random(0xF0F0)
+    return [random_ontology(rng, every_form=True) for _ in range(N_RANDOM)]
+
+
+@pytest.fixture(scope="module")
 def golden_ontologies():
     out = {}
     for name in sorted(GOLDEN):
@@ -98,25 +106,27 @@ def test_criterion_3_frequency_closure(golden_ontologies, random_corpus):
           f"{checked} ontologies with SLA > 0")
 
 
-def test_criterion_4_oracle_equivalence(random_corpus):
-    for onto in random_corpus:
+def test_criterion_4_oracle_equivalence(random_corpus, every_form_corpus):
+    for onto in random_corpus + every_form_corpus:
         check_against_oracles(onto)
-    print(f"\n[criterion 4] PASS: {len(random_corpus)} random ontologies match "
-          f"the naive re-traversal oracles (incl. reachability and cycles)")
+    print(f"\n[criterion 4] PASS: {len(random_corpus) + len(every_form_corpus)} random "
+          f"ontologies match the naive re-traversal oracles (incl. reachability and cycles)")
 
 
-def test_criterion_5_invariance(random_corpus):
+def test_criterion_5_invariance(random_corpus, every_form_corpus):
     rng = random.Random(0xFACADE)
-    for onto in random_corpus:
+    for onto in random_corpus + every_form_corpus:
         check_invariance(onto, rng)
     print(f"\n[criterion 5] PASS: permutation and renaming leave all "
-          f"{len(FEATURE_IDS)} features unchanged on {len(random_corpus)} ontologies")
+          f"{len(FEATURE_IDS)} features unchanged on "
+          f"{len(random_corpus) + len(every_form_corpus)} ontologies")
 
 
-def test_criterion_6_round_trip_and_malformed(golden_ontologies, random_corpus):
+def test_criterion_6_round_trip_and_malformed(golden_ontologies, random_corpus,
+                                              every_form_corpus):
     for name, onto in golden_ontologies.items():
         assert parse_ontology(serialize(onto)) == onto, name
-    for onto in random_corpus:
+    for onto in random_corpus + every_form_corpus:
         assert parse_ontology(serialize(onto)) == onto
     assert len(MALFORMED) >= 20
     for text in MALFORMED:
@@ -127,7 +137,7 @@ def test_criterion_6_round_trip_and_malformed(golden_ontologies, random_corpus):
             assert diag.severity == "error"
             assert diag.line >= 1 and diag.column >= 1
     print(f"\n[criterion 6] PASS: round-trip equality on "
-          f"{len(golden_ontologies) + len(random_corpus)} ontologies; "
+          f"{len(golden_ontologies) + len(random_corpus) + len(every_form_corpus)} ontologies; "
           f"{len(MALFORMED)} malformed inputs all positioned, no partial models")
 
 

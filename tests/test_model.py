@@ -1,15 +1,21 @@
-"""Model semantics: categorization, depth, constructor counting, signature."""
+"""Model semantics: node equality and immutability, categorization, depth,
+constructor counting, signature."""
+
+import copy
+import pickle
 
 import pytest
 
 from ontoprof.model import (
-    CLASS_CONSTRUCTORS, LOGICAL_AXIOM_TYPES,
-    Category, ClassAssertion, DataRestriction, Declaration, Entity, EntityKind,
-    EquivalentClasses, NamedClass, ObjectAllValuesFrom, ObjectIntersectionOf,
-    ObjectMinCardinality, ObjectSomeValuesFrom, ObjectUnionOf, Ontology,
-    SubClassOf, TransitiveObjectProperty, axiom_category, axiom_depth,
-    constructor_counts, count_constructor_occurrences, expression_depth,
-    iter_nodes, class_expressions_of,
+    CLASS_CONSTRUCTORS, LOGICAL_AXIOM_TYPES, NODES, XSD,
+    Category, ClassAssertion, DataIntersectionOf, DataOneOf, DataRestriction,
+    DataUnionOf, DatatypeRef, Declaration, DifferentIndividuals, DisjointClasses,
+    DisjointUnion, Entity, EntityKind, EquivalentClasses, HasKey, Literal, NamedClass,
+    ObjectAllValuesFrom, ObjectExactCardinality, ObjectHasSelf, ObjectIntersectionOf,
+    ObjectMaxCardinality, ObjectMinCardinality, ObjectOneOf, ObjectSomeValuesFrom,
+    ObjectUnionOf, Ontology, PropertyChain, SameIndividual, SubClassOf,
+    TransitiveObjectProperty, axiom_category, axiom_depth, constructor_counts,
+    count_constructor_occurrences, expression_depth, iter_nodes, class_expressions_of,
 )
 
 NS = "http://example.org/m#"
@@ -143,3 +149,114 @@ def test_constructor_sum_invariant_random():
         non_leaf = sum(1 for n in nodes
                        if not isinstance(n, (NamedClass, DataRestriction)))
         assert total == non_leaf
+
+
+# ---------------------------------------------------------------------------
+# Node semantics: nodes are tuples of their fields, typed for equality.
+
+A, B = c("A"), c("B")
+SAME_FIELD_PAIRS = [
+    (ObjectSomeValuesFrom(NS + "r", A), ObjectAllValuesFrom(NS + "r", A)),
+    (ObjectIntersectionOf((A, B)), ObjectUnionOf((A, B))),
+    (DataIntersectionOf((DatatypeRef(XSD + "int"), DatatypeRef(XSD + "string"))),
+     DataUnionOf((DatatypeRef(XSD + "int"), DatatypeRef(XSD + "string")))),
+    (EquivalentClasses((A, B)), DisjointClasses((A, B))),
+    (ObjectMinCardinality(2, NS + "r", A), ObjectMaxCardinality(2, NS + "r", A)),
+    (ObjectMaxCardinality(2, NS + "r"), ObjectExactCardinality(2, NS + "r")),
+    (ObjectMinCardinality(2, NS + "r"), ObjectExactCardinality(2, NS + "r")),
+]
+
+
+@pytest.mark.parametrize("left,right", SAME_FIELD_PAIRS,
+                         ids=[type(a).__name__ + "-" + type(b).__name__
+                              for a, b in SAME_FIELD_PAIRS])
+def test_same_fields_of_different_types_differ(left, right):
+    assert tuple(left) == tuple(right)
+    assert left != right and not left == right
+    assert hash(left) != hash(right)
+    assert len({left, right}) == 2
+    again = type(left)(*left)
+    assert again == left and hash(again) == hash(left)
+    assert left != tuple(left) and tuple(left) != left
+
+
+def test_nodes_are_immutable_and_have_no_dict():
+    node = ObjectSomeValuesFrom(NS + "r", A)
+    with pytest.raises(AttributeError):
+        node.prop = NS + "s"
+    with pytest.raises(AttributeError):
+        node.extra = 1
+    assert not hasattr(node, "__dict__")
+    assert node.prop == NS + "r" and node.filler is A
+    assert pickle.loads(pickle.dumps(node)) == node
+    assert copy.deepcopy(node) == node
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ObjectIntersectionOf((A,)),
+    lambda: ObjectUnionOf(()),
+    lambda: ObjectOneOf(()),
+    lambda: ObjectMinCardinality(-1, NS + "r"),
+    lambda: ObjectExactCardinality(-2, NS + "r", A),
+    lambda: EquivalentClasses((A,)),
+    lambda: DisjointClasses((A,)),
+    lambda: DisjointUnion(NS + "U", (A,)),
+    lambda: SameIndividual((NS + "i",)),
+    lambda: DifferentIndividuals(()),
+    lambda: PropertyChain((NS + "p",)),
+    lambda: DataIntersectionOf((DatatypeRef(XSD + "int"),)),
+    lambda: DataOneOf(()),
+    lambda: HasKey(A, (), ()),
+    lambda: Entity("", EntityKind.CLASS),
+])
+def test_arity_violations_raise_value_error(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_keyword_and_default_construction():
+    assert Literal("x") == Literal("x", None, None) == Literal(lexical="x")
+    assert Literal("x", language="en").datatype is None
+    restriction = DataRestriction(kind="DataHasValue", props=(NS + "d",))
+    assert (restriction.range, restriction.value, restriction.n) == (None, None, None)
+    assert ObjectMinCardinality(2, NS + "r") == ObjectMinCardinality(n=2, prop=NS + "r",
+                                                                     filler=None)
+    assert SubClassOf(sup=B, sub=A) == SubClassOf(A, B)
+    assert repr(SubClassOf(A, B)) == (f"SubClassOf(sub=NamedClass(iri='{NS}A'), "
+                                      f"sup=NamedClass(iri='{NS}B'))")
+    with pytest.raises(TypeError):
+        SubClassOf(A)
+    with pytest.raises(TypeError):
+        SubClassOf(A, B, C=A)
+    with pytest.raises(TypeError):
+        SubClassOf(A, B, sub=A)
+    with pytest.raises(TypeError):
+        ObjectHasSelf(NS + "r", NS + "s")
+
+
+# Every keyword of the OWL 2 functional syntax the parser reads, hand-listed.
+OWL_KEYWORDS = {
+    "ObjectIntersectionOf", "ObjectUnionOf", "ObjectComplementOf", "ObjectOneOf",
+    "ObjectSomeValuesFrom", "ObjectAllValuesFrom", "ObjectHasValue", "ObjectHasSelf",
+    "ObjectMinCardinality", "ObjectMaxCardinality", "ObjectExactCardinality",
+    "DataSomeValuesFrom", "DataAllValuesFrom", "DataHasValue", "DataMinCardinality",
+    "DataMaxCardinality", "DataExactCardinality",
+    "DataIntersectionOf", "DataUnionOf", "DataComplementOf", "DataOneOf",
+    "DatatypeRestriction", "ObjectInverseOf", "ObjectPropertyChain",
+    "Class", "Datatype", "ObjectProperty", "DataProperty", "AnnotationProperty",
+    "NamedIndividual", "Annotation",
+    *LOGICAL_AXIOM_TYPES, "Declaration", "AnnotationAssertion", "SubAnnotationPropertyOf",
+    "AnnotationPropertyDomain", "AnnotationPropertyRange",
+}
+
+
+def test_every_keyword_has_one_table_entry():
+    from ontoprof import parser
+
+    keywords = [kw for spec in NODES.values() for kw in spec.forms]
+    assert len(keywords) == len(set(keywords))
+    assert set(keywords) == OWL_KEYWORDS
+    parsed = (set(parser._CE_FORMS) | set(parser._DATA_RANGE_FORMS)
+              | set(parser._AXIOM_FORMS) | set(parser._ENTITY_FORMS)
+              | {"ObjectInverseOf", "ObjectPropertyChain", "Annotation"})
+    assert parsed == OWL_KEYWORDS

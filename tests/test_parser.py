@@ -242,6 +242,13 @@ MALFORMED_CASES = [
     # An empty string literal is a token, not the end of input.
     ('Ontology(Declaration(Class(<http://e.org/A>) ""))',
      "bad.ofn:1:46: error: syntax error: expected ')', found ''"),
+    # Values the model cannot hold are positioned errors, not crashes.
+    ("Ontology(Declaration(Class(<>)))",
+     "bad.ofn:1:28: error: syntax error: entity IRI must be non-empty"),
+    ("Ontology(SubClassOf(<http://x/A> ObjectMinCardinality(" + "9" * 5000 + " <http://x/p>)))",
+     "bad.ofn:1:55: error: limit exceeded: integer has more than 4300 digits"),
+    ("Ontology(SubClassOf(<http://x/A> DataMinCardinality(" + "9" * 5000 + " <http://x/d>)))",
+     "bad.ofn:1:53: error: limit exceeded: integer has more than 4300 digits"),
 ]
 
 
@@ -249,7 +256,12 @@ MALFORMED = [text for text, _ in MALFORMED_CASES]
 EXPECTED_DIAGNOSTIC = dict(MALFORMED_CASES)
 
 
-@pytest.mark.parametrize("text", MALFORMED)
+def _short_id(text: str):
+    """Long inputs get a short test id; the rest keep pytest's own."""
+    return None if len(text) < 200 else f"{text[:40]}...{len(text)}-chars"
+
+
+@pytest.mark.parametrize("text", MALFORMED, ids=_short_id)
 def test_malformed_inputs_yield_positioned_diagnostics(text):
     with pytest.raises(OntologyParseError) as exc:
         parse_ontology(text, origin="bad.ofn")
@@ -307,6 +319,13 @@ def test_round_trip_random_models():
     rng = random.Random(20240809)
     for _ in range(200):
         o = random_ontology(rng)
+        assert parse_ontology(serialize(o)) == o
+
+
+def test_round_trip_every_form_models():
+    rng = random.Random(20240810)
+    for _ in range(200):
+        o = random_ontology(rng, every_form=True)
         assert parse_ontology(serialize(o)) == o
 
 

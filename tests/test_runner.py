@@ -353,6 +353,25 @@ def test_nesting_too_deep_to_parse_is_a_positioned_parse_error(tmp_path):
                         r"deeper than the parser's recursion limit", diagnostic)
 
 
+def test_values_the_model_cannot_hold_are_parse_errors(tmp_path):
+    """An empty entity IRI and a cardinality too long for int() are the
+    input's fault: positioned parse errors, never internal errors."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "empty_iri.ofn").write_text("Ontology(Declaration(Class(<>)))\n")
+    digits = "9" * 5000
+    (corpus / "long_int.ofn").write_text(
+        f"Prefix(:=<http://example.org/r#>)\nOntology(\nSubClassOf(:A ObjectMinCardinality("
+        f"{digits} :p))\nSubClassOf(:B DataMinCardinality({digits} :d))\n)\n")
+    report = run(RunConfig(inputs=[str(corpus)], parallelism=1, per_file_timeout=60))
+    assert [o.status for o in report.outcomes] == ["parse_error", "parse_error"]
+    assert report.outcomes[0].diagnostics == [
+        f"{corpus / 'empty_iri.ofn'}:1:28: error: syntax error: entity IRI must be non-empty"]
+    assert report.outcomes[1].diagnostics == [
+        f"{corpus / 'long_int.ofn'}:3:36: error: limit exceeded: integer has more than "
+        f"4300 digits"]
+
+
 def test_abort_leaves_no_worker_behind(tmp_path, monkeypatch):
     corpus = make_corpus(tmp_path, names=("a", "b", "c", "d"))
     (corpus / "0bad.ofn").write_text(MALFORMED)

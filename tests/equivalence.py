@@ -89,10 +89,12 @@ def check_against_oracles(o: Ontology):
     # Hierarchies: direct/indirect links, depth, fan-out, tangledness.
     ch = build_class_hierarchy(o)
     ph = build_property_hierarchy(o)
+    closure = {}
     for vecprefix, h, edges_oracle in (("C", ch, oracles.class_edges(o)),
                                        ("P", ph, oracles.property_edges(o))):
         assert h.direct_edges == edges_oracle
         pairs = oracles.reachability(h.nodes, edges_oracle)
+        closure[vecprefix] = len(pairs)
         assert h.nidhc == len(pairs) - len(edges_oracle)
         assert vector[f"{vecprefix}_MD"] == oracles.longest_condensation_path(
             h.nodes, edges_oracle)
@@ -103,9 +105,17 @@ def check_against_oracles(o: Ontology):
         assert_close(vector[f"{vecprefix}_ASB"],
                      ratio(len(edges_oracle), len(h.nodes)), f"{vecprefix}_ASB")
 
-    nc = len(ch.nodes)
-    ccoh = min(1.0, ratio(2 * (ch.ndhc + ch.nidhc), nc * nc - nc))
+    # Cohesion: hierarchy links over node pairs, domain/range couplings.
+    nc = len(names["classes"])
+    np_ = len(names["object_properties"])
+    ccoh = min(1.0, ratio(2 * closure["C"], nc * nc - nc))
+    pcoh = min(1.0, ratio(2 * closure["P"], np_ * np_ - np_))
+    opcoh = min(1.0, ratio(2 * oracles.domain_range_coupling(o),
+                           vector["SOP"] * (nc * nc - nc)))
     assert_close(vector["CCOH"], ccoh, "CCOH")
+    assert_close(vector["PCOH"], pcoh, "PCOH")
+    assert_close(vector["OPCOH"], opcoh, "OPCOH")
+    assert_close(vector["OCOH"], min(1.0, (ccoh + pcoh + opcoh) / 3), "OCOH")
     assert_close(vector["RRichness"],
                  ratio(vector["SOP"], vector["SOP"] + ch.ndhc), "RRichness")
     assert_close(vector["AttrRichness"], ratio(vector["SDP"], vector["SC"]),

@@ -232,6 +232,24 @@ def property_edges(o):
     return edges
 
 
+def domain_range_coupling(o):
+    """Sum over named object properties of (named domain classes) times
+    (named range classes); a top-level intersection gives its named operands."""
+    domains, ranges = {}, {}
+    for ax in o.axioms:
+        name = tag(ax)
+        if name not in ("ObjectPropertyDomain", "ObjectPropertyRange"):
+            continue
+        if not isinstance(ax.prop, str):
+            continue
+        ce = ax.domain if name == "ObjectPropertyDomain" else ax.range
+        parts = list(ce.operands) if tag(ce) == "ObjectIntersectionOf" else [ce]
+        target = domains if name == "ObjectPropertyDomain" else ranges
+        target.setdefault(ax.prop, set()).update(
+            p.iri for p in parts if tag(p) == "NamedClass")
+    return sum(len(classes) * len(ranges.get(p, ())) for p, classes in domains.items())
+
+
 def signature_names(o):
     """Entity names by kind, recollected with a scratch walker."""
     out = {"classes": set(), "object_properties": set(), "data_properties": set(),

@@ -9,16 +9,12 @@ simple-role structural rules.
 from __future__ import annotations
 
 import configparser
-from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from itertools import chain
 
-from .model import (
-    Census, EquivalentObjectProperties, InverseObjectProperties, Ontology,
-    SubObjectPropertyOf, TransitiveObjectProperty, property_name,
-)
+from .model import Census, Ontology
 
 
 class ProfileLabel(Enum):
@@ -75,31 +71,13 @@ def _fits_profile(census: Census, rules: ProfileRules) -> bool:
 def _non_simple_properties(o: Ontology) -> set[str]:
     """Transitive or chain-defined properties, closed over sub-property,
     equivalence and inverse links (an upward approximation of simplicity)."""
-    seeds: set[str] = set()
-    up: dict[str, set[str]] = defaultdict(set)
-    for ax in o.rbox:
-        if isinstance(ax, TransitiveObjectProperty):
-            seeds.add(property_name(ax.prop))
-        elif isinstance(ax, SubObjectPropertyOf):
-            if ax.is_chain:
-                seeds.add(property_name(ax.sup))
-            else:
-                up[property_name(ax.sub)].add(property_name(ax.sup))
-        elif isinstance(ax, EquivalentObjectProperties):
-            names = [property_name(p) for p in ax.operands]
-            for a in names:
-                for b in names:
-                    if a != b:
-                        up[a].add(b)
-        elif isinstance(ax, InverseObjectProperties):
-            a, b = property_name(ax.first), property_name(ax.second)
-            up[a].add(b)
-            up[b].add(a)
-    non_simple = set(seeds)
-    frontier = list(seeds)
+    census = o.census
+    links = census.property_links
+    non_simple = census.characteristics["Transitive"] | census.characteristics["Chain"]
+    frontier = list(non_simple)
     while frontier:
         p = frontier.pop()
-        for q in up[p]:
+        for q in links.get(p, ()):
             if q not in non_simple:
                 non_simple.add(q)
                 frontier.append(q)

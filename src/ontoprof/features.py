@@ -9,7 +9,7 @@ data/feature_schema.json.
 
 from __future__ import annotations
 
-from collections import defaultdict
+import sys
 from dataclasses import dataclass
 
 from .expressivity import dl_family_name, owl_profile
@@ -19,18 +19,10 @@ from .hierarchy import (
 )
 from .model import (
     BUILTIN_CLASSES, BUILTIN_DATA_PROPERTIES, BUILTIN_OBJECT_PROPERTIES,
-    CHARACTERISTIC_AXIOMS, CLASS_CONSTRUCTORS, LOGICAL_AXIOM_TYPES,
-    ClassExpression, DifferentIndividuals, InverseObjectProperties, NamedClass,
-    ObjectIntersectionOf, ObjectPropertyDomain, ObjectPropertyRange, Ontology,
-    SameIndividual, SubObjectPropertyOf, property_name,
+    CLASS_CONSTRUCTORS, LOGICAL_AXIOM_TYPES, PROPERTY_CHARACTERISTICS, Ontology,
 )
 
 SCHEMA_VERSION = "1"
-
-PROPERTY_CHARACTERISTICS: tuple[str, ...] = (
-    "Transitive", "Symmetric", "Asymmetric", "Reflexive", "Irreflexive",
-    "Functional", "InverseFunctional", "Inverse", "Chain",
-)
 
 def _ratio(num, den) -> float:
     return num / den if den > 0 else 0.0
@@ -161,37 +153,16 @@ def hierarchy_features(ch: Hierarchy, ph: Hierarchy) -> dict:
     }
 
 
-def _domain_range_counts(o: Ontology) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
-    """Named classes directly asserted as domain/range per named property;
-    a top-level intersection is flattened into its named operands."""
-    domains: dict[str, set[str]] = defaultdict(set)
-    ranges: dict[str, set[str]] = defaultdict(set)
-
-    def named_parts(ce: ClassExpression) -> set[str]:
-        if isinstance(ce, NamedClass):
-            return {ce.iri}
-        if isinstance(ce, ObjectIntersectionOf):
-            return {op.iri for op in ce.operands if isinstance(op, NamedClass)}
-        return set()
-
-    for ax in o.rbox:
-        if isinstance(ax, ObjectPropertyDomain) and isinstance(ax.prop, str):
-            domains[ax.prop] |= named_parts(ax.domain)
-        elif isinstance(ax, ObjectPropertyRange) and isinstance(ax.prop, str):
-            ranges[ax.prop] |= named_parts(ax.range)
-    return domains, ranges
-
-
 def cohesion_features(o: Ontology, ch: Hierarchy, ph: Hierarchy,
                       weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)) -> dict:
     nc = len(ch.nodes)
     np_ = len(ph.nodes)
     ccoh = _ratio(2 * (ch.ndhc + ch.nidhc), nc * nc - nc)
     pcoh = _ratio(2 * (ph.ndhc + ph.nidhc), np_ * np_ - np_)
-    domains, ranges = _domain_range_counts(o)
+    census = o.census
     noprop = len(o.signature.object_properties - BUILTIN_OBJECT_PROPERTIES)
-    coupling = sum(len(domains[p]) * len(ranges[p])
-                   for p in sorted(set(domains) | set(ranges)))
+    coupling = sum(len(classes) * len(census.ranges.get(p, ()))
+                   for p, classes in census.domains.items())
     opcoh = _ratio(2 * coupling, noprop * (nc * nc - nc))
     # Asserted cycles can push the link count past the tree-shaped bound the
     # formulas assume; cohesion stays within [0,1] by clamping.
@@ -253,20 +224,10 @@ def class_level_features(o: Ontology, cyclic: frozenset[str]) -> dict:
 
 
 def property_level_features(o: Ontology) -> dict:
-    declared: dict[str, set[str]] = {c: set() for c in PROPERTY_CHARACTERISTICS}
-    kinds = {t: name for name, t in CHARACTERISTIC_AXIOMS.items()}
-    for ax in o.rbox:
-        kind = kinds.get(type(ax))
-        if kind:
-            declared[kind].add(property_name(ax.prop))
-        elif isinstance(ax, InverseObjectProperties):
-            declared["Inverse"].add(property_name(ax.first))
-            declared["Inverse"].add(property_name(ax.second))
-        elif isinstance(ax, SubObjectPropertyOf) and ax.is_chain:
-            declared["Chain"].add(property_name(ax.sup))
     census = o.census
     usage = census.property_usage
-    opco = {c: sum(usage[p] for p in declared[c]) for c in PROPERTY_CHARACTERISTICS}
+    opco = {c: sum(usage[p] for p in census.characteristics[c])
+            for c in PROPERTY_CHARACTERISTICS}
     total = sum(opco.values())
     out = {f"OPCF_{c}": _ratio(opco[c], total) for c in PROPERTY_CHARACTERISTICS}
     count = total_value = 0
@@ -277,25 +238,21 @@ def property_level_features(o: Ontology) -> dict:
     out["HVC_Min"] = census.largest("ObjectMinCardinality")
     out["HVC_Max"] = census.largest("ObjectMaxCardinality")
     out["HVC_Exact"] = census.largest("ObjectExactCardinality")
-    out["AVC"] = total_value / count if count else 0.0
+    try:
+        out["AVC"] = total_value / count if count else 0.0
+    except OverflowError:  # a mean beyond the float range saturates
+        out["AVC"] = sys.float_info.max
     return out
 
 
 def individual_level_features(o: Ontology) -> dict:
     census = o.census
     si = len(o.signature.individuals)
-    different: set[str] = set()
-    same: set[str] = set()
-    for ax in o.abox:
-        if isinstance(ax, DifferentIndividuals):
-            different |= {i for i in ax.individuals if isinstance(i, str)}
-        elif isinstance(ax, SameIndividual):
-            same |= {i for i in ax.individuals if isinstance(i, str)}
     return {
         "NomTB": _ratio(census.nominals, si),
         "TBNom": _ratio(census.nominal_axioms, len(o.tbox)),
-        "IDISJ": _ratio(len(different), si),
-        "ISAM": _ratio(len(same), si),
+        "IDISJ": _ratio(len(census.different_individuals), si),
+        "ISAM": _ratio(len(census.same_individuals), si),
     }
 
 

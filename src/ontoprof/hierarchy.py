@@ -7,11 +7,11 @@ so asserted cycles cannot make it unbounded.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .model import EquivalentClasses, NamedClass, Ontology, SubClassOf, SubObjectPropertyOf
+from .model import Ontology
 
 
 @dataclass(frozen=True)
@@ -30,18 +30,6 @@ class Hierarchy:
         object.__setattr__(self, "ndhc", len(self.direct_edges))
         closure_size = _count_reachable_pairs(self.direct_edges, comp)
         object.__setattr__(self, "nidhc", closure_size - len(self.direct_edges))
-
-    def parents(self) -> dict[str, set[str]]:
-        out: dict[str, set[str]] = defaultdict(set)
-        for child, parent in self.direct_edges:
-            out[child].add(parent)
-        return out
-
-    def children(self) -> dict[str, set[str]]:
-        out: dict[str, set[str]] = defaultdict(set)
-        for child, parent in self.direct_edges:
-            out[parent].add(child)
-        return out
 
 
 def _adjacency(edges) -> dict[str, set[str]]:
@@ -170,33 +158,15 @@ def _scc_map(nodes, edges) -> dict[str, int]:
 
 def build_class_hierarchy(o: Ontology) -> Hierarchy:
     """Edges from named-to-named SubClassOf plus mutual edges for all-named
-    equivalences; axioms with any complex side contribute nothing."""
-    edges: set[tuple[str, str]] = set()
-    for ax in o.tbox:
-        t = type(ax)
-        if t is SubClassOf:
-            sub, sup = ax
-            if type(sub) is NamedClass and type(sup) is NamedClass:
-                edges.add((sub.iri, sup.iri))
-        elif t is EquivalentClasses:
-            if all(isinstance(op, NamedClass) for op in ax.operands):
-                names = [op.iri for op in ax.operands]
-                for a in names:
-                    for b in names:
-                        if a != b:
-                            edges.add((a, b))
-    return Hierarchy(nodes=o.signature.classes, direct_edges=frozenset(edges))
+    equivalences, as the census collects them; axioms with any complex side
+    contribute nothing."""
+    return Hierarchy(nodes=o.signature.classes, direct_edges=o.census.class_edges)
 
 
 def build_property_hierarchy(o: Ontology) -> Hierarchy:
-    """Edges only from named-to-named SubObjectPropertyOf; chains and all
-    characteristic axioms are ignored."""
-    edges: set[tuple[str, str]] = set()
-    for ax in o.rbox:
-        if isinstance(ax, SubObjectPropertyOf) and not ax.is_chain:
-            if isinstance(ax.sub, str) and isinstance(ax.sup, str):
-                edges.add((ax.sub, ax.sup))
-    return Hierarchy(nodes=o.signature.object_properties, direct_edges=frozenset(edges))
+    """Edges only from named-to-named SubObjectPropertyOf, as the census
+    collects them; chains and all characteristic axioms are ignored."""
+    return Hierarchy(nodes=o.signature.object_properties, direct_edges=o.census.property_edges)
 
 
 def max_depth(h: Hierarchy) -> int:
@@ -220,19 +190,16 @@ def fanout_stats(h: Hierarchy) -> tuple[int, float]:
     """(max direct children per node, direct edges divided by node count)."""
     if not h.nodes:
         return 0, 0.0
-    children = h.children()
-    msb = max((len(c) for c in children.values()), default=0)
-    return msb, len(h.direct_edges) / len(h.nodes)
+    children = Counter(parent for _, parent in h.direct_edges)
+    return max(children.values(), default=0), len(h.direct_edges) / len(h.nodes)
 
 
 def tangledness(h: Hierarchy) -> tuple[int, int]:
     """(nodes with two or more direct parents, max direct-parent count)."""
-    parents = h.parents()
     if not h.nodes:
         return 0, 0
-    count = sum(1 for p in parents.values() if len(p) >= 2)
-    max_parents = max((len(p) for p in parents.values()), default=0)
-    return count, max_parents
+    parents = Counter(child for child, _ in h.direct_edges).values()
+    return sum(n >= 2 for n in parents), max(parents, default=0)
 
 
 def cyclic_classes(o: Ontology) -> frozenset[str]:

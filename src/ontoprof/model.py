@@ -371,7 +371,6 @@ DatatypeDefinition = _node("DatatypeDefinition", Axiom, ("datatype", DATATYPE_IR
 
 SubObjectPropertyOf = _node("SubObjectPropertyOf", Axiom, ("sub", SUB_PROPERTY), ("sup", OPE),
                             category=_R)
-SubObjectPropertyOf.is_chain = property(lambda self: type(self[0]) is PropertyChain)
 EquivalentObjectProperties = _node("EquivalentObjectProperties", Axiom, ("operands", _OPES),
                                    category=_R)
 DisjointObjectProperties = _node("DisjointObjectProperties", Axiom, ("operands", _OPES),
@@ -469,19 +468,19 @@ LOGICAL_AXIOM_TYPES: tuple[str, ...] = (
     "NegativeDataPropertyAssertion",
 )
 
-# Property characteristic axioms by the feature-name stem they count under.
-CHARACTERISTIC_AXIOMS = {
-    "Transitive": TransitiveObjectProperty,
-    "Symmetric": SymmetricObjectProperty,
-    "Asymmetric": AsymmetricObjectProperty,
-    "Reflexive": ReflexiveObjectProperty,
-    "Irreflexive": IrreflexiveObjectProperty,
-    "Functional": FunctionalObjectProperty,
-    "InverseFunctional": InverseFunctionalObjectProperty,
+# Property characteristic axioms and the feature-name stem they count under.
+_CHARACTERISTIC_STEMS = {
+    TransitiveObjectProperty: "Transitive",
+    SymmetricObjectProperty: "Symmetric",
+    AsymmetricObjectProperty: "Asymmetric",
+    ReflexiveObjectProperty: "Reflexive",
+    IrreflexiveObjectProperty: "Irreflexive",
+    FunctionalObjectProperty: "Functional",
+    InverseFunctionalObjectProperty: "InverseFunctional",
 }
-# Axioms about one object property expression, held in their `prop` field.
-_PROPERTY_AXIOM_TYPES = (ObjectPropertyDomain, ObjectPropertyRange,
-                         *CHARACTERISTIC_AXIOMS.values())
+# The declared characteristics the OPCF features count, in schema order:
+# the axioms above, plus InverseObjectProperties and property chains.
+PROPERTY_CHARACTERISTICS: tuple[str, ...] = (*_CHARACTERISTIC_STEMS.values(), "Inverse", "Chain")
 # Characteristics OWL 2 DL allows on simple properties only.
 _SIMPLE_ROLE_AXIOMS = (FunctionalObjectProperty, InverseFunctionalObjectProperty,
                        IrreflexiveObjectProperty, AsymmetricObjectProperty)
@@ -621,9 +620,11 @@ def _data_range_tags(dr: DataRange, tags: Counter, sizes: Counter) -> None:
 
 
 class Census:
-    """Counts, sets and maxima over the logical axioms, gathered in one
-    iterative walk of each axiom; the syntactic features, the profile checks
-    and the DL family name are arithmetic over it.
+    """Counts, sets, maxima and edge lists over the logical axioms, gathered
+    in one iterative walk of each axiom.  Once the Ontology is built, it is
+    the only walk over the axioms: the syntactic features, the profile
+    checks, the DL family name and the cohesion and individual features are
+    arithmetic over it, and the hierarchies are built from its edges.
 
     A node's tag is its constructor name, or the kind of a data restriction.
     """
@@ -645,6 +646,12 @@ class Census:
         "sizes",             # (tag, cardinality or OneOf arity) occurrences
         "simple_required",   # properties OWL 2 DL requires to be simple
         "dl_flags",          # DL family letters no axiom type or tag implies
+        "class_edges",       # named-to-named SubClassOf, both ways in all-named equivalences
+        "property_edges",    # named-to-named SubObjectPropertyOf
+        "property_links",    # property -> those its non-simplicity passes to
+        "characteristics",   # PROPERTY_CHARACTERISTICS stem -> declared properties
+        "domains", "ranges",  # named property -> named classes, a top intersection flattened
+        "same_individuals", "different_individuals",  # named individuals in those axioms
     )
 
     def __init__(self, o: Ontology):
@@ -662,6 +669,14 @@ class Census:
         deps: dict[str, set[str]] = {}
         nominal_defined: set[str] = set()
         disjoint: set[str] = set()
+        class_edges: set[tuple[str, str]] = set()
+        property_edges: set[tuple[str, str]] = set()
+        links: dict[str, set[str]] = {}
+        declared: dict[str, set[str]] = {c: set() for c in PROPERTY_CHARACTERISTICS}
+        domains: dict[str, set[str]] = {}
+        ranges: dict[str, set[str]] = {}
+        same: set[str] = set()
+        different: set[str] = set()
         depth_sum = depth_max = constructor_max = nominals = nominal_axioms = 0
         iu = euvi = cuvi = pcd = npcd = gci = 0
         operands_of = _OPERAND_GETTERS  # class_expressions_of, without its call
@@ -752,24 +767,31 @@ class Census:
                         sub, sup = ax
                         if type(sub) is NamedClass:
                             pcd += 1
+                            iri = sub.iri
                             names, nominal = parts[1]
-                            deps.setdefault(sub.iri, set()).update(names)
+                            deps.setdefault(iri, set()).update(names)
                             if nominal:
-                                nominal_defined.add(sub.iri)
+                                nominal_defined.add(iri)
                             st = type(sup)
-                            if st is ObjectSomeValuesFrom:
-                                pair_exist[sub.iri, sup.prop] += 1
+                            if st is NamedClass:
+                                class_edges.add((iri, names[0]))  # names is (sup.iri,)
+                            elif st is ObjectSomeValuesFrom:
+                                pair_exist[iri, sup.prop] += 1
                             elif st is ObjectAllValuesFrom:
-                                pair_univ[sub.iri, sup.prop] += 1
+                                pair_univ[iri, sup.prop] += 1
                             elif st in _CARDINALITY_TYPES:
-                                pair_card[sub.iri, sup.prop] += 1
+                                pair_card[iri, sup.prop] += 1
                         else:
                             gci += 1
                     elif t is EquivalentClasses:
-                        defined = [(i, op.iri) for i, op in enumerate(ax.operands)
+                        (ops,) = ax
+                        defined = [(i, op.iri) for i, op in enumerate(ops)
                                    if type(op) is NamedClass]
                         npcd += bool(defined)
                         gci += not defined
+                        if len(defined) == len(ops):
+                            class_edges.update((a, b) for _, a in defined
+                                               for _, b in defined if a != b)
                         for i, iri in defined:
                             targets = deps.setdefault(iri, set())
                             for j, (names, nominal) in enumerate(parts):
@@ -787,26 +809,61 @@ class Census:
                     elif t is DatatypeDefinition:
                         _data_range_tags(ax.range, tags, sizes)
                 elif t is SubObjectPropertyOf:
-                    if type(ax.sub) is PropertyChain:
+                    sub, sup = ax
+                    opes[sup] += 1
+                    if type(sub) is PropertyChain:
                         axiom_types["SubObjectPropertyChain"] += 1
-                        opes.update(ax.sub.operands)
+                        opes.update(sub.operands)
+                        declared["Chain"].add(property_name(sup))
                     else:
                         flags.add("H")
-                        opes[ax.sub] += 1
-                    opes[ax.sup] += 1
+                        opes[sub] += 1
+                        links.setdefault(property_name(sub), set()).add(property_name(sup))
+                        if type(sub) is str and type(sup) is str:
+                            property_edges.add((sub, sup))
                 elif t is EquivalentObjectProperties or t is DisjointObjectProperties:
-                    opes.update(ax.operands)
+                    (ops,) = ax
+                    opes.update(ops)
                     if t is DisjointObjectProperties:
-                        simple.update(ax.operands)
+                        simple.update(ops)
+                    else:
+                        names = {property_name(p) for p in ops}
+                        for a in names:
+                            links.setdefault(a, set()).update(names)
                 elif t is InverseObjectProperties:
-                    opes.update((ax.first, ax.second))
-                elif (t in _PROPERTY_AXIOM_TYPES or t is ObjectPropertyAssertion
-                      or t is NegativeObjectPropertyAssertion):
-                    opes[ax.prop] += 1
+                    first, second = ax
+                    opes[first] += 1
+                    opes[second] += 1
+                    a, b = property_name(first), property_name(second)
+                    declared["Inverse"].update((a, b))
+                    links.setdefault(a, set()).add(b)
+                    links.setdefault(b, set()).add(a)
+                elif t in _CHARACTERISTIC_STEMS:
+                    prop = ax.prop
+                    opes[prop] += 1
+                    declared[_CHARACTERISTIC_STEMS[t]].add(property_name(prop))
                     if t in _SIMPLE_ROLE_AXIOMS:
-                        simple.add(ax.prop)
+                        simple.add(prop)
+                elif t is ObjectPropertyDomain or t is ObjectPropertyRange:
+                    prop, ce = ax
+                    opes[prop] += 1
+                    if type(prop) is str:
+                        by_prop = domains if t is ObjectPropertyDomain else ranges
+                        target = by_prop.setdefault(prop, set())
+                        ct = type(ce)
+                        if ct is NamedClass:
+                            target.add(ce.iri)
+                        elif ct is ObjectIntersectionOf:
+                            target.update(op.iri for op in ce.operands
+                                          if type(op) is NamedClass)
+                elif t is ObjectPropertyAssertion or t is NegativeObjectPropertyAssertion:
+                    opes[ax.prop] += 1
                 elif t is DataPropertyRange:
                     _data_range_tags(ax.range, tags, sizes)
+                elif t is SameIndividual or t is DifferentIndividuals:
+                    (individuals,) = ax
+                    (same if t is SameIndividual else different).update(
+                        i for i in individuals if type(i) is str)
         for ax in o.non_logical:
             if type(ax) is Declaration and ax.entity.kind in (EntityKind.DATA_PROPERTY,
                                                               EntityKind.DATATYPE):
@@ -828,6 +885,10 @@ class Census:
         self.dependencies = deps
         self.simple_required = {property_name(p) for p in simple}
         self.dl_flags = flags
+        self.class_edges, self.property_edges = frozenset(class_edges), frozenset(property_edges)
+        self.property_links, self.characteristics = links, declared
+        self.domains, self.ranges = domains, ranges
+        self.same_individuals, self.different_individuals = same, different
 
     def largest(self, *tags: str) -> int:
         """Largest cardinality or OneOf arity under the given tags, 0 if none."""

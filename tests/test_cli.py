@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 
 import pytest
 
@@ -48,6 +49,21 @@ def test_extract_groups_subset(corpus, capsys):
     assert main(["extract", "--groups", "size", str(corpus)]) == 0
     header = capsys.readouterr().out.splitlines()[0]
     assert header == "ontology_id,SC,SOP,SDP,SI,SDT,SLA,SA"
+
+
+def test_extract_saturates_a_mean_cardinality_beyond_float_range(tmp_path, capsys):
+    n = int("9" * 400)  # the mean of one such value does not fit a float
+    doc = tmp_path / "huge.ofn"
+    doc.write_text("Prefix(:=<http://example.org/c#>)\n"
+                   f"Ontology(SubClassOf(:A ObjectMinCardinality({n} :p)))\n")
+    out = tmp_path / "m.csv"
+    assert main(["extract", "--out", str(out), str(doc)]) == 0
+    report = json.loads((tmp_path / "m.csv.report.json").read_text())
+    assert [o["status"] for o in report["outcomes"]] == ["ok"]
+    header, row = (line.split(",") for line in out.read_text().splitlines())
+    values = dict(zip(header, row))
+    assert values["HVC_Min"] == str(n)
+    assert float(values["AVC"]) == sys.float_info.max
 
 
 def test_extract_abort_exit_code(tmp_path, capsys):

@@ -311,6 +311,23 @@ def test_extraction_has_no_recursion_limit():
     assert vector["AMP"] == 5000
 
 
+class _Unwalkable(tuple):
+    """An axiom tuple that keeps its length but refuses to be walked."""
+
+    def __iter__(self):
+        raise AssertionError("an axiom walk outside the census")
+
+
+def test_census_is_the_only_axiom_walk():
+    text = (GOLDEN_DIR / "family_kb.ofn").read_text(encoding="utf-8")
+    expected = extract_all(parse_ontology(text)).values
+    o = parse_ontology(text)
+    o.census  # taken while the axioms can still be walked
+    for name in ("axioms", "tbox", "rbox", "abox", "non_logical"):
+        object.__setattr__(o, name, _Unwalkable(getattr(o, name)))
+    assert extract_all(o).values == expected
+
+
 def test_extract_all_calls_each_traced_layer_once(monkeypatch):
     """The traced benchmark times the layers by swapping wrappers in for the
     module globals in its LAYER_CALLS; a layer that stops being called by

@@ -55,40 +55,68 @@ def _diagnostic(text: str, offset: int, message: str, origin: str) -> ParseDiagn
 
 
 # ---------------------------------------------------------------------------
-# Lexer: one master regex, after the "Writing a Tokenizer" recipe of the
-# `re` docs. A token is a (kind, value, start, end) tuple. Each match is one
-# token plus the whitespace and comments after it, and the next match is
-# tried exactly where it ended. Whitespace is exactly [ \t\r\n]: any other
-# character outside a token is a lexical error. Matching is anchored rather
-# than searched with finditer, because a search past a failed offset retries
-# every later one, which is quadratic on a long line of unclosed '<'.
+# Lexer, after the "Writing a Tokenizer" recipe of the `re` docs. A token is
+# the text it is written as: the parser reads its kind from that text and
+# cuts a value out of it only where it uses one. Whitespace is exactly
+# [ \t\r\n]: any other character outside a token is a lexical error.
+#
+# All tokens come from one findall. Each match is one token plus the
+# whitespace and comments after it or, where no token matches, the whole
+# rest of the input, so matches are contiguous and the scan never searches
+# past a failed offset (a search that did would be quadratic on a long line
+# of unclosed '<'). Token offsets are needed only for a diagnostic or for an
+# unknown construct's text; `_token_spans` lexes the document again, anchored
+# at each token, to find them.
 
-_TOKEN_RE = re.compile(r"""
-    (?: (?P<LPAREN>\()
-      | (?P<RPAREN>\))
-      | (?P<EQUALS>=)
-      | (?P<DTMARK>\^\^)
-      | (?P<IRI><[^>\n]*>)
-      | (?P<STRING>"[^"\\]*(?:\\["\\][^"\\]*)*")
-      | (?P<LANGTAG>@[A-Za-z]+(?:-[A-Za-z0-9]+)*)
-      | (?P<NODEID>_:[A-Za-z0-9_.\-]+)
-      | (?P<PNAME>(?:[A-Za-z][A-Za-z0-9_.\-]*)?:[A-Za-z0-9_.\-]*)
-      | (?P<IDENT>[A-Za-z][A-Za-z0-9]*)
-      | (?P<INT>[0-9]+)
-    ) (?:[ \t\r\n]+|\#[^\n]*)*
-""", re.VERBOSE)
-_SKIP_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
+_TOKEN = r"""
+      \( | \) | = | \^\^
+    | <[^>\n]*>                                        # IRI
+    | "[^"\\]*(?:\\["\\][^"\\]*)*"                     # string literal
+    | @[A-Za-z]+(?:-[A-Za-z0-9]+)*                     # language tag
+    | _:[A-Za-z0-9_.\-]+                               # anonymous individual
+    | (?:[A-Za-z][A-Za-z0-9_.\-]*)?:[A-Za-z0-9_.\-]*   # prefixed name
+    | [A-Za-z][A-Za-z0-9]*                             # keyword
+    | [0-9]+
+"""
+_SKIP = r"(?:[ \t\r\n]+|\#[^\n]*)*"
+_TOKEN_RE = re.compile(f"({_TOKEN}){_SKIP}", re.VERBOSE)
+_TOKENS_RE = re.compile(rf"({_TOKEN}|[\s\S]+){_SKIP}", re.VERBOSE)
+_SKIP_RE = re.compile(_SKIP, re.VERBOSE)
 # A string literal up to its first invalid escape, or to the end of input.
 _STRING_PREFIX_RE = re.compile(r'"[^"\\]*(?:\\["\\][^"\\]*)*')
-# The value of a delimited token, without its delimiters.
-_VALUE_SLICE = {"IRI": slice(1, -1), "STRING": slice(1, -1),
-                "LANGTAG": slice(1, None), "NODEID": slice(2, None)}
+
+# A token's kind, by its first character; a letter starts a keyword, or a
+# prefixed name if the token has a colon. "" is the end of input.
+_KIND_OF = {"": "EOF", "(": "LPAREN", ")": "RPAREN", "=": "EQUALS", "^": "DTMARK",
+            "<": "IRI", '"': "STRING", "@": "LANGTAG", "_": "NODEID", ":": "PNAME",
+            **dict.fromkeys("0123456789", "INT")}
+_NAMES = ("IRI", "PNAME")
+
+
+def _kind(tok: str) -> str:
+    return _KIND_OF.get(tok[:1]) or ("PNAME" if ":" in tok else "IDENT")
 
 
 def _unescape(raw: str) -> str:
     # Every backslash in a lexed string starts a \\ or \" escape, so the
     # \\ pairs split cleanly from the left and only \" is left inside parts.
     return "\\".join(part.replace('\\"', '"') for part in raw.split("\\\\"))
+
+
+def _value(tok: str) -> str:
+    """What a token stands for: a string literal's text with its escapes
+    undone, and an IRI, language tag or node id without its delimiters."""
+    first = tok[:1]
+    if first == '"':
+        tok = tok[1:-1]
+        return _unescape(tok) if "\\" in tok else tok
+    if first == "<":
+        return tok[1:-1]
+    if first == "@":
+        return tok[1:]
+    if first == "_":
+        return tok[2:]
+    return tok
 
 
 def _lexical_error(text: str, offset: int, origin: str):
@@ -110,39 +138,39 @@ def _lexical_error(text: str, offset: int, origin: str):
     raise OntologyParseError([_diagnostic(text, offset, f"lexical error: {message}", origin)])
 
 
-_Tok = tuple[str, str, int, int]  # (kind, value, start offset, end offset)
-
-
-def _tokenize(text: str, origin: str) -> list[_Tok]:
-    """All tokens of `text`, ending with an EOF token; raises
+def _tokenize(text: str, origin: str) -> list[str]:
+    """All tokens of `text`, then "" for the end of input; raises
     OntologyParseError at the first character no token matches."""
+    tokens = _TOKENS_RE.findall(text, _SKIP_RE.match(text).end())
+    if tokens and not _TOKEN_RE.fullmatch(tokens[-1]):
+        _token_spans(text, origin)  # raises, positioned at the failed offset
+    tokens.append("")
+    return tokens
+
+
+def _token_spans(text: str, origin: str) -> list[tuple[int, int]]:
+    """The (start, end) offsets of every token of `text`, then an empty span
+    at the end of input; raises OntologyParseError at the first character
+    no token matches."""
     match = _TOKEN_RE.match
     pos = _SKIP_RE.match(text).end()
     size = len(text)
-    tokens = []
-    append = tokens.append
+    spans = []
+    append = spans.append
     while pos < size:
         m = match(text, pos)
         if m is None:
             _lexical_error(text, pos, origin)
+        append(m.span(1))
         pos = m.end()
-        kind = m.lastgroup
-        start, end = m.span(kind)
-        value = m[kind]
-        cut = _VALUE_SLICE.get(kind)
-        if cut is not None:
-            value = value[cut]
-            if kind == "STRING" and "\\" in value:
-                value = _unescape(value)
-        append((kind, value, start, end))
-    append(("EOF", "", pos, pos))
-    return tokens
+    append((pos, pos))
+    return spans
 
 
 # ---------------------------------------------------------------------------
 # Parser: one routine per field shape, driven by the node table. A routine
-# takes the field's shape and the keyword token of the node being parsed,
-# which positions its arity violations.
+# takes the field's shape and the index of the keyword token of the node
+# being parsed, which positions its arity violations.
 
 _new = tuple.__new__
 
@@ -154,295 +182,308 @@ class _Parser:
         self.tokens = _tokenize(text, origin)
         self.i = 0
         self.prefixes = dict(STANDARD_PREFIXES)
+        # IRI or prefixed-name token -> its IRI. Every prefix is declared
+        # before the first name is resolved, so an entry never goes stale,
+        # and a name used again shares one IRI string.
+        self.iris: dict[str, str] = {}
+        self.spans: list[tuple[int, int]] | None = None
 
     # -- token plumbing -----------------------------------------------------
 
-    def peek(self) -> _Tok:
-        return self.tokens[self.i]
+    def span(self, at: int) -> tuple[int, int]:
+        """The offsets of token `at`; the first call lexes for all of them."""
+        if self.spans is None:
+            self.spans = _token_spans(self.text, self.origin)
+        return self.spans[at]
 
-    def advance(self) -> _Tok:
-        tok = self.tokens[self.i]
-        if tok[0] != "EOF":
-            self.i += 1
-        return tok
-
-    def fail(self, message: str, tok: _Tok | None = None, kind: str = "syntax error"):
-        tok = tok or self.peek()
-        raise OntologyParseError([_diagnostic(self.text, tok[2], f"{kind}: {message}",
+    def fail(self, message: str, at: int | None = None, kind: str = "syntax error"):
+        """Raise `message` positioned at token `at`, by default the current one."""
+        offset = self.span(self.i if at is None else at)[0]
+        raise OntologyParseError([_diagnostic(self.text, offset, f"{kind}: {message}",
                                               self.origin)])
 
-    def expect(self, kind: str, what: str) -> _Tok:
-        """Consume a token of `kind`, which is never EOF."""
+    def expected(self, what: str):
         tok = self.tokens[self.i]
-        if tok[0] != kind:
-            self.fail(f"expected {what}, found {tok[1]!r}" if tok[0] != "EOF"
-                      else f"expected {what}, found end of input")
-        self.i += 1
-        return tok
+        self.fail(f"expected {what}, found {_value(tok)!r}" if tok
+                  else f"expected {what}, found end of input")
 
-    def at_keyword(self, *names: str) -> bool:
-        tok = self.peek()
-        return tok[0] == "IDENT" and tok[1] in names
+    def expect(self, token: str, what: str):
+        if self.tokens[self.i] != token:
+            self.expected(what)
+        self.i += 1
 
     # -- IRIs and prefixes --------------------------------------------------
 
-    def resolve(self, tok: _Tok) -> str:
-        if tok[0] == "IRI":
-            return tok[1]
-        name = tok[1]
-        prefix, _, local = name.partition(":")
-        prefix += ":"
-        base = self.prefixes.get(prefix)
-        if base is None:
-            self.fail(f"prefix {prefix!r} is not declared", tok, kind="unresolved prefix")
-        return base + local
-
     def parse_iri(self, what: str = "IRI") -> str:
         tok = self.tokens[self.i]
-        if tok[0] not in ("IRI", "PNAME"):
-            self.fail(f"expected {what}, found {tok[1]!r}")
+        iri = self.iris.get(tok)
+        if iri is None:
+            iri = self.resolve(tok, what)
         self.i += 1
-        return self.resolve(tok)
+        return iri
+
+    def resolve(self, tok: str, what: str) -> str:
+        """The IRI the current token `tok` names, which is not yet in the memo."""
+        kind = _kind(tok)
+        if kind == "IRI":
+            iri = tok[1:-1]
+        elif kind == "PNAME":
+            prefix, _, local = tok.partition(":")
+            prefix += ":"
+            base = self.prefixes.get(prefix)
+            if base is None:
+                self.fail(f"prefix {prefix!r} is not declared", kind="unresolved prefix")
+            iri = base + local
+        else:
+            self.fail(f"expected {what}, found {_value(tok)!r}")
+        self.iris[tok] = iri
+        return iri
 
     # -- document -----------------------------------------------------------
 
     def parse_document(self) -> Ontology:
-        while self.at_keyword("Prefix"):
+        tokens = self.tokens
+        while tokens[self.i] == "Prefix":
             self.parse_prefix_declaration()
-        if not self.at_keyword("Ontology"):
+        if tokens[self.i] != "Ontology":
             self.fail("expected Ontology(...) document")
-        self.advance()
-        self.expect("LPAREN", "'('")
+        self.i += 1
+        self.expect("(", "'('")
         iri = version = None
-        if self.peek()[0] in ("IRI", "PNAME"):
+        if _kind(tokens[self.i]) in _NAMES:
             iri = self.parse_iri("ontology IRI")
-            if self.peek()[0] in ("IRI", "PNAME"):
+            if _kind(tokens[self.i]) in _NAMES:
                 version = self.parse_iri("version IRI")
         imports: list[str] = []
         annotations: list[OntologyAnnotation] = []
         axioms: list[Axiom] = []
         while True:
-            tok = self.peek()
-            if tok[0] == "RPAREN":
-                self.advance()
+            tok = tokens[self.i]
+            if tok == ")":
+                self.i += 1
                 break
-            if tok[0] == "EOF":
+            if not tok:
                 self.fail("unexpected end of input inside Ontology(...)")
-            keyword = tok[1] if tok[0] == "IDENT" else None
-            if keyword == "Import":
-                self.advance()
-                self.expect("LPAREN", "'('")
+            if tok == "Import":
+                self.i += 1
+                self.expect("(", "'('")
                 imports.append(self.parse_iri("import IRI"))
-                self.expect("RPAREN", "')'")
-            elif keyword == "Annotation":
-                annotations.append(self.parse_ontology_annotation())
+                self.expect(")", "')'")
+            elif tok == "Annotation":
+                annotations.append(self.parse_node(_ANNOTATION, annotated=True))
             else:
                 axioms.append(self.parse_axiom())
-        tok = self.peek()
-        if tok[0] != "EOF":
-            self.fail(f"unexpected trailing content {tok[1]!r}")
+        if tokens[self.i]:
+            self.fail(f"unexpected trailing content {_value(tokens[self.i])!r}")
         return Ontology(axioms=tuple(axioms), iri=iri, version_iri=version,
                         imports=tuple(imports), annotations=tuple(annotations))
 
     def parse_prefix_declaration(self):
-        self.advance()
-        self.expect("LPAREN", "'('")
-        tok = self.expect("PNAME", "prefix name")
-        name = tok[1]
+        self.i += 1
+        self.expect("(", "'('")
+        name = self.tokens[self.i]
+        if _kind(name) != "PNAME":
+            self.expected("prefix name")
         if not name.endswith(":"):
-            self.fail("prefix declaration must end with ':'", tok)
-        self.expect("EQUALS", "'='")
-        target = self.expect("IRI", "full IRI")
-        self.expect("RPAREN", "')'")
-        self.prefixes[name] = target[1]
-
-    def parse_ontology_annotation(self) -> OntologyAnnotation:
-        return self.parse_node(self.peek(), _ANNOTATION, annotated=True)
-
-    def skip_inline_annotations(self):
-        while self.at_keyword("Annotation"):
-            self.parse_ontology_annotation()
+            self.fail("prefix declaration must end with ':'")
+        self.i += 1
+        self.expect("=", "'='")
+        target = self.tokens[self.i]
+        if _kind(target) != "IRI":
+            self.expected("full IRI")
+        self.i += 1
+        self.expect(")", "')'")
+        self.prefixes[name] = target[1:-1]
 
     def parse_axiom(self) -> Axiom:
-        tok = self.peek()
-        if tok[0] != "IDENT":
-            self.fail(f"expected axiom, found {tok[1]!r}")
-        form = _AXIOM_FORMS.get(tok[1])
-        if form is None:
-            if tok[1] in _NON_AXIOM_KEYWORDS:
-                self.fail(f"{tok[1]!r} cannot appear as an axiom", tok)
-            return self._unknown_construct()
-        return self.parse_node(tok, form, annotated=True)
+        tok = self.tokens[self.i]
+        form = _AXIOM_FORMS.get(tok)
+        if form is not None:
+            return self.parse_node(form, annotated=True)
+        if _kind(tok) != "IDENT":
+            self.fail(f"expected axiom, found {_value(tok)!r}")
+        if tok in _NON_AXIOM_KEYWORDS:
+            self.fail(f"{tok!r} cannot appear as an axiom")
+        return self._unknown_construct()
 
     def _unknown_construct(self) -> UnknownAxiom:
-        name_tok = self.advance()
-        open_tok = self.expect("LPAREN", "'('")
+        tokens = self.tokens
+        at = self.i
+        self.i += 1
+        self.expect("(", "'('")
         depth = 1
-        end = open_tok[3]
         while depth:
-            tok = self.advance()
-            if tok[0] == "EOF":
-                self.fail(f"unterminated construct {name_tok[1]!r}", name_tok)
-            if tok[0] == "LPAREN":
+            tok = tokens[self.i]
+            if tok == "(":
                 depth += 1
-            elif tok[0] == "RPAREN":
+            elif tok == ")":
                 depth -= 1
-            end = tok[3]
-        return UnknownAxiom(name=name_tok[1], text=self.text[name_tok[2]:end])
+            elif not tok:
+                self.fail(f"unterminated construct {tokens[at]!r}", at)
+            self.i += 1
+        text = self.text[self.span(at)[0]:self.span(self.i - 1)[1]]
+        return UnknownAxiom(name=tokens[at], text=text)
 
     # -- nodes --------------------------------------------------------------
 
-    def parse_node(self, tok: _Tok, form, annotated: bool = False):
-        """The node written `keyword(...)`, where `tok` is the keyword and the
-        current token: its fields parsed step by step as the form says.
-        Axioms and annotations may open with annotations, which are skipped."""
+    def parse_node(self, form, annotated: bool = False):
+        """The node written `keyword(...)`, where the keyword is the current
+        token: its fields parsed step by step as the form says. Axioms and
+        annotations may open with annotations, which are skipped."""
         cls, template, steps, check = form
+        at = self.i
         self.i += 1
-        self.expect("LPAREN", "'('")
+        self.expect("(", "'('")
         if annotated:
-            self.skip_inline_annotations()
+            while self.tokens[self.i] == "Annotation":
+                self.parse_node(_ANNOTATION, annotated=True)
         args = template.copy()
         for where, parse, shape in steps:
-            args[where] = parse(self, shape, tok)
+            args[where] = parse(self, shape, at)
         if check is not None:
             message = check(args)
             if message:
-                self.fail(message, tok, kind="arity violation")
-        self.expect("RPAREN", "')'")
+                self.fail(message, at, kind="arity violation")
+        self.expect(")", "')'")
         return _new(cls, args)
 
-    def parse_many(self, shape: Shape, owner: _Tok) -> tuple:
+    def parse_many(self, shape: Shape, owner: int) -> tuple:
         """Values of one shape up to ')' (or `shape.maximum` of them)."""
         item = _ITEM_ROUTINES[shape.kind]
         if shape.paren:
-            self.expect("LPAREN", "'('")
+            self.expect("(", "'('")
         tokens = self.tokens
         maximum = shape.maximum
         values = []
-        while tokens[self.i][0] != "RPAREN" and len(values) != maximum:
+        while tokens[self.i] != ")" and len(values) != maximum:
             values.append(item(self, shape, owner))
         if len(values) < shape.minimum:
-            self.fail(shortfall(owner[1], shape), owner, kind="arity violation")
+            self.fail(shortfall(tokens[owner], shape), owner, kind="arity violation")
         if shape.paren:
-            self.expect("RPAREN", "')'")
+            self.expect(")", "')'")
         return tuple(values)
 
-    def parse_optional(self, shape: Shape, owner: _Tok):
+    def parse_optional(self, shape: Shape, owner: int):
         """A trailing value, or None before ')'."""
-        if self.tokens[self.i][0] == "RPAREN":
+        if self.tokens[self.i] == ")":
             return None
         return _ITEM_ROUTINES[shape.kind](self, shape, owner)
 
-    def parse_name(self, shape: Shape, owner: _Tok) -> str:
+    def parse_name(self, shape: Shape, owner: int) -> str:
         return self.parse_iri(shape.what)
 
-    def parse_entity_iri(self, shape: Shape, owner: _Tok) -> str:
-        tok = self.peek()
+    def parse_entity_iri(self, shape: Shape, owner: int) -> str:
         iri = self.parse_iri(shape.what)
         if not iri:
-            self.fail("entity IRI must be non-empty", tok)
+            self.fail("entity IRI must be non-empty", self.i - 1)
         return iri
 
-    def parse_integer(self, shape: Shape, owner: _Tok) -> int:
-        tok = self.expect("INT", "non-negative integer")
+    def parse_integer(self, shape: Shape, owner: int) -> int:
+        tok = self.tokens[self.i]
+        if _kind(tok) != "INT":
+            self.expected("non-negative integer")
+        self.i += 1
         try:
-            return int(tok[1])
+            return int(tok)
         except ValueError:
             pass
         # More digits than int() converts; failing outside the handler keeps
         # the ValueError out of the diagnostic's traceback.
-        self.fail(f"integer has more than {sys.get_int_max_str_digits()} digits", tok,
+        self.fail(f"integer has more than {sys.get_int_max_str_digits()} digits", self.i - 1,
                   kind="limit exceeded")
 
-    def parse_class_expression(self, shape: Shape | None = None, owner: _Tok | None = None):
+    def parse_class_expression(self, shape: Shape | None = None, owner: int | None = None):
         tok = self.tokens[self.i]
-        kind = tok[0]
-        if kind == "IRI" or kind == "PNAME":
-            self.i += 1
-            return _new(NamedClass, (tok[1] if kind == "IRI" else self.resolve(tok),))
-        if kind != "IDENT":
-            self.fail(f"expected class expression, found {tok[1]!r}")
-        form = _CE_FORMS.get(tok[1])
-        if form is None:
-            self.fail(f"unknown class expression constructor {tok[1]!r}", tok)
-        return self.parse_node(tok, form)
+        iri = self.iris.get(tok)
+        if iri is None:
+            form = _CE_FORMS.get(tok)
+            if form is not None:
+                return self.parse_node(form)
+            if _kind(tok) == "IDENT":
+                self.fail(f"unknown class expression constructor {tok!r}")
+            iri = self.resolve(tok, "class expression")
+        self.i += 1
+        return _new(NamedClass, (iri,))
 
-    def parse_object_property(self, shape: Shape | None = None, owner: _Tok | None = None):
-        tok = self.tokens[self.i]
-        if tok[0] == "IDENT" and tok[1] == "ObjectInverseOf":
-            return self.parse_node(tok, _INVERSE)
+    def parse_object_property(self, shape: Shape | None = None, owner: int | None = None):
+        if self.tokens[self.i] == "ObjectInverseOf":
+            return self.parse_node(_INVERSE)
         return self.parse_iri("object property")
 
-    def parse_sub_property(self, shape: Shape, owner: _Tok):
-        tok = self.tokens[self.i]
-        if tok[0] == "IDENT" and tok[1] == "ObjectPropertyChain":
-            return self.parse_node(tok, _CHAIN)
+    def parse_sub_property(self, shape: Shape, owner: int):
+        if self.tokens[self.i] == "ObjectPropertyChain":
+            return self.parse_node(_CHAIN)
         return self.parse_object_property()
 
-    def parse_individual(self, shape: Shape | None = None, owner: _Tok | None = None):
+    def parse_individual(self, shape: Shape | None = None, owner: int | None = None):
         tok = self.tokens[self.i]
-        if tok[0] == "NODEID":
+        if tok[:1] == "_":
             self.i += 1
-            return _new(AnonymousIndividual, (tok[1],))
+            return _new(AnonymousIndividual, (tok[2:],))
         return self.parse_iri("individual")
 
-    def parse_literal(self, shape: Shape | None = None, owner: _Tok | None = None) -> Literal:
-        tok = self.expect("STRING", "literal")
-        nxt = self.tokens[self.i]
-        if nxt[0] == "DTMARK":
+    def parse_literal(self, shape: Shape | None = None, owner: int | None = None) -> Literal:
+        tokens = self.tokens
+        tok = tokens[self.i]
+        if tok[:1] != '"':
+            self.expected("literal")
+        lexical = tok[1:-1]
+        if "\\" in lexical:
+            lexical = _unescape(lexical)
+        self.i += 1
+        nxt = tokens[self.i]
+        if nxt == "^^":
             self.i += 1
-            return _new(Literal, (tok[1], self.parse_iri("datatype IRI"), None))
-        if nxt[0] == "LANGTAG":
+            return _new(Literal, (lexical, self.parse_iri("datatype IRI"), None))
+        if nxt[:1] == "@":
             self.i += 1
-            return _new(Literal, (tok[1], None, nxt[1]))
-        return _new(Literal, (tok[1], None, None))
+            return _new(Literal, (lexical, None, nxt[1:]))
+        return _new(Literal, (lexical, None, None))
 
-    def parse_data_range(self, shape: Shape | None = None, owner: _Tok | None = None):
-        tok = self.tokens[self.i]
-        if tok[0] == "IDENT":
-            form = _DATA_RANGE_FORMS.get(tok[1])
-            if form is not None:
-                return self.parse_node(tok, form)
+    def parse_data_range(self, shape: Shape | None = None, owner: int | None = None):
+        form = _DATA_RANGE_FORMS.get(self.tokens[self.i])
+        if form is not None:
+            return self.parse_node(form)
         return _new(DatatypeRef, (self.parse_iri("data range"),))
 
-    def parse_facets(self, shape: Shape, owner: _Tok) -> tuple:
+    def parse_facets(self, shape: Shape, owner: int) -> tuple:
         facets = []
-        while self.tokens[self.i][0] != "RPAREN":
+        while self.tokens[self.i] != ")":
             facet = self.parse_iri("facet IRI")
             facets.append((facet, self.parse_literal()))
         if len(facets) < shape.minimum:
-            self.fail(shortfall(owner[1], shape), owner, kind="arity violation")
+            self.fail(shortfall(self.tokens[owner], shape), owner, kind="arity violation")
         return tuple(facets)
 
-    def parse_leading_iris(self, shape: Shape, owner: _Tok) -> tuple:
+    def parse_leading_iris(self, shape: Shape, owner: int) -> tuple:
         """The data properties of DataSomeValuesFrom/DataAllValuesFrom: every
         IRI up to the data range, which is the last IRI when it is a bare
         datatype."""
         tokens = self.tokens
         props = [self.parse_iri(shape.what)]
-        while tokens[self.i][0] in ("IRI", "PNAME") and tokens[self.i + 1][0] != "RPAREN":
+        while _kind(tokens[self.i]) in _NAMES and tokens[self.i + 1] != ")":
             props.append(self.parse_iri(shape.what))
-        if tokens[self.i][0] == "RPAREN":
-            self.fail(f"{owner[1]} needs a data property and a data range", owner,
+        if tokens[self.i] == ")":
+            self.fail(f"{tokens[owner]} needs a data property and a data range", owner,
                       kind="arity violation")
         return tuple(props)
 
-    def parse_entity(self, shape: Shape, owner: _Tok) -> Entity:
-        tok = self.peek()
-        form = _ENTITY_FORMS.get(tok[1]) if tok[0] == "IDENT" else None
+    def parse_entity(self, shape: Shape, owner: int) -> Entity:
+        tok = self.tokens[self.i]
+        form = _ENTITY_FORMS.get(tok)
         if form is None:
-            self.fail(f"expected entity kind, found {tok[1]!r}")
-        return self.parse_node(tok, form)
+            self.fail(f"expected entity kind, found {_value(tok)!r}")
+        return self.parse_node(form)
 
-    def parse_annotation_subject(self, shape: Shape, owner: _Tok):
-        tok = self.peek()
-        if tok[0] == "NODEID":
+    def parse_annotation_subject(self, shape: Shape, owner: int):
+        tok = self.tokens[self.i]
+        if tok[:1] == "_":
             self.i += 1
-            return _new(AnonymousIndividual, (tok[1],))
+            return _new(AnonymousIndividual, (tok[2:],))
         return _new(IriRef, (self.parse_iri(shape.what),))
 
-    def parse_annotation_value(self, shape: Shape, owner: _Tok):
-        if self.peek()[0] == "STRING":
+    def parse_annotation_value(self, shape: Shape, owner: int):
+        if self.tokens[self.i][:1] == '"':
             return self.parse_literal()
         return self.parse_annotation_subject(shape, owner)
 

@@ -1,11 +1,12 @@
 """Parser and serializer: grammar coverage, diagnostics, round-trips."""
 
 import random
+import re
 import string
 
 import pytest
 
-from ontoprof import OntologyParseError, parse_ontology, serialize
+from ontoprof import OntologyParseError, parse_ontology, parser, serialize
 from ontoprof.model import (
     XSD, AnnotationAssertion, DataPropertyAssertion, DataRestriction,
     Declaration, EquivalentClasses, IriRef, Literal, NamedClass,
@@ -13,7 +14,7 @@ from ontoprof.model import (
     SubClassOf, SubObjectPropertyOf, UnknownAxiom,
 )
 
-from gen import random_ontology
+from gen import NS, random_ontology
 
 HEADER = "Prefix(:=<http://example.org/t#>)\nOntology(\n"
 
@@ -59,6 +60,14 @@ def test_prefix_resolution_and_unresolved_prefix():
     assert o.axioms[0].sub.iri == "http://x.org/A"
     diags = diagnostics_of("SubClassOf(miss:A :B)")
     assert "unresolved prefix" in diags[0].message
+    o = parse_ontology("Prefix(:=<http://x/>)\nPrefix(p:=<http://x/>)\n"
+                       "Ontology(SubClassOf(:A p:A) SubClassOf(<http://x/A> :A))")
+    first, second = o.axioms
+    assert first.sub == first.sup == second.sub == second.sup == NamedClass("http://x/A")
+    # A prefix declared twice names the last target.
+    o = parse_ontology("Prefix(p:=<http://a/>)\nPrefix(p:=<http://b/>)\n"
+                       "Ontology(SubClassOf(p:A p:B))")
+    assert o.axioms[0] == SubClassOf(NamedClass("http://b/A"), NamedClass("http://b/B"))
 
 
 def test_standard_prefixes_predeclared():
@@ -159,6 +168,8 @@ MALFORMED_CASES = [
      "bad.ofn:1:9: error: syntax error: expected '(', found end of input"),
     ("Ontology(",                                    # unterminated document
      "bad.ofn:1:10: error: syntax error: unexpected end of input inside Ontology(...)"),
+    ("Ontology(\n# nothing else",                  # then only a comment
+     "bad.ofn:2:15: error: syntax error: unexpected end of input inside Ontology(...)"),
     ("Ontology(SubClassOf(:Man :Human)",             # missing final paren
      "bad.ofn:1:21: error: unresolved prefix: prefix ':' is not declared"),
     ("Prefix(:=<http://x/>)",                        # prefix only, no ontology
@@ -183,6 +194,9 @@ MALFORMED_CASES = [
      "bad.ofn:1:21: error: unresolved prefix: prefix ':' is not declared"),
     ("Ontology(SubClassOf(miss:A <http://x/B>))",    # unresolved prefix
      "bad.ofn:1:21: error: unresolved prefix: prefix 'miss:' is not declared"),
+    # An undeclared prefix is reported at its first use.
+    ("Prefix(:=<http://x/>)\nOntology(\nSubClassOf(:A miss:B)\nSubClassOf(miss:B :C)\n)",
+     "bad.ofn:3:15: error: unresolved prefix: prefix 'miss:' is not declared"),
     ("Ontology(SubClassOf(:A <http://x/B))",         # unterminated IRI
      "bad.ofn:1:24: error: lexical error: unterminated IRI"),
     ('Ontology(AnnotationAssertion(rdfs:label :A "x))',  # unterminated string
@@ -239,6 +253,8 @@ MALFORMED_CASES = [
      "bad.ofn:1:24: error: lexical error: unexpected character '\u00e9'"),
     ("Ontology(SubClassOf(:A)) %",
      "bad.ofn:1:26: error: lexical error: unexpected character '%'"),
+    ("Ontology() %",                                 # after the document
+     "bad.ofn:1:12: error: lexical error: unexpected character '%'"),
     # An empty string literal is a token, not the end of input.
     ('Ontology(Declaration(Class(<http://e.org/A>) ""))',
      "bad.ofn:1:46: error: syntax error: expected ')', found ''"),
@@ -373,3 +389,85 @@ def test_lexical_error_on_a_long_line_is_found_at_once():
 def test_two_megabyte_comment():
     o = parse("# " + 'x( "<\\' * 400_000 + "\nSubClassOf(:A :B)")
     assert len(o.axioms) == 1
+
+
+def test_comment_after_the_document_holds_no_tokens():
+    o = parse_ontology("Ontology()\n# ) SubClassOf(:A :B)")
+    assert o.axioms == ()
+
+
+# Characters that start, end or break tokens, for the mutants below.
+MUTATION_ALPHABET = ["\f", "\x00", "\u00a0", "\r\n", "\n", " ", '"', "\\", "<", ">",
+                     "#", "@", "_:", ":", "(", ")", "^^", "x", "7", "%"]
+
+
+def mutant(text: str, rng: random.Random) -> str:
+    """`text` after one to three random inserts, deletes, truncations or
+    duplicated slices."""
+    for _ in range(rng.randint(1, 3)):
+        op = rng.choice(("insert", "insert", "delete", "duplicate", "truncate"))
+        i = rng.randrange(len(text) + 1)
+        if op == "insert":
+            text = text[:i] + rng.choice(MUTATION_ALPHABET) + text[i:]
+        elif op == "delete":
+            text = text[:i] + text[i + rng.randint(1, 12):]
+        elif op == "duplicate":
+            j = i + rng.randint(1, 60)
+            text = text[:j] + text[i:j] + text[j:]
+        else:
+            text = text[:i]
+    return text
+
+
+def mutated_documents(n: int, seed: int):
+    """`n` mutants of every-form documents; every other one names its
+    entities by prefixed names."""
+    rng = random.Random(seed)
+    for k in range(n):
+        text = serialize(random_ontology(rng, every_form=True))
+        if k % 2:
+            text = "Prefix(:=<" + NS + ">)\n" + re.sub(
+                "<" + re.escape(NS) + r"([A-Za-z0-9]*)>", r":\1", text)
+        yield mutant(text, rng)
+
+
+def _lexed(lex, text: str):
+    try:
+        return lex(text, "m.ofn"), None
+    except OntologyParseError as exc:
+        return None, [d.format() for d in exc.diagnostics]
+
+
+def test_findall_lexer_agrees_with_the_positioned_lexer():
+    accepted = rejected = 0
+    for text in mutated_documents(1200, 20240811):
+        tokens, error = _lexed(parser._tokenize, text)
+        spans, span_error = _lexed(parser._token_spans, text)
+        assert error == span_error, text
+        if error is None:
+            assert tokens == [text[start:end] for start, end in spans], text
+            accepted += 1
+        else:
+            rejected += 1
+    assert accepted > 300 and rejected > 300
+
+
+def test_unknown_constructs_lex_positions_once(monkeypatch):
+    calls = []
+    token_spans = parser._token_spans
+
+    def spy(text, origin):
+        calls.append(origin)
+        return token_spans(text, origin)
+
+    monkeypatch.setattr(parser, "_token_spans", spy)
+    rules = [f"DLSafeRule(Body(ClassAtom(:A Variable(:x{i})))  # body\r\n"
+             f"  Head(ClassAtom(:B\tVariable(:x{i}))))" for i in range(4000)]
+    o = parse(" # rule\n".join(rules))
+    assert [ax.text for ax in o.axioms] == rules
+    assert len(calls) == 1
+    calls.clear()
+    diags = diagnostics_of("\n".join(rules) + "\nSubClassOf(:A)")
+    assert [d.format() for d in diags] == [
+        "test.ofn:8003:1: error: arity violation: SubClassOf needs at least 2 class expressions"]
+    assert len(calls) == 1

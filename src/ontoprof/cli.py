@@ -13,8 +13,21 @@ import sys
 from pathlib import Path
 
 from .features import schema_as_dict
-from .parser import OntologyParseError, parse_ontology
-from .runner import DEFAULT_TIMEOUT, RunConfig, run, write_outputs
+
+# `schema` and `check` never need the runner, which pulls in multiprocessing,
+# so `run` and `write_outputs` resolve on first use (PEP 562). They stay
+# module globals once read, and `cmd_extract` reads them through the module,
+# so a caller that replaces `cli.run` or `cli.write_outputs` is still obeyed.
+_RUNNER_NAMES = frozenset({"run", "write_outputs"})
+
+
+def __getattr__(name: str):
+    if name not in _RUNNER_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import runner
+    value = globals()[name] = getattr(runner, name)
+    return value
+
 
 _CONFIG_KEYS = {"inputs", "out", "format", "groups", "timeout", "jobs",
                 "on_error", "follow_imports", "ocoh_weights"}
@@ -70,6 +83,8 @@ def _build_parser() -> _Parser:
 
 
 def _merge_extract_config(args) -> RunConfig:
+    from .runner import DEFAULT_TIMEOUT, RunConfig
+
     options = load_config_file(args.config) if args.config else {}
     fmt = args.format or options.get("format", "csv")
     groups_raw = args.groups or options.get("groups")
@@ -101,12 +116,13 @@ def _merge_extract_config(args) -> RunConfig:
 
 
 def cmd_extract(args) -> int:
+    cli = sys.modules[__name__]  # `run` and `write_outputs` through __getattr__
     try:
         config = _merge_extract_config(args)
     except (ValueError, OSError) as exc:
         print(f"ontoprof: error: {exc}", file=sys.stderr)
         return 1
-    report = run(config)
+    report = cli.run(config)
     if report.aborted:
         for outcome in report.outcomes:
             for diag in outcome.diagnostics:
@@ -114,7 +130,7 @@ def cmd_extract(args) -> int:
         print("ontoprof: run aborted", file=sys.stderr)
         return 2
     try:
-        matrix = write_outputs(report, config)
+        matrix = cli.write_outputs(report, config)
     except OSError as exc:
         print(f"ontoprof: error: cannot write output: {exc}", file=sys.stderr)
         return 1
@@ -143,15 +159,17 @@ def cmd_schema(_args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.file == "-":
-        text, origin = sys.stdin.read(), "<stdin>"
-    else:
-        try:
+    from .parser import OntologyParseError, parse_ontology
+
+    origin = "<stdin>" if args.file == "-" else args.file
+    try:
+        if args.file == "-":
+            text = sys.stdin.buffer.read().decode("utf-8")
+        else:
             text = Path(args.file).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            print(f"ontoprof: error: {exc}", file=sys.stderr)
-            return 2
-        origin = args.file
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"ontoprof: error: {exc}", file=sys.stderr)
+        return 2
     try:
         onto = parse_ontology(text, origin=origin)
     except OntologyParseError as exc:

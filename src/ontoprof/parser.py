@@ -64,21 +64,27 @@ def _diagnostic(text: str, offset: int, message: str, origin: str) -> ParseDiagn
 # whitespace and comments after it or, where no token matches, the whole
 # rest of the input, so matches are contiguous and the scan never searches
 # past a failed offset (a search that did would be quadratic on a long line
-# of unclosed '<'). Token offsets are needed only for a diagnostic or for an
-# unknown construct's text; `_token_spans` lexes the document again, anchored
-# at each token, to find them.
+# of unclosed '<'). Token offsets are needed only for a syntax error or for
+# an unknown construct's text; `_token_spans` lexes the document again, with
+# one finditer, to find them.
+#
+# A keyword is tried before a prefixed name, so the common case is not
+# scanned twice; its lookahead sends a word that runs on into a prefixed
+# name (`a.b:c`) to the prefixed-name alternative, and one that stops at
+# '_', '.' or '-' without a colon to the plain keyword after it.
 
 _TOKEN = r"""
       \( | \) | = | \^\^
     | <[^>\n]*>                                        # IRI
+    | [A-Za-z][A-Za-z0-9]*(?![A-Za-z0-9_.\-:])         # keyword
     | "[^"\\]*(?:\\["\\][^"\\]*)*"                     # string literal
     | @[A-Za-z]+(?:-[A-Za-z0-9]+)*                     # language tag
     | _:[A-Za-z0-9_.\-]+                               # anonymous individual
     | (?:[A-Za-z][A-Za-z0-9_.\-]*)?:[A-Za-z0-9_.\-]*   # prefixed name
-    | [A-Za-z][A-Za-z0-9]*                             # keyword
+    | [A-Za-z][A-Za-z0-9]*                             # keyword before _ . -
     | [0-9]+
 """
-_SKIP = r"(?:[ \t\r\n]+|\#[^\n]*)*"
+_SKIP = r"[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*"
 _TOKEN_RE = re.compile(f"({_TOKEN}){_SKIP}", re.VERBOSE)
 _TOKENS_RE = re.compile(rf"({_TOKEN}|[\s\S]+){_SKIP}", re.VERBOSE)
 _SKIP_RE = re.compile(_SKIP, re.VERBOSE)
@@ -143,7 +149,8 @@ def _tokenize(text: str, origin: str) -> list[str]:
     OntologyParseError at the first character no token matches."""
     tokens = _TOKENS_RE.findall(text, _SKIP_RE.match(text).end())
     if tokens and not _TOKEN_RE.fullmatch(tokens[-1]):
-        _token_spans(text, origin)  # raises, positioned at the failed offset
+        # The last match is the rest of the input, from the failed offset.
+        _lexical_error(text, len(text) - len(tokens[-1]), origin)
     tokens.append("")
     return tokens
 
@@ -152,18 +159,10 @@ def _token_spans(text: str, origin: str) -> list[tuple[int, int]]:
     """The (start, end) offsets of every token of `text`, then an empty span
     at the end of input; raises OntologyParseError at the first character
     no token matches."""
-    match = _TOKEN_RE.match
-    pos = _SKIP_RE.match(text).end()
-    size = len(text)
-    spans = []
-    append = spans.append
-    while pos < size:
-        m = match(text, pos)
-        if m is None:
-            _lexical_error(text, pos, origin)
-        append(m.span(1))
-        pos = m.end()
-    append((pos, pos))
+    spans = [m.span(1) for m in _TOKENS_RE.finditer(text, _SKIP_RE.match(text).end())]
+    if spans and not _TOKEN_RE.fullmatch(text, *spans[-1]):
+        _lexical_error(text, spans[-1][0], origin)
+    spans.append((len(text), len(text)))
     return spans
 
 

@@ -11,6 +11,7 @@ emission, so parallel and serial runs produce identical bytes.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import multiprocessing
@@ -199,13 +200,22 @@ def _resolve_imports(onto, path: str, warnings: list[str], seen: set[str] | None
 
 def _serve(conn, follow_imports: bool, weights) -> None:
     """Worker loop: answer each (path, text) job with its FileOutcome until
-    the None sentinel arrives."""
+    the None sentinel arrives.
+
+    The cyclic garbage collector is off while a file is handled: the parse
+    and the extraction build no reference cycles, so its passes over the
+    model would find nothing to free (tests/test_runner.py checks that they
+    leave none). A cycle one file might leave waits only for the collector's
+    next pass after that file."""
     for path, text in iter(conn.recv, None):
+        gc.disable()
         try:
             outcome = _extract_file(path, text, follow_imports, weights)
         except Exception as exc:  # a bug or resource limit: report it, keep serving
             outcome = FileOutcome(path=path, status="internal_error",
                                   diagnostics=[f"{type(exc).__name__}: {exc}"])
+        finally:
+            gc.enable()
         conn.send(outcome)
 
 
@@ -285,7 +295,7 @@ def run(config: RunConfig) -> CorpusReport:
                 text = None
                 try:
                     if path == STDIN_ID and "-" in config.inputs:
-                        text = sys.stdin.read()
+                        text = sys.stdin.buffer.read().decode("utf-8")
                     elif not Path(path).exists():
                         raise FileNotFoundError("input path does not exist")
                 except (OSError, ValueError) as exc:

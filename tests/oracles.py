@@ -5,6 +5,7 @@ simple, separate code (type-name dispatch, matrix reachability, exhaustive
 scans) so the library under test shares no traversal logic with it.
 """
 
+import re
 from collections import Counter
 
 TBOX_NAMES = {"SubClassOf", "EquivalentClasses", "DisjointClasses", "DisjointUnion",
@@ -771,3 +772,37 @@ def dl_name(o) -> str:
     number = next((x for x in "QNF" if x in f), "")
     return (base + role + ("O" if "O" in f else "") + ("I" if "I" in f else "")
             + number + ("(D)" if "D" in f else ""))
+
+
+# ---------------------------------------------------------------------------
+# Lexer: the token pattern as the parser first wrote it, with the keyword
+# tried after the prefixed name, applied one anchored match at a time.
+
+SEED_TOKEN = r"""
+      \( | \) | = | \^\^
+    | <[^>\n]*>                                        # IRI
+    | "[^"\\]*(?:\\["\\][^"\\]*)*"                     # string literal
+    | @[A-Za-z]+(?:-[A-Za-z0-9]+)*                     # language tag
+    | _:[A-Za-z0-9_.\-]+                               # anonymous individual
+    | (?:[A-Za-z][A-Za-z0-9_.\-]*)?:[A-Za-z0-9_.\-]*   # prefixed name
+    | [A-Za-z][A-Za-z0-9]*                             # keyword
+    | [0-9]+
+"""
+SEED_SKIP = r"(?:[ \t\r\n]+|\#[^\n]*)*"
+_SEED_TOKEN_RE = re.compile(f"({SEED_TOKEN}){SEED_SKIP}", re.VERBOSE)
+_SEED_SKIP_RE = re.compile(SEED_SKIP, re.VERBOSE)
+
+
+def lex(text: str):
+    """The (start, end) span of every token up to the first character no
+    token matches, and that character's 1-based (line, column), or None
+    when every character is lexed."""
+    pos = _SEED_SKIP_RE.match(text).end()
+    spans = []
+    while pos < len(text):
+        m = _SEED_TOKEN_RE.match(text, pos)
+        if m is None:
+            return spans, (text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
+        spans.append(m.span(1))
+        pos = m.end()
+    return spans, None

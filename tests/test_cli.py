@@ -1,8 +1,12 @@
 """CLI surface: subcommands, exit codes, diagnostics format, config file."""
 
+import io
 import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +99,30 @@ def test_schema_command(capsys):
     assert len(payload["features"]) == 100
 
 
+def test_schema_loads_neither_the_runner_nor_the_parser():
+    probe = ("import io, sys\n"
+             "from ontoprof.cli import main\n"
+             "sys.stdout = io.StringIO()\n"
+             "assert main(['schema']) == 0\n"
+             "heavy = ('multiprocessing', 'ontoprof.runner', 'ontoprof.parser',\n"
+             "         'ontoprof.serializer')\n"
+             "print([name for name in heavy if name in sys.modules], file=sys.stderr)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == "[]\n"
+
+
+def test_every_public_name_imports():
+    import ontoprof
+    for name in ontoprof.__all__:
+        assert getattr(ontoprof, name) is not None, name
+    with pytest.raises(AttributeError):
+        ontoprof.no_such_name
+
+
 def test_check_ok(tmp_path, capsys):
     f = tmp_path / "ok.ofn"
     f.write_text(VALID)
@@ -146,25 +174,48 @@ def test_config_file_rejects_unknown_keys(tmp_path):
         load_config_file(str(cfg))
 
 
+def stdin_of(data: bytes):
+    """A stand-in for `sys.stdin` whose bytes are `data`."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
 def test_stdin_input(corpus, capsys, monkeypatch):
-    import io
-    monkeypatch.setattr("sys.stdin", io.StringIO(VALID))
+    monkeypatch.setattr("sys.stdin", stdin_of(VALID.encode()))
     assert main(["check", "-"]) == 0
     assert "<stdin>: ok" in capsys.readouterr().out
 
 
 def test_stdin_extract(capsys, monkeypatch, tmp_path):
-    import io
     import tempfile
     scratch = tmp_path / "tmp"
     scratch.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(scratch))
-    monkeypatch.setattr("sys.stdin", io.StringIO(VALID))
+    monkeypatch.setattr("sys.stdin", stdin_of(VALID.encode()))
     assert main(["extract", "-"]) == 0
     rows = capsys.readouterr().out.strip().splitlines()
     assert len(rows) == 2
     assert rows[1].startswith("<stdin>,")
     assert list(scratch.iterdir()) == []
+
+
+# Standard input is strict UTF-8, like a file: invalid bytes are an input
+# error, never characters for the lexer to reject.
+UNDECODABLE = b"Ontology(\xff)"
+DECODE_ERROR = "'utf-8' codec can't decode byte 0xff in position 9: invalid start byte"
+
+
+def test_check_rejects_undecodable_stdin(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", stdin_of(UNDECODABLE))
+    assert main(["check", "-"]) == 2
+    assert capsys.readouterr().err == f"ontoprof: error: {DECODE_ERROR}\n"
+
+
+def test_extract_files_undecodable_stdin_as_io_error(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", stdin_of(UNDECODABLE))
+    assert main(["extract", "-"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1:] == []
+    assert captured.err == f"ontoprof: <stdin>: io_error\n{DECODE_ERROR}\n"
 
 
 def test_timeout_flag_reaches_config(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import random
 import re
 import string
+from collections import Counter
 
 import pytest
 
@@ -14,6 +15,7 @@ from ontoprof.model import (
     SubClassOf, SubObjectPropertyOf, UnknownAxiom,
 )
 
+import oracles
 from gen import NS, random_ontology
 
 HEADER = "Prefix(:=<http://example.org/t#>)\nOntology(\n"
@@ -401,14 +403,14 @@ MUTATION_ALPHABET = ["\f", "\x00", "\u00a0", "\r\n", "\n", " ", '"', "\\", "<", 
                      "#", "@", "_:", ":", "(", ")", "^^", "x", "7", "%"]
 
 
-def mutant(text: str, rng: random.Random) -> str:
-    """`text` after one to three random inserts, deletes, truncations or
-    duplicated slices."""
+def mutant(text: str, rng: random.Random, alphabet=MUTATION_ALPHABET) -> str:
+    """`text` after one to three random inserts (from `alphabet`), deletes,
+    truncations or duplicated slices."""
     for _ in range(rng.randint(1, 3)):
         op = rng.choice(("insert", "insert", "delete", "duplicate", "truncate"))
         i = rng.randrange(len(text) + 1)
         if op == "insert":
-            text = text[:i] + rng.choice(MUTATION_ALPHABET) + text[i:]
+            text = text[:i] + rng.choice(alphabet) + text[i:]
         elif op == "delete":
             text = text[:i] + text[i + rng.randint(1, 12):]
         elif op == "duplicate":
@@ -419,7 +421,7 @@ def mutant(text: str, rng: random.Random) -> str:
     return text
 
 
-def mutated_documents(n: int, seed: int):
+def mutated_documents(n: int, seed: int, alphabet=MUTATION_ALPHABET):
     """`n` mutants of every-form documents; every other one names its
     entities by prefixed names."""
     rng = random.Random(seed)
@@ -428,7 +430,7 @@ def mutated_documents(n: int, seed: int):
         if k % 2:
             text = "Prefix(:=<" + NS + ">)\n" + re.sub(
                 "<" + re.escape(NS) + r"([A-Za-z0-9]*)>", r":\1", text)
-        yield mutant(text, rng)
+        yield mutant(text, rng, alphabet)
 
 
 def _lexed(lex, text: str):
@@ -450,6 +452,43 @@ def test_findall_lexer_agrees_with_the_positioned_lexer():
         else:
             rejected += 1
     assert accepted > 300 and rejected > 300
+
+
+# Words that run on into '_', '.', '-' or ':', where the lexer's keyword
+# and prefixed-name alternatives part ways, plus line ends and comments.
+LEXER_ALPHABET = MUTATION_ALPHABET + [
+    "Foo_bar", "a.b:c", "ab-c:d", " a_b:c)", "(ab-c:d ", "Foo.", "Foo-", "x_:", "_", ".",
+    "-", "\t", "\r", "# c ) <x\n"]
+KEYWORD = re.compile("[A-Za-z][A-Za-z0-9]*")
+RUN_ON_PREFIX = re.compile(r"[A-Za-z][A-Za-z0-9_.\-]*[_.\-][A-Za-z0-9_.\-]*:[A-Za-z0-9_.\-]*")
+
+
+def test_lexer_agrees_with_the_reference_lexer():
+    """Tokens, spans and the failed position all match `oracles.lex`, the
+    pattern with the keyword tried after the prefixed name."""
+    accepted = rejected = 0
+    forks = Counter()
+    for text in mutated_documents(1200, 20261018, LEXER_ALPHABET):
+        spans, failed_at = oracles.lex(text)
+        tokens, error = _lexed(parser._tokenize, text)
+        positioned, span_error = _lexed(parser._token_spans, text)
+        assert error == span_error, text
+        if failed_at is None:
+            assert error is None, text
+            assert positioned == spans + [(len(text), len(text))], text
+            assert tokens == [text[start:end] for start, end in spans] + [""], text
+            accepted += 1
+        else:
+            line, column = failed_at
+            assert error[0].startswith(f"m.ofn:{line}:{column}: error: lexical error: "), text
+            rejected += 1
+        for start, end in spans:
+            if KEYWORD.fullmatch(text, start, end) and text[end:end + 1] in ("_", ".", "-"):
+                forks["keyword before _ . -"] += 1
+            elif RUN_ON_PREFIX.fullmatch(text, start, end):
+                forks["prefix with _ . -"] += 1
+    assert accepted > 300 and rejected > 300
+    assert min(forks["keyword before _ . -"], forks["prefix with _ . -"]) > 50, forks
 
 
 def test_unknown_constructs_lex_positions_once(monkeypatch):

@@ -1,5 +1,6 @@
 """Corpus runner: discovery, isolation, timeouts, deterministic emission."""
 
+import gc
 import json
 import multiprocessing
 import os
@@ -338,6 +339,71 @@ def test_worker_exception_is_internal_error(tmp_path, monkeypatch):
     report = run(RunConfig(inputs=[str(corpus)], parallelism=1, per_file_timeout=60))
     assert [o.status for o in report.outcomes] == ["ok", "internal_error", "ok"]
     assert report.outcomes[1].diagnostics == ["RuntimeError: extractor bug"]
+
+
+def test_extraction_leaves_no_cyclic_garbage():
+    """The worker turns the collector off while it handles a file, which is
+    sound only while parsing and extracting build no reference cycles: with
+    the collector off, every kind of outcome must leave nothing for it."""
+    from gen import random_ontology
+    from ontoprof.serializer import serialize
+    from test_parser import MALFORMED_CASES
+
+    rng = random.Random(20261018)
+    texts = [p.read_text(encoding="utf-8") for p in sorted(GOLDEN_DIR.glob("*.ofn"))]
+    texts += [serialize(random_ontology(rng, every_form=True)) for _ in range(200)]
+    texts += [text for text, _ in MALFORMED_CASES]
+    texts.append(f"Ontology(SubClassOf(<http://x/A> {'ObjectComplementOf(' * 1000}"
+                 f"<http://x/B>{')' * 1000}))")
+    statuses = []
+    gc.collect()
+    gc.disable()
+    try:
+        for i, text in enumerate(texts):
+            outcome = runner._extract_file(f"{i}.ofn", text, False, (1 / 3, 1 / 3, 1 / 3))
+            statuses.append(outcome.status)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
+    assert statuses[-1] == "parse_error"
+    assert "limit exceeded" in outcome.diagnostics[0]
+    assert statuses.count("parse_error") == len(MALFORMED_CASES) + 1
+    assert statuses.count("ok") == len(texts) - len(MALFORMED_CASES) - 1
+
+
+class _WorkerEnd:
+    """The worker's end of its pipe: jobs in, and each outcome out with
+    whether the collector was on when it was sent."""
+
+    def __init__(self, jobs):
+        self.jobs = iter([*jobs, None])
+        self.sent = []
+
+    def recv(self):
+        return next(self.jobs)
+
+    def send(self, outcome):
+        self.sent.append((outcome.path, outcome.status, gc.isenabled()))
+
+
+def test_worker_turns_the_collector_back_on_after_each_file(monkeypatch):
+    def extract(path, text, *args):
+        if gc.isenabled():
+            return runner.FileOutcome(path=path, status="ok")  # the pause is missing
+        if path == "bug.ofn":
+            raise RuntimeError("extractor bug")
+        return runner.FileOutcome(path=path, status="parse_error")
+
+    monkeypatch.setattr(runner, "_extract_file", extract)
+    end = _WorkerEnd([("bug.ofn", ""), ("bad.ofn", "")])
+    try:
+        runner._serve(end, False, (1 / 3, 1 / 3, 1 / 3))
+    finally:
+        enabled = gc.isenabled()
+        gc.enable()
+    assert end.sent == [("bug.ofn", "internal_error", True), ("bad.ofn", "parse_error", True)]
+    assert enabled
 
 
 def test_nesting_too_deep_to_parse_is_a_positioned_parse_error(tmp_path):

@@ -107,12 +107,9 @@ def _merge_extract_config(args) -> RunConfig:
     inputs = list(args.inputs) or options.get("inputs", "").split()
     if not inputs:
         raise ValueError("no inputs given (positional arguments or config 'inputs')")
-    kwargs = dict(inputs=inputs, output_path=out, format=fmt, feature_groups=groups,
-                  per_file_timeout=timeout, on_error=on_error, follow_imports=follow,
-                  cohesion_weights=weights)
-    if jobs is not None:
-        kwargs["parallelism"] = jobs
-    return RunConfig(**kwargs)
+    return RunConfig(inputs=inputs, output_path=out, format=fmt, feature_groups=groups,
+                     per_file_timeout=timeout, parallelism=jobs, on_error=on_error,
+                     follow_imports=follow, cohesion_weights=weights)
 
 
 def cmd_extract(args) -> int:
@@ -163,10 +160,8 @@ def cmd_check(args) -> int:
 
     origin = "<stdin>" if args.file == "-" else args.file
     try:
-        if args.file == "-":
-            text = sys.stdin.buffer.read().decode("utf-8")
-        else:
-            text = Path(args.file).read_text(encoding="utf-8")
+        data = sys.stdin.buffer.read() if args.file == "-" else Path(args.file).read_bytes()
+        text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"ontoprof: error: {exc}", file=sys.stderr)
         return 2

@@ -8,10 +8,9 @@ simple-role structural rules.
 
 from __future__ import annotations
 
-import configparser
-from dataclasses import dataclass
+import os
+from collections import namedtuple
 from enum import Enum
-from importlib import resources
 from itertools import chain
 
 from .model import Census, Ontology
@@ -26,29 +25,42 @@ class ProfileLabel(Enum):
     PNAN = "PNAN"
 
 
-@dataclass(frozen=True)
-class ProfileRules:
-    forbidden_axioms: frozenset[str]
-    forbidden_constructors: frozenset[str]
-    oneof_max_arity: int | None = None
-    max_cardinality_bound: int | None = None
+ProfileRules = namedtuple("ProfileRules", "forbidden_axioms forbidden_constructors "
+                          "oneof_max_arity max_cardinality_bound", defaults=(None, None))
+_RULES_PATH = os.path.join(os.path.dirname(__file__), "data", "profile_rules.txt")
+
+
+def _read_rules(path: str) -> dict[str, dict[str, str]]:
+    """{section: {key: value}} from `[section]` headers and `key = value`
+    lines. A line that starts with whitespace continues the last value, and
+    blank lines and lines starting with `#` are skipped."""
+    sections: dict[str, dict[str, str]] = {}
+    with open(path, encoding="utf-8") as fh:
+        for n, line in enumerate(fh, 1):
+            text = line.strip()
+            if not text or text[0] == "#":
+                continue
+            if line[0] in " \t" and sections and key:
+                keys[key] += "\n" + text
+            elif text[0] == "[" and text[-1] == "]":
+                keys, key = sections.setdefault(text[1:-1], {}), None
+            elif "=" in text and sections:
+                key, _, value = (part.strip() for part in text.partition("="))
+                keys[key] = value
+            else:
+                raise ValueError(f"{path}:{n}: not a section, key or continuation: {text!r}")
+    return sections
 
 
 def _load_rule_table() -> dict[str, ProfileRules]:
-    cp = configparser.ConfigParser()
-    with resources.files("ontoprof.data").joinpath("profile_rules.txt").open() as fh:
-        cp.read_file(fh)
     table = {}
-    for section in cp.sections():
-        if section == "meta":
-            continue
-        table[section] = ProfileRules(
-            forbidden_axioms=frozenset(cp.get(section, "forbid-axiom", fallback="").split()),
-            forbidden_constructors=frozenset(
-                cp.get(section, "forbid-constructor", fallback="").split()),
-            oneof_max_arity=cp.getint(section, "oneof-max-arity", fallback=None),
-            max_cardinality_bound=cp.getint(section, "max-cardinality-bound", fallback=None),
-        )
+    for section, keys in _read_rules(_RULES_PATH).items():
+        if section != "meta":
+            bounds = (keys.get("oneof-max-arity"), keys.get("max-cardinality-bound"))
+            table[section] = ProfileRules(
+                frozenset(keys.get("forbid-axiom", "").split()),
+                frozenset(keys.get("forbid-constructor", "").split()),
+                *(None if b is None else int(b) for b in bounds))
     return table
 
 
@@ -122,12 +134,8 @@ def owl_profile(o: Ontology) -> ProfileLabel:
 # ---------------------------------------------------------------------------
 # DL family name.
 
-@dataclass(frozen=True)
-class DlName:
-    """Composed family name plus the raw feature flags behind it."""
-
-    value: str
-    flags: frozenset[str]
+# The composed family name plus the raw feature flags behind it.
+DlName = namedtuple("DlName", "value flags")
 
 
 # Axiom types and node tags that put letters into the DL family name; the

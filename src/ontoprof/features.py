@@ -10,7 +10,7 @@ data/feature_schema.json.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .expressivity import dl_family_name, owl_profile
 from .hierarchy import (
@@ -19,7 +19,7 @@ from .hierarchy import (
 )
 from .model import (
     BUILTIN_CLASSES, BUILTIN_DATA_PROPERTIES, BUILTIN_OBJECT_PROPERTIES,
-    CLASS_CONSTRUCTORS, LOGICAL_AXIOM_TYPES, PROPERTY_CHARACTERISTICS, Ontology,
+    CLASS_CONSTRUCTORS, LOGICAL_AXIOM_TYPES, PROPERTY_CHARACTERISTICS, Ontology, Record,
 )
 
 SCHEMA_VERSION = "1"
@@ -28,13 +28,8 @@ def _ratio(num, den) -> float:
     return num / den if den > 0 else 0.0
 
 
-@dataclass(frozen=True)
-class FeatureSpec:
-    id: str
-    group: str
-    kind: str       # "count" | "ratio" | "categorical"
-    domain: str
-    description: str
+# `kind` is "count", "ratio" or "categorical".
+FeatureSpec = namedtuple("FeatureSpec", "id group kind domain description")
 
 
 def _build_schema() -> tuple[FeatureSpec, ...]:
@@ -106,12 +101,13 @@ FEATURE_IDS: tuple[str, ...] = tuple(s.id for s in FEATURE_SCHEMA)
 FEATURE_GROUPS: tuple[str, ...] = ("size", "expressivity", "structural", "syntactic")
 
 
-@dataclass
-class FeatureVector:
+class FeatureVector(Record):
     """Ordered, fixed-arity feature map; treat as immutable once built."""
 
-    schema_version: str
-    values: dict[str, int | float | str]
+    __slots__ = _fields = ("schema_version", "values")
+
+    def __init__(self, schema_version: str, values: dict[str, int | float | str]):
+        self.schema_version, self.values = schema_version, values
 
     def __getitem__(self, fid: str):
         return self.values[fid]
@@ -120,11 +116,7 @@ class FeatureVector:
         return self.values.items()
 
 
-@dataclass(frozen=True)
-class PatternCount:
-    iu: int
-    euvi: int
-    cuvi: int
+PatternCount = namedtuple("PatternCount", "iu euvi cuvi")
 
 
 def size_features(o: Ontology) -> dict:

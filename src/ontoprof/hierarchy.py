@@ -8,28 +8,22 @@ so asserted cycles cannot make it unbounded.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from itertools import chain
 
-from .model import Ontology
+from .model import FrozenRecord, Ontology
 
 
-@dataclass(frozen=True)
-class Hierarchy:
-    """Direct child-to-parent subsumption edges over a fixed node set."""
+class Hierarchy(FrozenRecord):
+    """Direct child-to-parent subsumption edges over a fixed node set, with
+    the direct and indirect link counts and the SCC map derived from them."""
 
-    nodes: frozenset[str]
-    direct_edges: frozenset[tuple[str, str]]
-    ndhc: int = field(init=False, compare=False)
-    nidhc: int = field(init=False, compare=False)
-    scc_map: dict = field(init=False, compare=False, repr=False)
+    _fields = ("nodes", "direct_edges")
 
-    def __post_init__(self):
-        comp = _scc_map(self.nodes, self.direct_edges)
-        object.__setattr__(self, "scc_map", comp)
-        object.__setattr__(self, "ndhc", len(self.direct_edges))
-        closure_size = _count_reachable_pairs(self.direct_edges, comp)
-        object.__setattr__(self, "nidhc", closure_size - len(self.direct_edges))
+    def __init__(self, nodes: frozenset[str], direct_edges: frozenset[tuple[str, str]]):
+        comp = _scc_map(nodes, direct_edges)
+        ndhc = len(direct_edges)
+        vars(self).update(nodes=nodes, direct_edges=direct_edges, ndhc=ndhc, scc_map=comp,
+                          nidhc=_count_reachable_pairs(direct_edges, comp) - ndhc)
 
 
 def _adjacency(edges) -> dict[str, set[str]]:

@@ -14,8 +14,7 @@ below all read it.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from enum import Enum
 from functools import cached_property, partial
 from itertools import chain
@@ -898,15 +897,9 @@ class Census:
 # ---------------------------------------------------------------------------
 # Signature and ontology.
 
-@dataclass(frozen=True)
-class Signature:
-    classes: frozenset[str] = frozenset()
-    object_properties: frozenset[str] = frozenset()
-    data_properties: frozenset[str] = frozenset()
-    individuals: frozenset[str] = frozenset()
-    datatypes: frozenset[str] = frozenset()
-    annotation_properties: frozenset[str] = frozenset()
-    anonymous_individuals: frozenset[str] = frozenset()
+Signature = namedtuple("Signature", "classes object_properties data_properties individuals "
+                       "datatypes annotation_properties anonymous_individuals",
+                       defaults=(frozenset(),) * 7)
 
 
 _ENTITY_SETS = {EntityKind.CLASS: CLASSES, EntityKind.DATATYPE: DATATYPES,
@@ -944,25 +937,54 @@ _LEAVES = {t: spec.shapes[0].sig for t, spec in NODES.items()
            and spec.shapes[0].kind in ("iri", "node_id")}
 
 
-@dataclass(frozen=True)
-class Ontology:
+class Record:
+    """Base of a plain record: equal to a record of its own type whose fields
+    named in `_fields` are equal, and shown by them."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A record whose __init__ fills its __dict__ once: setting or deleting an
+    attribute raises AttributeError, and it hashes as its `_fields` values."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class Ontology(FrozenRecord):
     """A parsed knowledge base: signature plus categorized axiom list."""
 
-    axioms: tuple[Axiom, ...]
-    iri: str | None = None
-    version_iri: str | None = None
-    imports: tuple[str, ...] = ()
-    annotations: tuple[OntologyAnnotation, ...] = ()
-    signature: Signature = field(init=False, compare=False, repr=False)
-    tbox: tuple[Axiom, ...] = field(init=False, compare=False, repr=False)
-    rbox: tuple[Axiom, ...] = field(init=False, compare=False, repr=False)
-    abox: tuple[Axiom, ...] = field(init=False, compare=False, repr=False)
-    non_logical: tuple[Axiom, ...] = field(init=False, compare=False, repr=False)
+    _fields = ("axioms", "iri", "version_iri", "imports", "annotations")
 
-    def __post_init__(self):
+    def __init__(self, axioms: tuple[Axiom, ...], iri: str | None = None,
+                 version_iri: str | None = None, imports: tuple[str, ...] = (),
+                 annotations: tuple[OntologyAnnotation, ...] = ()):
         """Bucket the axioms by category and gather the signature in the same
         pass: each node's fields are read as their shapes say, with an
         explicit stack for nested expressions and data ranges."""
+        vars(self).update(axioms=axioms, iri=iri, version_iri=version_iri, imports=imports,
+                          annotations=annotations)
         sets = tuple(set() for _ in range(ANONYMOUS + 1))
         buckets = tuple([] for _ in _CATEGORIES)
         plans = _SIGNATURE_PLANS
@@ -970,7 +992,7 @@ class Ontology:
         leaf_set = {t: set() if s is None else sets[s] for t, s in _LEAVES.items()}.get
         stack = []
         push = stack.append
-        for ax in self.axioms:
+        for ax in axioms:
             category, plan = plans[type(ax)]
             buckets[category].append(ax)
             node = ax
@@ -1004,10 +1026,9 @@ class Ontology:
                     break
                 node = stack.pop()
                 plan = plans[type(node)][1]
-        sets[ANNOTATION_PROPERTIES].update(anno.prop for anno in self.annotations)
-        object.__setattr__(self, "signature", Signature(*map(frozenset, sets)))
-        for name, bucket in zip(("tbox", "rbox", "abox", "non_logical"), buckets):
-            object.__setattr__(self, name, tuple(bucket))
+        sets[ANNOTATION_PROPERTIES].update(anno.prop for anno in annotations)
+        vars(self).update(zip(("tbox", "rbox", "abox", "non_logical"), map(tuple, buckets)),
+                          signature=Signature(*map(frozenset, sets)))
 
     @cached_property
     def census(self) -> Census:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .model import (
     CE, NODES, OWL, RDF, RDFS, XSD, AnonymousIndividual, Axiom, ClassExpression,
@@ -26,13 +26,11 @@ STANDARD_PREFIXES = {
 }
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
-    severity: str  # "error" | "warning"
-    line: int
-    column: int
-    message: str
-    origin: str = "<string>"
+class ParseDiagnostic(namedtuple("ParseDiagnostic", "severity line column message origin",
+                                 defaults=("<string>",))):
+    """One positioned message; `severity` is "error" or "warning"."""
+
+    __slots__ = ()
 
     def format(self) -> str:
         return f"{self.origin}:{self.line}:{self.column}: {self.severity}: {self.message}"

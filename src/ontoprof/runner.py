@@ -20,10 +20,10 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
-from .features import FEATURE_SCHEMA, SCHEMA_VERSION, extract_all, FeatureVector
+from .features import FEATURE_GROUPS, FEATURE_SCHEMA, SCHEMA_VERSION, FeatureVector, extract_all
+from .model import Record
 from .parser import OntologyParseError, parse_ontology
 
 DEFAULT_TIMEOUT = 300.0
@@ -31,49 +31,62 @@ STDIN_ID = "<stdin>"  # the ontology id of input read from `-`
 _URI_SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*:")  # RFC 3986 scheme
 
 
-@dataclass
-class RunConfig:
-    inputs: list[str]
-    output_path: str | None = None
-    format: str = "csv"
-    feature_groups: tuple[str, ...] = ("size", "expressivity", "structural", "syntactic")
-    per_file_timeout: float = DEFAULT_TIMEOUT
-    parallelism: int = field(default_factory=lambda: os.cpu_count() or 1)
-    on_error: str = "skip"
-    follow_imports: bool = False
-    cohesion_weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
+class RunConfig(Record):
+    """The options of one run; the report lists them in `_fields` order.
+    `parallelism` None means one worker per CPU."""
 
-    def __post_init__(self):
-        if self.parallelism < 1:
+    _fields = ("inputs", "output_path", "format", "feature_groups", "per_file_timeout",
+               "parallelism", "on_error", "follow_imports", "cohesion_weights")
+
+    def __init__(self, inputs: list[str], output_path: str | None = None, format: str = "csv",
+                 feature_groups: tuple[str, ...] = FEATURE_GROUPS,
+                 per_file_timeout: float = DEFAULT_TIMEOUT, parallelism: int | None = None,
+                 on_error: str = "skip", follow_imports: bool = False,
+                 cohesion_weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)):
+        if parallelism is None:
+            parallelism = os.cpu_count() or 1
+        if parallelism < 1:
             raise ValueError("parallelism must be >= 1")
-        if self.per_file_timeout <= 0:
+        if per_file_timeout <= 0:
             raise ValueError("per_file_timeout must be positive")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"unknown format: {self.format}")
-        if self.on_error not in ("skip", "abort"):
-            raise ValueError(f"unknown on_error policy: {self.on_error}")
-        unknown = set(self.feature_groups) - {"size", "expressivity", "structural", "syntactic"}
+        if format not in ("csv", "json"):
+            raise ValueError(f"unknown format: {format}")
+        if on_error not in ("skip", "abort"):
+            raise ValueError(f"unknown on_error policy: {on_error}")
+        unknown = set(feature_groups).difference(FEATURE_GROUPS)
         if unknown:
             raise ValueError(f"unknown feature groups: {sorted(unknown)}")
+        self.inputs, self.output_path, self.format = inputs, output_path, format
+        self.feature_groups, self.per_file_timeout = feature_groups, per_file_timeout
+        self.parallelism, self.on_error = parallelism, on_error
+        self.follow_imports, self.cohesion_weights = follow_imports, cohesion_weights
 
 
-@dataclass
-class FileOutcome:
-    path: str
-    status: str  # "ok" | "parse_error" | "timeout" | "io_error" | "internal_error"
-    vector: FeatureVector | None = None
-    diagnostics: list[str] = field(default_factory=list)
-    imports: list[str] = field(default_factory=list)
-    anonymous_individuals: int = 0
-    warnings: list[str] = field(default_factory=list)
+class FileOutcome(Record):
+    """What one input gave: its status, its vector if "ok", and messages."""
+
+    _fields = ("path", "status", "vector", "diagnostics", "imports", "anonymous_individuals",
+               "warnings")
+
+    def __init__(self, path: str, status: str, vector: FeatureVector | None = None,
+                 diagnostics: list[str] | None = None, imports: list[str] | None = None,
+                 anonymous_individuals: int = 0, warnings: list[str] | None = None):
+        self.path = path
+        self.status = status  # "ok" | "parse_error" | "timeout" | "io_error" | "internal_error"
+        self.vector = vector
+        self.diagnostics = [] if diagnostics is None else diagnostics
+        self.imports = [] if imports is None else imports
+        self.anonymous_individuals = anonymous_individuals
+        self.warnings = [] if warnings is None else warnings
 
 
-@dataclass
-class CorpusReport:
-    outcomes: list[FileOutcome]
-    aborted: bool
-    wall_time_s: float
-    schema_version: str = SCHEMA_VERSION
+class CorpusReport(Record):
+    _fields = ("outcomes", "aborted", "wall_time_s", "schema_version")
+
+    def __init__(self, outcomes: list[FileOutcome], aborted: bool, wall_time_s: float,
+                 schema_version: str = SCHEMA_VERSION):
+        self.outcomes, self.aborted = outcomes, aborted
+        self.wall_time_s, self.schema_version = wall_time_s, schema_version
 
     @property
     def totals(self) -> dict[str, int]:
@@ -87,7 +100,7 @@ class CorpusReport:
         return [(o.path, o.vector) for o in self.outcomes if o.status == "ok"]
 
     def as_dict(self, config: RunConfig) -> dict:
-        cfg = asdict(config)
+        cfg = dict(zip(config._fields, config._values()))
         cfg["feature_groups"] = list(config.feature_groups)
         cfg["cohesion_weights"] = list(config.cohesion_weights)
         return {
@@ -136,10 +149,12 @@ def discover_inputs(config: RunConfig) -> list[str]:
 
 def _extract_file(path: str, text: str | None, follow_imports: bool,
                   weights: tuple[float, float, float]) -> FileOutcome:
-    """Outcome for one input; `text` is read from `path` when it is None."""
+    """Outcome for one input; when `text` is None it is decoded from the
+    bytes of `path` as strict UTF-8, as standard input is, so carriage
+    returns reach the parser as written."""
     try:
         if text is None:
-            text = Path(path).read_text(encoding="utf-8")
+            text = Path(path).read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         return FileOutcome(path=path, status="io_error", diagnostics=[str(exc)])
     warnings: list[str] = []
@@ -184,7 +199,7 @@ def _resolve_imports(onto, path: str, warnings: list[str], seen: set[str] | None
             if resolved in seen:
                 continue
             seen.add(resolved)
-            imported = parse_ontology(target.read_text(encoding="utf-8"), origin=str(target))
+            imported = parse_ontology(target.read_bytes().decode("utf-8"), origin=str(target))
         except (OSError, UnicodeDecodeError) as exc:
             warnings.append(f"{path}: warning: import <{iri}> not merged: {exc}")
             continue
@@ -350,7 +365,7 @@ def _render_number(value) -> str:
 
 
 def emit_matrix(vectors: list[tuple[str, FeatureVector]], format: str = "csv",
-                groups=("size", "expressivity", "structural", "syntactic")) -> bytes:
+                groups=FEATURE_GROUPS) -> bytes:
     """Byte-deterministic matrix; one row per ontology in the given order."""
     versions = {v.schema_version for _, v in vectors}
     if len(versions) > 1:
@@ -360,19 +375,28 @@ def emit_matrix(vectors: list[tuple[str, FeatureVector]], format: str = "csv",
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["ontology_id"] + ids)
+        # Each distinct value is rendered once, keyed by its type so that 1 and
+        # 1.0 differ, and a float zero by its text too so that -0.0 and 0.0 do.
+        rendered: dict = {}
         for name, vector in vectors:
             row = [name]
+            values = vector.values
             for fid in ids:
-                value = vector[fid]
-                row.append(value if isinstance(value, str) else _render_number(value))
+                value = values[fid]
+                t = type(value)
+                key = (t, value) if value or t is not float else (t, value, str(value))
+                text = rendered.get(key)
+                if text is None:
+                    text = rendered[key] = value if t is str else _render_number(value)
+                row.append(text)
             writer.writerow(row)
         return buf.getvalue().encode("utf-8")
     if format == "json":
         records = []
         for name, vector in vectors:
-            record: dict = {"ontology_id": name, "schema_version": vector.schema_version}
-            for fid in ids:
-                record[fid] = vector[fid]
+            values = vector.values
+            record = {"ontology_id": name, "schema_version": vector.schema_version}
+            record.update({fid: values[fid] for fid in ids})
             records.append(record)
         return (json.dumps(records, indent=2) + "\n").encode("utf-8")
     raise ValueError(f"unknown format: {format}")

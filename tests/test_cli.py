@@ -115,6 +115,29 @@ def test_schema_loads_neither_the_runner_nor_the_parser():
     assert done.stderr == "[]\n"
 
 
+def test_start_up_loads_no_dataclasses_configparser_or_resources():
+    """Run without `site`, which may preload some of these on its own."""
+    golden = Path(__file__).resolve().parent / "fixtures" / "golden" / "family_kb.ofn"
+    probe = ("import io, sys\n"
+             "from ontoprof.cli import main\n"
+             "sys.stdout = io.StringIO()\n"
+             "heavy = ('dataclasses', 'inspect', 'configparser', 'importlib.resources')\n"
+             "def loaded():\n"
+             "    return [name for name in heavy if name in sys.modules]\n"
+             "assert main(['schema']) == 0\n"
+             "print('schema', loaded(), file=sys.stderr)\n"
+             f"assert main(['check', {str(golden)!r}]) == 0\n"
+             "print('check', loaded(), file=sys.stderr)\n"
+             "import ontoprof.runner\n"
+             "print('runner', loaded(), file=sys.stderr)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == "schema []\ncheck []\nrunner []\n"
+
+
 def test_every_public_name_imports():
     import ontoprof
     for name in ontoprof.__all__:
@@ -274,3 +297,59 @@ def test_unwritable_output_is_reported(corpus, tmp_path, capsys):
     missing_dir = tmp_path / "no" / "such" / "dir" / "m.csv"
     assert main(["extract", "--out", str(missing_dir), str(corpus)]) == 1
     assert "cannot write output" in capsys.readouterr().err
+
+
+# The same documents with CR-only and CRLF line ends: one with a positioned
+# error after the first line end, one with an unknown construct that spans one.
+CR_DOCUMENTS = {
+    "bad": ["Prefix(:=<http://x/>)", "Ontology(", "  SubClassOf(:A)", ")"],
+    "rule": ["Prefix(:=<http://x/>)", "Ontology(", "DLSafeRule(Body(ClassAtom(:A Variable(:x)))",
+             "  Head(ClassAtom(:B Variable(:x))))", "SubClassOf(:A :B)", ")"],
+}
+
+
+def record_unknown_axioms(monkeypatch, module, log: Path):
+    """Make `module.parse_ontology` append the text of each UnknownAxiom it
+    returns to `log`; forked workers inherit the patch."""
+    from ontoprof.model import UnknownAxiom
+    parse = module.parse_ontology
+
+    def recording(text, origin="<string>"):
+        onto = parse(text, origin=origin)
+        with log.open("a", encoding="utf-8") as fh:
+            fh.writelines(f"{ax.text!r}\n" for ax in onto.axioms if type(ax) is UnknownAxiom)
+        return onto
+
+    monkeypatch.setattr(module, "parse_ontology", recording)
+
+
+@pytest.mark.parametrize("newline", ["\r", "\r\n"])
+@pytest.mark.parametrize("command", ["check", "extract"])
+def test_files_and_stdin_read_line_ends_alike(command, newline, tmp_path, capsys, monkeypatch):
+    from ontoprof import parser, runner
+    log = tmp_path / "unknown.log"
+    record_unknown_axioms(monkeypatch, parser if command == "check" else runner, log)
+    flags = ["--jobs", "1"] if command == "extract" else []
+    for name, lines in CR_DOCUMENTS.items():
+        data = newline.join(lines).encode()
+        path = tmp_path / f"{name}.ofn"
+        path.write_bytes(data)
+        seen = []
+        for source in (str(path), "-"):
+            monkeypatch.setattr("sys.stdin", stdin_of(data))
+            status = main([command, *flags, source])
+            captured = capsys.readouterr()
+            origin = "<stdin>" if source == "-" else str(path)
+            unknown = log.read_text(encoding="utf-8") if log.exists() else ""
+            log.unlink(missing_ok=True)
+            seen.append((status, captured.err.replace(origin, "ORIGIN"),
+                         captured.out.replace(origin, "ORIGIN"), unknown))
+        assert seen[0] == seen[1]
+        status, err, _, unknown = seen[0]
+        if name == "bad":
+            position = "1:35" if newline == "\r" else "3:3"  # a lone CR ends no line
+            assert f"ORIGIN:{position}: error: arity violation: SubClassOf needs at least 2 " \
+                   "class expressions\n" in err
+        else:
+            assert unknown == repr(newline.join(lines[2:4])) + "\n"
+            assert status == 0 and err == ""

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from ontoprof import runner
-from ontoprof.features import extract_all
+from ontoprof.features import FeatureVector, extract_all
 from ontoprof.parser import parse_ontology
 from ontoprof.runner import RunConfig, discover_inputs, emit_matrix, run, write_outputs
 
@@ -137,6 +137,31 @@ def test_emit_matrix_number_rendering():
     text = emit_matrix([("x", vector)]).decode()
     assert "0.666667" in text  # C_ASB = 2/3 trimmed to six digits
     assert "1.000000" not in text  # trailing zeros trimmed
+
+
+# Each value with its rendering; values that compare equal but render
+# differently, or do not compare equal to themselves, share one matrix.
+RENDERINGS = [
+    (0, "0"), (0.0, "0"), (-0.0, "-0"), (1, "1"), (1.0, "1"), (1e-7, "0"),
+    (2.5e300, "2500000000000000131261900638011050621761171452770397887289635288779506144972"
+              "27048946592843770111966010926110958220969544235630808840107643911198046196676"
+              "74571209680023164395093445755844869702251484223830874269998627027975974191022"
+              "00186631856950356236448146972050142107095289173680490967163648501350400"),
+    (float("nan"), "nan"), (float("inf"), "inf"), (True, "True"), (-1.5, "-1.5"),
+    ("ALC(D)", "ALC(D)"),
+]
+
+
+def test_emit_matrix_renders_each_value_alike_wherever_it_occurs():
+    ids = list(extract_all(parse_ontology(VALID)).values)
+    rows, expected = [], []
+    for shift in range(len(RENDERINGS)):  # every value after every other one
+        pairs = [RENDERINGS[(shift + i) % len(RENDERINGS)] for i in range(len(ids))]
+        rows.append((f"r{shift}", FeatureVector("1", {fid: v for fid, (v, _) in zip(ids, pairs)})))
+        expected.append([f"r{shift}"] + [text for _, text in pairs])
+    lines = emit_matrix(rows).decode().splitlines()
+    assert lines[0] == ",".join(["ontology_id"] + ids)
+    assert [line.split(",") for line in lines[1:]] == expected
 
 
 def test_emit_matrix_group_filter():

@@ -156,12 +156,12 @@ def cmd_schema(_args) -> int:
 
 
 def cmd_check(args) -> int:
-    from .parser import OntologyParseError, parse_ontology
+    from .parser import OntologyParseError, decode_source, parse_ontology
 
     origin = "<stdin>" if args.file == "-" else args.file
     try:
         data = sys.stdin.buffer.read() if args.file == "-" else Path(args.file).read_bytes()
-        text = data.decode("utf-8")
+        text = decode_source(data)
     except (OSError, UnicodeDecodeError) as exc:
         print(f"ontoprof: error: {exc}", file=sys.stderr)
         return 2

@@ -8,52 +8,49 @@ so asserted cycles cannot make it unbounded.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from itertools import chain
+from operator import countOf, itemgetter
 
 from .model import FrozenRecord, Ontology
 
 
 class Hierarchy(FrozenRecord):
     """Direct child-to-parent subsumption edges over a fixed node set, with
-    the direct and indirect link counts and the SCC map derived from them."""
+    the link counts, SCC map, depth, parent counts and child lists derived."""
 
     _fields = ("nodes", "direct_edges")
 
     def __init__(self, nodes: frozenset[str], direct_edges: frozenset[tuple[str, str]]):
-        comp = _scc_map(nodes, direct_edges)
+        parents = Counter(map(itemgetter(0), direct_edges))
+        children: dict[str, list[str]] = defaultdict(list)
+        for u, v in direct_edges:
+            children[v].append(u)
+        comp, size = _scc_map(nodes, parents, children)
+        pairs, depth = _condensation_counts(direct_edges, comp, size)
         ndhc = len(direct_edges)
-        vars(self).update(nodes=nodes, direct_edges=direct_edges, ndhc=ndhc, scc_map=comp,
-                          nidhc=_count_reachable_pairs(direct_edges, comp) - ndhc)
+        vars(self).update(nodes=nodes, direct_edges=direct_edges, ndhc=ndhc, nidhc=pairs - ndhc,
+                          scc_map=comp, depth=depth, parents=parents, children=children)
 
 
-def _adjacency(edges) -> dict[str, set[str]]:
-    adj: dict[str, set[str]] = defaultdict(set)
-    for u, v in edges:
-        adj[u].add(v)
-    return adj
+def _condensation_counts(edges, comp: dict[str, int], size: list[int]) -> tuple[int, int]:
+    """The number of (u, v) pairs with a directed path of length >= 1 from u
+    to v, and the longest path (in edges) through the condensation.
 
-
-def _count_reachable_pairs(edges, comp: dict[str, int]) -> int:
-    """Number of (u, v) pairs with a directed path of length >= 1 from u to v.
-
-    Counted on the condensation `comp` from `_scc_map` without materializing
-    the closure (Purdom 1970; Nuutila 1995). Tarjan numbers a component only
-    after every component it reaches, so one pass in ascending id order sees
-    successors first. With the nodes laid out contiguously by component, a
-    component's reach is a Python-int bitset, the OR of its successors' reach
-    and members; each member of component c reaches its popcount, plus all of
-    c when c is cyclic (two or more members, or a self-loop). A component
-    with one successor d whose bitset no branching component reads keeps no
-    bitset: it reaches what d reaches plus d. So a tree costs memory linear
-    in its node count; on other graphs a bitset holds at most one bit per
-    node and is dropped after its last reader.
+    Counted on the condensation `comp`, with `size` members per component,
+    from `_scc_map` without materializing the closure (Purdom 1970; Nuutila
+    1995). Every component a component reaches has a smaller id, so one pass
+    in ascending id order sees successors first. With the nodes laid out
+    contiguously by component, a component's reach is a Python-int bitset,
+    the OR of its successors' reach and members; each member of component c
+    reaches its popcount, plus all of c when c is cyclic (two or more
+    members, or a self-loop). A component with one successor d whose bitset
+    no branching component reads keeps no bitset: it reaches what d reaches
+    plus d. So a tree costs memory linear in its node count; on other graphs
+    a bitset holds at most one bit per node and is dropped after its last
+    reader. Heights come in the same pass.
     """
     if not edges:
-        return 0
-    n = max(comp.values()) + 1
-    size = [0] * n
-    for c in comp.values():
-        size[c] += 1
+        return 0, 0
+    n = len(size)
     succ: list[set[int]] = [set() for _ in range(n)]
     cyclic = [False] * n
     for u, v in edges:
@@ -69,7 +66,7 @@ def _count_reachable_pairs(edges, comp: dict[str, int]) -> int:
         if len(succ[c]) >= 2 or readers[c]:
             for d in succ[c]:
                 readers[d] += 1
-    reached = [0] * n  # nodes outside c that c's members reach
+    reached, height = [0] * n, [0] * n  # reached: nodes outside c that c's members reach
     closed: dict[int, int] = {}  # bitset of c's reach and members, while read
     total = offset = 0
     for c in range(n):
@@ -81,15 +78,18 @@ def _count_reachable_pairs(edges, comp: dict[str, int]) -> int:
                 readers[d] -= 1
                 if not readers[d]:
                     del closed[d]
+                if height[d] >= height[c]:
+                    height[c] = height[d] + 1
             reached[c] = reach.bit_count()
             if readers[c]:
                 closed[c] = reach | ((1 << size[c]) - 1) << offset
         elif targets:
             (d,) = targets
             reached[c] = reached[d] + size[d]
+            height[c] = height[d] + 1
         offset += size[c]
         total += size[c] * (reached[c] + (size[c] if cyclic[c] else 0))
-    return total
+    return total, max(height)
 
 
 def _components(roots, adj) -> list[list]:
@@ -138,16 +138,29 @@ def _components(roots, adj) -> list[list]:
     return components
 
 
-def _scc_map(nodes, edges) -> dict[str, int]:
-    """Component id per node, over `nodes` and every edge endpoint.
+def _scc_map(nodes, parents, children) -> tuple[dict[str, int], list[int]]:
+    """Component id per node, over `nodes` and every edge endpoint, such that
+    every component a component reaches has a smaller id (nothing reads more),
+    and the size of each component.
 
-    Ids follow completion order, so every component a component reaches has
-    a smaller id. That holds for any visiting order, and nothing reads more
-    of the ids, so the nodes are not sorted first.
+    Kahn's pass (1962) peels the sinks: each peeled node is a component
+    numbered after its parents. Tarjan numbers the rest, the nodes that reach
+    a cycle, over the parent-to-child lists, where it finishes a component
+    after those below it, so those ids run in reverse.
     """
-    adj = _adjacency(edges)
-    roots = chain(nodes, adj.keys() - nodes)
-    return {v: c for c, members in enumerate(_components(roots, adj)) for v in members}
+    left = dict(parents)  # parents not yet peeled
+    order = list((nodes | children.keys()) - parents.keys())
+    for v in order:
+        for u in children.get(v, ()):
+            n = left[u] - 1
+            left[u] = n
+            if not n:
+                order.append(u)
+    comp = dict(zip(order, range(len(order))))
+    remainder = _components([u for u, n in left.items() if n], children)[::-1]
+    for c, members in enumerate(remainder, len(comp)):
+        comp.update(dict.fromkeys(members, c))
+    return comp, [1] * len(order) + list(map(len, remainder))
 
 
 def build_class_hierarchy(o: Ontology) -> Hierarchy:
@@ -164,36 +177,23 @@ def build_property_hierarchy(o: Ontology) -> Hierarchy:
 
 
 def max_depth(h: Hierarchy) -> int:
-    """Longest path (in edges) through the condensation of the direct graph.
-
-    Every edge between components leads to a smaller id (see `_scc_map`),
-    so with the edges sorted by their source component each component's
-    height is final before any edge reads it.
-    """
-    comp = h.scc_map
-    n = len(comp)
-    height = [0] * n
-    for key in sorted(comp[child] * n + comp[parent] for child, parent in h.direct_edges):
-        c, d = divmod(key, n)
-        if c != d and height[d] >= height[c]:
-            height[c] = height[d] + 1
-    return max(height, default=0)
+    """Longest path (in edges) through the condensation of the direct graph."""
+    return h.depth
 
 
 def fanout_stats(h: Hierarchy) -> tuple[int, float]:
     """(max direct children per node, direct edges divided by node count)."""
     if not h.nodes:
         return 0, 0.0
-    children = Counter(parent for _, parent in h.direct_edges)
-    return max(children.values(), default=0), len(h.direct_edges) / len(h.nodes)
+    return max(map(len, h.children.values()), default=0), len(h.direct_edges) / len(h.nodes)
 
 
 def tangledness(h: Hierarchy) -> tuple[int, int]:
     """(nodes with two or more direct parents, max direct-parent count)."""
     if not h.nodes:
         return 0, 0
-    parents = Counter(child for child, _ in h.direct_edges).values()
-    return sum(n >= 2 for n in parents), max(parents, default=0)
+    parents = h.parents.values()
+    return len(parents) - countOf(parents, 1), max(parents, default=0)
 
 
 def cyclic_classes(o: Ontology) -> frozenset[str]:

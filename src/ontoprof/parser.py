@@ -550,6 +550,11 @@ _ANNOTATION = _forms(OntologyAnnotation)["Annotation"]
 _NON_AXIOM_KEYWORDS = (set(_forms(Node)) - set(_AXIOM_FORMS)) | {"Prefix", "Ontology"}
 
 
+def decode_source(data: bytes) -> str:
+    """A document's text: strict UTF-8 without a leading byte-order mark."""
+    return data.decode("utf-8-sig")
+
+
 def parse_ontology(text: str, origin: str = "<string>") -> Ontology:
     """Parse one functional-syntax document; raises OntologyParseError."""
     parser = _Parser(text, origin)

@@ -20,11 +20,12 @@ import os
 import re
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .features import FEATURE_GROUPS, FEATURE_SCHEMA, SCHEMA_VERSION, FeatureVector, extract_all
 from .model import Record
-from .parser import OntologyParseError, parse_ontology
+from .parser import OntologyParseError, decode_source, parse_ontology
 
 DEFAULT_TIMEOUT = 300.0
 STDIN_ID = "<stdin>"  # the ontology id of input read from `-`
@@ -150,11 +151,11 @@ def discover_inputs(config: RunConfig) -> list[str]:
 def _extract_file(path: str, text: str | None, follow_imports: bool,
                   weights: tuple[float, float, float]) -> FileOutcome:
     """Outcome for one input; when `text` is None it is decoded from the
-    bytes of `path` as strict UTF-8, as standard input is, so carriage
+    bytes of `path` by `decode_source`, as standard input is, so carriage
     returns reach the parser as written."""
     try:
         if text is None:
-            text = Path(path).read_bytes().decode("utf-8")
+            text = decode_source(Path(path).read_bytes())
     except (OSError, UnicodeDecodeError) as exc:
         return FileOutcome(path=path, status="io_error", diagnostics=[str(exc)])
     warnings: list[str] = []
@@ -199,7 +200,7 @@ def _resolve_imports(onto, path: str, warnings: list[str], seen: set[str] | None
             if resolved in seen:
                 continue
             seen.add(resolved)
-            imported = parse_ontology(target.read_bytes().decode("utf-8"), origin=str(target))
+            imported = parse_ontology(decode_source(target.read_bytes()), origin=str(target))
         except (OSError, UnicodeDecodeError) as exc:
             warnings.append(f"{path}: warning: import <{iri}> not merged: {exc}")
             continue
@@ -310,7 +311,7 @@ def run(config: RunConfig) -> CorpusReport:
                 text = None
                 try:
                     if path == STDIN_ID and "-" in config.inputs:
-                        text = sys.stdin.buffer.read().decode("utf-8")
+                        text = decode_source(sys.stdin.buffer.read())
                     elif not Path(path).exists():
                         raise FileNotFoundError("input path does not exist")
                 except (OSError, ValueError) as exc:
@@ -364,6 +365,11 @@ def _render_number(value) -> str:
     return text if text else "0"
 
 
+# Scalars as json.dumps writes them, by exact type (a bool is no int here).
+_JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
+                 float: lambda x: float.__repr__(x) if x - x == 0 else json.dumps(x)}
+
+
 def emit_matrix(vectors: list[tuple[str, FeatureVector]], format: str = "csv",
                 groups=FEATURE_GROUPS) -> bytes:
     """Byte-deterministic matrix; one row per ontology in the given order."""
@@ -392,13 +398,18 @@ def emit_matrix(vectors: list[tuple[str, FeatureVector]], format: str = "csv",
             writer.writerow(row)
         return buf.getvalue().encode("utf-8")
     if format == "json":
+        # json.dumps(records, indent=2) without its pure-Python encoder.
+        heads = [f"    {encode_basestring_ascii(k)}: "
+                 for k in ("ontology_id", "schema_version", *ids)]
+        scalar = _JSON_SCALARS.get
         records = []
         for name, vector in vectors:
             values = vector.values
-            record = {"ontology_id": name, "schema_version": vector.schema_version}
-            record.update({fid: values[fid] for fid in ids})
-            records.append(record)
-        return (json.dumps(records, indent=2) + "\n").encode("utf-8")
+            cells = (name, vector.schema_version, *[values[fid] for fid in ids])
+            records.append(",\n".join([h + scalar(type(v), json.dumps)(v)
+                                        for h, v in zip(heads, cells)]))
+        body = "\n  },\n  {\n".join(records)
+        return (f"[\n  {{\n{body}\n  }}\n]\n" if records else "[]\n").encode("utf-8")
     raise ValueError(f"unknown format: {format}")
 
 

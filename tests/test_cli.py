@@ -121,7 +121,7 @@ def test_start_up_loads_no_dataclasses_configparser_or_resources():
     probe = ("import io, sys\n"
              "from ontoprof.cli import main\n"
              "sys.stdout = io.StringIO()\n"
-             "heavy = ('dataclasses', 'inspect', 'configparser', 'importlib.resources')\n"
+             "heavy = ('dataclasses', 'inspect', 'configparser', 'importlib.resources', 'typing')\n"
              "def loaded():\n"
              "    return [name for name in heavy if name in sys.modules]\n"
              "assert main(['schema']) == 0\n"
@@ -239,6 +239,46 @@ def test_extract_files_undecodable_stdin_as_io_error(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out.splitlines()[1:] == []
     assert captured.err == f"ontoprof: <stdin>: io_error\n{DECODE_ERROR}\n"
+
+
+BOM = "\ufeff".encode()
+
+
+@pytest.mark.parametrize("command", ["check", "extract"])
+def test_a_leading_byte_order_mark_is_dropped_from_files_and_stdin(command, tmp_path, capsys,
+                                                                     monkeypatch):
+    flags = ["--jobs", "1"] if command == "extract" else []
+    seen = []
+    for name, data in (("plain", VALID.encode()), ("marked", BOM + VALID.encode())):
+        path = tmp_path / f"{name}.ofn"
+        path.write_bytes(data)
+        for source in (str(path), "-"):
+            monkeypatch.setattr("sys.stdin", stdin_of(data))
+            status = main([command, *flags, source])
+            captured = capsys.readouterr()
+            origin = "<stdin>" if source == "-" else str(path)
+            seen.append((status, captured.err, captured.out.replace(origin, "ORIGIN")))
+    assert seen[0][:2] == (0, "")
+    assert seen == [seen[0]] * 4
+
+
+@pytest.mark.parametrize("command", ["check", "extract"])
+@pytest.mark.parametrize("data, position", [
+    (BOM + BOM + VALID.encode(), "1:1"),
+    (VALID.encode().replace(b"SubClassOf", BOM + b"SubClassOf"), "3:1"),
+    (VALID.encode().replace(b":B)", b":B" + BOM + b")"), "3:17"),
+], ids=["second-leading", "line-start", "mid-line"])
+def test_any_other_byte_order_mark_is_a_positioned_lexical_error(command, data, position,
+                                                                 tmp_path, capsys, monkeypatch):
+    flags = ["--jobs", "1"] if command == "extract" else []
+    path = tmp_path / "bom.ofn"
+    path.write_bytes(data)
+    for source in (str(path), "-"):
+        monkeypatch.setattr("sys.stdin", stdin_of(data))
+        main([command, *flags, source])
+        origin = "<stdin>" if source == "-" else str(path)
+        assert (f"{origin}:{position}: error: lexical error: unexpected character '\\ufeff'"
+                in capsys.readouterr().err)
 
 
 def test_timeout_flag_reaches_config(tmp_path, capsys):

@@ -235,3 +235,104 @@ def test_hundred_thousand_node_trees():
         assert max_depth(h) == max(depth)
         if window == 200:
             assert max(depth) >= 900
+
+
+def _partition(groups) -> set[frozenset]:
+    return {frozenset(members) for members in groups}
+
+
+def _assert_ids_order_the_condensation(h, pairs):
+    """Ids cover the nodes and edge endpoints and run 0..k-1; every edge
+    leads to an id no larger, equal exactly within one oracle SCC; and the
+    components are the oracle's SCCs."""
+    comp = h.scc_map
+    names = h.nodes | {n for edge in h.direct_edges for n in edge}
+    assert comp.keys() == names
+    assert set(comp.values()) == set(range(max(comp.values(), default=-1) + 1))
+    same = {n: {m for m in names if m == n or ((n, m) in pairs and (m, n) in pairs)}
+            for n in names}
+    for u, v in h.direct_edges:
+        assert comp[u] >= comp[v]
+        assert (comp[u] == comp[v]) == (v in same[u])
+    by_id: dict = {}
+    for n, c in comp.items():
+        by_id.setdefault(c, set()).add(n)
+    assert _partition(by_id.values()) == _partition(same.values())
+
+
+def test_component_ids_order_the_condensation_on_random_digraphs():
+    rng = random.Random(77)
+    for _ in range(300):
+        names, edges = _random_digraph(rng)
+        pairs = oracles.reachability(names, edges)
+        for nodes in (frozenset(names), frozenset(rng.sample(names, len(names) // 2))):
+            _assert_ids_order_the_condensation(Hierarchy(nodes=nodes, direct_edges=edges), pairs)
+
+
+def _cycle_between_dags(rng):
+    """A cycle (or a self-loop) with a random DAG above it, which it reaches,
+    and one below it, which reaches it; some nodes of each side stay apart."""
+    names = [f"{NS}m{i}" for i in range(rng.randint(3, 36))]
+    rng.shuffle(names)
+    k = rng.randint(1, min(5, len(names) - 2))
+    cycle, rest = names[:k], names[k:]
+    cut = rng.randint(1, len(rest) - 1)
+    above, below = rest[:cut], rest[cut:]
+    edges = {(cycle[i], cycle[(i + 1) % k]) for i in range(k)}
+    for side in (above, below):  # each node under one or two earlier ones
+        for i in range(1, len(side)):
+            for _ in range(rng.choice((0, 1, 1, 2))):
+                edges.add((side[i], side[rng.randrange(i)]))
+    edges |= {(rng.choice(cycle), rng.choice(above)) for _ in range(rng.randint(1, 3))}
+    edges |= {(rng.choice(below), rng.choice(cycle)) for _ in range(rng.randint(1, 3))}
+    return names, frozenset(edges)
+
+
+def test_acyclic_parts_above_and_below_a_cycle():
+    hand = frozenset({("b0", "b1"), ("b1", "c0"), ("b2", "c0"), ("c0", "c1"), ("c1", "c2"),
+                      ("c2", "c0"), ("c1", "a0"), ("a0", "a1"), ("a0", "a2"), ("a2", "a3"),
+                      ("a1", "a3")})
+    names = sorted({n for e in hand for n in e})
+    h = Hierarchy(nodes=frozenset(names), direct_edges=hand)
+    assert max_depth(h) == 5  # b0 b1 {c0 c1 c2} a0 a1 a3
+    assert h.nidhc == len(oracles.reachability(names, hand)) - len(hand)
+    rng = random.Random(4242)
+    for _ in range(200):
+        names, edges = _cycle_between_dags(rng)
+        pairs = oracles.reachability(names, edges)
+        h = Hierarchy(nodes=frozenset(names), direct_edges=edges)
+        _assert_ids_order_the_condensation(h, pairs)
+        assert h.nidhc == len(pairs) - len(edges)
+        assert max_depth(h) == oracles.longest_condensation_path(names, edges)
+        most_children, most_parents, tangled = oracles.fanout_and_tangledness(names, edges)
+        assert fanout_stats(h) == (most_children, len(edges) / len(names))
+        assert tangledness(h) == (tangled, most_parents)
+
+
+def _chain_closed_at_top(n, k):
+    """t0 -> t1 -> ... -> t(n-1), with an edge from the top back to t(n-k):
+    the top k nodes form a cycle that every other node reaches."""
+    names = [f"{NS}t{i}" for i in range(n)]
+    edges = {(names[i], names[i + 1]) for i in range(n - 1)} | {(names[-1], names[n - k])}
+    return names, frozenset(edges)
+
+
+def _chain_closed_at_top_counts(n, k):
+    """(nidhc, max depth): node i below the cycle reaches the n - 1 - i nodes
+    above it, each cycle node reaches all k, and the condensation is a path
+    of n - k edges."""
+    pairs = n * (n - 1) // 2 - k * (k - 1) // 2 + k * k
+    return pairs - n, n - k
+
+
+def test_hundred_thousand_node_chain_closed_into_a_cycle_at_its_top():
+    for n, k in ((2, 1), (7, 3), (12, 12), (30, 5)):  # the closed form against the oracle
+        names, edges = _chain_closed_at_top(n, k)
+        pairs = oracles.reachability(names, edges)
+        longest = oracles.longest_condensation_path(names, edges)
+        assert _chain_closed_at_top_counts(n, k) == (len(pairs) - len(edges), longest)
+    names, edges = _chain_closed_at_top(100_000, 5)
+    h = Hierarchy(nodes=frozenset(names), direct_edges=edges)
+    assert h.ndhc == 100_000
+    assert (h.nidhc, max_depth(h)) == _chain_closed_at_top_counts(100_000, 5)
+    assert len(set(h.scc_map.values())) == 100_000 - 5 + 1

@@ -7,7 +7,8 @@ so asserted cycles cannot make it unbounded.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
+from itertools import chain
 from operator import countOf, itemgetter
 
 from .model import FrozenRecord, Ontology
@@ -15,20 +16,23 @@ from .model import FrozenRecord, Ontology
 
 class Hierarchy(FrozenRecord):
     """Direct child-to-parent subsumption edges over a fixed node set, with
-    the link counts, SCC map, depth, parent counts and child lists derived."""
+    the link counts, SCC map, depth, fan-out and tangledness derived."""
 
     _fields = ("nodes", "direct_edges")
 
     def __init__(self, nodes: frozenset[str], direct_edges: frozenset[tuple[str, str]]):
-        parents = Counter(map(itemgetter(0), direct_edges))
-        children: dict[str, list[str]] = defaultdict(list)
+        parents = Counter(map(itemgetter(0), direct_edges)).values()
+        children: dict[str, list[str]] = {}
         for u, v in direct_edges:
-            children[v].append(u)
-        comp, size = _scc_map(nodes, parents, children)
+            children.setdefault(v, []).append(u)
+        comp, size = _scc_map(nodes, children)
         pairs, depth = _condensation_counts(direct_edges, comp, size)
         ndhc = len(direct_edges)
         vars(self).update(nodes=nodes, direct_edges=direct_edges, ndhc=ndhc, nidhc=pairs - ndhc,
-                          scc_map=comp, depth=depth, parents=parents, children=children)
+                          scc_map=comp, depth=depth,
+                          max_children=max(map(len, children.values()), default=0),
+                          tangled=len(parents) - countOf(parents, 1),
+                          max_parents=max(parents, default=0))
 
 
 def _condensation_counts(edges, comp: dict[str, int], size: list[int]) -> tuple[int, int]:
@@ -95,72 +99,64 @@ def _condensation_counts(edges, comp: dict[str, int], size: list[int]) -> tuple[
 def _components(roots, adj) -> list[list]:
     """Tarjan's algorithm, iterative: the strongly connected components
     reachable from `roots` over the successor lists in `adj` (a node missing
-    from it has none), each after every component it reaches."""
+    from it has none), each after every component it reaches. A node without
+    successors is a component at once and gets no frame; in a taxonomy most
+    nodes are leaves."""
     num: dict = {}  # DFS number while on the stack, `done` after
     stack: list = []
     components: list[list] = []
     done = float("inf")
     counter = 0
-    for root in roots:
-        if root in num:
-            continue
-        num[root] = counter
-        stack.append(root)
-        work = [[root, iter(adj.get(root, ())), counter]]  # node, successors, lowlink
-        counter += 1
-        while work:
-            frame = work[-1]
-            v, it, low = frame
-            for w in it:
-                nw = num.get(w)
-                if nw is None:
-                    num[w] = counter
-                    stack.append(w)
-                    frame[2] = low
-                    work.append([w, iter(adj.get(w, ())), counter])
-                    counter += 1
-                    break
-                if nw < low:
-                    low = nw
-            else:
-                work.pop()
-                if work and low < work[-1][2]:
-                    work[-1][2] = low
-                if low == num[v]:
-                    component = []
-                    while True:
-                        w = stack.pop()
-                        num[w] = done
-                        component.append(w)
-                        if w == v:
-                            break
-                    components.append(component)
-    return components
+    work = [[None, iter(roots), -1]]  # node, successors, lowlink; the roots' frame first
+    while True:
+        frame = work[-1]
+        v, it, low = frame
+        for w in it:
+            nw = num.get(w)
+            if nw is None:
+                successors = adj.get(w)
+                if not successors:
+                    num[w] = done
+                    components.append([w])
+                    continue
+                num[w] = counter
+                stack.append(w)
+                frame[2] = low
+                work.append([w, iter(successors), counter])
+                counter += 1
+                break
+            if nw < low:
+                low = nw
+        else:
+            if v is None:
+                return components
+            work.pop()
+            if low < work[-1][2]:
+                work[-1][2] = low
+            if low == num[v]:
+                component = []
+                while True:
+                    w = stack.pop()
+                    num[w] = done
+                    component.append(w)
+                    if w == v:
+                        break
+                components.append(component)
 
 
-def _scc_map(nodes, parents, children) -> tuple[dict[str, int], list[int]]:
+def _scc_map(nodes, children) -> tuple[dict[str, int], list[int]]:
     """Component id per node, over `nodes` and every edge endpoint, such that
     every component a component reaches has a smaller id (nothing reads more),
     and the size of each component.
 
-    Kahn's pass (1962) peels the sinks: each peeled node is a component
-    numbered after its parents. Tarjan numbers the rest, the nodes that reach
-    a cycle, over the parent-to-child lists, where it finishes a component
-    after those below it, so those ids run in reverse.
+    Tarjan's algorithm runs over the parent-to-child lists, where it finishes
+    a component after every component below it, so the ids are that order
+    reversed. That holds for any visiting order, so the nodes are not sorted.
+    A child is reached from its parent, so only parents join `nodes` as roots.
     """
-    left = dict(parents)  # parents not yet peeled
-    order = list((nodes | children.keys()) - parents.keys())
-    for v in order:
-        for u in children.get(v, ()):
-            n = left[u] - 1
-            left[u] = n
-            if not n:
-                order.append(u)
-    comp = dict(zip(order, range(len(order))))
-    remainder = _components([u for u, n in left.items() if n], children)[::-1]
-    for c, members in enumerate(remainder, len(comp)):
-        comp.update(dict.fromkeys(members, c))
-    return comp, [1] * len(order) + list(map(len, remainder))
+    components = _components(chain(nodes, children), children)[::-1]
+    comp = {v: c for c, members in enumerate(components) for v in members}
+    return comp, list(map(len, components))
 
 
 def build_class_hierarchy(o: Ontology) -> Hierarchy:
@@ -185,15 +181,14 @@ def fanout_stats(h: Hierarchy) -> tuple[int, float]:
     """(max direct children per node, direct edges divided by node count)."""
     if not h.nodes:
         return 0, 0.0
-    return max(map(len, h.children.values()), default=0), len(h.direct_edges) / len(h.nodes)
+    return h.max_children, len(h.direct_edges) / len(h.nodes)
 
 
 def tangledness(h: Hierarchy) -> tuple[int, int]:
     """(nodes with two or more direct parents, max direct-parent count)."""
     if not h.nodes:
         return 0, 0
-    parents = h.parents.values()
-    return len(parents) - countOf(parents, 1), max(parents, default=0)
+    return h.tangled, h.max_parents
 
 
 def cyclic_classes(o: Ontology) -> frozenset[str]:

@@ -14,7 +14,7 @@ below all read it.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict, namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Iterator
 from enum import Enum
 from functools import cached_property, partial
@@ -492,10 +492,6 @@ def axiom_category(axiom: Axiom) -> Category:
     return spec.category if spec is not None and spec.category else Category.NON_LOGICAL
 
 
-def is_logical(axiom: Axiom) -> bool:
-    return axiom_category(axiom) is not Category.NON_LOGICAL
-
-
 # ---------------------------------------------------------------------------
 # Walkers.
 
@@ -619,12 +615,12 @@ def _data_range_tags(dr: DataRange, tags: Counter, sizes: Counter) -> None:
 
 
 class Census:
-    """Counts, sets, maxima and edge lists over the logical axioms, grouped
-    by type; each axiom a type needs walked gets one iterative walk.  Once
-    the Ontology is built, it is the only walk over the axioms: the syntactic
-    features, the profile checks, the DL family name and the cohesion and
-    individual features are arithmetic over it, and the hierarchies are
-    built from its edges.
+    """Counts, sets, maxima and edge lists over the logical axioms, gathered
+    in one iterative walk of each axiom but a named-to-named SubClassOf,
+    which is only an edge and a dependency.  Once the Ontology is built, it is
+    the only walk over the axioms: the syntactic features, the profile
+    checks, the DL family name and the cohesion and individual features are
+    arithmetic over it, and the hierarchies are built from its edges.
 
     A node's tag is its constructor name, or the kind of a data restriction.
     """
@@ -655,10 +651,7 @@ class Census:
     )
 
     def __init__(self, o: Ontology):
-        groups: dict[type, list] = defaultdict(list)  # the logical axioms by type
-        for ax in chain(o.tbox, o.rbox, o.abox):
-            groups[type(ax)].append(ax)
-        axiom_types = Counter({t.__name__: len(axioms) for t, axioms in groups.items()})
+        axiom_types: Counter = Counter()
         constructors: Counter = Counter()
         other_tags: Counter = Counter()
         usage: Counter = Counter()       # property expressions in TBox axioms
@@ -681,41 +674,25 @@ class Census:
         same: set[str] = set()
         different: set[str] = set()
         depth_sum = depth_max = constructor_max = nominals = nominal_axioms = 0
-        iu = euvi = cuvi = npcd = gci = 0
-        # Named-to-named SubClassOf: an edge and a dependency, nothing to walk.
-        walked = []
-        for ax in groups[SubClassOf]:
-            sub, sup = ax
-            if type(sub) is NamedClass and type(sup) is NamedClass:
-                a, b = sub.iri, sup.iri
-                class_edges.add((a, b))
-                deps.setdefault(a, set()).add(b)
-            else:
-                walked.append(ax)
-        pcd = len(groups[SubClassOf]) - len(walked)
-        groups[SubClassOf] = walked
-        # Axioms on one property expression or on individuals only, in bulk.
-        for t, stem in _CHARACTERISTIC_STEMS.items():
-            props = list(map(itemgetter(0), groups.pop(t, ())))
-            other_opes.update(props)
-            declared[stem].update(map(property_name, props))
-            if t in _SIMPLE_ROLE_AXIOMS:
-                simple.update(props)
-        for t in (ObjectPropertyAssertion, NegativeObjectPropertyAssertion):
-            other_opes.update(map(itemgetter(0), groups.pop(t, ())))
-        for t, target in ((SameIndividual, same), (DifferentIndividuals, different)):
-            target.update(i for (individuals,) in groups.pop(t, ()) for i in individuals
-                          if type(i) is str)
-        for t, axioms in groups.items():
-            tbox = NODES[t].category is _T
+        iu = euvi = cuvi = pcd = npcd = gci = 0
+        operands_of = _OPERAND_GETTERS  # class_expressions_of, without its call
+        for tbox, axioms in ((True, o.tbox), (False, o.rbox), (False, o.abox)):
             tags, opes = (constructors, usage) if tbox else (other_tags, other_opes)
-            operands = _OPERAND_GETTERS[t]  # class_expressions_of, without its call
             for ax in axioms:
+                t = type(ax)
+                axiom_types[t.__name__] += 1
+                if t is SubClassOf:
+                    sub, sup = ax
+                    if type(sub) is NamedClass and type(sup) is NamedClass:
+                        class_edges.add((sub.iri, sup.iri))  # an edge and a dependency, no walk
+                        deps.setdefault(sub.iri, set()).add(sup.iri)
+                        pcd += 1
+                        continue
                 parts = []  # (named classes, has a nominal) per top-level expression
                 deepest = count = named = 0
-                for top in operands(ax):
+                for top in operands_of[t](ax):
                     if type(top) is NamedClass:
-                        parts.append((top, False))  # a NamedClass is the 1-tuple of its IRI
+                        parts.append(((top.iri,), False))
                         continue
                     names: list[str] = []
                     nominal = False
@@ -862,6 +839,12 @@ class Census:
                     declared["Inverse"].update((a, b))
                     links.setdefault(a, set()).add(b)
                     links.setdefault(b, set()).add(a)
+                elif t in _CHARACTERISTIC_STEMS:
+                    prop = ax.prop
+                    opes[prop] += 1
+                    declared[_CHARACTERISTIC_STEMS[t]].add(property_name(prop))
+                    if t in _SIMPLE_ROLE_AXIOMS:
+                        simple.add(prop)
                 elif t is ObjectPropertyDomain or t is ObjectPropertyRange:
                     prop, ce = ax
                     opes[prop] += 1
@@ -874,8 +857,14 @@ class Census:
                         elif ct is ObjectIntersectionOf:
                             target.update(op.iri for op in ce.operands
                                           if type(op) is NamedClass)
+                elif t is ObjectPropertyAssertion or t is NegativeObjectPropertyAssertion:
+                    opes[ax.prop] += 1
                 elif t is DataPropertyRange:
                     _data_range_tags(ax.range, tags, sizes)
+                elif t is SameIndividual or t is DifferentIndividuals:
+                    (individuals,) = ax
+                    (same if t is SameIndividual else different).update(
+                        i for i in individuals if type(i) is str)
         for ax in o.non_logical:
             if type(ax) is Declaration and ax.entity.kind in (EntityKind.DATA_PROPERTY,
                                                               EntityKind.DATATYPE):

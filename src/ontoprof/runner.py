@@ -20,7 +20,6 @@ import os
 import re
 import sys
 import time
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .features import FEATURE_GROUPS, FEATURE_SCHEMA, SCHEMA_VERSION, FeatureVector, extract_all
@@ -365,11 +364,6 @@ def _render_number(value) -> str:
     return text if text else "0"
 
 
-# Scalars as json.dumps writes them, by exact type (a bool is no int here).
-_JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
-                 float: lambda x: float.__repr__(x) if x - x == 0 else json.dumps(x)}
-
-
 def emit_matrix(vectors: list[tuple[str, FeatureVector]], format: str = "csv",
                 groups=FEATURE_GROUPS) -> bytes:
     """Byte-deterministic matrix; one row per ontology in the given order."""
@@ -398,18 +392,13 @@ def emit_matrix(vectors: list[tuple[str, FeatureVector]], format: str = "csv",
             writer.writerow(row)
         return buf.getvalue().encode("utf-8")
     if format == "json":
-        # json.dumps(records, indent=2) without its pure-Python encoder.
-        heads = [f"    {encode_basestring_ascii(k)}: "
-                 for k in ("ontology_id", "schema_version", *ids)]
-        scalar = _JSON_SCALARS.get
         records = []
         for name, vector in vectors:
             values = vector.values
-            cells = (name, vector.schema_version, *[values[fid] for fid in ids])
-            records.append(",\n".join([h + scalar(type(v), json.dumps)(v)
-                                        for h, v in zip(heads, cells)]))
-        body = "\n  },\n  {\n".join(records)
-        return (f"[\n  {{\n{body}\n  }}\n]\n" if records else "[]\n").encode("utf-8")
+            record = {"ontology_id": name, "schema_version": vector.schema_version}
+            record.update({fid: values[fid] for fid in ids})
+            records.append(record)
+        return (json.dumps(records, indent=2) + "\n").encode("utf-8")
     raise ValueError(f"unknown format: {format}")
 
 

@@ -11,11 +11,10 @@ import time
 import pytest
 
 from ontoprof import runner
-from ontoprof.features import FEATURE_GROUPS, FEATURE_SCHEMA, FeatureVector, extract_all
+from ontoprof.features import FeatureVector, extract_all
 from ontoprof.parser import parse_ontology
 from ontoprof.runner import RunConfig, discover_inputs, emit_matrix, run, write_outputs
 
-import gen
 from golden_data import GOLDEN_DIR
 
 VALID = """Prefix(:=<http://example.org/r#>)
@@ -163,35 +162,6 @@ def test_emit_matrix_renders_each_value_alike_wherever_it_occurs():
     lines = emit_matrix(rows).decode().splitlines()
     assert lines[0] == ",".join(["ontology_id"] + ids)
     assert [line.split(",") for line in lines[1:]] == expected
-
-
-def _json_dumps_matrix(vectors, groups=FEATURE_GROUPS) -> bytes:
-    """The JSON matrix as json.dumps writes it: the reference bytes."""
-    ids = [s.id for s in FEATURE_SCHEMA if s.group in groups]
-    records = [{"ontology_id": name, "schema_version": vector.schema_version,
-                **{fid: vector.values[fid] for fid in ids}} for name, vector in vectors]
-    return (json.dumps(records, indent=2) + "\n").encode("utf-8")
-
-
-def test_emit_matrix_json_bytes_are_those_of_json_dumps():
-    golden = [(path.name, extract_all(parse_ontology(path.read_text(encoding="utf-8"))))
-              for path in sorted(GOLDEN_DIR.glob("*.ofn"))]
-    rng = random.Random(11)
-    generated = [(f"g{i}.ofn", extract_all(gen.random_ontology(rng, max_axioms=12)))
-                 for i in range(200)]
-    ids = [s.id for s in FEATURE_SCHEMA]
-    crafted_values = [v for v, _ in RENDERINGS] + [
-        -0.0, 1e-7, float("nan"), float("inf"), float("-inf"), False, None, 10**30,
-        -7, 0.1, 1e22, 5e-324, "na\u00efve \"q\" \\ \n\t\x01", "\U0001F600"]
-    crafted = [(name, FeatureVector("1", {fid: crafted_values[(i + k) % len(crafted_values)]
-                                          for k, fid in enumerate(ids)}))
-               for i, name in enumerate(["caf\u00e9.ofn", 'say "hi".ofn', "back\\slash\n.ofn",
-                                         "\u65e5\u672c.ofn", "\U0001F600.ofn", ""])]
-    for vectors in (golden, generated, [], crafted, golden[:1]):
-        assert emit_matrix(vectors, "json") == _json_dumps_matrix(vectors)
-    for groups in (("size",), ("expressivity", "structural")):
-        assert (emit_matrix(crafted, "json", groups=groups)
-                == _json_dumps_matrix(crafted, groups=groups))
 
 
 def test_emit_matrix_group_filter():

@@ -58,13 +58,19 @@ def _diagnostic(text: str, offset: int, message: str, origin: str) -> ParseDiagn
 # cuts a value out of it only where it uses one. Whitespace is exactly
 # [ \t\r\n]: any other character outside a token is a lexical error.
 #
-# All tokens come from one findall. Each match is one token plus the
-# whitespace and comments after it or, where no token matches, the whole
-# rest of the input, so matches are contiguous and the scan never searches
-# past a failed offset (a search that did would be quadratic on a long line
-# of unclosed '<'). Token offsets are needed only for a syntax error or for
-# an unknown construct's text; `_token_spans` lexes the document again, with
-# one finditer, to find them.
+# The text is lexed one window at a time, each by one findall: from the
+# first token after the last window to the line feed about _WINDOW
+# characters on (or to the end of the text). Each match is one token plus
+# the whitespace and comments after it or, where no token matches, the
+# whole rest of the window, so matches are contiguous and the scan never
+# searches past a failed offset (a search that did would be quadratic on a
+# long line of unclosed '<'). Only a string literal can hold a line feed,
+# so a window cuts no other token; a cut literal is the rest of the window
+# and lexes again in a window twice as long. A window ends in the "" of the
+# end of input, and the parser retries an item that runs into it (see
+# `_Parser.more`). Token offsets are needed only for a syntax error or for
+# an unknown construct's text; `_token_spans` lexes the whole document
+# again, with one finditer, to find them.
 #
 # A keyword is tried before a prefixed name, so the common case is not
 # scanned twice; its lookahead sends a word that runs on into a prefixed
@@ -142,13 +148,21 @@ def _lexical_error(text: str, offset: int, origin: str):
     raise OntologyParseError([_diagnostic(text, offset, f"lexical error: {message}", origin)])
 
 
-def _tokenize(text: str, origin: str) -> list[str]:
-    """All tokens of `text`, then "" for the end of input; raises
-    OntologyParseError at the first character no token matches."""
-    tokens = _TOKENS_RE.findall(text, _SKIP_RE.match(text).end())
+def _tokenize(text: str, origin: str, start: int = 0,
+              stop: int | None = None) -> list[str] | None:
+    """The tokens of text[start:stop], then "" for the end of input; raises
+    OntologyParseError at the first character no token matches. A window
+    (`stop` short of the end, just after a line feed) that cuts a string
+    literal gives None."""
+    if stop is None:
+        stop = len(text)
+    tokens = _TOKENS_RE.findall(text, _SKIP_RE.match(text, start).end(), stop)
     if tokens and not _TOKEN_RE.fullmatch(tokens[-1]):
-        # The last match is the rest of the input, from the failed offset.
-        _lexical_error(text, len(text) - len(tokens[-1]), origin)
+        # The last match is the rest of the window, from the failed offset.
+        at = stop - len(tokens[-1])
+        if text[at] == '"' and stop < len(text):
+            return None
+        _lexical_error(text, at, origin)
     tokens.append("")
     return tokens
 
@@ -170,31 +184,75 @@ def _token_spans(text: str, origin: str) -> list[tuple[int, int]]:
 # being parsed, which positions its arity violations.
 
 _new = tuple.__new__
+_WINDOW = 1 << 16  # characters lexed at a time, up to the next line feed
+_HEAD, _BODY, _TAIL = "head", "body", "tail"  # where parse_document is
+
+
+class _More(Exception):
+    """The parse reached the end of the window with input left."""
 
 
 class _Parser:
     def __init__(self, text: str, origin: str):
         self.text = text
         self.origin = origin
-        self.tokens = _tokenize(text, origin)
+        # The window's tokens; the first is token `dropped` of the document
+        # and lexing stopped at offset `end`.
+        self.dropped = self.end = 0
+        self.size = _WINDOW
+        self.tokens = self.lex(_WINDOW)
         self.i = 0
         self.prefixes = dict(STANDARD_PREFIXES)
         # IRI or prefixed-name token -> its IRI. Every prefix is declared
         # before the first name is resolved, so an entry never goes stale,
         # and a name used again shares one IRI string.
         self.iris: dict[str, str] = {}
+        # Name token -> its NamedClass, so a class named again is not built again.
+        self.classes: dict[str, NamedClass] = {}
         self.spans: list[tuple[int, int]] | None = None
 
     # -- token plumbing -----------------------------------------------------
 
+    def lex(self, size: int) -> list[str]:
+        """The tokens from offset `end` to a line feed about `size`
+        characters after the first of them, then ""; moves `end` past them."""
+        text = self.text
+        start = _SKIP_RE.match(text, self.end).end()
+        while True:
+            self.end = text.find("\n", start + size) + 1 or len(text)
+            tokens = _tokenize(text, self.origin, start, self.end)
+            if tokens is not None:
+                return tokens
+            size *= 2  # a string literal runs on past the line feed
+
+    def more(self, start: int):
+        """Drop the tokens before `start`, where the current top-level item
+        begins, and append the next window, to parse the item again from
+        its first token. The window doubles while that item does not fit."""
+        self.size = 2 * self.size if start == 0 else _WINDOW
+        tokens = self.tokens
+        del tokens[:start]
+        tokens[-1:] = self.lex(self.size)
+        self.dropped += start
+        self.i = 0
+
+    def at_window_end(self) -> bool:
+        """Whether the parse may have read the "" that ends the window
+        while input is left; it looks at most one token ahead."""
+        return self.i >= len(self.tokens) - 2 and self.end < len(self.text)
+
     def span(self, at: int) -> tuple[int, int]:
-        """The offsets of token `at`; the first call lexes for all of them."""
+        """The offsets of the window's token `at`; the first call lexes the
+        whole document for all of them."""
         if self.spans is None:
             self.spans = _token_spans(self.text, self.origin)
-        return self.spans[at]
+        return self.spans[self.dropped + at]
 
     def fail(self, message: str, at: int | None = None, kind: str = "syntax error"):
-        """Raise `message` positioned at token `at`, by default the current one."""
+        """Raise `message` positioned at token `at`, by default the current
+        one, or _More if the parse may have failed on the window's end."""
+        if self.at_window_end():
+            raise _More
         offset = self.span(self.i if at is None else at)[0]
         raise OntologyParseError([_diagnostic(self.text, offset, f"{kind}: {message}",
                                               self.origin)])
@@ -239,9 +297,60 @@ class _Parser:
     # -- document -----------------------------------------------------------
 
     def parse_document(self) -> Ontology:
+        """The document, one top-level item at a time: a Prefix(...), the
+        `Ontology(` header, then Imports, Annotations and axioms up to ')'.
+        An item that fails on the window's end is parsed again with the next
+        window appended, so only the window's tokens are ever held."""
+        iri = version = None
+        imports: list[str] = []
+        annotations: list[OntologyAnnotation] = []
+        axioms: list[Axiom] = []
+        stage = _HEAD
+        while True:
+            tok = self.tokens[self.i]
+            if not tok and self.end < len(self.text):  # the window is used up
+                self.more(self.i)
+                continue
+            start = self.i
+            try:
+                if stage is _BODY:
+                    if tok == ")":
+                        self.i += 1
+                        stage = _TAIL
+                    elif not tok:
+                        self.fail("unexpected end of input inside Ontology(...)")
+                    elif tok == "Import":
+                        self.i += 1
+                        self.expect("(", "'('")
+                        target = self.parse_iri("import IRI")
+                        self.expect(")", "')'")
+                        imports.append(target)  # only once whole: it may be parsed again
+                    elif tok == "Annotation":
+                        annotations.append(self.parse_node(_ANNOTATION, annotated=True))
+                    else:
+                        axioms.append(self.parse_axiom())
+                elif stage is _TAIL:
+                    if tok:
+                        self.fail(f"unexpected trailing content {_value(tok)!r}")
+                    return Ontology(axioms=tuple(axioms), iri=iri, version_iri=version,
+                                    imports=tuple(imports), annotations=tuple(annotations))
+                elif tok == "Prefix":
+                    self.parse_prefix_declaration()
+                else:
+                    iri, version = self.parse_header()
+                    stage = _BODY
+            except _More:
+                self.more(start)
+            except RecursionError:
+                # Reaching the window's end deep down may overrun the limit
+                # where the whole document would not.
+                if not self.at_window_end():
+                    raise
+                self.more(start)
+
+    def parse_header(self) -> tuple[str | None, str | None]:
+        """`Ontology(` and the ontology and version IRIs, if given."""
         tokens = self.tokens
-        while tokens[self.i] == "Prefix":
-            self.parse_prefix_declaration()
         if tokens[self.i] != "Ontology":
             self.fail("expected Ontology(...) document")
         self.i += 1
@@ -251,29 +360,9 @@ class _Parser:
             iri = self.parse_iri("ontology IRI")
             if _kind(tokens[self.i]) in _NAMES:
                 version = self.parse_iri("version IRI")
-        imports: list[str] = []
-        annotations: list[OntologyAnnotation] = []
-        axioms: list[Axiom] = []
-        while True:
-            tok = tokens[self.i]
-            if tok == ")":
-                self.i += 1
-                break
-            if not tok:
-                self.fail("unexpected end of input inside Ontology(...)")
-            if tok == "Import":
-                self.i += 1
-                self.expect("(", "'('")
-                imports.append(self.parse_iri("import IRI"))
-                self.expect(")", "')'")
-            elif tok == "Annotation":
-                annotations.append(self.parse_node(_ANNOTATION, annotated=True))
-            else:
-                axioms.append(self.parse_axiom())
-        if tokens[self.i]:
-            self.fail(f"unexpected trailing content {_value(tokens[self.i])!r}")
-        return Ontology(axioms=tuple(axioms), iri=iri, version_iri=version,
-                        imports=tuple(imports), annotations=tuple(annotations))
+        if not tokens[self.i]:  # an IRI may follow in the next window
+            self.fail("unexpected end of input inside Ontology(...)")
+        return iri, version
 
     def parse_prefix_declaration(self):
         self.i += 1
@@ -391,16 +480,19 @@ class _Parser:
 
     def parse_class_expression(self, shape: Shape | None = None, owner: int | None = None):
         tok = self.tokens[self.i]
-        iri = self.iris.get(tok)
-        if iri is None:
+        node = self.classes.get(tok)
+        if node is None:
             form = _CE_FORMS.get(tok)
             if form is not None:
                 return self.parse_node(form)
-            if _kind(tok) == "IDENT":
-                self.fail(f"unknown class expression constructor {tok!r}")
-            iri = self.resolve(tok, "class expression")
+            iri = self.iris.get(tok)
+            if iri is None:
+                if _kind(tok) == "IDENT":
+                    self.fail(f"unknown class expression constructor {tok!r}")
+                iri = self.resolve(tok, "class expression")
+            node = self.classes[tok] = _new(NamedClass, (iri,))
         self.i += 1
-        return _new(NamedClass, (iri,))
+        return node
 
     def parse_object_property(self, shape: Shape | None = None, owner: int | None = None):
         if self.tokens[self.i] == "ObjectInverseOf":

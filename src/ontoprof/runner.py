@@ -160,6 +160,7 @@ def _extract_file(path: str, text: str | None, follow_imports: bool,
     warnings: list[str] = []
     try:
         onto = parse_ontology(text, origin=path)
+        del text  # extraction reads only the model; the source can be freed
         if follow_imports and onto.imports:
             onto = _resolve_imports(onto, path, warnings)
         vector = extract_all(onto, cohesion_weights=weights)

@@ -3,7 +3,10 @@
 import random
 import re
 import string
+import sys
+import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +18,7 @@ from ontoprof.model import (
     SubClassOf, SubObjectPropertyOf, UnknownAxiom,
 )
 
+import gen
 import oracles
 from gen import NS, random_ontology
 
@@ -510,3 +514,161 @@ def test_unknown_constructs_lex_positions_once(monkeypatch):
     assert [d.format() for d in diags] == [
         "test.ofn:8003:1: error: arity violation: SubClassOf needs at least 2 class expressions"]
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# Windowed lexing: the parser holds one window of tokens at a time, and no
+# window size may change a model or a diagnostic.
+
+RULES = [f"DLSafeRule(Body(ClassAtom(:A Variable(:x{i})))  # body\r\n"
+         f"  Head(ClassAtom(:B\tVariable(:x{i}))))" for i in range(4000)]
+
+
+def complement_chain(depth: int, sep: str = "") -> str:
+    """`SubClassOf(:A ...)` over `depth` nested ObjectComplementOf, with
+    `sep` after each opening and closing parenthesis."""
+    return (HEADER + "SubClassOf(:A" + sep + f"ObjectComplementOf({sep}" * depth + ":B" + sep
+            + f"){sep}" * depth + ")\n)\n")
+
+
+def outcome(text: str):
+    """The model of `text`, or its formatted diagnostics."""
+    try:
+        return parse_ontology(text, origin="w.ofn")
+    except OntologyParseError as exc:
+        return [d.format() for d in exc.diagnostics]
+
+
+def outcomes_under_window(monkeypatch, window: int, texts) -> list:
+    with monkeypatch.context() as patch:
+        patch.setattr(parser, "_WINDOW", window)
+        return [outcome(text) for text in texts]
+
+
+def window_corpus() -> list[str]:
+    golden = sorted((Path(__file__).parent / "fixtures").glob("*/*.ofn"))
+    assert len(golden) > 10
+    return ([path.read_text(encoding="utf-8") for path in golden]
+            + list(mutated_documents(300, 20261019))
+            + [HEADER + " # rule\n".join(RULES) + "\n)\n"]
+            + [complement_chain(depth, sep) for depth in (400, 700) for sep in ("", "\n")])
+
+
+@pytest.mark.parametrize("window", [1, 7, 64])
+def test_window_size_changes_no_model_or_diagnostic(window, monkeypatch):
+    texts = window_corpus()
+    # At the same stack depth, as the nesting limit counts the caller's frames.
+    expected = outcomes_under_window(monkeypatch, parser._WINDOW, texts)
+    assert sum(isinstance(o, list) for o in expected) > 60
+    assert sum(isinstance(o, Ontology) for o in expected) > 60
+    actual = outcomes_under_window(monkeypatch, window, texts)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 2000)  # node equality recurses down the chains
+    try:
+        assert actual == expected
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_window_cutting_a_string_literal(monkeypatch):
+    text = HEADER + 'AnnotationAssertion(:p :a "one\ntwo\n\nthree")\n)\n'
+    cut = text.index("one") + 4
+    assert parser._tokenize(text, "w.ofn", 0, cut) is None
+    model = outcome(text)
+    assert model.axioms[0].value.lexical == "one\ntwo\n\nthree"
+    for window in (1, 7, len(HEADER) + 30):
+        assert outcomes_under_window(monkeypatch, window, [text]) == [model]
+    unterminated = HEADER + 'SubClassOf(:A :B)\nAnnotationAssertion(:p :a "one\ntwo)\n)\n'
+    assert outcomes_under_window(monkeypatch, 1, [unterminated]) == [
+        ["w.ofn:4:27: error: lexical error: unterminated string literal"]]
+
+
+def test_items_longer_than_the_window(monkeypatch):
+    texts = ["Prefix(\n:=\n<http://example.org/t#>\n)\nPrefix(\nx:\n=\n<http://x#>\n)\n"
+             "Ontology(\n<http://o>\n<http://v>\nImport(\n<http://i>\n)\n"
+             "Annotation(\n:p\n\"x\"\n)\n"
+             "SubClassOf(\n:A\nObjectIntersectionOf(\nx:B\n:C\n)\n)\n)\n",
+             "Ontology(\n<http://o>\n<http://v>\n)\n",
+             "Ontology(\n<http://o>\n)\n",
+             "Ontology(\n<http://o>\n",
+             "Prefix(:=<http://x#>)\nOntology(\n" + "SubClassOf(:A :B)\n" * 30
+             + "SubClassOf(\n" + ":B\n" * 200 + ")\n)\n"]
+    expected = [outcome(text) for text in texts]
+    assert expected[0].iri == "http://o" and expected[0].version_iri == "http://v"
+    assert expected[0].imports == ("http://i",)
+    for window in (1, 2, 3, 7, 16, 64):
+        assert outcomes_under_window(monkeypatch, window, texts) == expected
+
+
+def test_trailing_content_in_a_later_window(monkeypatch):
+    texts = [HEADER + ")\n\n\n# done\n  \nSubClassOf(:A :B)\n", HEADER + ")\n\n\n# done\n  \n"]
+    for window in (1, 7, 1 << 16):
+        assert outcomes_under_window(monkeypatch, window, texts) == [
+            ["w.ofn:8:1: error: syntax error: unexpected trailing content 'SubClassOf'"],
+            Ontology(axioms=())]
+
+
+def test_lexical_error_in_a_later_window_wins_over_a_syntax_error(monkeypatch):
+    text = HEADER + "SubClassOf(:A)\n" + "SubClassOf(:A :B)\n" * 100 + "SubClassOf(:A %)\n)\n"
+    for window in (1, 64, 1 << 16):
+        assert outcomes_under_window(monkeypatch, window, [text]) == [
+            ["w.ofn:104:15: error: lexical error: unexpected character '%'"]]
+
+
+def test_nesting_limit_at_a_window_boundary(monkeypatch):
+    text = complement_chain(700, "\n")
+    [message] = outcome(text)
+    assert "limit exceeded" in message
+    line = int(message.split(":")[1])
+    start = sum(len(row) + 1 for row in text.split("\n")[:line - 1])
+    # Windows that end just before, at and just after the deepest token's line.
+    for window in range(start - 45, start + 45):
+        with monkeypatch.context() as patch:
+            patch.setattr(parser, "_WINDOW", window)
+            assert outcome(text) == [message], window
+
+
+def test_carriage_return_only_document_is_one_window(monkeypatch):
+    text = HEADER.replace("\n", "\r") + "SubClassOf(:A :B)\r" * 200 + ")\r"
+    lexed = []
+    tokenize = parser._tokenize
+
+    def spy(*args):
+        lexed.append(args[2:])
+        return tokenize(*args)
+
+    monkeypatch.setattr(parser, "_tokenize", spy)
+    assert len(outcomes_under_window(monkeypatch, 1, [text])[0].axioms) == 200
+    assert lexed == [(0, len(text))]
+
+
+def test_parse_holds_one_window_of_tokens():
+    """The parse's peak memory beyond the model it returns stays far below
+    the text's size: the tokens of the whole document are never held."""
+    rng = random.Random(12)
+    vocab = gen.Vocabulary(rng)
+    model = Ontology(axioms=tuple(gen.random_axiom(rng, vocab) for _ in range(10500)))
+    text = serialize(model)
+    assert len(text.encode()) >= 1_000_000
+    tracemalloc.start()
+    try:
+        parsed = parse_ontology(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parsed == model
+    assert peak - kept < 1.5 * 2**20
+
+
+def test_a_class_named_again_is_one_node():
+    text = HEADER + ("SubClassOf(:A :B)\nSubClassOf(:B :A)\n"
+                     "EquivalentClasses(:A ObjectIntersectionOf(:B <http://example.org/t#A>))\n"
+                     "ClassAssertion(:A :i)\n)\n")
+    o = parse_ontology(text)
+    first, second, third, fourth = o.axioms
+    assert first.sub is second.sup is third.operands[0] is fourth.ce
+    assert first.sup is second.sub is third.operands[1].operands[0]
+    # A name spelled another way is an equal node of its own.
+    assert third.operands[1].operands[1] == first.sub
+    assert parse_ontology(serialize(o)) == o
+    assert parse_ontology(text) == o

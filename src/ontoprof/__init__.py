@@ -22,8 +22,7 @@ _EXPORTS = {
                      "cyclic_classes", "fanout_stats", "max_depth", "tangledness"),
                     "hierarchy"),
     **dict.fromkeys(("CLASS_CONSTRUCTORS", "LOGICAL_AXIOM_TYPES", "Category", "Ontology",
-                     "Signature", "axiom_category", "axiom_depth",
-                     "count_constructor_occurrences", "expression_depth"), "model"),
+                     "Signature", "axiom_category"), "model"),
     **dict.fromkeys(("OntologyParseError", "ParseDiagnostic", "parse_ontology"), "parser"),
     **dict.fromkeys(("CorpusReport", "RunConfig", "discover_inputs", "emit_matrix", "run"),
                     "runner"),

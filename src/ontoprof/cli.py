@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .features import schema_as_dict
+from .features import COHESION_WEIGHTS, FEATURE_GROUPS, schema_as_dict
 
 # `schema` and `check` never need the runner, which pulls in multiprocessing,
 # so `run` and `write_outputs` resolve on first use (PEP 562). They stay
@@ -89,7 +89,7 @@ def _merge_extract_config(args) -> RunConfig:
     fmt = args.format or options.get("format", "csv")
     groups_raw = args.groups or options.get("groups")
     groups = (tuple(g.strip() for g in groups_raw.split(",") if g.strip())
-              if groups_raw else ("size", "expressivity", "structural", "syntactic"))
+              if groups_raw else FEATURE_GROUPS)
     timeout = args.timeout if args.timeout is not None else float(
         options.get("timeout", DEFAULT_TIMEOUT))
     jobs = args.jobs if args.jobs is not None else (
@@ -98,7 +98,7 @@ def _merge_extract_config(args) -> RunConfig:
     follow = (args.follow_imports if args.follow_imports is not None
               else options.get("follow_imports", "false").lower() in ("true", "1", "yes"))
     out = args.out or options.get("out")
-    weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
+    weights = COHESION_WEIGHTS
     if "ocoh_weights" in options:
         parts = [float(x) for x in options["ocoh_weights"].split(",")]
         if len(parts) != 3:

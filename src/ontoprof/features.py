@@ -99,6 +99,8 @@ def _build_schema() -> tuple[FeatureSpec, ...]:
 FEATURE_SCHEMA: tuple[FeatureSpec, ...] = _build_schema()
 FEATURE_IDS: tuple[str, ...] = tuple(s.id for s in FEATURE_SCHEMA)
 FEATURE_GROUPS: tuple[str, ...] = ("size", "expressivity", "structural", "syntactic")
+# The weights of CCOH, PCOH and OPCOH in OCOH.
+COHESION_WEIGHTS: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
 
 
 class FeatureVector(Record):
@@ -146,7 +148,7 @@ def hierarchy_features(ch: Hierarchy, ph: Hierarchy) -> dict:
 
 
 def cohesion_features(o: Ontology, ch: Hierarchy, ph: Hierarchy,
-                      weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)) -> dict:
+                      weights: tuple[float, float, float] = COHESION_WEIGHTS) -> dict:
     nc = len(ch.nodes)
     np_ = len(ph.nodes)
     ccoh = _ratio(2 * (ch.ndhc + ch.nidhc), nc * nc - nc)
@@ -249,8 +251,7 @@ def individual_level_features(o: Ontology) -> dict:
 
 
 def extract_all(o: Ontology,
-                cohesion_weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3),
-                ) -> FeatureVector:
+                cohesion_weights: tuple[float, float, float] = COHESION_WEIGHTS) -> FeatureVector:
     """Full feature vector in schema order."""
     o.census  # the one walk over the axioms, before the layers that read it
     ch = build_class_hierarchy(o)

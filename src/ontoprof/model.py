@@ -1,15 +1,16 @@
 """Structural model of OWL 2 ontologies.
 
 Entities, class expressions, property expressions, axioms and the Ontology
-container, plus the tree walkers every analysis pass is built on.  All model
-values are immutable after construction and safe to share across threads.
+container, plus the Census, the one walk over the logical axioms that every
+analysis pass reads.  All model values are immutable after construction and
+safe to share across threads.
 
 The grammar is stated once, in NODES: for every node type its
 functional-syntax keyword, its KB category and its fields in syntax order,
 each with a Shape, after the W3C OWL 2 Structural Specification
 (https://www.w3.org/TR/owl2-syntax/).  The node classes are made from it by
-`_node`, and the parser, the serializer, the signature walk and the walkers
-below all read it.
+`_node`, and the parser, the serializer, the signature walk and the census
+all read it.
 """
 
 from __future__ import annotations
@@ -268,7 +269,6 @@ Entity = _node("Entity", Node, ("iri", ENTITY_IRI), ("kind", TEXT), keyword=None
                forms={k.value: (k, (("iri", ENTITY_IRI),)) for k in EntityKind})
 # Named individuals are plain IRI strings; anonymous ones carry a node id.
 AnonymousIndividual = _node("AnonymousIndividual", Node, ("node_id", NODE_ID), keyword=None)
-Individual = str | AnonymousIndividual
 # Inverse of a named object property (never nested).
 ObjectInverseOf = _node("ObjectInverseOf", Node, ("prop", OBJECT_PROPERTY))
 ObjectPropertyExpression = str | ObjectInverseOf
@@ -279,7 +279,6 @@ PropertyChain = _node("PropertyChain", Node, ("operands", OPE.times(2)),
                       keyword="ObjectPropertyChain")
 # An IRI used as an annotation subject or value.
 IriRef = _node("IriRef", Node, ("iri", IRI), keyword=None)
-AnnotationValue = IriRef | Literal | AnonymousIndividual
 OntologyAnnotation = _node("OntologyAnnotation", Node, ("prop", ANNOTATION_PROPERTY),
                            ("value", ANNOTATION_VALUE), keyword="Annotation")
 
@@ -347,7 +346,6 @@ CLASS_CONSTRUCTORS: tuple[str, ...] = (
     "ObjectMaxCardinality",
     "ObjectExactCardinality",
 )
-_CONSTRUCTOR_TYPES = tuple(t for t in NODES if t.__name__ in CLASS_CONSTRUCTORS)
 
 # Axioms, by KB category --------------------------------------------------------------
 
@@ -493,7 +491,7 @@ def axiom_category(axiom: Axiom) -> Category:
 
 
 # ---------------------------------------------------------------------------
-# Walkers.
+# Class-expression operands.
 
 # Per node type, the (field index, how) of its class-expression fields: one
 # expression, a tuple of them, or a class IRI that stands for a named class.
@@ -531,64 +529,20 @@ def _operand_getter(plan):
 _OPERAND_GETTERS = {t: _operand_getter(plan) for t, plan in _OPERANDS.items()}
 
 
-def child_expressions(e: ClassExpression) -> tuple[ClassExpression, ...]:
-    """Direct class-expression children of an expression node."""
-    return _OPERAND_GETTERS[type(e)](e)
-
-
+# The census reads _OPERAND_GETTERS directly; these two stay for perfbench's
+# traced pass, which counts model.expr_nodes with them.
 def iter_nodes(e: ClassExpression) -> Iterator[ClassExpression]:
     """All nodes of an expression tree, pre-order."""
     stack = [e]
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(reversed(child_expressions(node)))
+        stack.extend(reversed(_OPERAND_GETTERS[type(node)](node)))
 
 
 def class_expressions_of(axiom: Axiom) -> tuple[ClassExpression, ...]:
     """Top-level class-expression operands of an axiom."""
     return _OPERAND_GETTERS[type(axiom)](axiom)
-
-
-def expression_depth(e: ClassExpression) -> int:
-    """Nesting depth: named classes are 0, every constructor adds a level."""
-    if isinstance(e, NamedClass):
-        return 0
-    deepest = 0
-    stack = [(e, 1)]
-    while stack:
-        node, depth = stack.pop()
-        if depth > deepest:
-            deepest = depth
-        for child in child_expressions(node):
-            if not isinstance(child, NamedClass):
-                stack.append((child, depth + 1))
-    return deepest
-
-
-def axiom_depth(axiom: Axiom) -> int:
-    """Maximal expression depth over the axiom's class-expression operands."""
-    operands = class_expressions_of(axiom)
-    if not operands:
-        return 0
-    return max(expression_depth(e) for e in operands)
-
-
-def constructor_counts(axiom: Axiom) -> Counter:
-    """Occurrences of each counted constructor in the axiom's expressions."""
-    counts: Counter = Counter()
-    for top in class_expressions_of(axiom):
-        for node in iter_nodes(top):
-            if isinstance(node, _CONSTRUCTOR_TYPES):
-                counts[type(node).__name__] += 1
-    return counts
-
-
-def count_constructor_occurrences(axiom: Axiom, constructor: str) -> int:
-    """Occurrences of one constructor tag; repeated uses all count."""
-    if constructor not in CLASS_CONSTRUCTORS:
-        raise ValueError(f"not a counted class constructor: {constructor}")
-    return constructor_counts(axiom)[constructor]
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +581,7 @@ class Census:
 
     __slots__ = (
         "axiom_types",       # logical axiom type names, plus SubObjectPropertyChain
-        "depth_sum", "depth_max",       # over axiom_depth of each logical axiom
+        "depth_sum", "depth_max",       # nesting depth of each logical axiom
         "constructors",      # node tags (and data range names) in TBox axioms
         "constructor_max",   # most class constructors in one TBox axiom
         "tags",              # every tag and data range name, plus ObjectInverseOf
@@ -1036,10 +990,6 @@ class Ontology(FrozenRecord):
     def census(self) -> Census:
         """One walk over the logical axioms, taken on first use."""
         return Census(self)
-
-    @property
-    def logical_axioms(self) -> tuple[Axiom, ...]:
-        return self.tbox + self.rbox + self.abox
 
     @property
     def logical_axiom_count(self) -> int:

@@ -22,11 +22,13 @@ import sys
 import time
 from pathlib import Path
 
-from .features import FEATURE_GROUPS, FEATURE_SCHEMA, SCHEMA_VERSION, FeatureVector, extract_all
-from .model import Record
+from .features import (COHESION_WEIGHTS, FEATURE_GROUPS, FEATURE_SCHEMA, SCHEMA_VERSION,
+                       FeatureVector, extract_all)
+from .model import Ontology, Record
 from .parser import OntologyParseError, decode_source, parse_ontology
 
 DEFAULT_TIMEOUT = 300.0
+_MAX_WAIT = 3600.0  # seconds; poll() takes an int of ms, which ~24.9 days overflows
 STDIN_ID = "<stdin>"  # the ontology id of input read from `-`
 _URI_SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*:")  # RFC 3986 scheme
 
@@ -42,13 +44,15 @@ class RunConfig(Record):
                  feature_groups: tuple[str, ...] = FEATURE_GROUPS,
                  per_file_timeout: float = DEFAULT_TIMEOUT, parallelism: int | None = None,
                  on_error: str = "skip", follow_imports: bool = False,
-                 cohesion_weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)):
+                 cohesion_weights: tuple[float, float, float] = COHESION_WEIGHTS):
         if parallelism is None:
             parallelism = os.cpu_count() or 1
         if parallelism < 1:
             raise ValueError("parallelism must be >= 1")
-        if per_file_timeout <= 0:
-            raise ValueError("per_file_timeout must be positive")
+        if not 0 < per_file_timeout < float("inf"):  # also false for NaN
+            raise ValueError("per_file_timeout must be a finite positive number")
+        if not all(0 <= w < float("inf") for w in cohesion_weights):
+            raise ValueError("cohesion weights must be finite and non-negative")
         if format not in ("csv", "json"):
             raise ValueError(f"unknown format: {format}")
         if on_error not in ("skip", "abort"):
@@ -181,8 +185,6 @@ def _resolve_imports(onto, path: str, warnings: list[str], seen: set[str] | None
     unresolved. A local file that is missing, unreadable or unparsable is
     not merged, and a warning naming the import and the reason is appended
     to `warnings`."""
-    from .model import Ontology
-
     seen = seen or {str(Path(path).resolve())}
     merged = list(onto.axioms)
     for iri in onto.imports:
@@ -326,7 +328,8 @@ def run(config: RunConfig) -> CorpusReport:
             if aborted or not busy:
                 break
             wait_for = max(0.0, min(w.deadline for w in busy) - time.monotonic())
-            ready = multiprocessing.connection.wait([w.conn for w in busy], timeout=wait_for)
+            ready = multiprocessing.connection.wait([w.conn for w in busy],
+                                                    timeout=min(wait_for, _MAX_WAIT))
             for worker in busy:
                 idx, path = worker.job
                 if worker.conn in ready:

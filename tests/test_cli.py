@@ -293,6 +293,37 @@ def test_timeout_flag_reaches_config(tmp_path, capsys):
     assert len(captured.out.strip().splitlines()) == 1  # header only
 
 
+@pytest.mark.parametrize("timeout", ["2147484", "1e300"])
+def test_timeout_beyond_a_millisecond_int_runs_to_completion(timeout, corpus, capsys):
+    # 2147484 s is just over 2**31 - 1 ms, the most one wait can hand to poll().
+    assert main(["extract", "--jobs", "1", "--timeout", timeout, str(corpus)]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 3
+
+
+def one_error_line(err: str) -> str:
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ontoprof: error: "), err
+    return lines[0]
+
+
+@pytest.mark.parametrize("timeout", ["inf", "nan", "0"])
+def test_timeout_must_be_finite_and_positive(timeout, corpus, capsys):
+    assert main(["extract", "--timeout", timeout, str(corpus)]) == 1
+    captured = capsys.readouterr()
+    assert "finite positive" in one_error_line(captured.err)
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("weights", ["nan, 1, 1", "1, inf, 1", "1, 1, -0.5"])
+def test_ocoh_weights_must_be_finite_and_non_negative(weights, corpus, tmp_path, capsys):
+    cfg = tmp_path / "run.conf"
+    cfg.write_text(f"ocoh_weights = {weights}\n")
+    assert main(["extract", "--config", str(cfg), str(corpus)]) == 1
+    captured = capsys.readouterr()
+    assert "finite and non-negative" in one_error_line(captured.err)
+    assert captured.out == ""
+
+
 def test_follow_imports_flag(tmp_path, capsys):
     (tmp_path / "base.ofn").write_text(VALID)
     main_file = tmp_path / "main.ofn"

@@ -1,5 +1,5 @@
-"""Model semantics: node equality and immutability, categorization, depth,
-constructor counting, signature."""
+"""Model semantics: node equality and immutability, categorization, depth and
+constructor counts through the census, signature."""
 
 import copy
 import pickle
@@ -14,9 +14,10 @@ from ontoprof.model import (
     ObjectAllValuesFrom, ObjectExactCardinality, ObjectHasSelf, ObjectIntersectionOf,
     ObjectMaxCardinality, ObjectMinCardinality, ObjectOneOf, ObjectSomeValuesFrom,
     ObjectUnionOf, Ontology, PropertyChain, SameIndividual, SubClassOf,
-    TransitiveObjectProperty, axiom_category, axiom_depth, constructor_counts,
-    count_constructor_occurrences, expression_depth, iter_nodes, class_expressions_of,
+    TransitiveObjectProperty, axiom_category, class_expressions_of, iter_nodes,
 )
+
+import oracles
 
 NS = "http://example.org/m#"
 
@@ -60,6 +61,15 @@ def test_axiom_category_total_over_all_logical_types():
     assert seen <= set(LOGICAL_AXIOM_TYPES)
 
 
+def census_of(*axioms):
+    return Ontology(axioms=axioms).census
+
+
+def expression_depth(e):
+    """The census depth of `e` as the superclass of a one-axiom ontology."""
+    return census_of(SubClassOf(c("X"), e)).depth_max
+
+
 def test_expression_depth_examples():
     assert expression_depth(c("Human")) == 0
     assert expression_depth(ObjectSomeValuesFrom(NS + "r", c("C"))) == 1
@@ -68,6 +78,7 @@ def test_expression_depth_examples():
     # One level per constructor on the deepest path: intersection, universal,
     # union.
     assert expression_depth(nested) == 3
+    assert oracles.expr_depth(nested) == 3
 
 
 def test_expression_depth_zero_iff_named():
@@ -78,31 +89,28 @@ def test_expression_depth_zero_iff_named():
 def test_axiom_depth_over_operands():
     ax = SubClassOf(c("A"), ObjectSomeValuesFrom(NS + "r",
                                                  ObjectSomeValuesFrom(NS + "r", c("B"))))
-    assert axiom_depth(ax) == 2
-    assert axiom_depth(TransitiveObjectProperty(NS + "r")) == 0
+    assert census_of(ax).depth_max == oracles.axiom_depth(ax) == 2
+    ax = TransitiveObjectProperty(NS + "r")
+    assert census_of(ax).depth_max == oracles.axiom_depth(ax) == 0
 
 
 def test_count_constructor_occurrences_examples():
     ax = SubClassOf(c("A"), ObjectIntersectionOf(
         (c("B"), ObjectIntersectionOf((c("C"), c("D"))))))
-    assert count_constructor_occurrences(ax, "ObjectIntersectionOf") == 2
-    plain = SubClassOf(c("A"), c("B"))
+    assert census_of(ax).constructors["ObjectIntersectionOf"] == 2
+    plain = census_of(SubClassOf(c("A"), c("B")))
     for constructor in CLASS_CONSTRUCTORS:
-        assert count_constructor_occurrences(plain, constructor) == 0
+        assert plain.constructors[constructor] == 0
     equiv = EquivalentClasses((c("Man"), ObjectIntersectionOf((c("Human"), c("Male")))))
-    assert count_constructor_occurrences(equiv, "ObjectIntersectionOf") == 1
-
-
-def test_count_rejects_unknown_constructor():
-    with pytest.raises(ValueError):
-        count_constructor_occurrences(SubClassOf(c("A"), c("B")), "DataHasValue")
+    assert census_of(equiv).constructors["ObjectIntersectionOf"] == 1
 
 
 def test_constructor_sum_equals_non_leaf_non_data_nodes():
     ax = SubClassOf(
         ObjectUnionOf((c("A"), DataRestriction(kind="DataHasValue", props=(NS + "d",)))),
         ObjectIntersectionOf((c("B"), ObjectSomeValuesFrom(NS + "r", c("C")))))
-    total = sum(constructor_counts(ax).values())
+    counts = census_of(ax).constructors
+    total = sum(counts[cc] for cc in CLASS_CONSTRUCTORS)
     nodes = [n for top in class_expressions_of(ax) for n in iter_nodes(top)]
     non_leaf = [n for n in nodes
                 if not isinstance(n, (NamedClass, DataRestriction))]
@@ -138,17 +146,22 @@ def test_arity_validation():
 def test_constructor_sum_invariant_random():
     import random
     from gen import Vocabulary, random_axiom
-    from ontoprof.model import CLASS_CONSTRUCTORS
 
     rng = random.Random(31)
     vocab = Vocabulary(rng)
     for _ in range(500):
         ax = random_axiom(rng, vocab)
-        total = sum(count_constructor_occurrences(ax, cc) for cc in CLASS_CONSTRUCTORS)
+        census = census_of(ax)
+        assert census.depth_max == oracles.axiom_depth(ax)
+        counted = {cc: oracles.constructor_count(ax, cc) for cc in CLASS_CONSTRUCTORS}
+        if axiom_category(ax) is Category.TBOX:
+            assert all(census.constructors[cc] == n for cc, n in counted.items())
+        else:  # outside the TBox the census keeps which tags occur, not how often
+            assert {cc for cc, n in counted.items() if n} <= census.tags
         nodes = [n for top in class_expressions_of(ax) for n in iter_nodes(top)]
         non_leaf = sum(1 for n in nodes
                        if not isinstance(n, (NamedClass, DataRestriction)))
-        assert total == non_leaf
+        assert sum(counted.values()) == non_leaf
 
 
 # ---------------------------------------------------------------------------

@@ -90,10 +90,14 @@ def test_record_defaults():
 
 @pytest.mark.parametrize("kwargs, message", [
     ({"parallelism": 0}, "parallelism must be >= 1"),
-    ({"per_file_timeout": 0}, "per_file_timeout must be positive"),
+    ({"per_file_timeout": 0}, "per_file_timeout must be a finite positive number"),
     ({"format": "xml"}, "unknown format: xml"),
     ({"on_error": "retry"}, "unknown on_error policy: retry"),
     ({"feature_groups": ("size", "bogus", "alpha")}, "unknown feature groups: ['alpha', 'bogus']"),
+    *(({"per_file_timeout": t}, "per_file_timeout must be a finite positive number")
+      for t in (float("inf"), float("nan"))),
+    *(({"cohesion_weights": w}, "cohesion weights must be finite and non-negative")
+      for w in ((float("nan"), 1, 1), (1, float("inf"), 1), (0.5, 0.5, -0.0001))),
 ])
 def test_run_config_validation_messages(kwargs, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -28,6 +28,11 @@ def _ratio(num, den) -> float:
     return num / den if den > 0 else 0.0
 
 
+def _count_without(names, excluded: frozenset) -> int:
+    """len(names - excluded), without copying `names`."""
+    return len(names) - len(excluded & names)
+
+
 # `kind` is "count", "ratio" or "categorical".
 FeatureSpec = namedtuple("FeatureSpec", "id group kind domain description")
 
@@ -124,9 +129,9 @@ PatternCount = namedtuple("PatternCount", "iu euvi cuvi")
 def size_features(o: Ontology) -> dict:
     sig = o.signature
     return {
-        "SC": len(sig.classes - BUILTIN_CLASSES),
-        "SOP": len(sig.object_properties - BUILTIN_OBJECT_PROPERTIES),
-        "SDP": len(sig.data_properties - BUILTIN_DATA_PROPERTIES),
+        "SC": _count_without(sig.classes, BUILTIN_CLASSES),
+        "SOP": _count_without(sig.object_properties, BUILTIN_OBJECT_PROPERTIES),
+        "SDP": _count_without(sig.data_properties, BUILTIN_DATA_PROPERTIES),
         "SI": len(sig.individuals),
         "SDT": len(sig.datatypes),
         "SLA": o.logical_axiom_count,
@@ -154,7 +159,7 @@ def cohesion_features(o: Ontology, ch: Hierarchy, ph: Hierarchy,
     ccoh = _ratio(2 * (ch.ndhc + ch.nidhc), nc * nc - nc)
     pcoh = _ratio(2 * (ph.ndhc + ph.nidhc), np_ * np_ - np_)
     census = o.census
-    noprop = len(o.signature.object_properties - BUILTIN_OBJECT_PROPERTIES)
+    noprop = _count_without(o.signature.object_properties, BUILTIN_OBJECT_PROPERTIES)
     coupling = sum(len(classes) * len(census.ranges.get(p, ()))
                    for p, classes in census.domains.items())
     opcoh = _ratio(2 * coupling, noprop * (nc * nc - nc))
@@ -206,14 +211,14 @@ def pattern_counts(o: Ontology) -> PatternCount:
 def class_level_features(o: Ontology, cyclic: frozenset[str]) -> dict:
     census = o.census
     tbox_size = len(o.tbox)
-    sc = len(o.signature.classes - BUILTIN_CLASSES)
+    sc = _count_without(o.signature.classes, BUILTIN_CLASSES)
     return {
         "PCD": _ratio(census.pcd, tbox_size),
         "NPCD": _ratio(census.npcd, tbox_size),
         "GCI": _ratio(census.gci, tbox_size),
-        "CCyc": _ratio(len(cyclic - BUILTIN_CLASSES), sc),
-        "CDIJ": _ratio(len(census.disjoint_classes - BUILTIN_CLASSES), sc),
-        "CNOM": _ratio(len(census.nominal_defined - BUILTIN_CLASSES), sc),
+        "CCyc": _ratio(_count_without(cyclic, BUILTIN_CLASSES), sc),
+        "CDIJ": _ratio(_count_without(census.disjoint_classes, BUILTIN_CLASSES), sc),
+        "CNOM": _ratio(_count_without(census.nominal_defined, BUILTIN_CLASSES), sc),
     }
 
 

@@ -21,18 +21,22 @@ class Hierarchy(FrozenRecord):
     _fields = ("nodes", "direct_edges")
 
     def __init__(self, nodes: frozenset[str], direct_edges: frozenset[tuple[str, str]]):
+        # Each per-node map is dropped once its counts are taken, so no two
+        # are held at once.
         parents = Counter(map(itemgetter(0), direct_edges)).values()
+        tangled, max_parents = len(parents) - countOf(parents, 1), max(parents, default=0)
+        del parents
         children: dict[str, list[str]] = {}
         for u, v in direct_edges:
             children.setdefault(v, []).append(u)
+        max_children = max(map(len, children.values()), default=0)
         comp, size = _scc_map(nodes, children)
+        del children
         pairs, depth = _condensation_counts(direct_edges, comp, size)
         ndhc = len(direct_edges)
         vars(self).update(nodes=nodes, direct_edges=direct_edges, ndhc=ndhc, nidhc=pairs - ndhc,
-                          scc_map=comp, depth=depth,
-                          max_children=max(map(len, children.values()), default=0),
-                          tangled=len(parents) - countOf(parents, 1),
-                          max_parents=max(parents, default=0))
+                          scc_map=comp, depth=depth, max_children=max_children,
+                          tangled=tangled, max_parents=max_parents)
 
 
 def _condensation_counts(edges, comp: dict[str, int], size: list[int]) -> tuple[int, int]:
@@ -55,27 +59,25 @@ def _condensation_counts(edges, comp: dict[str, int], size: list[int]) -> tuple[
     if not edges:
         return 0, 0
     n = len(size)
-    succ: list[set[int]] = [set() for _ in range(n)]
-    cyclic = [False] * n
-    for u, v in edges:
-        cu, cv = comp[u], comp[v]
-        if cu == cv:
-            cyclic[cu] = True
-        else:
-            succ[cu].add(cv)
+    succ, cyclic = _successors(edges, comp, n)
     # readers[d]: components that OR d's bitset into their own, i.e. the
     # predecessors of d that branch or whose own bitset is read.
     readers = [0] * n
     for c in range(n - 1, -1, -1):
-        if len(succ[c]) >= 2 or readers[c]:
-            for d in succ[c]:
+        targets = succ[c]
+        if type(targets) is set:
+            for d in targets:
                 readers[d] += 1
+        elif targets is not None and readers[c]:
+            readers[targets] += 1
     reached, height = [0] * n, [0] * n  # reached: nodes outside c that c's members reach
     closed: dict[int, int] = {}  # bitset of c's reach and members, while read
     total = offset = 0
     for c in range(n):
         targets = succ[c]
-        if len(targets) >= 2 or readers[c]:
+        if type(targets) is set or readers[c]:
+            if type(targets) is not set:
+                targets = () if targets is None else (targets,)
             reach = 0
             for d in targets:
                 reach |= closed[d]
@@ -87,24 +89,46 @@ def _condensation_counts(edges, comp: dict[str, int], size: list[int]) -> tuple[
             reached[c] = reach.bit_count()
             if readers[c]:
                 closed[c] = reach | ((1 << size[c]) - 1) << offset
-        elif targets:
-            (d,) = targets
-            reached[c] = reached[d] + size[d]
-            height[c] = height[d] + 1
+        elif targets is not None:
+            reached[c] = reached[targets] + size[targets]
+            height[c] = height[targets] + 1
         offset += size[c]
         total += size[c] * (reached[c] + (size[c] if cyclic[c] else 0))
     return total, max(height)
 
 
-def _components(roots, adj) -> list[list]:
+def _successors(edges, comp: dict[str, int], n: int) -> tuple[list, list[bool]]:
+    """Per component of `comp` (ids 0..n-1): its successors in the
+    condensation of `edges`, and whether an edge stays inside it. The
+    successors are None, one bare id, or a set once there are two distinct
+    ones, so a taxonomy keeps no container per component."""
+    succ: list = [None] * n
+    cyclic = [False] * n
+    for u, v in edges:
+        cu, cv = comp[u], comp[v]
+        if cu == cv:
+            cyclic[cu] = True
+            continue
+        targets = succ[cu]
+        if targets is None:
+            succ[cu] = cv
+        elif type(targets) is set:
+            targets.add(cv)
+        elif targets != cv:
+            succ[cu] = {targets, cv}
+    return succ, cyclic
+
+
+def _components(roots, adj) -> list:
     """Tarjan's algorithm, iterative: the strongly connected components
     reachable from `roots` over the successor lists in `adj` (a node missing
-    from it has none), each after every component it reaches. A node without
-    successors is a component at once and gets no frame; in a taxonomy most
-    nodes are leaves."""
+    from it has none), each after every component it reaches. A component is
+    a list of its members, or the bare node for a node without successors,
+    which is a component at once and gets no frame; in a taxonomy most nodes
+    are leaves."""
     num: dict = {}  # DFS number while on the stack, `done` after
     stack: list = []
-    components: list[list] = []
+    components: list = []
     done = float("inf")
     counter = 0
     work = [[None, iter(roots), -1]]  # node, successors, lowlink; the roots' frame first
@@ -117,7 +141,7 @@ def _components(roots, adj) -> list[list]:
                 successors = adj.get(w)
                 if not successors:
                     num[w] = done
-                    components.append([w])
+                    components.append(w)
                     continue
                 num[w] = counter
                 stack.append(w)
@@ -155,8 +179,16 @@ def _scc_map(nodes, children) -> tuple[dict[str, int], list[int]]:
     A child is reached from its parent, so only parents join `nodes` as roots.
     """
     components = _components(chain(nodes, children), children)[::-1]
-    comp = {v: c for c, members in enumerate(components) for v in members}
-    return comp, list(map(len, components))
+    comp: dict[str, int] = {}
+    size = [1] * len(components)
+    for c, members in enumerate(components):
+        if type(members) is list:
+            size[c] = len(members)
+            for v in members:
+                comp[v] = c
+        else:
+            comp[members] = c
+    return comp, size
 
 
 def build_class_hierarchy(o: Ontology) -> Hierarchy:
@@ -203,6 +235,7 @@ def cyclic_classes(o: Ontology) -> frozenset[str]:
     mentioned = set().union(*deps.values())
     cyclic: set[str] = set()
     for members in _components([a for a in deps if a in mentioned], deps):
-        if len(members) > 1 or members[0] in deps.get(members[0], ()):
+        # A bare node has no dependencies, so it is on no cycle.
+        if type(members) is list and (len(members) > 1 or members[0] in deps[members[0]]):
             cyclic.update(members)
     return frozenset(cyclic)

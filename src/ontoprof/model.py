@@ -592,7 +592,7 @@ class Census:
         "pcd", "npcd", "gci",
         "nominal_defined",   # classes defined with a nominal
         "disjoint_classes",  # classes under DisjointClasses or DisjointUnion
-        "dependencies",      # class -> named classes in its definitions
+        "dependencies",      # class -> list of named classes in its definitions, repeats kept
         "sizes",             # (tag, cardinality or OneOf arity) occurrences
         "simple_required",   # properties OWL 2 DL requires to be simple
         "dl_flags",          # DL family letters no axiom type or tag implies
@@ -616,7 +616,7 @@ class Census:
         pair_card: Counter = Counter()
         simple: set = set()
         flags: set[str] = set()
-        deps: dict[str, set[str]] = {}
+        deps: dict[str, list[str]] = {}
         nominal_defined: set[str] = set()
         disjoint: set[str] = set()
         class_edges: set[tuple[str, str]] = set()
@@ -639,7 +639,7 @@ class Census:
                     sub, sup = ax
                     if type(sub) is NamedClass and type(sup) is NamedClass:
                         class_edges.add((sub.iri, sup.iri))  # an edge and a dependency, no walk
-                        deps.setdefault(sub.iri, set()).add(sup.iri)
+                        deps.setdefault(sub.iri, []).append(sup.iri)
                         pcd += 1
                         continue
                 parts = []  # (named classes, has a nominal) per top-level expression
@@ -726,7 +726,7 @@ class Census:
                             pcd += 1
                             iri = sub.iri
                             names, nominal = parts[1]
-                            deps.setdefault(iri, set()).update(names)
+                            deps.setdefault(iri, []).extend(names)
                             if nominal:
                                 nominal_defined.add(iri)
                             st = type(sup)  # not a NamedClass: that case is above
@@ -748,10 +748,10 @@ class Census:
                             class_edges.update((a, b) for _, a in defined
                                                for _, b in defined if a != b)
                         for i, iri in defined:
-                            targets = deps.setdefault(iri, set())
+                            targets = deps.setdefault(iri, [])
                             for j, (names, nominal) in enumerate(parts):
                                 if j != i:
-                                    targets.update(names)
+                                    targets.extend(names)
                                     if nominal:
                                         nominal_defined.add(iri)
                     elif t is DisjointClasses or t is DisjointUnion:

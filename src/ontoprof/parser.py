@@ -296,11 +296,12 @@ class _Parser:
 
     # -- document -----------------------------------------------------------
 
-    def parse_document(self) -> Ontology:
+    def parse_document(self) -> tuple:
         """The document, one top-level item at a time: a Prefix(...), the
         `Ontology(` header, then Imports, Annotations and axioms up to ')'.
         An item that fails on the window's end is parsed again with the next
-        window appended, so only the window's tokens are ever held."""
+        window appended, so only the window's tokens are ever held. Returns
+        the Ontology's arguments in order."""
         iri = version = None
         imports: list[str] = []
         annotations: list[OntologyAnnotation] = []
@@ -332,8 +333,7 @@ class _Parser:
                 elif stage is _TAIL:
                     if tok:
                         self.fail(f"unexpected trailing content {_value(tok)!r}")
-                    return Ontology(axioms=tuple(axioms), iri=iri, version_iri=version,
-                                    imports=tuple(imports), annotations=tuple(annotations))
+                    return tuple(axioms), iri, version, tuple(imports), tuple(annotations)
                 elif tok == "Prefix":
                     self.parse_prefix_declaration()
                 else:
@@ -651,8 +651,11 @@ def parse_ontology(text: str, origin: str = "<string>") -> Ontology:
     """Parse one functional-syntax document; raises OntologyParseError."""
     parser = _Parser(text, origin)
     try:
-        return parser.parse_document()
+        fields = parser.parse_document()
     except RecursionError:
         pass  # leave the except block so the deep traceback is freed first
+    else:
+        del parser  # its name memos and token window go before the signature walk
+        return Ontology(*fields)
     parser.fail("nesting is deeper than the parser's recursion limit",
                 kind="limit exceeded")

@@ -3,12 +3,12 @@
 import random
 
 from ontoprof.hierarchy import (
-    Hierarchy, build_class_hierarchy, build_property_hierarchy, cyclic_classes,
-    fanout_stats, max_depth, tangledness,
+    Hierarchy, _successors, build_class_hierarchy, build_property_hierarchy,
+    cyclic_classes, fanout_stats, max_depth, tangledness,
 )
 from ontoprof.model import (
-    EquivalentClasses, NamedClass, ObjectSomeValuesFrom, ObjectUnionOf,
-    Ontology, PropertyChain, SubClassOf, SubObjectPropertyOf,
+    EquivalentClasses, NamedClass, ObjectIntersectionOf, ObjectSomeValuesFrom,
+    ObjectUnionOf, Ontology, PropertyChain, SubClassOf, SubObjectPropertyOf,
     TransitiveObjectProperty,
 )
 
@@ -336,3 +336,76 @@ def test_hundred_thousand_node_chain_closed_into_a_cycle_at_its_top():
     assert h.ndhc == 100_000
     assert (h.nidhc, max_depth(h)) == _chain_closed_at_top_counts(100_000, 5)
     assert len(set(h.scc_map.values())) == 100_000 - 5 + 1
+
+
+def _compact_successors(names, edges):
+    """The hierarchy over `edges` checked against the oracles, with its
+    successors and cyclic flags per component, keyed by member names."""
+    h = Hierarchy(nodes=frozenset(names), direct_edges=frozenset(edges))
+    pairs = oracles.reachability(names, h.direct_edges)
+    _assert_ids_order_the_condensation(h, pairs)
+    assert h.nidhc == len(pairs) - len(h.direct_edges)
+    assert max_depth(h) == oracles.longest_condensation_path(names, h.direct_edges)
+    comp = h.scc_map
+    succ, cyclic = _successors(h.direct_edges, comp, max(comp.values()) + 1)
+    return comp, succ, cyclic
+
+
+def test_a_cycle_with_many_edges_into_one_parent_keeps_one_id():
+    cycle = [("c0", "c1"), ("c1", "c2"), ("c2", "c0")]
+    comp, succ, cyclic = _compact_successors(
+        ["c0", "c1", "c2", "p", "q"], cycle + [("c0", "p"), ("c1", "p"), ("c2", "p"), ("p", "q")])
+    assert succ[comp["c0"]] == comp["p"] and type(succ[comp["c0"]]) is int
+    assert succ[comp["p"]] == comp["q"]
+    assert succ[comp["q"]] is None
+    assert cyclic[comp["c0"]] and not cyclic[comp["p"]]
+
+
+def test_successors_grow_from_one_id_to_a_set():
+    edges = [("x", "y"), ("y", "x"), ("x", "a"), ("y", "a"), ("y", "b"), ("a", "b"), ("t", "a")]
+    comp, succ, _ = _compact_successors(["x", "y", "a", "b", "t"], edges)
+    assert succ[comp["x"]] == {comp["a"], comp["b"]}
+    assert succ[comp["t"]] == comp["a"] and succ[comp["a"]] == comp["b"]
+
+
+def test_self_loop_and_chain_closed_into_a_cycle_in_the_compact_successors():
+    comp, succ, cyclic = _compact_successors(["a", "b"], [("a", "a"), ("a", "b")])
+    assert cyclic[comp["a"]] and not cyclic[comp["b"]]
+    assert succ[comp["a"]] == comp["b"] and comp["a"] != comp["b"]
+    names, edges = _chain_closed_at_top(6, 3)
+    comp, succ, cyclic = _compact_successors(names, edges)
+    top = comp[names[-1]]
+    assert {comp[n] for n in names[3:]} == {top} and cyclic[top] and succ[top] is None
+    for i in range(3):
+        assert succ[comp[names[i]]] == comp[names[i + 1]] and not cyclic[comp[names[i]]]
+
+
+def _cyclic_against_the_oracle(*axioms):
+    o = onto(*axioms)
+    nodes, edges = oracles.dependency_edges(o)
+    assert cyclic_classes(o) == oracles.nodes_on_cycles(nodes, edges)
+    return o
+
+
+def test_cyclic_classes_over_dependency_lists_with_repeats():
+    twice = SubClassOf(c("A"), c("B"))
+    o = _cyclic_against_the_oracle(twice, twice)
+    assert o.census.dependencies == {NS + "A": [NS + "B", NS + "B"]}
+    assert cyclic_classes(o) == frozenset()
+    defined = EquivalentClasses((c("A"), ObjectIntersectionOf(
+        (c("B"), ObjectSomeValuesFrom(NS + "r", c("B"))))))
+    o = _cyclic_against_the_oracle(defined)
+    assert o.census.dependencies[NS + "A"] == [NS + "B", NS + "B"]
+    assert cyclic_classes(o) == frozenset()
+    o = _cyclic_against_the_oracle(defined, SubClassOf(c("B"), c("A")), twice)
+    assert cyclic_classes(o) == {NS + "A", NS + "B"}
+    some = SubClassOf(c("C"), ObjectSomeValuesFrom(NS + "r", c("C")))
+    assert cyclic_classes(_cyclic_against_the_oracle(some, some)) == {NS + "C"}
+
+
+def test_cyclic_classes_self_subclass():
+    o = _cyclic_against_the_oracle(SubClassOf(c("A"), c("A")), SubClassOf(c("B"), c("A")))
+    assert o.census.dependencies == {NS + "A": [NS + "A"], NS + "B": [NS + "A"]}
+    assert cyclic_classes(o) == {NS + "A"}
+    o = _cyclic_against_the_oracle(EquivalentClasses((c("D"), c("D"))))
+    assert cyclic_classes(o) == {NS + "D"}

@@ -1,0 +1,89 @@
+"""Memory held per class while a taxonomy is parsed and its features taken.
+
+A worker holds the source text, the model, the census and one hierarchy's
+transient at its peak; none of them may keep a container per class beyond
+the model's own nodes. On CPython 3.10-3.13 the parse transient reads
+163-214 B per class and the extraction peak 435-479. Each bound sits below
+what one container per class reads: a parser kept alive while the model
+is built gives a parse transient of 301-347, and a set per class in the
+census dependencies alone an extraction peak of 548-592.
+
+    python tests/test_memory.py
+
+prints the readings and checks them without pytest.
+"""
+
+import gc
+import random
+import sys
+import tracemalloc
+from pathlib import Path
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from ontoprof.features import extract_all
+from ontoprof.parser import parse_ontology
+
+CLASSES = 6000
+PARSE_BOUND = 260    # B per class: parse peak less the source text and the kept model
+EXTRACT_BOUND = 520  # B per class: extract_all's peak over the parsed model
+
+
+def tree_taxonomy(n: int, seed: int = 1) -> str:
+    """An EL tree of `n` classes: each but the first under one earlier class,
+    and three in ten with an existential restriction, as in SNOMED or GO."""
+    rng = random.Random(seed)
+    lines = ["Prefix(:=<http://example.org/tree#>)", "Ontology(<http://example.org/tree>"]
+    lines += [f"Declaration(ObjectProperty(:r{j}))" for j in range(20)]
+    for i in range(n):
+        lines.append(f"Declaration(Class(:C{i}))")
+        if i:
+            lines.append(f"SubClassOf(:C{i} :C{rng.randrange(i)})")
+        if rng.random() < 0.3:
+            lines.append(f"SubClassOf(:C{i} ObjectSomeValuesFrom(:r{rng.randrange(20)} "
+                         f":C{rng.randrange(n)}))")
+    lines.append(")")
+    return "\n".join(lines) + "\n"
+
+
+def per_class_peaks(n: int = CLASSES) -> tuple[float, float]:
+    """(parse transient, extraction peak) in bytes per class, traced with the
+    cyclic collector off as in a worker, after a small file has loaded what
+    every file shares (such as the profile rules)."""
+    extract_all(parse_ontology(tree_taxonomy(10)))
+    text = tree_taxonomy(n)
+    tracing = tracemalloc.is_tracing()
+    enabled = gc.isenabled()
+    gc.disable()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        model = parse_ontology(text)
+        kept, peak = tracemalloc.get_traced_memory()
+        parse = peak - kept
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        vector = extract_all(model)
+        extract = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert vector["SC"] == n and vector["C_MSB"] > 0
+    return parse / n, extract / n
+
+
+def test_taxonomy_memory_per_class():
+    parse, extract = per_class_peaks()
+    assert parse < PARSE_BOUND, f"parse transient {parse:.0f} B per class"
+    assert extract < EXTRACT_BOUND, f"extraction peak {extract:.0f} B per class"
+
+
+if __name__ == "__main__":
+    parse, extract = per_class_peaks()
+    print(f"Python {sys.version.split()[0]}: parse transient {parse:.0f} B per class, "
+          f"extraction peak {extract:.0f} B per class")
+    test_taxonomy_memory_per_class()

@@ -17,10 +17,9 @@ _EXPORTS = {
     **dict.fromkeys(("DlName", "ProfileLabel", "dl_family_name", "owl_profile",
                      "profile_checks"), "expressivity"),
     **dict.fromkeys(("FEATURE_IDS", "FEATURE_SCHEMA", "SCHEMA_VERSION", "FeatureVector",
-                     "PatternCount", "extract_all", "schema_as_dict"), "features"),
+                     "extract_all", "schema_as_dict"), "features"),
     **dict.fromkeys(("Hierarchy", "build_class_hierarchy", "build_property_hierarchy",
-                     "cyclic_classes", "fanout_stats", "max_depth", "tangledness"),
-                    "hierarchy"),
+                     "cyclic_classes"), "hierarchy"),
     **dict.fromkeys(("CLASS_CONSTRUCTORS", "LOGICAL_AXIOM_TYPES", "Category", "Ontology",
                      "Signature", "axiom_category"), "model"),
     **dict.fromkeys(("OntologyParseError", "ParseDiagnostic", "parse_ontology"), "parser"),

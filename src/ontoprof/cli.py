@@ -31,6 +31,7 @@ def __getattr__(name: str):
 
 _CONFIG_KEYS = {"inputs", "out", "format", "groups", "timeout", "jobs",
                 "on_error", "follow_imports", "ocoh_weights"}
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,8 +96,12 @@ def _merge_extract_config(args) -> RunConfig:
     jobs = args.jobs if args.jobs is not None else (
         int(options["jobs"]) if "jobs" in options else None)
     on_error = args.on_error or options.get("on_error", "skip")
-    follow = (args.follow_imports if args.follow_imports is not None
-              else options.get("follow_imports", "false").lower() in ("true", "1", "yes"))
+    follow = args.follow_imports
+    if follow is None:
+        value = options.get("follow_imports", "false")
+        follow = _BOOLEANS.get(value.lower())
+        if follow is None:
+            raise ValueError(f"follow_imports must be true/false, yes/no or 1/0, not {value!r}")
     out = args.out or options.get("out")
     weights = COHESION_WEIGHTS
     if "ocoh_weights" in options:

@@ -1,14 +1,13 @@
 """Expressivity classification: OWL 2 profile label and DL family name.
 
 Both are pure functions of the axiom multiset.  Profile membership is driven
-by the bundled rule table (data/profile_rules.txt), a flat syntactic
-approximation of the W3C profile grammars; the DL check adds punning and
-simple-role structural rules.
+by the rule table `_RULES`, a flat syntactic approximation of the W3C
+profile grammars; the DL check adds punning and simple-role structural
+rules.
 """
 
 from __future__ import annotations
 
-import os
 from collections import namedtuple
 from enum import Enum
 from itertools import chain
@@ -27,44 +26,64 @@ class ProfileLabel(Enum):
 
 ProfileRules = namedtuple("ProfileRules", "forbidden_axioms forbidden_constructors "
                           "oneof_max_arity max_cardinality_bound", defaults=(None, None))
-_RULES_PATH = os.path.join(os.path.dirname(__file__), "data", "profile_rules.txt")
 
-
-def _read_rules(path: str) -> dict[str, dict[str, str]]:
-    """{section: {key: value}} from `[section]` headers and `key = value`
-    lines. A line that starts with whitespace continues the last value, and
-    blank lines and lines starting with `#` are skipped."""
-    sections: dict[str, dict[str, str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for n, line in enumerate(fh, 1):
-            text = line.strip()
-            if not text or text[0] == "#":
-                continue
-            if line[0] in " \t" and sections and key:
-                keys[key] += "\n" + text
-            elif text[0] == "[" and text[-1] == "]":
-                keys, key = sections.setdefault(text[1:-1], {}), None
-            elif "=" in text and sections:
-                key, _, value = (part.strip() for part in text.partition("="))
-                keys[key] = value
-            else:
-                raise ValueError(f"{path}:{n}: not a section, key or continuation: {text!r}")
-    return sections
-
-
-def _load_rule_table() -> dict[str, ProfileRules]:
-    table = {}
-    for section, keys in _read_rules(_RULES_PATH).items():
-        if section != "meta":
-            bounds = (keys.get("oneof-max-arity"), keys.get("max-cardinality-bound"))
-            table[section] = ProfileRules(
-                frozenset(keys.get("forbid-axiom", "").split()),
-                frozenset(keys.get("forbid-constructor", "").split()),
-                *(None if b is None else int(b) for b in bounds))
-    return table
-
-
-_RULES = _load_rule_table()
+# OWL 2 profile membership rules, version 1.
+#
+# These are syntactic approximations of the W3C profile grammars.  Each
+# profile lists logical axiom types and expression constructors that the
+# profile rejects wherever they occur; position-sensitive distinctions
+# (subclass vs superclass side) and datatype whitelists of the normative
+# grammars are deliberately collapsed into these flat lists so the table
+# stays auditable.  Names match the functional-style syntax keywords, with
+# two pseudo-names: SubObjectPropertyChain marks the chain form of
+# SubObjectPropertyOf, and ObjectInverseOf marks inverse property
+# expressions.  `oneof_max_arity` is the largest admissible
+# ObjectOneOf/DataOneOf arity, `max_cardinality_bound` the largest
+# admissible ObjectMaxCardinality/DataMaxCardinality value.
+#
+# The DL check is structural and lives in `_passes_dl`: it rejects
+# class/datatype and object/data/annotation property punning, and rejects
+# non-simple object properties (transitive or chain-defined, closed over
+# sub-property, equivalence and inverse links) inside cardinality
+# restrictions, self restrictions, functional/inverse-functional/
+# irreflexive/asymmetric characteristics and property disjointness.
+#
+# A change here changes `OPR` values and needs a new SCHEMA_VERSION.
+_RULES = {
+    "EL": ProfileRules(
+        forbidden_axioms=frozenset("""
+            DisjointUnion InverseObjectProperties FunctionalObjectProperty
+            InverseFunctionalObjectProperty SymmetricObjectProperty
+            AsymmetricObjectProperty IrreflexiveObjectProperty
+            DisjointObjectProperties DisjointDataProperties""".split()),
+        forbidden_constructors=frozenset("""
+            ObjectUnionOf ObjectComplementOf ObjectAllValuesFrom
+            ObjectMinCardinality ObjectMaxCardinality ObjectExactCardinality
+            ObjectInverseOf DataAllValuesFrom DataMinCardinality DataMaxCardinality
+            DataExactCardinality DataUnionOf DataComplementOf""".split()),
+        oneof_max_arity=1),
+    "QL": ProfileRules(
+        forbidden_axioms=frozenset("""
+            DisjointUnion TransitiveObjectProperty FunctionalObjectProperty
+            InverseFunctionalObjectProperty FunctionalDataProperty HasKey
+            SameIndividual NegativeObjectPropertyAssertion
+            NegativeDataPropertyAssertion SubObjectPropertyChain DatatypeDefinition""".split()),
+        forbidden_constructors=frozenset("""
+            ObjectUnionOf ObjectOneOf ObjectHasValue ObjectHasSelf
+            ObjectAllValuesFrom ObjectMinCardinality ObjectMaxCardinality
+            ObjectExactCardinality DataAllValuesFrom DataHasValue DataMinCardinality
+            DataMaxCardinality DataExactCardinality DataUnionOf DataComplementOf
+            DataOneOf""".split())),
+    "RL": ProfileRules(
+        forbidden_axioms=frozenset("""
+            DisjointUnion ReflexiveObjectProperty DatatypeDefinition""".split()),
+        forbidden_constructors=frozenset("""
+            ObjectAllValuesFrom ObjectComplementOf ObjectHasSelf
+            ObjectMinCardinality ObjectExactCardinality DataAllValuesFrom
+            DataMinCardinality DataExactCardinality DataUnionOf DataComplementOf
+            DataOneOf""".split()),
+        max_cardinality_bound=1),
+}
 
 
 def _fits_profile(census: Census, rules: ProfileRules) -> bool:

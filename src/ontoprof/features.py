@@ -1,10 +1,10 @@
 """The ontology feature catalogue.
 
-Every extractor is a pure function of the parsed ontology (plus its
-hierarchy indexes), total on any well-formed input: ratio features whose
-denominator is zero come out as 0 so the vector is always complete.  The
-vector layout is frozen per schema version and mirrored in
-data/feature_schema.json.
+`extract_all` is a pure function of the parsed ontology, arithmetic over
+its census, signature and two hierarchies. It is total on any well-formed
+input: ratio features whose denominator is zero come out as 0 so the
+vector is always complete.  The vector layout is frozen per schema
+version and mirrored in data/feature_schema.json.
 """
 
 from __future__ import annotations
@@ -13,10 +13,7 @@ import sys
 from collections import namedtuple
 
 from .expressivity import dl_family_name, owl_profile
-from .hierarchy import (
-    Hierarchy, build_class_hierarchy, build_property_hierarchy, cyclic_classes,
-    fanout_stats, max_depth, tangledness,
-)
+from .hierarchy import build_class_hierarchy, build_property_hierarchy, cyclic_classes
 from .model import (
     BUILTIN_CLASSES, BUILTIN_DATA_PROPERTIES, BUILTIN_OBJECT_PROPERTIES,
     CLASS_CONSTRUCTORS, LOGICAL_AXIOM_TYPES, PROPERTY_CHARACTERISTICS, Ontology, Record,
@@ -123,160 +120,96 @@ class FeatureVector(Record):
         return self.values.items()
 
 
-PatternCount = namedtuple("PatternCount", "iu euvi cuvi")
-
-
-def size_features(o: Ontology) -> dict:
+def extract_all(o: Ontology,
+                cohesion_weights: tuple[float, float, float] = COHESION_WEIGHTS) -> FeatureVector:
+    """Full feature vector, each value written once, in schema order."""
+    census = o.census  # the one walk over the axioms, before the layers that read it
+    ch = build_class_hierarchy(o)
+    ph = build_property_hierarchy(o)
     sig = o.signature
-    return {
-        "SC": _count_without(sig.classes, BUILTIN_CLASSES),
-        "SOP": _count_without(sig.object_properties, BUILTIN_OBJECT_PROPERTIES),
-        "SDP": _count_without(sig.data_properties, BUILTIN_DATA_PROPERTIES),
-        "SI": len(sig.individuals),
-        "SDT": len(sig.datatypes),
-        "SLA": o.logical_axiom_count,
-        "SA": len(o.axioms),
+    sc = _count_without(sig.classes, BUILTIN_CLASSES)
+    sop = _count_without(sig.object_properties, BUILTIN_OBJECT_PROPERTIES)
+    sdp = _count_without(sig.data_properties, BUILTIN_DATA_PROPERTIES)
+    si = len(sig.individuals)
+    sla = o.logical_axiom_count
+    tbox_size = len(o.tbox)
+    nc, np_ = len(ch.nodes), len(ph.nodes)
+    values: dict[str, int | float | str] = {
+        "SC": sc, "SOP": sop, "SDP": sdp, "SI": si, "SDT": len(sig.datatypes),
+        "SLA": sla, "SA": len(o.axioms),
+        "OPR": owl_profile(o).value,
+        "DFN": dl_family_name(o).value,
     }
 
+    for prefix, h in (("C_", ch), ("P_", ph)):
+        values[prefix + "MD"] = h.depth
+        values[prefix + "MSB"] = h.max_children
+        values[prefix + "ASB"] = _ratio(h.ndhc, len(h.nodes))
+        values[prefix + "Tangledness"] = h.tangled
+        values[prefix + "MTangledness"] = h.max_parents
 
-def hierarchy_features(ch: Hierarchy, ph: Hierarchy) -> dict:
-    c_msb, c_asb = fanout_stats(ch)
-    p_msb, p_asb = fanout_stats(ph)
-    c_tng, c_mtng = tangledness(ch)
-    p_tng, p_mtng = tangledness(ph)
-    return {
-        "C_MD": max_depth(ch), "C_MSB": c_msb, "C_ASB": c_asb,
-        "C_Tangledness": c_tng, "C_MTangledness": c_mtng,
-        "P_MD": max_depth(ph), "P_MSB": p_msb, "P_ASB": p_asb,
-        "P_Tangledness": p_tng, "P_MTangledness": p_mtng,
-    }
-
-
-def cohesion_features(o: Ontology, ch: Hierarchy, ph: Hierarchy,
-                      weights: tuple[float, float, float] = COHESION_WEIGHTS) -> dict:
-    nc = len(ch.nodes)
-    np_ = len(ph.nodes)
-    ccoh = _ratio(2 * (ch.ndhc + ch.nidhc), nc * nc - nc)
-    pcoh = _ratio(2 * (ph.ndhc + ph.nidhc), np_ * np_ - np_)
-    census = o.census
-    noprop = _count_without(o.signature.object_properties, BUILTIN_OBJECT_PROPERTIES)
     coupling = sum(len(classes) * len(census.ranges.get(p, ()))
                    for p, classes in census.domains.items())
-    opcoh = _ratio(2 * coupling, noprop * (nc * nc - nc))
     # Asserted cycles can push the link count past the tree-shaped bound the
     # formulas assume; cohesion stays within [0,1] by clamping.
-    ccoh, pcoh, opcoh = min(ccoh, 1.0), min(pcoh, 1.0), min(opcoh, 1.0)
-    wc, wp, wo = weights
-    ocoh = min(wc * ccoh + wp * pcoh + wo * opcoh, 1.0)
-    return {"CCOH": ccoh, "PCOH": pcoh, "OPCOH": opcoh, "OCOH": ocoh}
+    ccoh = min(_ratio(2 * (ch.ndhc + ch.nidhc), nc * nc - nc), 1.0)
+    pcoh = min(_ratio(2 * (ph.ndhc + ph.nidhc), np_ * np_ - np_), 1.0)
+    opcoh = min(_ratio(2 * coupling, sop * (nc * nc - nc)), 1.0)
+    wc, wp, wo = cohesion_weights
+    values["CCOH"] = ccoh
+    values["PCOH"] = pcoh
+    values["OPCOH"] = opcoh
+    values["OCOH"] = min(wc * ccoh + wp * pcoh + wo * opcoh, 1.0)
+    values["RRichness"] = _ratio(sop, sop + ch.ndhc)
+    values["AttrRichness"] = _ratio(sdp, sc)
 
-
-def richness_features(o: Ontology, ch: Hierarchy) -> dict:
-    sizes = size_features(o)
-    return {
-        "RRichness": _ratio(sizes["SOP"], sizes["SOP"] + ch.ndhc),
-        "AttrRichness": _ratio(sizes["SDP"], sizes["SC"]),
-    }
-
-
-def axiom_level_features(o: Ontology) -> dict:
-    census = o.census
-    sla = o.logical_axiom_count
-    out = {
-        "RTBx": _ratio(len(o.tbox), sla),
-        "RRBx": _ratio(len(o.rbox), sla),
-        "RABx": _ratio(len(o.abox), sla),
-    }
+    values["RTBx"] = _ratio(tbox_size, sla)
+    values["RRBx"] = _ratio(len(o.rbox), sla)
+    values["RABx"] = _ratio(len(o.abox), sla)
     for t in LOGICAL_AXIOM_TYPES:
-        out[f"ATF_{t}"] = _ratio(census.axiom_types[t], sla)
-    out["AMP"] = census.depth_max
-    out["AAP"] = census.depth_sum / sla if sla else 0.0
-    return out
-
-
-def constructor_features(o: Ontology) -> dict:
-    census = o.census
+        values[f"ATF_{t}"] = _ratio(census.axiom_types[t], sla)
+    values["AMP"] = census.depth_max
+    values["AAP"] = _ratio(census.depth_sum, sla)
     totals = census.constructors
     grand_total = sum(totals[c] for c in CLASS_CONSTRUCTORS)
-    out = {f"CCF_{c}": _ratio(totals[c], grand_total) for c in CLASS_CONSTRUCTORS}
-    out["OCCD"] = _ratio(grand_total, len(o.tbox) * census.constructor_max)
-    return out
+    for c in CLASS_CONSTRUCTORS:
+        values[f"CCF_{c}"] = _ratio(totals[c], grand_total)
+    values["OCCD"] = _ratio(grand_total, tbox_size * census.constructor_max)
+    values["IU"] = census.iu
+    values["EUvI"] = census.euvi
+    values["CUvI"] = census.cuvi
 
+    values["PCD"] = _ratio(census.pcd, tbox_size)
+    values["NPCD"] = _ratio(census.npcd, tbox_size)
+    values["GCI"] = _ratio(census.gci, tbox_size)
+    values["CCyc"] = _ratio(_count_without(cyclic_classes(o), BUILTIN_CLASSES), sc)
+    values["CDIJ"] = _ratio(_count_without(census.disjoint_classes, BUILTIN_CLASSES), sc)
+    values["CNOM"] = _ratio(_count_without(census.nominal_defined, BUILTIN_CLASSES), sc)
 
-def pattern_counts(o: Ontology) -> PatternCount:
-    census = o.census
-    return PatternCount(iu=census.iu, euvi=census.euvi, cuvi=census.cuvi)
-
-
-def class_level_features(o: Ontology, cyclic: frozenset[str]) -> dict:
-    census = o.census
-    tbox_size = len(o.tbox)
-    sc = _count_without(o.signature.classes, BUILTIN_CLASSES)
-    return {
-        "PCD": _ratio(census.pcd, tbox_size),
-        "NPCD": _ratio(census.npcd, tbox_size),
-        "GCI": _ratio(census.gci, tbox_size),
-        "CCyc": _ratio(_count_without(cyclic, BUILTIN_CLASSES), sc),
-        "CDIJ": _ratio(_count_without(census.disjoint_classes, BUILTIN_CLASSES), sc),
-        "CNOM": _ratio(_count_without(census.nominal_defined, BUILTIN_CLASSES), sc),
-    }
-
-
-def property_level_features(o: Ontology) -> dict:
-    census = o.census
     usage = census.property_usage
     opco = {c: sum(usage[p] for p in census.characteristics[c])
             for c in PROPERTY_CHARACTERISTICS}
-    total = sum(opco.values())
-    out = {f"OPCF_{c}": _ratio(opco[c], total) for c in PROPERTY_CHARACTERISTICS}
+    opco_total = sum(opco.values())
+    for c in PROPERTY_CHARACTERISTICS:
+        values[f"OPCF_{c}"] = _ratio(opco[c], opco_total)
     count = total_value = 0
     for (tag, n), k in census.sizes.items():
         if tag in ("ObjectMinCardinality", "ObjectMaxCardinality", "ObjectExactCardinality"):
             count += k
             total_value += n * k
-    out["HVC_Min"] = census.largest("ObjectMinCardinality")
-    out["HVC_Max"] = census.largest("ObjectMaxCardinality")
-    out["HVC_Exact"] = census.largest("ObjectExactCardinality")
+    values["HVC_Min"] = census.largest("ObjectMinCardinality")
+    values["HVC_Max"] = census.largest("ObjectMaxCardinality")
+    values["HVC_Exact"] = census.largest("ObjectExactCardinality")
     try:
-        out["AVC"] = total_value / count if count else 0.0
+        values["AVC"] = total_value / count if count else 0.0
     except OverflowError:  # a mean beyond the float range saturates
-        out["AVC"] = sys.float_info.max
-    return out
+        values["AVC"] = sys.float_info.max
 
-
-def individual_level_features(o: Ontology) -> dict:
-    census = o.census
-    si = len(o.signature.individuals)
-    return {
-        "NomTB": _ratio(census.nominals, si),
-        "TBNom": _ratio(census.nominal_axioms, len(o.tbox)),
-        "IDISJ": _ratio(len(census.different_individuals), si),
-        "ISAM": _ratio(len(census.same_individuals), si),
-    }
-
-
-def extract_all(o: Ontology,
-                cohesion_weights: tuple[float, float, float] = COHESION_WEIGHTS) -> FeatureVector:
-    """Full feature vector in schema order."""
-    o.census  # the one walk over the axioms, before the layers that read it
-    ch = build_class_hierarchy(o)
-    ph = build_property_hierarchy(o)
-    patterns = pattern_counts(o)
-    computed: dict[str, int | float | str] = {}
-    computed.update(size_features(o))
-    computed["OPR"] = owl_profile(o).value
-    computed["DFN"] = dl_family_name(o).value
-    computed.update(hierarchy_features(ch, ph))
-    computed.update(cohesion_features(o, ch, ph, cohesion_weights))
-    computed.update(richness_features(o, ch))
-    computed.update(axiom_level_features(o))
-    computed.update(constructor_features(o))
-    computed.update({"IU": patterns.iu, "EUvI": patterns.euvi, "CUvI": patterns.cuvi})
-    computed.update(class_level_features(o, cyclic_classes(o)))
-    computed.update(property_level_features(o))
-    computed.update(individual_level_features(o))
-    ordered = {fid: computed[fid] for fid in FEATURE_IDS}
-    return FeatureVector(schema_version=SCHEMA_VERSION, values=ordered)
+    values["NomTB"] = _ratio(census.nominals, si)
+    values["TBNom"] = _ratio(census.nominal_axioms, tbox_size)
+    values["IDISJ"] = _ratio(len(census.different_individuals), si)
+    values["ISAM"] = _ratio(len(census.same_individuals), si)
+    return FeatureVector(schema_version=SCHEMA_VERSION, values=values)
 
 
 def schema_as_dict() -> dict:

@@ -16,7 +16,11 @@ from .model import FrozenRecord, Ontology
 
 class Hierarchy(FrozenRecord):
     """Direct child-to-parent subsumption edges over a fixed node set, with
-    the link counts, SCC map, depth, fan-out and tangledness derived."""
+    derived fields: the direct and indirect link counts `ndhc` and `nidhc`,
+    the component id per node `scc_map`, `depth` (the longest path, in
+    edges, through the condensation), `max_children` (most direct children
+    of a node), `tangled` (nodes with two or more direct parents) and
+    `max_parents` (most direct parents of a node)."""
 
     _fields = ("nodes", "direct_edges")
 
@@ -202,25 +206,6 @@ def build_property_hierarchy(o: Ontology) -> Hierarchy:
     """Edges only from named-to-named SubObjectPropertyOf, as the census
     collects them; chains and all characteristic axioms are ignored."""
     return Hierarchy(nodes=o.signature.object_properties, direct_edges=o.census.property_edges)
-
-
-def max_depth(h: Hierarchy) -> int:
-    """Longest path (in edges) through the condensation of the direct graph."""
-    return h.depth
-
-
-def fanout_stats(h: Hierarchy) -> tuple[int, float]:
-    """(max direct children per node, direct edges divided by node count)."""
-    if not h.nodes:
-        return 0, 0.0
-    return h.max_children, len(h.direct_edges) / len(h.nodes)
-
-
-def tangledness(h: Hierarchy) -> tuple[int, int]:
-    """(nodes with two or more direct parents, max direct-parent count)."""
-    if not h.nodes:
-        return 0, 0
-    return h.tangled, h.max_parents
 
 
 def cyclic_classes(o: Ontology) -> frozenset[str]:

@@ -215,7 +215,21 @@ class Node(tuple):
         return tuple.__new__(cls, args)
 
     def __eq__(self, other):
-        return type(other) is type(self) and tuple.__eq__(self, other)
+        # Field by field over a list of pairs, not by recursion, so equal
+        # chains of any depth compare within the recursion limit.
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if type(b) is not type(a) or len(b) != len(a):
+                return False
+            for x, y in zip(a, b):
+                if x is y:
+                    continue
+                if isinstance(x, Node) or type(x) is tuple:
+                    pairs.append((x, y))
+                elif x != y:
+                    return False
+        return True
 
     def __ne__(self, other):
         return not self == other

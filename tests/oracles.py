@@ -559,21 +559,42 @@ def cardinality_values(o):
 
 
 # ---------------------------------------------------------------------------
-# Expressivity: each profile checked axiom by axiom against the rule file,
+# Expressivity: each profile checked axiom by axiom against the rule table,
 # and the DL family letters collected axiom by axiom.
 
 def profile_rules():
     """{profile: (forbidden axioms, forbidden constructors, OneOf arity
-    bound, max-cardinality bound)}, read straight from the rule file."""
-    import configparser
-    from importlib import resources
-    cp = configparser.ConfigParser()
-    cp.read_string(resources.files("ontoprof.data").joinpath("profile_rules.txt").read_text())
-    return {name: (set(cp.get(name, "forbid-axiom", fallback="").split()),
-                   set(cp.get(name, "forbid-constructor", fallback="").split()),
-                   cp.getint(name, "oneof-max-arity", fallback=None),
-                   cp.getint(name, "max-cardinality-bound", fallback=None))
-            for name in ("EL", "QL", "RL")}
+    bound, max-cardinality bound)}, a copy of the version-1 rule table
+    written out here so the library's table is checked against it."""
+    return {
+        "EL": ({"DisjointUnion", "InverseObjectProperties", "FunctionalObjectProperty",
+                "InverseFunctionalObjectProperty", "SymmetricObjectProperty",
+                "AsymmetricObjectProperty", "IrreflexiveObjectProperty",
+                "DisjointObjectProperties", "DisjointDataProperties"},
+               {"ObjectUnionOf", "ObjectComplementOf", "ObjectAllValuesFrom",
+                "ObjectMinCardinality", "ObjectMaxCardinality", "ObjectExactCardinality",
+                "ObjectInverseOf", "DataAllValuesFrom", "DataMinCardinality",
+                "DataMaxCardinality", "DataExactCardinality", "DataUnionOf",
+                "DataComplementOf"},
+               1, None),
+        "QL": ({"DisjointUnion", "TransitiveObjectProperty", "FunctionalObjectProperty",
+                "InverseFunctionalObjectProperty", "FunctionalDataProperty", "HasKey",
+                "SameIndividual", "NegativeObjectPropertyAssertion",
+                "NegativeDataPropertyAssertion", "SubObjectPropertyChain",
+                "DatatypeDefinition"},
+               {"ObjectUnionOf", "ObjectOneOf", "ObjectHasValue", "ObjectHasSelf",
+                "ObjectAllValuesFrom", "ObjectMinCardinality", "ObjectMaxCardinality",
+                "ObjectExactCardinality", "DataAllValuesFrom", "DataHasValue",
+                "DataMinCardinality", "DataMaxCardinality", "DataExactCardinality",
+                "DataUnionOf", "DataComplementOf", "DataOneOf"},
+               None, None),
+        "RL": ({"DisjointUnion", "ReflexiveObjectProperty", "DatatypeDefinition"},
+               {"ObjectAllValuesFrom", "ObjectComplementOf", "ObjectHasSelf",
+                "ObjectMinCardinality", "ObjectExactCardinality", "DataAllValuesFrom",
+                "DataMinCardinality", "DataExactCardinality", "DataUnionOf",
+                "DataComplementOf", "DataOneOf"},
+               None, 1),
+    }
 
 
 def _prop_of(ope):

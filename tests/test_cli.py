@@ -335,6 +335,28 @@ def test_follow_imports_flag(tmp_path, capsys):
     assert row.endswith(",2,2")  # SLA and SA count the merged axioms
 
 
+@pytest.mark.parametrize("value, sizes", [
+    ("TRUE", ",2,2"), ("Yes", ",2,2"), ("1", ",2,2"),
+    ("false", ",1,1"), ("NO", ",1,1"), ("0", ",1,1"),
+    ("on", None), ("off", None), ("", None)])
+def test_config_follow_imports_values(value, sizes, tmp_path, capsys):
+    (tmp_path / "base.ofn").write_text(VALID)
+    main_file = tmp_path / "main.ofn"
+    main_file.write_text(
+        "Prefix(:=<http://example.org/c#>)\nOntology(\nImport(<base.ofn>)\n"
+        "SubClassOf(:X :Y)\n)")
+    cfg = tmp_path / "run.conf"
+    cfg.write_text(f"follow_imports = {value}\ngroups = size\n")
+    code = main(["extract", "--config", str(cfg), str(main_file)])
+    captured = capsys.readouterr()
+    if sizes is None:
+        assert code == 1 and captured.out == ""
+        assert "follow_imports must be" in one_error_line(captured.err)
+    else:
+        assert code == 0
+        assert captured.out.strip().splitlines()[1].endswith(sizes)
+
+
 def test_follow_imports_prints_unmerged_import_warning(tmp_path, capsys):
     (tmp_path / "bad.ofn").write_text("Ontology(\n  SubClassOf(:A :B) %)")
     main_file = tmp_path / "main.ofn"

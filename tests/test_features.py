@@ -9,18 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from ontoprof.features import (
-    FEATURE_IDS, FEATURE_SCHEMA, PROPERTY_CHARACTERISTICS,
-    axiom_level_features, class_level_features, cohesion_features,
-    constructor_features, extract_all, individual_level_features,
-    pattern_counts, property_level_features, richness_features, size_features,
-)
-from ontoprof.hierarchy import build_class_hierarchy, build_property_hierarchy, cyclic_classes
+from ontoprof.features import FEATURE_IDS, FEATURE_SCHEMA, PROPERTY_CHARACTERISTICS, extract_all
 from ontoprof.parser import parse_ontology
 
+from gen import random_ontology
 from golden_data import GOLDEN_DIR
 from ontoprof.model import (
-    ClassAssertion, DataPropertyAssertion, Declaration, Entity, EntityKind,
+    CLASS_CONSTRUCTORS, ClassAssertion, DataPropertyAssertion, Declaration, Entity, EntityKind,
     EquivalentClasses, Literal, NamedClass, ObjectAllValuesFrom,
     ObjectComplementOf, ObjectExactCardinality, ObjectHasValue,
     ObjectIntersectionOf, ObjectMaxCardinality, ObjectMinCardinality,
@@ -41,8 +36,7 @@ def onto(*axioms):
     return Ontology(axioms=tuple(axioms))
 
 
-def hierarchies(o):
-    return build_class_hierarchy(o), build_property_hierarchy(o)
+SIZE_IDS = tuple(s.id for s in FEATURE_SCHEMA if s.group == "size")
 
 
 def test_schema_is_fixed_and_ordered():
@@ -65,7 +59,8 @@ def test_shipped_schema_file_matches_code():
 
 
 def test_size_features_empty():
-    assert all(v == 0 for v in size_features(onto()).values())
+    vector = extract_all(onto())
+    assert all(vector[fid] == 0 for fid in SIZE_IDS)
 
 
 def test_size_features_logical_vs_total():
@@ -74,50 +69,44 @@ def test_size_features_logical_vs_total():
              TransitiveObjectProperty(NS + "r"),
              Declaration(Entity(NS + "A", EntityKind.CLASS)),
              Declaration(Entity(NS + "r", EntityKind.OBJECT_PROPERTY)))
-    sizes = size_features(o)
-    assert sizes["SLA"] == 3
-    assert sizes["SA"] == 5
+    vector = extract_all(o)
+    assert vector["SLA"] == 3
+    assert vector["SA"] == 5
 
 
 def test_cohesion_chain_is_one():
     o = onto(SubClassOf(c("A"), c("B")), SubClassOf(c("B"), c("C")))
-    ch, ph = hierarchies(o)
-    assert cohesion_features(o, ch, ph)["CCOH"] == pytest.approx(1.0, abs=TOL)
+    assert extract_all(o)["CCOH"] == pytest.approx(1.0, abs=TOL)
 
 
 def test_cohesion_degenerate_single_class():
     o = onto(ClassAssertion(c("A"), NS + "i"))
-    ch, ph = hierarchies(o)
-    assert cohesion_features(o, ch, ph)["CCOH"] == 0
+    assert extract_all(o)["CCOH"] == 0
 
 
 def test_object_property_cohesion_case():
     o = onto(ObjectPropertyDomain(NS + "p", c("A")),
              ObjectPropertyRange(NS + "p", c("B")))
-    ch, ph = hierarchies(o)
-    assert cohesion_features(o, ch, ph)["OPCOH"] == pytest.approx(1.0, abs=TOL)
+    assert extract_all(o)["OPCOH"] == pytest.approx(1.0, abs=TOL)
 
 
 def test_domain_intersection_flattened():
     o = onto(ObjectPropertyDomain(NS + "p", ObjectIntersectionOf(
                  (c("A"), c("B"), ObjectSomeValuesFrom(NS + "q", c("C"))))),
              ObjectPropertyRange(NS + "p", c("D")))
-    ch, ph = hierarchies(o)
     # NdC=2 (A and B), NrC=1, NC=4, NOProp=2.
     expected = 2 * (2 * 1) / (2 * (16 - 4))
-    assert cohesion_features(o, ch, ph)["OPCOH"] == pytest.approx(expected, abs=TOL)
+    assert extract_all(o)["OPCOH"] == pytest.approx(expected, abs=TOL)
 
 
 def test_richness_examples():
     o = onto(SubClassOf(c("A"), c("B")), SubClassOf(c("B"), c("C")),
              Declaration(Entity(NS + "p", EntityKind.OBJECT_PROPERTY)),
              Declaration(Entity(NS + "q", EntityKind.OBJECT_PROPERTY)))
-    ch, _ = hierarchies(o)
-    assert richness_features(o, ch)["RRichness"] == pytest.approx(0.5, abs=TOL)
+    assert extract_all(o)["RRichness"] == pytest.approx(0.5, abs=TOL)
 
     empty_rel = onto(SubClassOf(c("A"), c("B")))
-    ch, _ = hierarchies(empty_rel)
-    assert richness_features(empty_rel, ch)["RRichness"] == 0
+    assert extract_all(empty_rel)["RRichness"] == 0
 
     o = onto(Declaration(Entity(NS + "d1", EntityKind.DATA_PROPERTY)),
              Declaration(Entity(NS + "d2", EntityKind.DATA_PROPERTY)),
@@ -125,12 +114,11 @@ def test_richness_examples():
              Declaration(Entity(NS + "d4", EntityKind.DATA_PROPERTY)),
              Declaration(Entity(NS + "A", EntityKind.CLASS)),
              Declaration(Entity(NS + "B", EntityKind.CLASS)))
-    ch, _ = hierarchies(o)
-    assert richness_features(o, ch)["AttrRichness"] == pytest.approx(2.0, abs=TOL)
+    assert extract_all(o)["AttrRichness"] == pytest.approx(2.0, abs=TOL)
 
 
 def test_axiom_level_degenerate():
-    out = axiom_level_features(onto())
+    out = extract_all(onto())
     assert out["RTBx"] == out["RRBx"] == out["RABx"] == 0
     assert out["AMP"] == 0 and out["AAP"] == 0
 
@@ -140,7 +128,7 @@ def test_axiom_level_partition():
              EquivalentClasses((c("C"), c("D"))),
              TransitiveObjectProperty(NS + "r"),
              ClassAssertion(c("A"), NS + "i"))
-    out = axiom_level_features(o)
+    out = extract_all(o)
     assert out["RTBx"] == pytest.approx(0.5, abs=TOL)
     assert out["RRBx"] == pytest.approx(0.25, abs=TOL)
     assert out["RABx"] == pytest.approx(0.25, abs=TOL)
@@ -151,7 +139,7 @@ def test_axiom_level_depths():
     o = onto(SubClassOf(c("A"), c("B")),
              SubClassOf(c("C"), ObjectSomeValuesFrom(
                  NS + "r", ObjectSomeValuesFrom(NS + "r", c("D")))))
-    out = axiom_level_features(o)
+    out = extract_all(o)
     assert out["AMP"] == 2
     assert out["AAP"] == pytest.approx(1.0, abs=TOL)
 
@@ -160,7 +148,7 @@ def test_constructor_ratios():
     o = onto(SubClassOf(c("A"), ObjectIntersectionOf(
                  (c("B"), ObjectIntersectionOf((c("C"), ObjectIntersectionOf((c("D"), c("E")))))))),
              SubClassOf(c("F"), ObjectUnionOf((c("G"), c("H")))))
-    out = constructor_features(o)
+    out = extract_all(o)
     assert out["CCF_ObjectIntersectionOf"] == pytest.approx(0.75, abs=TOL)
     assert out["CCF_ObjectUnionOf"] == pytest.approx(0.25, abs=TOL)
     # two axioms with 3 and 1 occurrences
@@ -168,58 +156,58 @@ def test_constructor_ratios():
 
 
 def test_constructor_atomic_tbox_all_zero():
-    out = constructor_features(onto(SubClassOf(c("A"), c("B"))))
-    assert all(v == 0 for v in out.values())
+    out = extract_all(onto(SubClassOf(c("A"), c("B"))))
+    assert all(out[f"CCF_{name}"] == 0 for name in CLASS_CONSTRUCTORS) and out["OCCD"] == 0
 
 
 def test_pattern_iu():
     o = onto(SubClassOf(c("A"), ObjectIntersectionOf((c("B"), ObjectUnionOf((c("C"), c("D")))))))
-    assert pattern_counts(o).iu == 1
+    assert extract_all(o)["IU"] == 1
 
 
 def test_pattern_euvi_same_role():
     o = onto(SubClassOf(c("A"), ObjectIntersectionOf((
         ObjectSomeValuesFrom(NS + "r", c("C")),
         ObjectAllValuesFrom(NS + "r", c("D"))))))
-    assert pattern_counts(o).euvi == 1
+    assert extract_all(o)["EUvI"] == 1
 
 
 def test_pattern_euvi_role_mismatch():
     o = onto(SubClassOf(c("A"), ObjectIntersectionOf((
         ObjectSomeValuesFrom(NS + "r", c("C")),
         ObjectAllValuesFrom(NS + "s", c("D"))))))
-    assert pattern_counts(o).euvi == 0
+    assert extract_all(o)["EUvI"] == 0
 
 
 def test_pattern_axiom_pair_forms():
     o = onto(SubClassOf(c("A"), ObjectSomeValuesFrom(NS + "r", c("C"))),
              SubClassOf(c("A"), ObjectAllValuesFrom(NS + "r", c("D"))),
              SubClassOf(c("A"), ObjectMaxCardinality(2, NS + "r", c("E"))))
-    counts = pattern_counts(o)
-    assert counts.euvi == 1
-    assert counts.cuvi == 1
+    vector = extract_all(o)
+    assert vector["EUvI"] == 1
+    assert vector["CUvI"] == 1
 
 
 def test_patterns_ignore_abox():
     o = onto(ClassAssertion(ObjectIntersectionOf((
         ObjectSomeValuesFrom(NS + "r", c("C")),
         ObjectAllValuesFrom(NS + "r", c("D")))), NS + "i"))
-    counts = pattern_counts(o)
-    assert (counts.iu, counts.euvi, counts.cuvi) == (0, 0, 0)
+    vector = extract_all(o)
+    assert (vector["IU"], vector["EUvI"], vector["CUvI"]) == (0, 0, 0)
 
 
 def test_class_definition_classification():
     o = onto(SubClassOf(c("Man"), c("Human")))
-    out = class_level_features(o, cyclic_classes(o))
+    out = extract_all(o)
     assert out["PCD"] == pytest.approx(1.0, abs=TOL)
     assert out["NPCD"] == 0 and out["GCI"] == 0
 
     o = onto(SubClassOf(ObjectUnionOf((c("A"), c("B"))), c("C")))
-    out = class_level_features(o, cyclic_classes(o))
+    out = extract_all(o)
     assert out["GCI"] == pytest.approx(1.0, abs=TOL)
 
     o = onto(EquivalentClasses((c("Adult"), ObjectHasValue(NS + "status", NS + "grownUp"))))
-    out = class_level_features(o, cyclic_classes(o))
+    out = extract_all(o)
     assert out["CNOM"] == pytest.approx(1.0, abs=TOL)
 
 
@@ -230,13 +218,13 @@ def test_property_characteristic_frequencies():
              SubClassOf(c("B"), ObjectSomeValuesFrom(NS + "p", ObjectSomeValuesFrom(NS + "p", c("C")))),
              SubClassOf(c("C"), ObjectAllValuesFrom(NS + "p", c("D"))),
              SubClassOf(c("D"), ObjectSomeValuesFrom(NS + "q", c("A"))))
-    out = property_level_features(o)
+    out = extract_all(o)
     assert out["OPCF_Transitive"] == pytest.approx(0.8, abs=TOL)
     assert out["OPCF_Symmetric"] == pytest.approx(0.2, abs=TOL)
 
 
 def test_no_characteristics_all_zero():
-    out = property_level_features(onto(SubClassOf(c("A"), c("B"))))
+    out = extract_all(onto(SubClassOf(c("A"), c("B"))))
     for name in PROPERTY_CHARACTERISTICS:
         assert out[f"OPCF_{name}"] == 0
 
@@ -245,21 +233,22 @@ def test_cardinality_summaries():
     o = onto(SubClassOf(c("A"), ObjectMinCardinality(2, NS + "r", c("C"))),
              SubClassOf(c("A"), ObjectMaxCardinality(5, NS + "r", c("C"))),
              SubClassOf(c("B"), ObjectExactCardinality(3, NS + "s", c("D"))))
-    out = property_level_features(o)
+    out = extract_all(o)
     assert (out["HVC_Min"], out["HVC_Max"], out["HVC_Exact"]) == (2, 5, 3)
     assert out["AVC"] == pytest.approx(10 / 3, abs=TOL)
 
 
 def test_individual_features():
     o = onto(SameIndividual((NS + "PresidentKennedy", NS + "JFK")))
-    out = individual_level_features(o)
+    out = extract_all(o)
     assert out["ISAM"] == pytest.approx(1.0, abs=TOL)
 
-    assert all(v == 0 for v in individual_level_features(onto()).values())
+    empty = extract_all(onto())
+    assert all(empty[fid] == 0 for fid in ("NomTB", "TBNom", "IDISJ", "ISAM"))
 
     o = onto(SubClassOf(c("A"), ObjectHasValue(NS + "p", NS + "a")),
              SubClassOf(c("B"), c("C")))
-    out = individual_level_features(o)
+    out = extract_all(o)
     assert out["TBNom"] == pytest.approx(0.5, abs=TOL)
     assert out["NomTB"] == pytest.approx(1.0, abs=TOL)
 
@@ -277,9 +266,19 @@ def test_extract_all_matches_component_extractors():
              DataPropertyAssertion(NS + "d", NS + "i", Literal("1")))
     vector = extract_all(o)
     assert dict(vector.items()) | {} == {fid: vector[fid] for fid in FEATURE_IDS}
-    sizes = size_features(o)
-    for key, value in sizes.items():
-        assert vector[key] == value
+    sizes = {fid: vector[fid] for fid in SIZE_IDS}
+    assert sizes == {"SC": 2, "SOP": 1, "SDP": 1, "SI": 1, "SDT": 0, "SLA": 3, "SA": 3}
+
+
+def test_extract_all_writes_schema_order():
+    """The values are written in schema order; nothing reorders them after."""
+    for path in sorted(GOLDEN_DIR.glob("*.ofn")):
+        vector = extract_all(parse_ontology(path.read_text(encoding="utf-8")))
+        assert list(vector.values) == list(FEATURE_IDS), path.name
+    rng = random.Random(15)
+    for _ in range(40):
+        vector = extract_all(random_ontology(rng, every_form=True))
+        assert list(vector.values) == list(FEATURE_IDS)
 
 
 def test_cohesion_weights_are_configurable():

@@ -2,9 +2,9 @@
 
 import random
 
+from ontoprof.features import extract_all
 from ontoprof.hierarchy import (
-    Hierarchy, _successors, build_class_hierarchy, build_property_hierarchy,
-    cyclic_classes, fanout_stats, max_depth, tangledness,
+    Hierarchy, _successors, build_class_hierarchy, build_property_hierarchy, cyclic_classes,
 )
 from ontoprof.model import (
     EquivalentClasses, NamedClass, ObjectIntersectionOf, ObjectSomeValuesFrom,
@@ -36,9 +36,8 @@ def test_chain_direct_and_indirect():
 def test_empty_ontology_hierarchy():
     h = build_class_hierarchy(onto())
     assert h.ndhc == 0 and h.nidhc == 0
-    assert max_depth(h) == 0
-    assert fanout_stats(h) == (0, 0.0)
-    assert tangledness(h) == (0, 0)
+    assert h.depth == 0
+    assert (h.max_children, h.tangled, h.max_parents) == (0, 0, 0)
 
 
 def test_complex_superclass_contributes_no_edge():
@@ -66,44 +65,44 @@ def test_property_hierarchy_rules():
 def test_max_depth_chain():
     h = build_class_hierarchy(onto(SubClassOf(c("A"), c("B")),
                                    SubClassOf(c("B"), c("C"))))
-    assert max_depth(h) == 2
+    assert h.depth == 2
 
 
 def test_max_depth_single_node():
     h = Hierarchy(nodes=frozenset({NS + "A"}), direct_edges=frozenset())
-    assert max_depth(h) == 0
+    assert h.depth == 0
 
 
 def test_max_depth_cycle_collapses():
     h = build_class_hierarchy(onto(SubClassOf(c("A"), c("B")),
                                    SubClassOf(c("B"), c("A")),
                                    SubClassOf(c("B"), c("C"))))
-    assert max_depth(h) == 1
+    assert h.depth == 1
 
 
 def test_fanout_examples():
-    h = build_class_hierarchy(onto(SubClassOf(c("B"), c("A")),
-                                   SubClassOf(c("C"), c("A")),
-                                   SubClassOf(c("D"), c("A"))))
-    assert fanout_stats(h) == (3, 3 / 4)
-    chain = build_class_hierarchy(onto(SubClassOf(c("A"), c("B")),
-                                       SubClassOf(c("B"), c("C"))))
-    assert fanout_stats(chain) == (1, 2 / 3)
+    v = extract_all(onto(SubClassOf(c("B"), c("A")),
+                         SubClassOf(c("C"), c("A")),
+                         SubClassOf(c("D"), c("A"))))
+    assert (v["C_MSB"], v["C_ASB"]) == (3, 3 / 4)
+    chain = extract_all(onto(SubClassOf(c("A"), c("B")),
+                             SubClassOf(c("B"), c("C"))))
+    assert (chain["C_MSB"], chain["C_ASB"]) == (1, 2 / 3)
 
 
 def test_tangledness_examples():
-    h = build_class_hierarchy(onto(SubClassOf(c("A"), c("B")),
-                                   SubClassOf(c("A"), c("C"))))
-    assert tangledness(h) == (1, 2)
-    tree = build_class_hierarchy(onto(SubClassOf(c("B"), c("A")),
-                                      SubClassOf(c("C"), c("A"))))
-    assert tangledness(tree) == (0, 1)
-    h = build_class_hierarchy(onto(SubClassOf(c("A"), c("B")),
-                                   SubClassOf(c("A"), c("C")),
-                                   SubClassOf(c("A"), c("D")),
-                                   SubClassOf(c("E"), c("B")),
-                                   SubClassOf(c("E"), c("C"))))
-    assert tangledness(h) == (2, 3)
+    v = extract_all(onto(SubClassOf(c("A"), c("B")),
+                         SubClassOf(c("A"), c("C"))))
+    assert (v["C_Tangledness"], v["C_MTangledness"]) == (1, 2)
+    tree = extract_all(onto(SubClassOf(c("B"), c("A")),
+                            SubClassOf(c("C"), c("A"))))
+    assert (tree["C_Tangledness"], tree["C_MTangledness"]) == (0, 1)
+    v = extract_all(onto(SubClassOf(c("A"), c("B")),
+                         SubClassOf(c("A"), c("C")),
+                         SubClassOf(c("A"), c("D")),
+                         SubClassOf(c("E"), c("B")),
+                         SubClassOf(c("E"), c("C"))))
+    assert (v["C_Tangledness"], v["C_MTangledness"]) == (2, 3)
 
 
 def test_cyclic_classes_examples():
@@ -144,7 +143,7 @@ def test_max_depth_matches_bruteforce_condensation():
     for _ in range(150):
         o = random_ontology(rng, max_axioms=12)
         h = build_class_hierarchy(o)
-        assert max_depth(h) == oracles.longest_condensation_path(h.nodes, h.direct_edges)
+        assert h.depth == oracles.longest_condensation_path(h.nodes, h.direct_edges)
 
 
 def test_cyclic_classes_matches_bruteforce_cycles():
@@ -160,11 +159,11 @@ def test_tangledness_bounds_hold():
     for _ in range(200):
         o = random_ontology(rng, max_axioms=15)
         for h in (build_class_hierarchy(o), build_property_hierarchy(o)):
-            count, max_parents = tangledness(h)
+            count, max_parents = h.tangled, h.max_parents
             assert count <= len(h.nodes)
             if h.ndhc >= 1:
                 assert max_parents >= 1
-            assert max_depth(h) >= 0  # finite on every input, cycles included
+            assert h.depth >= 0  # finite on every input, cycles included
 
 
 def _motif_edges(rng, names):
@@ -211,7 +210,7 @@ def test_nidhc_matches_bruteforce_on_random_digraphs():
             h = Hierarchy(nodes=nodes, direct_edges=edges)
             assert h.ndhc == len(edges)
             assert h.nidhc == len(pairs) - len(edges)
-            assert max_depth(h) == longest
+            assert h.depth == longest
 
 
 def _seeded_tree(rng, n, window):
@@ -232,7 +231,7 @@ def test_hundred_thousand_node_trees():
         h, depth = _seeded_tree(random.Random(seed), n, window)
         assert h.ndhc == n - 1
         assert h.nidhc == sum(depth) - (n - 1)
-        assert max_depth(h) == max(depth)
+        assert h.depth == max(depth)
         if window == 200:
             assert max(depth) >= 900
 
@@ -294,7 +293,7 @@ def test_acyclic_parts_above_and_below_a_cycle():
                       ("a1", "a3")})
     names = sorted({n for e in hand for n in e})
     h = Hierarchy(nodes=frozenset(names), direct_edges=hand)
-    assert max_depth(h) == 5  # b0 b1 {c0 c1 c2} a0 a1 a3
+    assert h.depth == 5  # b0 b1 {c0 c1 c2} a0 a1 a3
     assert h.nidhc == len(oracles.reachability(names, hand)) - len(hand)
     rng = random.Random(4242)
     for _ in range(200):
@@ -303,10 +302,10 @@ def test_acyclic_parts_above_and_below_a_cycle():
         h = Hierarchy(nodes=frozenset(names), direct_edges=edges)
         _assert_ids_order_the_condensation(h, pairs)
         assert h.nidhc == len(pairs) - len(edges)
-        assert max_depth(h) == oracles.longest_condensation_path(names, edges)
+        assert h.depth == oracles.longest_condensation_path(names, edges)
         most_children, most_parents, tangled = oracles.fanout_and_tangledness(names, edges)
-        assert fanout_stats(h) == (most_children, len(edges) / len(names))
-        assert tangledness(h) == (tangled, most_parents)
+        assert (h.max_children, h.ndhc / len(h.nodes)) == (most_children, len(edges) / len(names))
+        assert (h.tangled, h.max_parents) == (tangled, most_parents)
 
 
 def _chain_closed_at_top(n, k):
@@ -334,7 +333,7 @@ def test_hundred_thousand_node_chain_closed_into_a_cycle_at_its_top():
     names, edges = _chain_closed_at_top(100_000, 5)
     h = Hierarchy(nodes=frozenset(names), direct_edges=edges)
     assert h.ndhc == 100_000
-    assert (h.nidhc, max_depth(h)) == _chain_closed_at_top_counts(100_000, 5)
+    assert (h.nidhc, h.depth) == _chain_closed_at_top_counts(100_000, 5)
     assert len(set(h.scc_map.values())) == 100_000 - 5 + 1
 
 
@@ -345,7 +344,7 @@ def _compact_successors(names, edges):
     pairs = oracles.reachability(names, h.direct_edges)
     _assert_ids_order_the_condensation(h, pairs)
     assert h.nidhc == len(pairs) - len(h.direct_edges)
-    assert max_depth(h) == oracles.longest_condensation_path(names, h.direct_edges)
+    assert h.depth == oracles.longest_condensation_path(names, h.direct_edges)
     comp = h.scc_map
     succ, cyclic = _successors(h.direct_edges, comp, max(comp.values()) + 1)
     return comp, succ, cyclic

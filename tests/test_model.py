@@ -11,7 +11,7 @@ from ontoprof.model import (
     Category, ClassAssertion, DataIntersectionOf, DataOneOf, DataRestriction,
     DataUnionOf, DatatypeRef, Declaration, DifferentIndividuals, DisjointClasses,
     DisjointUnion, Entity, EntityKind, EquivalentClasses, HasKey, Literal, NamedClass,
-    ObjectAllValuesFrom, ObjectExactCardinality, ObjectHasSelf, ObjectIntersectionOf,
+    ObjectAllValuesFrom, ObjectComplementOf, ObjectExactCardinality, ObjectHasSelf, ObjectIntersectionOf,
     ObjectMaxCardinality, ObjectMinCardinality, ObjectOneOf, ObjectSomeValuesFrom,
     ObjectUnionOf, Ontology, PropertyChain, SameIndividual, SubClassOf,
     TransitiveObjectProperty, axiom_category, class_expressions_of, iter_nodes,
@@ -191,6 +191,19 @@ def test_same_fields_of_different_types_differ(left, right):
     again = type(left)(*left)
     assert again == left and hash(again) == hash(left)
     assert left != tuple(left) and tuple(left) != left
+
+
+def test_deep_chains_compare_within_the_recursion_limit():
+    def chain(leaf, depth=2000):
+        for _ in range(depth):
+            leaf = ObjectComplementOf(leaf)
+        return leaf
+
+    assert chain(c("A")) == chain(c("A"))  # equal leaves, no node shared
+    assert chain(c("A")) != chain(c("B"))
+    assert not chain(c("A")) == chain(c("B"))
+    assert ObjectUnionOf((A, chain(c("A")))) == ObjectUnionOf((A, chain(c("A"))))
+    assert ObjectUnionOf((A, chain(c("A")))) != ObjectUnionOf((A, chain(c("B"))))
 
 
 def test_nodes_are_immutable_and_have_no_dict():

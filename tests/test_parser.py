@@ -3,7 +3,6 @@
 import random
 import re
 import string
-import sys
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -561,13 +560,7 @@ def test_window_size_changes_no_model_or_diagnostic(window, monkeypatch):
     expected = outcomes_under_window(monkeypatch, parser._WINDOW, texts)
     assert sum(isinstance(o, list) for o in expected) > 60
     assert sum(isinstance(o, Ontology) for o in expected) > 60
-    actual = outcomes_under_window(monkeypatch, window, texts)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + 2000)  # node equality recurses down the chains
-    try:
-        assert actual == expected
-    finally:
-        sys.setrecursionlimit(limit)
+    assert outcomes_under_window(monkeypatch, window, texts) == expected
 
 
 def test_window_cutting_a_string_literal(monkeypatch):

@@ -1,7 +1,6 @@
 """Records outside the node table: equality, immutability, pickling, the
-run report's layout and the profile rule table they are built from."""
+run report's layout and the profile rule table."""
 
-import configparser
 import json
 import pickle
 import re
@@ -15,6 +14,8 @@ from ontoprof.hierarchy import Hierarchy, build_class_hierarchy
 from ontoprof.model import Ontology, Signature
 from ontoprof.parser import OntologyParseError, ParseDiagnostic, parse_ontology
 from ontoprof.runner import CorpusReport, FileOutcome, RunConfig
+
+import oracles
 
 DOC = """Prefix(:=<http://example.org/rec#>)
 Ontology(<http://example.org/rec>
@@ -126,40 +127,6 @@ def test_run_report_layout():
                                     "anonymous_individuals": 0, "warnings": []}]
 
 
-def _configparser_sections(text: str) -> dict:
-    cp = configparser.ConfigParser()
-    cp.read_string(text)
-    return {name: dict(cp[name]) for name in cp.sections()}
-
-
-def test_rules_reader_matches_configparser_on_the_rule_file():
-    with open(expressivity._RULES_PATH, encoding="utf-8") as fh:
-        text = fh.read()
-    sections = expressivity._read_rules(expressivity._RULES_PATH)
-    assert sections == _configparser_sections(text)
-    assert list(sections) == ["meta", "EL", "QL", "RL"]
-    cp = configparser.ConfigParser()
-    cp.read_string(text)
-    assert expressivity._RULES == {
-        name: ProfileRules(frozenset(cp.get(name, "forbid-axiom", fallback="").split()),
-                           frozenset(cp.get(name, "forbid-constructor", fallback="").split()),
-                           cp.getint(name, "oneof-max-arity", fallback=None),
-                           cp.getint(name, "max-cardinality-bound", fallback=None))
-        for name in ("EL", "QL", "RL")}
-
-
-def test_rules_reader_matches_configparser_on_its_syntax(tmp_path):
-    text = ("# leading comment\n\n[one]\nkey = a b\n  c\n\td\n# between keys\n"
-            "other=x=y\nempty =\n\n  # indented comment\n[two]\nk = v\n")
-    path = tmp_path / "rules.txt"
-    path.write_text(text, encoding="utf-8")
-    assert expressivity._read_rules(str(path)) == _configparser_sections(text) == {
-        "one": {"key": "a b\nc\nd", "other": "x=y", "empty": ""}, "two": {"k": "v"}}
-
-
-@pytest.mark.parametrize("text", ["key = v\n", "[s]\nno delimiter\n", "[s]\n  no key\n"])
-def test_rules_reader_rejects_other_lines(tmp_path, text):
-    path = tmp_path / "rules.txt"
-    path.write_text(text, encoding="utf-8")
-    with pytest.raises(ValueError, match=r"rules\.txt:\d+: "):
-        expressivity._read_rules(str(path))
+def test_profile_rule_table_matches_the_oracle_copy():
+    assert list(expressivity._RULES) == ["EL", "QL", "RL"]
+    assert expressivity._RULES == oracles.profile_rules()

@@ -16,15 +16,15 @@ __version__ = "0.1.0"
 _EXPORTS = {
     **dict.fromkeys(("DlName", "ProfileLabel", "dl_family_name", "owl_profile",
                      "profile_checks"), "expressivity"),
-    **dict.fromkeys(("FEATURE_IDS", "FEATURE_SCHEMA", "SCHEMA_VERSION", "FeatureVector",
-                     "extract_all", "schema_as_dict"), "features"),
+    **dict.fromkeys(("FeatureVector", "extract_all"), "features"),
     **dict.fromkeys(("Hierarchy", "build_class_hierarchy", "build_property_hierarchy",
                      "cyclic_classes"), "hierarchy"),
-    **dict.fromkeys(("CLASS_CONSTRUCTORS", "LOGICAL_AXIOM_TYPES", "Category", "Ontology",
-                     "Signature", "axiom_category"), "model"),
+    **dict.fromkeys(("Category", "Ontology", "Signature", "axiom_category"), "model"),
     **dict.fromkeys(("OntologyParseError", "ParseDiagnostic", "parse_ontology"), "parser"),
     **dict.fromkeys(("CorpusReport", "RunConfig", "discover_inputs", "emit_matrix", "run"),
                     "runner"),
+    **dict.fromkeys(("CLASS_CONSTRUCTORS", "FEATURE_IDS", "FEATURE_SCHEMA", "LOGICAL_AXIOM_TYPES",
+                     "SCHEMA_VERSION", "schema_as_dict"), "schema"),
     "serialize": "serializer",
 }
 

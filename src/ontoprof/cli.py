@@ -12,12 +12,13 @@ import json
 import sys
 from pathlib import Path
 
-from .features import COHESION_WEIGHTS, FEATURE_GROUPS, schema_as_dict
+from .schema import COHESION_WEIGHTS, FEATURE_GROUPS, schema_as_dict
 
-# `schema` and `check` never need the runner, which pulls in multiprocessing,
-# so `run` and `write_outputs` resolve on first use (PEP 562). They stay
-# module globals once read, and `cmd_extract` reads them through the module,
-# so a caller that replaces `cli.run` or `cli.write_outputs` is still obeyed.
+# `schema` and `check` never need the runner, which pulls in multiprocessing
+# and the feature layers, so `run` and `write_outputs` resolve on first use
+# (PEP 562). They stay module globals once read, and `cmd_extract` reads them
+# through the module, so a caller that replaces `cli.run` or
+# `cli.write_outputs` is still obeyed.
 _RUNNER_NAMES = frozenset({"run", "write_outputs"})
 
 
@@ -83,32 +84,50 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _three_floats(value: str) -> tuple[float, float, float]:
+    wc, wp, wo = map(float, value.split(","))  # a ValueError unless exactly three numbers
+    return wc, wp, wo
+
+
+# config key -> how its value converts, and what the value must be
+_CONVERSIONS = {
+    "jobs": (int, "an integer"),
+    "timeout": (float, "a number"),
+    "follow_imports": (lambda v: _BOOLEANS[v.lower()], "true/false, yes/no or 1/0"),
+    "ocoh_weights": (_three_floats, "three comma-separated numbers"),
+}
+
+
 def _merge_extract_config(args) -> RunConfig:
+    # Importing the runner here, before any worker forks, loads the model and
+    # the feature layers once in the parent, where every worker shares them.
     from .runner import DEFAULT_TIMEOUT, RunConfig
 
     options = load_config_file(args.config) if args.config else {}
+
+    def option(key, flag, default):
+        """The flag if given, else the config value converted, else `default`."""
+        if flag is not None:
+            return flag
+        if key not in options:
+            return default
+        convert, expected = _CONVERSIONS[key]
+        try:
+            return convert(options[key])
+        except (KeyError, ValueError):
+            raise ValueError(f"{args.config}: {key} must be {expected}, "
+                             f"not {options[key]!r}") from None
+
     fmt = args.format or options.get("format", "csv")
-    groups_raw = args.groups or options.get("groups")
-    groups = (tuple(g.strip() for g in groups_raw.split(",") if g.strip())
-              if groups_raw else FEATURE_GROUPS)
-    timeout = args.timeout if args.timeout is not None else float(
-        options.get("timeout", DEFAULT_TIMEOUT))
-    jobs = args.jobs if args.jobs is not None else (
-        int(options["jobs"]) if "jobs" in options else None)
+    groups_raw = args.groups if args.groups is not None else options.get("groups")
+    groups = (FEATURE_GROUPS if groups_raw is None
+              else tuple(g.strip() for g in groups_raw.split(",") if g.strip()))
+    timeout = option("timeout", args.timeout, DEFAULT_TIMEOUT)
+    jobs = option("jobs", args.jobs, None)
     on_error = args.on_error or options.get("on_error", "skip")
-    follow = args.follow_imports
-    if follow is None:
-        value = options.get("follow_imports", "false")
-        follow = _BOOLEANS.get(value.lower())
-        if follow is None:
-            raise ValueError(f"follow_imports must be true/false, yes/no or 1/0, not {value!r}")
+    follow = option("follow_imports", args.follow_imports, False)
     out = args.out or options.get("out")
-    weights = COHESION_WEIGHTS
-    if "ocoh_weights" in options:
-        parts = [float(x) for x in options["ocoh_weights"].split(",")]
-        if len(parts) != 3:
-            raise ValueError("ocoh_weights needs exactly three values")
-        weights = (parts[0], parts[1], parts[2])
+    weights = option("ocoh_weights", None, COHESION_WEIGHTS)
     inputs = list(args.inputs) or options.get("inputs", "").split()
     if not inputs:
         raise ValueError("no inputs given (positional arguments or config 'inputs')")

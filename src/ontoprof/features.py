@@ -1,25 +1,23 @@
-"""The ontology feature catalogue.
+"""The feature vector of an ontology.
 
 `extract_all` is a pure function of the parsed ontology, arithmetic over
 its census, signature and two hierarchies. It is total on any well-formed
 input: ratio features whose denominator is zero come out as 0 so the
-vector is always complete.  The vector layout is frozen per schema
-version and mirrored in data/feature_schema.json.
+vector is always complete.  The vector's layout is the catalogue in
+`schema`, frozen per schema version.
 """
 
 from __future__ import annotations
 
 import sys
-from collections import namedtuple
 
 from .expressivity import dl_family_name, owl_profile
 from .hierarchy import build_class_hierarchy, build_property_hierarchy, cyclic_classes
-from .model import (
-    BUILTIN_CLASSES, BUILTIN_DATA_PROPERTIES, BUILTIN_OBJECT_PROPERTIES,
-    CLASS_CONSTRUCTORS, LOGICAL_AXIOM_TYPES, PROPERTY_CHARACTERISTICS, Ontology, Record,
-)
+from .model import (BUILTIN_CLASSES, BUILTIN_DATA_PROPERTIES, BUILTIN_OBJECT_PROPERTIES,
+                    Ontology, Record)
+from .schema import (CLASS_CONSTRUCTORS, COHESION_WEIGHTS, LOGICAL_AXIOM_TYPES,
+                     PROPERTY_CHARACTERISTICS, SCHEMA_VERSION)
 
-SCHEMA_VERSION = "1"
 
 def _ratio(num, den) -> float:
     return num / den if den > 0 else 0.0
@@ -28,81 +26,6 @@ def _ratio(num, den) -> float:
 def _count_without(names, excluded: frozenset) -> int:
     """len(names - excluded), without copying `names`."""
     return len(names) - len(excluded & names)
-
-
-# `kind` is "count", "ratio" or "categorical".
-FeatureSpec = namedtuple("FeatureSpec", "id group kind domain description")
-
-
-def _build_schema() -> tuple[FeatureSpec, ...]:
-    entries: list[FeatureSpec] = []
-
-    def add(fid, group, kind, domain, description):
-        entries.append(FeatureSpec(fid, group, kind, domain, description))
-
-    add("SC", "size", "count", "nat", "number of named classes")
-    add("SOP", "size", "count", "nat", "number of named object properties")
-    add("SDP", "size", "count", "nat", "number of named data properties")
-    add("SI", "size", "count", "nat", "number of named individuals")
-    add("SDT", "size", "count", "nat", "number of datatypes mentioned")
-    add("SLA", "size", "count", "nat", "number of logical axioms")
-    add("SA", "size", "count", "nat", "total axioms including declarations and annotations")
-    add("OPR", "expressivity", "categorical", "DL|EL|QL|RL|PFULL|PNAN", "OWL 2 profile label")
-    add("DFN", "expressivity", "categorical", "letter string", "DL family name")
-    add("C_MD", "structural", "count", "nat", "max depth of the class hierarchy")
-    add("C_MSB", "structural", "count", "nat", "max direct subclasses of a class")
-    add("C_ASB", "structural", "ratio", "[0,inf)", "direct subclass links per class")
-    add("C_Tangledness", "structural", "count", "nat", "classes with multiple direct superclasses")
-    add("C_MTangledness", "structural", "count", "nat", "max direct superclasses of a class")
-    add("P_MD", "structural", "count", "nat", "max depth of the object property hierarchy")
-    add("P_MSB", "structural", "count", "nat", "max direct subproperties of a property")
-    add("P_ASB", "structural", "ratio", "[0,inf)", "direct subproperty links per property")
-    add("P_Tangledness", "structural", "count", "nat", "properties with multiple direct superproperties")
-    add("P_MTangledness", "structural", "count", "nat", "max direct superproperties of a property")
-    add("CCOH", "structural", "ratio", "[0,1]", "class hierarchy cohesion")
-    add("PCOH", "structural", "ratio", "[0,1]", "property hierarchy cohesion")
-    add("OPCOH", "structural", "ratio", "[0,1]", "object property domain/range cohesion")
-    add("OCOH", "structural", "ratio", "[0,1]", "weighted aggregate cohesion")
-    add("RRichness", "structural", "ratio", "[0,1]", "non-hierarchical relation share")
-    add("AttrRichness", "structural", "ratio", "[0,inf)", "data properties per class")
-    add("RTBx", "syntactic", "ratio", "[0,1]", "TBox share of logical axioms")
-    add("RRBx", "syntactic", "ratio", "[0,1]", "RBox share of logical axioms")
-    add("RABx", "syntactic", "ratio", "[0,1]", "ABox share of logical axioms")
-    for t in LOGICAL_AXIOM_TYPES:
-        add(f"ATF_{t}", "syntactic", "ratio", "[0,1]", f"frequency of {t} axioms")
-    add("AMP", "syntactic", "count", "nat", "max axiom nesting depth")
-    add("AAP", "syntactic", "ratio", "[0,inf)", "mean axiom nesting depth")
-    for c in CLASS_CONSTRUCTORS:
-        add(f"CCF_{c}", "syntactic", "ratio", "[0,1]", f"share of {c} among constructor uses")
-    add("OCCD", "syntactic", "ratio", "[0,1]", "constructor density over TBox axioms")
-    add("IU", "syntactic", "count", "nat", "intersection/union direct couplings")
-    add("EUvI", "syntactic", "count", "nat", "same-role existential+universal couplings")
-    add("CUvI", "syntactic", "count", "nat", "same-role cardinality+universal couplings")
-    add("PCD", "syntactic", "ratio", "[0,1]", "primitive class definition share of TBox")
-    add("NPCD", "syntactic", "ratio", "[0,1]", "non-primitive class definition share of TBox")
-    add("GCI", "syntactic", "ratio", "[0,1]", "general inclusion share of TBox")
-    add("CCyc", "syntactic", "ratio", "[0,1]", "share of classes on definition cycles")
-    add("CDIJ", "syntactic", "ratio", "[0,1]", "share of classes under disjointness")
-    add("CNOM", "syntactic", "ratio", "[0,1]", "share of classes defined with nominals")
-    for c in PROPERTY_CHARACTERISTICS:
-        add(f"OPCF_{c}", "syntactic", "ratio", "[0,1]",
-            f"TBox usage share of {c}-declared properties")
-    add("HVC_Min", "syntactic", "count", "nat", "largest min-cardinality value")
-    add("HVC_Max", "syntactic", "count", "nat", "largest max-cardinality value")
-    add("HVC_Exact", "syntactic", "count", "nat", "largest exact-cardinality value")
-    add("AVC", "syntactic", "ratio", "[0,inf)", "mean cardinality value")
-    add("NomTB", "syntactic", "ratio", "[0,inf)", "nominal occurrences in TBox per individual")
-    add("TBNom", "syntactic", "ratio", "[0,1]", "share of TBox axioms containing nominals")
-    add("IDISJ", "syntactic", "ratio", "[0,1]", "share of individuals asserted different")
-    add("ISAM", "syntactic", "ratio", "[0,1]", "share of individuals asserted same")
-    return tuple(entries)
-
-
-FEATURE_SCHEMA: tuple[FeatureSpec, ...] = _build_schema()
-FEATURE_IDS: tuple[str, ...] = tuple(s.id for s in FEATURE_SCHEMA)
-FEATURE_GROUPS: tuple[str, ...] = ("size", "expressivity", "structural", "syntactic")
-# The weights of CCOH, PCOH and OPCOH in OCOH.
-COHESION_WEIGHTS: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
 
 
 class FeatureVector(Record):
@@ -192,14 +115,15 @@ def extract_all(o: Ontology,
     opco_total = sum(opco.values())
     for c in PROPERTY_CHARACTERISTICS:
         values[f"OPCF_{c}"] = _ratio(opco[c], opco_total)
+    largest = dict.fromkeys(("ObjectMinCardinality", "ObjectMaxCardinality",
+                             "ObjectExactCardinality"), 0)
     count = total_value = 0
     for (tag, n), k in census.sizes.items():
-        if tag in ("ObjectMinCardinality", "ObjectMaxCardinality", "ObjectExactCardinality"):
+        if tag in largest:
+            largest[tag] = max(largest[tag], n)
             count += k
             total_value += n * k
-    values["HVC_Min"] = census.largest("ObjectMinCardinality")
-    values["HVC_Max"] = census.largest("ObjectMaxCardinality")
-    values["HVC_Exact"] = census.largest("ObjectExactCardinality")
+    values["HVC_Min"], values["HVC_Max"], values["HVC_Exact"] = largest.values()
     try:
         values["AVC"] = total_value / count if count else 0.0
     except OverflowError:  # a mean beyond the float range saturates
@@ -211,14 +135,3 @@ def extract_all(o: Ontology,
     values["ISAM"] = _ratio(len(census.same_individuals), si)
     return FeatureVector(schema_version=SCHEMA_VERSION, values=values)
 
-
-def schema_as_dict() -> dict:
-    """Machine-readable schema document (mirrors data/feature_schema.json)."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "features": [
-            {"id": s.id, "group": s.group, "kind": s.kind,
-             "domain": s.domain, "description": s.description}
-            for s in FEATURE_SCHEMA
-        ],
-    }

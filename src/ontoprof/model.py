@@ -22,6 +22,9 @@ from functools import cached_property, partial
 from itertools import chain
 from operator import itemgetter
 
+# LOGICAL_AXIOM_TYPES stays importable from here for perfbench/workloads.py.
+from .schema import LOGICAL_AXIOM_TYPES, PROPERTY_CHARACTERISTICS
+
 try:  # the C field accessor namedtuple uses; a property is the portable equivalent
     from _collections import _tuplegetter
 except ImportError:
@@ -345,22 +348,6 @@ DataRestriction = _node(
            for kw in ("DataMinCardinality", "DataMaxCardinality", "DataExactCardinality")},
     })
 
-# The counted class-constructor set: the eleven non-named object constructors.
-# This tuple is a frozen constant; data restrictions are deliberately outside it.
-CLASS_CONSTRUCTORS: tuple[str, ...] = (
-    "ObjectIntersectionOf",
-    "ObjectUnionOf",
-    "ObjectComplementOf",
-    "ObjectOneOf",
-    "ObjectSomeValuesFrom",
-    "ObjectAllValuesFrom",
-    "ObjectHasValue",
-    "ObjectHasSelf",
-    "ObjectMinCardinality",
-    "ObjectMaxCardinality",
-    "ObjectExactCardinality",
-)
-
 # Axioms, by KB category --------------------------------------------------------------
 
 _T, _R, _A, _N = Category.TBOX, Category.RBOX, Category.ABOX, Category.NON_LOGICAL
@@ -443,55 +430,12 @@ AnnotationPropertyRange = _node("AnnotationPropertyRange", Axiom,
 UnknownAxiom = _node("UnknownAxiom", Axiom, ("name", TEXT), ("text", TEXT), keyword=None,
                      category=_N)
 
-# The frozen enumeration of logical axiom types, in vector-schema order.
-LOGICAL_AXIOM_TYPES: tuple[str, ...] = (
-    "SubClassOf",
-    "EquivalentClasses",
-    "DisjointClasses",
-    "DisjointUnion",
-    "SubObjectPropertyOf",
-    "EquivalentObjectProperties",
-    "DisjointObjectProperties",
-    "InverseObjectProperties",
-    "ObjectPropertyDomain",
-    "ObjectPropertyRange",
-    "FunctionalObjectProperty",
-    "InverseFunctionalObjectProperty",
-    "ReflexiveObjectProperty",
-    "IrreflexiveObjectProperty",
-    "SymmetricObjectProperty",
-    "AsymmetricObjectProperty",
-    "TransitiveObjectProperty",
-    "SubDataPropertyOf",
-    "EquivalentDataProperties",
-    "DisjointDataProperties",
-    "DataPropertyDomain",
-    "DataPropertyRange",
-    "FunctionalDataProperty",
-    "DatatypeDefinition",
-    "HasKey",
-    "SameIndividual",
-    "DifferentIndividuals",
-    "ClassAssertion",
-    "ObjectPropertyAssertion",
-    "NegativeObjectPropertyAssertion",
-    "DataPropertyAssertion",
-    "NegativeDataPropertyAssertion",
-)
-
-# Property characteristic axioms and the feature-name stem they count under.
-_CHARACTERISTIC_STEMS = {
-    TransitiveObjectProperty: "Transitive",
-    SymmetricObjectProperty: "Symmetric",
-    AsymmetricObjectProperty: "Asymmetric",
-    ReflexiveObjectProperty: "Reflexive",
-    IrreflexiveObjectProperty: "Irreflexive",
-    FunctionalObjectProperty: "Functional",
-    InverseFunctionalObjectProperty: "InverseFunctional",
-}
-# The declared characteristics the OPCF features count, in schema order:
-# the axioms above, plus InverseObjectProperties and property chains.
-PROPERTY_CHARACTERISTICS: tuple[str, ...] = (*_CHARACTERISTIC_STEMS.values(), "Inverse", "Chain")
+# Property characteristic axioms and the feature-name stem they count under:
+# the first seven PROPERTY_CHARACTERISTICS, in that order.
+_CHARACTERISTIC_STEMS = dict(zip(
+    (TransitiveObjectProperty, SymmetricObjectProperty, AsymmetricObjectProperty,
+     ReflexiveObjectProperty, IrreflexiveObjectProperty, FunctionalObjectProperty,
+     InverseFunctionalObjectProperty), PROPERTY_CHARACTERISTICS))
 # Characteristics OWL 2 DL allows on simple properties only.
 _SIMPLE_ROLE_AXIOMS = (FunctionalObjectProperty, InverseFunctionalObjectProperty,
                        IrreflexiveObjectProperty, AsymmetricObjectProperty)

@@ -22,10 +22,10 @@ import sys
 import time
 from pathlib import Path
 
-from .features import (COHESION_WEIGHTS, FEATURE_GROUPS, FEATURE_SCHEMA, SCHEMA_VERSION,
-                       FeatureVector, extract_all)
+from .features import FeatureVector, extract_all
 from .model import Ontology, Record
 from .parser import OntologyParseError, decode_source, parse_ontology
+from .schema import COHESION_WEIGHTS, FEATURE_GROUPS, FEATURE_SCHEMA, SCHEMA_VERSION
 
 DEFAULT_TIMEOUT = 300.0
 _MAX_WAIT = 3600.0  # seconds; poll() takes an int of ms, which ~24.9 days overflows
@@ -60,6 +60,9 @@ class RunConfig(Record):
         unknown = set(feature_groups).difference(FEATURE_GROUPS)
         if unknown:
             raise ValueError(f"unknown feature groups: {sorted(unknown)}")
+        if not feature_groups:
+            raise ValueError("no feature groups selected; choose from "
+                             + ",".join(FEATURE_GROUPS))
         self.inputs, self.output_path, self.format = inputs, output_path, format
         self.feature_groups, self.per_file_timeout = feature_groups, per_file_timeout
         self.parallelism, self.on_error = parallelism, on_error

@@ -10,7 +10,8 @@ from collections import Counter
 from ontoprof.expressivity import profile_checks
 from ontoprof.features import extract_all
 from ontoprof.hierarchy import build_class_hierarchy, build_property_hierarchy
-from ontoprof.model import CLASS_CONSTRUCTORS, LOGICAL_AXIOM_TYPES, Ontology
+from ontoprof.model import Ontology
+from ontoprof.schema import CLASS_CONSTRUCTORS, LOGICAL_AXIOM_TYPES
 
 import oracles
 from gen import rename_ontology

@@ -7,7 +7,7 @@ axioms.  Fixtures live in fixtures/golden/.
 
 from pathlib import Path
 
-from ontoprof.features import FEATURE_SCHEMA
+from ontoprof.schema import FEATURE_SCHEMA
 
 GOLDEN_DIR = Path(__file__).parent / "fixtures" / "golden"
 DEGENERATE_DIR = Path(__file__).parent / "fixtures" / "degenerate"

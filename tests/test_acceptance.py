@@ -14,7 +14,7 @@ from ontoprof import (
     OntologyParseError, ProfileLabel, dl_family_name, extract_all, owl_profile,
     parse_ontology, serialize,
 )
-from ontoprof.features import FEATURE_IDS
+from ontoprof.schema import FEATURE_IDS
 from ontoprof.runner import RunConfig, emit_matrix, run
 
 from equivalence import check_against_oracles, check_invariance
@@ -85,8 +85,7 @@ def test_criterion_2_formula_spot_checks(golden_ontologies):
 
 
 def test_criterion_3_frequency_closure(golden_ontologies, random_corpus):
-    from ontoprof.model import CLASS_CONSTRUCTORS, LOGICAL_AXIOM_TYPES
-    from ontoprof.features import PROPERTY_CHARACTERISTICS
+    from ontoprof.schema import CLASS_CONSTRUCTORS, LOGICAL_AXIOM_TYPES, PROPERTY_CHARACTERISTICS
 
     checked = 0
     for onto in list(golden_ontologies.values()) + random_corpus:

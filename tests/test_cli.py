@@ -92,27 +92,47 @@ def test_usage_error_exit_one(capsys):
     assert main(["extract"]) == 1  # no inputs from flags or config
 
 
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
 def test_schema_command(capsys):
     assert main(["schema"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    payload = json.loads(out)
     assert payload["schema_version"] == "1"
     assert len(payload["features"]) == 100
+    # The catalogue as users save it with `ontoprof schema > feature_schema.json`.
+    assert out == (FIXTURES / "feature_schema.json").read_text(encoding="utf-8")
 
 
-def test_schema_loads_neither_the_runner_nor_the_parser():
+def modules_loaded_by(argv: list[str], names: tuple[str, ...]) -> list[str]:
+    """Those of `names` that a fresh interpreter has loaded after `main(argv)`."""
     probe = ("import io, sys\n"
              "from ontoprof.cli import main\n"
              "sys.stdout = io.StringIO()\n"
-             "assert main(['schema']) == 0\n"
-             "heavy = ('multiprocessing', 'ontoprof.runner', 'ontoprof.parser',\n"
-             "         'ontoprof.serializer')\n"
-             "print([name for name in heavy if name in sys.modules], file=sys.stderr)\n")
+             f"assert main({argv!r}) == 0\n"
+             f"print(*[name for name in {names!r} if name in sys.modules], file=sys.stderr)\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stderr == "[]\n"
+    return done.stderr.split()
+
+
+# What only `extract` needs: the feature layers and the runner.
+EXTRACT_ONLY = ("ontoprof.features", "ontoprof.expressivity", "ontoprof.hierarchy",
+                  "multiprocessing", "ontoprof.runner")
+
+
+def test_schema_loads_neither_the_runner_nor_the_parser():
+    assert modules_loaded_by(["schema"], EXTRACT_ONLY + (
+        "ontoprof.parser", "ontoprof.serializer", "ontoprof.model")) == []
+
+
+def test_check_loads_no_feature_layer_and_no_runner():
+    golden = str(FIXTURES / "golden" / "family_kb.ofn")
+    assert modules_loaded_by(["check", golden], EXTRACT_ONLY) == []
 
 
 def test_start_up_loads_no_dataclasses_configparser_or_resources():
@@ -321,6 +341,34 @@ def test_ocoh_weights_must_be_finite_and_non_negative(weights, corpus, tmp_path,
     assert main(["extract", "--config", str(cfg), str(corpus)]) == 1
     captured = capsys.readouterr()
     assert "finite and non-negative" in one_error_line(captured.err)
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("line, message", [
+    ("jobs = two", "jobs must be an integer, not 'two'"),
+    ("timeout = soon", "timeout must be a number, not 'soon'"),
+    ("ocoh_weights = 1, 2", "ocoh_weights must be three comma-separated numbers, not '1, 2'"),
+    ("ocoh_weights = a, b, c",
+     "ocoh_weights must be three comma-separated numbers, not 'a, b, c'"),
+])
+def test_a_bad_config_value_names_its_key_and_file(line, message, corpus, tmp_path, capsys):
+    cfg = tmp_path / "run.conf"
+    cfg.write_text(f"{line}\n")
+    assert main(["extract", "--config", str(cfg), str(corpus)]) == 1
+    captured = capsys.readouterr()
+    assert one_error_line(captured.err) == f"ontoprof: error: {cfg}: {message}"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_an_empty_group_selection_is_a_usage_error(source, corpus, tmp_path, capsys):
+    cfg = tmp_path / "run.conf"
+    cfg.write_text("groups = ,\n")
+    flags = ["--groups", ","] if source == "flag" else ["--config", str(cfg)]
+    assert main(["extract", *flags, str(corpus)]) == 1
+    captured = capsys.readouterr()
+    assert one_error_line(captured.err) == ("ontoprof: error: no feature groups selected; "
+                                            "choose from size,expressivity,structural,syntactic")
     assert captured.out == ""
 
 

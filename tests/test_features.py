@@ -9,13 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from ontoprof.features import FEATURE_IDS, FEATURE_SCHEMA, PROPERTY_CHARACTERISTICS, extract_all
+from ontoprof.features import extract_all
 from ontoprof.parser import parse_ontology
+from ontoprof.schema import CLASS_CONSTRUCTORS, FEATURE_IDS, FEATURE_SCHEMA, PROPERTY_CHARACTERISTICS
 
 from gen import random_ontology
 from golden_data import GOLDEN_DIR
 from ontoprof.model import (
-    CLASS_CONSTRUCTORS, ClassAssertion, DataPropertyAssertion, Declaration, Entity, EntityKind,
+    ClassAssertion, DataPropertyAssertion, Declaration, Entity, EntityKind,
     EquivalentClasses, Literal, NamedClass, ObjectAllValuesFrom,
     ObjectComplementOf, ObjectExactCardinality, ObjectHasValue,
     ObjectIntersectionOf, ObjectMaxCardinality, ObjectMinCardinality,
@@ -46,16 +47,6 @@ def test_schema_is_fixed_and_ordered():
     # groups appear as contiguous blocks in catalogue order
     order = ["size", "expressivity", "structural", "syntactic"]
     assert groups == sorted(groups, key=order.index)
-
-
-def test_shipped_schema_file_matches_code():
-    import json
-    from importlib import resources
-    from ontoprof.features import schema_as_dict
-
-    with resources.files("ontoprof.data").joinpath("feature_schema.json").open() as fh:
-        shipped = json.load(fh)
-    assert shipped == schema_as_dict()
 
 
 def test_size_features_empty():

@@ -3,7 +3,7 @@
 import pytest
 
 from ontoprof import extract_all, parse_ontology
-from ontoprof.features import FEATURE_IDS
+from ontoprof.schema import FEATURE_IDS
 
 from golden_data import DEGENERATE, DEGENERATE_DIR, GOLDEN, GOLDEN_DIR, expected_vector, zero_vector
 

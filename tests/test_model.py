@@ -7,8 +7,8 @@ import pickle
 import pytest
 
 from ontoprof.model import (
-    CLASS_CONSTRUCTORS, LOGICAL_AXIOM_TYPES, NODES, XSD,
-    Category, ClassAssertion, DataIntersectionOf, DataOneOf, DataRestriction,
+    _CHARACTERISTIC_STEMS, NODES, XSD,
+    Category, ClassAssertion, ClassExpression, DataIntersectionOf, DataOneOf, DataRestriction,
     DataUnionOf, DatatypeRef, Declaration, DifferentIndividuals, DisjointClasses,
     DisjointUnion, Entity, EntityKind, EquivalentClasses, HasKey, Literal, NamedClass,
     ObjectAllValuesFrom, ObjectComplementOf, ObjectExactCardinality, ObjectHasSelf, ObjectIntersectionOf,
@@ -16,6 +16,7 @@ from ontoprof.model import (
     ObjectUnionOf, Ontology, PropertyChain, SameIndividual, SubClassOf,
     TransitiveObjectProperty, axiom_category, class_expressions_of, iter_nodes,
 )
+from ontoprof.schema import CLASS_CONSTRUCTORS, LOGICAL_AXIOM_TYPES, PROPERTY_CHARACTERISTICS
 
 import oracles
 
@@ -30,6 +31,19 @@ def test_frozen_enumerations():
     assert len(CLASS_CONSTRUCTORS) == 11
     assert len(LOGICAL_AXIOM_TYPES) == 32
     assert len(set(LOGICAL_AXIOM_TYPES)) == 32
+
+
+def test_the_catalogue_names_the_node_types():
+    """`schema` states these names without the model; they must match it."""
+    logical = (Category.TBOX, Category.RBOX, Category.ABOX)
+    assert sorted(LOGICAL_AXIOM_TYPES) == sorted(
+        spec.name for spec in NODES.values() if spec.category in logical)
+    assert sorted(CLASS_CONSTRUCTORS) == sorted(
+        spec.name for t, spec in NODES.items() if issubclass(t, ClassExpression)
+        and spec.name not in ("NamedClass", "DataRestriction"))
+    assert [t.__name__ for t in _CHARACTERISTIC_STEMS] == [
+        f"{c}ObjectProperty" for c in PROPERTY_CHARACTERISTICS[:7]]
+    assert list(_CHARACTERISTIC_STEMS.values()) == list(PROPERTY_CHARACTERISTICS[:7])
 
 
 @pytest.mark.parametrize("axiom,category", [

@@ -95,6 +95,8 @@ def test_record_defaults():
     ({"format": "xml"}, "unknown format: xml"),
     ({"on_error": "retry"}, "unknown on_error policy: retry"),
     ({"feature_groups": ("size", "bogus", "alpha")}, "unknown feature groups: ['alpha', 'bogus']"),
+    ({"feature_groups": ()},
+     "no feature groups selected; choose from size,expressivity,structural,syntactic"),
     *(({"per_file_timeout": t}, "per_file_timeout must be a finite positive number")
       for t in (float("inf"), float("nan"))),
     *(({"cohesion_weights": w}, "cohesion weights must be finite and non-negative")

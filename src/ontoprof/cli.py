@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .schema import COHESION_WEIGHTS, FEATURE_GROUPS, schema_as_dict
+from .schema import FEATURE_GROUPS, FORMATS, ON_ERROR_POLICIES, schema_as_dict
 
 # `schema` and `check` never need the runner, which pulls in multiprocessing
 # and the feature layers, so `run` and `write_outputs` resolve on first use
@@ -30,11 +30,6 @@ def __getattr__(name: str):
     return value
 
 
-_CONFIG_KEYS = {"inputs", "out", "format", "groups", "timeout", "jobs",
-                "on_error", "follow_imports", "ocoh_weights"}
-_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -45,13 +40,13 @@ class _Parser(argparse.ArgumentParser):
 def load_config_file(path: str) -> dict:
     """Key-value config: one `key = value` per line, '#' comments."""
     options: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
         key = key.strip()
-        if not sep or key not in _CONFIG_KEYS:
+        if not sep or key not in _OPTIONS:
             raise ValueError(f"{path}:{lineno}: bad config line: {raw!r}")
         options[key] = value.strip()
     return options
@@ -67,13 +62,13 @@ def _build_parser() -> _Parser:
                          help=".ofn files, directories, or - for stdin; "
                               "may also come from the config file")
     extract.add_argument("--out", help="matrix output path (default: stdout)")
-    extract.add_argument("--format", choices=("csv", "json"), default=None)
-    extract.add_argument("--groups", default=None,
-                         help="comma-separated subset of size,expressivity,structural,syntactic")
-    extract.add_argument("--timeout", type=float, default=None, metavar="SECS",
+    extract.add_argument("--format", choices=FORMATS)
+    extract.add_argument("--groups", type=_group_list,
+                         help="comma-separated subset of " + ",".join(FEATURE_GROUPS))
+    extract.add_argument("--timeout", type=float, metavar="SECS",
                          help="per-file timeout in seconds")
-    extract.add_argument("--jobs", type=int, default=None, metavar="N")
-    extract.add_argument("--on-error", choices=("skip", "abort"), default=None)
+    extract.add_argument("--jobs", type=int, metavar="N")
+    extract.add_argument("--on-error", choices=ON_ERROR_POLICIES)
     extract.add_argument("--follow-imports", action="store_true", default=None)
     extract.add_argument("--config", help="key-value config file; flags override it")
 
@@ -89,51 +84,56 @@ def _three_floats(value: str) -> tuple[float, float, float]:
     return wc, wp, wo
 
 
-# config key -> how its value converts, and what the value must be
-_CONVERSIONS = {
-    "jobs": (int, "an integer"),
-    "timeout": (float, "a number"),
-    "follow_imports": (lambda v: _BOOLEANS[v.lower()], "true/false, yes/no or 1/0"),
-    "ocoh_weights": (_three_floats, "three comma-separated numbers"),
+def _group_list(value: str) -> tuple[str, ...]:
+    return tuple(g.strip() for g in value.split(",") if g.strip())
+
+
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _one_of(choices: tuple[str, ...]):
+    return {c: c for c in choices}.__getitem__  # a KeyError for any other value
+
+
+# config key -> (RunConfig field, conversion of a config value, what a value must be).
+# A flag of the same name arrives converted by argparse; an option given neither
+# way is left to RunConfig's default.
+_OPTIONS = {
+    "inputs": ("inputs", str.split, "paths"),
+    "out": ("output_path", str, "a path"),
+    "format": ("format", _one_of(FORMATS), " or ".join(FORMATS)),
+    "groups": ("feature_groups", lambda v: tuple(map(_one_of(FEATURE_GROUPS), _group_list(v))),
+               "a comma-separated subset of " + ",".join(FEATURE_GROUPS)),
+    "timeout": ("per_file_timeout", float, "a number"),
+    "jobs": ("parallelism", int, "an integer"),
+    "on_error": ("on_error", _one_of(ON_ERROR_POLICIES), " or ".join(ON_ERROR_POLICIES)),
+    "follow_imports": ("follow_imports", lambda v: _BOOLEANS[v.lower()],
+                       "true/false, yes/no or 1/0"),
+    "ocoh_weights": ("cohesion_weights", _three_floats, "three comma-separated numbers"),
 }
 
 
 def _merge_extract_config(args) -> RunConfig:
     # Importing the runner here, before any worker forks, loads the model and
     # the feature layers once in the parent, where every worker shares them.
-    from .runner import DEFAULT_TIMEOUT, RunConfig
+    from .runner import RunConfig
 
     options = load_config_file(args.config) if args.config else {}
-
-    def option(key, flag, default):
-        """The flag if given, else the config value converted, else `default`."""
-        if flag is not None:
-            return flag
-        if key not in options:
-            return default
-        convert, expected = _CONVERSIONS[key]
-        try:
-            return convert(options[key])
-        except (KeyError, ValueError):
-            raise ValueError(f"{args.config}: {key} must be {expected}, "
-                             f"not {options[key]!r}") from None
-
-    fmt = args.format or options.get("format", "csv")
-    groups_raw = args.groups if args.groups is not None else options.get("groups")
-    groups = (FEATURE_GROUPS if groups_raw is None
-              else tuple(g.strip() for g in groups_raw.split(",") if g.strip()))
-    timeout = option("timeout", args.timeout, DEFAULT_TIMEOUT)
-    jobs = option("jobs", args.jobs, None)
-    on_error = args.on_error or options.get("on_error", "skip")
-    follow = option("follow_imports", args.follow_imports, False)
-    out = args.out or options.get("out")
-    weights = option("ocoh_weights", None, COHESION_WEIGHTS)
-    inputs = list(args.inputs) or options.get("inputs", "").split()
-    if not inputs:
+    flags = {**vars(args), "inputs": args.inputs or None}  # no INPUT parses as []
+    fields = {}
+    for key, (field, convert, expected) in _OPTIONS.items():
+        value = flags.get(key)
+        if value is None and key in options:
+            try:
+                value = convert(options[key])
+            except (KeyError, ValueError):
+                raise ValueError(f"{args.config}: {key} must be {expected}, "
+                                 f"not {options[key]!r}") from None
+        if value is not None:
+            fields[field] = value
+    if not fields.get("inputs"):
         raise ValueError("no inputs given (positional arguments or config 'inputs')")
-    return RunConfig(inputs=inputs, output_path=out, format=fmt, feature_groups=groups,
-                     per_file_timeout=timeout, parallelism=jobs, on_error=on_error,
-                     follow_imports=follow, cohesion_weights=weights)
+    return RunConfig(**fields)
 
 
 def cmd_extract(args) -> int:
@@ -165,10 +165,8 @@ def cmd_extract(args) -> int:
             for diag in outcome.diagnostics:
                 print(diag, file=sys.stderr)
         elif outcome.imports:
-            print(f"ontoprof: {outcome.path}: warning: "
-                  f"{len(outcome.imports)} import(s) "
-                  + ("resolved locally where possible" if config.follow_imports
-                     else "not resolved"),
+            how = "resolved locally where possible" if config.follow_imports else "not resolved"
+            print(f"ontoprof: {outcome.path}: warning: {len(outcome.imports)} import(s) {how}",
                   file=sys.stderr)
     return 0
 
@@ -195,8 +193,7 @@ def cmd_check(args) -> int:
         for diag in exc.diagnostics:
             print(diag.format(), file=sys.stderr)
         return 2
-    print(f"{origin}: ok: {len(onto.axioms)} axioms "
-          f"({onto.logical_axiom_count} logical)")
+    print(f"{origin}: ok: {len(onto.axioms)} axioms ({onto.logical_axiom_count} logical)")
     return 0
 
 

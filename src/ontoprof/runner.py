@@ -25,7 +25,8 @@ from pathlib import Path
 from .features import FeatureVector, extract_all
 from .model import Ontology, Record
 from .parser import OntologyParseError, decode_source, parse_ontology
-from .schema import COHESION_WEIGHTS, FEATURE_GROUPS, FEATURE_SCHEMA, SCHEMA_VERSION
+from .schema import (COHESION_WEIGHTS, FEATURE_GROUPS, FEATURE_SCHEMA, FORMATS,
+                     ON_ERROR_POLICIES, SCHEMA_VERSION)
 
 DEFAULT_TIMEOUT = 300.0
 _MAX_WAIT = 3600.0  # seconds; poll() takes an int of ms, which ~24.9 days overflows
@@ -53,9 +54,9 @@ class RunConfig(Record):
             raise ValueError("per_file_timeout must be a finite positive number")
         if not all(0 <= w < float("inf") for w in cohesion_weights):
             raise ValueError("cohesion weights must be finite and non-negative")
-        if format not in ("csv", "json"):
+        if format not in FORMATS:
             raise ValueError(f"unknown format: {format}")
-        if on_error not in ("skip", "abort"):
+        if on_error not in ON_ERROR_POLICIES:
             raise ValueError(f"unknown on_error policy: {on_error}")
         unknown = set(feature_groups).difference(FEATURE_GROUPS)
         if unknown:
@@ -168,8 +169,10 @@ def _extract_file(path: str, text: str | None, follow_imports: bool,
     try:
         onto = parse_ontology(text, origin=path)
         del text  # extraction reads only the model; the source can be freed
-        if follow_imports and onto.imports:
-            onto = _resolve_imports(onto, path, warnings)
+        if follow_imports and onto.imports:  # one merged model, built once all are read
+            imported = _imported_axioms(onto, path, warnings, {str(Path(path).resolve())})
+            onto = Ontology(onto.axioms + tuple(imported), onto.iri, onto.version_iri,
+                            onto.imports, onto.annotations)
         vector = extract_all(onto, cohesion_weights=weights)
         return FileOutcome(
             path=path, status="ok", vector=vector,
@@ -182,24 +185,18 @@ def _extract_file(path: str, text: str | None, follow_imports: bool,
                            diagnostics=[d.format() for d in exc.diagnostics])
 
 
-def _resolve_imports(onto, path: str, warnings: list[str], seen: set[str] | None = None):
-    """Merge axioms from imports that are local files (a `file://` IRI or
-    one without a URI scheme); remote imports are left to the report as
-    unresolved. A local file that is missing, unreadable or unparsable is
-    not merged, and a warning naming the import and the reason is appended
-    to `warnings`."""
-    seen = seen or {str(Path(path).resolve())}
-    merged = list(onto.axioms)
+def _imported_axioms(onto, path: str, warnings: list[str], seen: set[str]) -> list:
+    """The axioms of the imports of `onto` that are local files (a `file://`
+    IRI or one without a URI scheme), each file's own before its imports',
+    none of a file in `seen`; remote imports are left to the report as
+    unresolved. A local file that is missing, unreadable or unparsable is not
+    merged, and a warning naming the import and the reason joins `warnings`."""
+    merged = []
     for iri in onto.imports:
-        if iri.startswith("file://"):
-            candidate = iri[len("file://"):]
-        elif _URI_SCHEME.match(iri):
+        candidate = iri.removeprefix("file://")
+        if candidate == iri and _URI_SCHEME.match(iri):
             continue  # remote: never fetched
-        else:
-            candidate = iri
-        target = Path(candidate)
-        if not target.is_absolute():
-            target = Path(path).parent / candidate
+        target = Path(path).parent / candidate  # an absolute candidate stays as it is
         try:
             resolved = str(target.resolve())
             if resolved in seen:
@@ -213,10 +210,9 @@ def _resolve_imports(onto, path: str, warnings: list[str], seen: set[str] | None
             warnings.append(f"{path}: warning: import <{iri}> not merged: "
                             f"{exc.diagnostics[0].format()}")
             continue
-        imported = _resolve_imports(imported, str(target), warnings, seen)
         merged.extend(imported.axioms)
-    return Ontology(axioms=tuple(merged), iri=onto.iri, version_iri=onto.version_iri,
-                    imports=onto.imports, annotations=onto.annotations)
+        merged.extend(_imported_axioms(imported, str(target), warnings, seen))
+    return merged
 
 
 def _serve(conn, follow_imports: bool, weights) -> None:

@@ -12,6 +12,9 @@ from collections import namedtuple
 
 SCHEMA_VERSION = "1"
 
+# A run's matrix formats and on-error policies, for the CLI and RunConfig alike.
+FORMATS, ON_ERROR_POLICIES = ("csv", "json"), ("skip", "abort")
+
 # The frozen enumeration of logical axiom types, in vector-schema order.
 LOGICAL_AXIOM_TYPES: tuple[str, ...] = (
     "SubClassOf", "EquivalentClasses", "DisjointClasses", "DisjointUnion",

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from ontoprof.cli import load_config_file, main
+from ontoprof.runner import CorpusReport, RunConfig
 
 VALID = """Prefix(:=<http://example.org/c#>)
 Ontology(
@@ -301,6 +302,13 @@ def test_any_other_byte_order_mark_is_a_positioned_lexical_error(command, data, 
                 in capsys.readouterr().err)
 
 
+def test_a_config_file_may_start_with_a_byte_order_mark(corpus, tmp_path, capsys):
+    cfg = tmp_path / "bom.conf"
+    cfg.write_bytes(BOM + b"format = json\n")
+    assert main(["extract", "--config", str(cfg), str(corpus)]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 2
+
+
 def test_timeout_flag_reaches_config(tmp_path, capsys):
     slow = tmp_path / "slow.ofn"
     lines = ["Prefix(:=<http://example.org/s#>)", "Ontology("]
@@ -350,6 +358,10 @@ def test_ocoh_weights_must_be_finite_and_non_negative(weights, corpus, tmp_path,
     ("ocoh_weights = 1, 2", "ocoh_weights must be three comma-separated numbers, not '1, 2'"),
     ("ocoh_weights = a, b, c",
      "ocoh_weights must be three comma-separated numbers, not 'a, b, c'"),
+    ("format = xml", "format must be csv or json, not 'xml'"),
+    ("on_error = never", "on_error must be skip or abort, not 'never'"),
+    ("groups = size,bogus", "groups must be a comma-separated subset of "
+                            "size,expressivity,structural,syntactic, not 'size,bogus'"),
 ])
 def test_a_bad_config_value_names_its_key_and_file(line, message, corpus, tmp_path, capsys):
     cfg = tmp_path / "run.conf"
@@ -358,6 +370,23 @@ def test_a_bad_config_value_names_its_key_and_file(line, message, corpus, tmp_pa
     captured = capsys.readouterr()
     assert one_error_line(captured.err) == f"ontoprof: error: {cfg}: {message}"
     assert captured.out == ""
+
+
+def test_a_bad_flag_value_is_reported_by_the_run_config(corpus, capsys):
+    assert main(["extract", "--groups", "size,bogus", str(corpus)]) == 1
+    captured = capsys.readouterr()
+    assert one_error_line(captured.err) == "ontoprof: error: unknown feature groups: ['bogus']"
+    assert captured.out == ""
+
+
+def test_an_option_given_nowhere_takes_the_run_config_default(corpus, tmp_path):
+    out = tmp_path / "m.csv"
+    cfg = tmp_path / "run.conf"
+    cfg.write_text(f"inputs = {corpus}\nout = {out}\n")
+    assert main(["extract", "--config", str(cfg)]) == 0
+    report = json.loads((tmp_path / "m.csv.report.json").read_text())
+    defaults = RunConfig(inputs=[str(corpus)], output_path=str(out))
+    assert report["config"] == CorpusReport([], False, 0.0).as_dict(defaults)["config"]
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

@@ -12,6 +12,7 @@ import pytest
 
 from ontoprof import runner
 from ontoprof.features import FeatureVector, extract_all
+from ontoprof.model import Ontology
 from ontoprof.parser import parse_ontology
 from ontoprof.runner import RunConfig, discover_inputs, emit_matrix, run, write_outputs
 
@@ -288,6 +289,34 @@ def test_follow_imports_warns_about_missing_local_files(tmp_path):
     clean = run(config)
     assert clean.outcomes[0].warnings == []
     assert emit_matrix(clean.vectors()) == emit_matrix(report.vectors())
+
+
+def test_an_import_chain_is_merged_into_one_model(tmp_path, monkeypatch):
+    """Each file of a 20-file chain is walked once when parsed and once in
+    the merged model, and the vector is that of its axioms in import order."""
+    files = [tmp_path / f"{k}.ofn" for k in range(20)]
+    for k, f in enumerate(files):
+        imports = f"Import(<{k + 1}.ofn>)\n" if k + 1 < len(files) else ""
+        f.write_text(f"Prefix(:=<http://example.org/{k}#>)\nOntology(<http://example.org/{k}>\n"
+                     + imports + "".join(f"SubClassOf(:C{j} :C{j + 1})\n" for j in range(50))
+                     + f"SubClassOf(:C0 <http://example.org/{k + 1}#C0>)\n)")
+    parts = [parse_ontology(f.read_text(), origin=str(f)) for f in files]
+    top = parts[0]
+    expected = extract_all(Ontology(tuple(ax for p in parts for ax in p.axioms), top.iri,
+                                    top.version_iri, top.imports, top.annotations))
+    total = sum(len(p.axioms) for p in parts)
+    walked = []
+    init = Ontology.__init__
+
+    def counting(self, axioms, *args, **kwargs):
+        walked.append(len(axioms))
+        init(self, axioms, *args, **kwargs)
+
+    monkeypatch.setattr(Ontology, "__init__", counting)
+    outcome = runner._extract_file(str(files[0]), None, True, (1 / 3, 1 / 3, 1 / 3))
+    assert outcome.status == "ok" and outcome.warnings == []
+    assert sum(walked) <= 2 * total
+    assert outcome.vector.values == expected.values
 
 
 def test_abort_on_missing_input(tmp_path):

@@ -647,15 +647,20 @@ def decode_source(data: bytes) -> str:
     return data.decode("utf-8-sig")
 
 
-def parse_ontology(text: str, origin: str = "<string>") -> Ontology:
-    """Parse one functional-syntax document; raises OntologyParseError."""
+def _parse_fields(text: str, origin: str) -> tuple:
+    """The arguments of `Ontology` for one functional-syntax document, in
+    order: axioms, IRI, version IRI, imports, annotations. Raises
+    OntologyParseError. The parser, with its name memos and token window,
+    is freed on return, before any signature walk."""
     parser = _Parser(text, origin)
     try:
-        fields = parser.parse_document()
+        return parser.parse_document()
     except RecursionError:
         pass  # leave the except block so the deep traceback is freed first
-    else:
-        del parser  # its name memos and token window go before the signature walk
-        return Ontology(*fields)
     parser.fail("nesting is deeper than the parser's recursion limit",
                 kind="limit exceeded")
+
+
+def parse_ontology(text: str, origin: str = "<string>") -> Ontology:
+    """Parse one functional-syntax document; raises OntologyParseError."""
+    return Ontology(*_parse_fields(text, origin))

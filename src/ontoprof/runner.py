@@ -1,11 +1,21 @@
 """Corpus orchestration: walk inputs, extract per file in worker processes,
 emit deterministic feature matrices and a run report.
 
-At most `parallelism` long-lived workers are started, each fed one file at a
-time over a pipe. A file's timeout starts when it is sent; a worker that
-overruns it or dies is terminated alone, and a replacement is started only
-if files are still waiting. Results are reordered by discovery order before
-emission, so parallel and serial runs produce identical bytes.
+At most `parallelism` long-lived workers are started. Each is handed a chunk
+of files in one message over its pipe and answers with one list of
+outcomes, so a run of small files pays one round trip per chunk, not per
+file. A chunk holds ceil(files left / (4 * parallelism)) files, the
+heuristic of `multiprocessing.Pool.map` recomputed from what is left.
+
+Before each file the worker stamps (chunk number, position in the chunk,
+start time) into a word of memory it shares with the parent, so a file's
+timeout starts when the worker starts it; until the chunk is stamped, it
+runs from when the chunk was sent. A worker that overruns a file's timeout
+or dies is terminated alone: the file the word names gets `timeout` or
+`internal_error`, and the rest of its chunk is extracted again by a
+replacement, which is started only if files are still waiting. Results are
+reordered by discovery order before emission, so parallel and serial runs
+produce identical bytes.
 """
 
 from __future__ import annotations
@@ -14,17 +24,19 @@ import csv
 import gc
 import io
 import json
+import mmap
 import multiprocessing
 import multiprocessing.connection
 import os
 import re
+import struct
 import sys
 import time
 from pathlib import Path
 
 from .features import FeatureVector, extract_all
 from .model import Ontology, Record
-from .parser import OntologyParseError, decode_source, parse_ontology
+from .parser import OntologyParseError, _parse_fields, decode_source, parse_ontology
 from .schema import (COHESION_WEIGHTS, FEATURE_GROUPS, FEATURE_SCHEMA, FORMATS,
                      ON_ERROR_POLICIES, SCHEMA_VERSION)
 
@@ -32,6 +44,9 @@ DEFAULT_TIMEOUT = 300.0
 _MAX_WAIT = 3600.0  # seconds; poll() takes an int of ms, which ~24.9 days overflows
 STDIN_ID = "<stdin>"  # the ontology id of input read from `-`
 _URI_SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*:")  # RFC 3986 scheme
+# A worker's progress word: chunk number (from 1), position in the chunk and
+# time.monotonic_ns() when it started the file there.
+_STAMP = struct.Struct("qqq")
 
 
 class RunConfig(Record):
@@ -170,7 +185,8 @@ def _extract_file(path: str, text: str | None, follow_imports: bool,
         onto = parse_ontology(text, origin=path)
         del text  # extraction reads only the model; the source can be freed
         if follow_imports and onto.imports:  # one merged model, built once all are read
-            imported = _imported_axioms(onto, path, warnings, {str(Path(path).resolve())})
+            imported = _imported_axioms(onto.imports, path, warnings,
+                                        {str(Path(path).resolve())})
             onto = Ontology(onto.axioms + tuple(imported), onto.iri, onto.version_iri,
                             onto.imports, onto.annotations)
         vector = extract_all(onto, cohesion_weights=weights)
@@ -185,14 +201,16 @@ def _extract_file(path: str, text: str | None, follow_imports: bool,
                            diagnostics=[d.format() for d in exc.diagnostics])
 
 
-def _imported_axioms(onto, path: str, warnings: list[str], seen: set[str]) -> list:
-    """The axioms of the imports of `onto` that are local files (a `file://`
-    IRI or one without a URI scheme), each file's own before its imports',
-    none of a file in `seen`; remote imports are left to the report as
-    unresolved. A local file that is missing, unreadable or unparsable is not
-    merged, and a warning naming the import and the reason joins `warnings`."""
+def _imported_axioms(imports, path: str, warnings: list[str], seen: set[str]) -> list:
+    """The axioms of the `imports` of the file at `path` that are local files
+    (a `file://` IRI or one without a URI scheme), each file's own before its
+    imports', none of a file in `seen`; remote imports are left to the report
+    as unresolved. An imported file is only parsed: its axioms are walked
+    once, in the merged model. A local file that is missing, unreadable or
+    unparsable is not merged, and a warning naming the import and the reason
+    joins `warnings`."""
     merged = []
-    for iri in onto.imports:
+    for iri in imports:
         candidate = iri.removeprefix("file://")
         if candidate == iri and _URI_SCHEME.match(iri):
             continue  # remote: never fetched
@@ -202,7 +220,8 @@ def _imported_axioms(onto, path: str, warnings: list[str], seen: set[str]) -> li
             if resolved in seen:
                 continue
             seen.add(resolved)
-            imported = parse_ontology(decode_source(target.read_bytes()), origin=str(target))
+            axioms, _, _, nested, _ = _parse_fields(decode_source(target.read_bytes()),
+                                                    str(target))
         except (OSError, UnicodeDecodeError) as exc:
             warnings.append(f"{path}: warning: import <{iri}> not merged: {exc}")
             continue
@@ -210,65 +229,95 @@ def _imported_axioms(onto, path: str, warnings: list[str], seen: set[str]) -> li
             warnings.append(f"{path}: warning: import <{iri}> not merged: "
                             f"{exc.diagnostics[0].format()}")
             continue
-        merged.extend(imported.axioms)
-        merged.extend(_imported_axioms(imported, str(target), warnings, seen))
+        merged.extend(axioms)
+        merged.extend(_imported_axioms(nested, str(target), warnings, seen))
     return merged
 
 
-def _serve(conn, follow_imports: bool, weights) -> None:
-    """Worker loop: answer each (path, text) job with its FileOutcome until
-    the None sentinel arrives.
+def _stamp(progress, number: int, position: int) -> None:
+    """Write (number, position, now) into a worker's progress word. The start
+    time goes in first, so a read between the two writes never pairs the
+    file with an earlier file's start."""
+    stamp = _STAMP.pack(number, position, time.monotonic_ns())
+    progress[16:] = stamp[16:]
+    progress[:16] = stamp[:16]
+
+
+def _serve(conn, progress, follow_imports: bool, weights) -> None:
+    """Worker loop: answer each (chunk number, [(path, text), ...]) message
+    with the list of its FileOutcomes until the None sentinel arrives.
+    Before each file, stamp the chunk number, the file's position in the
+    chunk and the time into the shared word `progress`.
 
     The cyclic garbage collector is off while a file is handled: the parse
     and the extraction build no reference cycles, so its passes over the
     model would find nothing to free (tests/test_runner.py checks that they
     leave none). A cycle one file might leave waits only for the collector's
     next pass after that file."""
-    for path, text in iter(conn.recv, None):
-        gc.disable()
-        try:
-            outcome = _extract_file(path, text, follow_imports, weights)
-        except Exception as exc:  # a bug or resource limit: report it, keep serving
-            outcome = FileOutcome(path=path, status="internal_error",
-                                  diagnostics=[f"{type(exc).__name__}: {exc}"])
-        finally:
-            gc.enable()
-        conn.send(outcome)
+    for number, jobs in iter(conn.recv, None):
+        outcomes = []
+        for position, (path, text) in enumerate(jobs):
+            _stamp(progress, number, position)
+            gc.disable()
+            try:
+                outcome = _extract_file(path, text, follow_imports, weights)
+            except Exception as exc:  # a bug or resource limit: report it, keep serving
+                outcome = FileOutcome(path=path, status="internal_error",
+                                      diagnostics=[f"{type(exc).__name__}: {exc}"])
+            finally:
+                gc.enable()
+            outcomes.append(outcome)
+        conn.send(outcomes)
 
 
 class _Worker:
-    """One long-lived worker process, the parent's end of its pipe and the
-    file it is working on, if any."""
+    """One long-lived worker process, the parent's end of its pipe, the
+    progress word the two share, and the chunk it is working on, if any, as
+    (discovery index, path, text) per file."""
 
     def __init__(self, ctx, config: RunConfig):
         self.conn, child_conn = ctx.Pipe()
+        self.progress = mmap.mmap(-1, _STAMP.size)  # shared with the forked worker
         self.proc = ctx.Process(target=_serve, daemon=True,
-                                args=(child_conn, config.follow_imports,
+                                args=(child_conn, self.progress, config.follow_imports,
                                       config.cohesion_weights))
         self.proc.start()
         child_conn.close()
-        self.job: tuple[int, str] | None = None
-        self.deadline = 0.0
+        self.chunk: list[tuple[int, str, str | None]] | None = None
+        self.number = 0
+        self.sent = 0.0
 
-    def send(self, idx: int, path: str, text: str | None, timeout: float) -> None:
-        self.job = (idx, path)
-        self.deadline = time.monotonic() + timeout
+    def send(self, number: int, chunk: list[tuple[int, str, str | None]]) -> None:
+        self.chunk, self.number, self.sent = chunk, number, time.monotonic()
         try:
-            self.conn.send((path, text))
+            self.conn.send((number, [(path, text) for _, path, text in chunk]))
         except OSError:
-            pass  # the worker is gone; its pipe reads as EOF and recv reports it
+            pass  # the worker is gone; its pipe reads as EOF and receive reports it
 
-    def receive(self) -> FileOutcome:
+    def receive(self) -> list[FileOutcome] | None:
+        """The outcomes of the chunk, or None if the worker died on it."""
         try:
             return self.conn.recv()
         except (EOFError, OSError):  # OSError: reset by a worker that died unread
-            self.stop(kill=True)
-            return FileOutcome(path=self.job[1], status="internal_error",
-                               diagnostics=[f"worker exited with code {self.proc.exitcode}"])
+            return None
+
+    def current(self, timeout: float) -> tuple[int, float]:
+        """The position in the chunk of the file the worker is on, and the
+        monotonic time at which that file's timeout runs out: `timeout` after
+        the worker stamped it, or after the chunk was sent while the chunk
+        is unstamped. The word is read until two reads agree, so a read torn
+        by a stamp being written is not used."""
+        stamp = _STAMP.unpack_from(self.progress)
+        while (again := _STAMP.unpack_from(self.progress)) != stamp:
+            stamp = again
+        number, position, started_ns = stamp
+        if number != self.number:
+            return 0, self.sent + timeout
+        return position, started_ns / 1e9 + timeout
 
     def stop(self, kill: bool) -> None:
         """Send the sentinel to an idle worker, or kill a busy one; then reap
-        it and close the pipe."""
+        it and release its pipe and progress word."""
         if kill:
             self.proc.terminate()
         else:
@@ -278,6 +327,7 @@ class _Worker:
                 pass  # already exited
         self.proc.join()
         self.conn.close()
+        self.progress.close()
 
 
 def run(config: RunConfig) -> CorpusReport:
@@ -291,10 +341,15 @@ def run(config: RunConfig) -> CorpusReport:
         return CorpusReport(outcomes=[outcome], aborted=True,
                             wall_time_s=time.monotonic() - started)
     outcomes: dict[int, FileOutcome] = {}
-    pending = list(enumerate(files))[::-1]
+    # Files still to extract, the next one last, as (discovery index, path,
+    # text or None); `failed` holds the outcomes the parent gave some of them.
+    pending = [(idx, path, None) for idx, path in enumerate(files)][::-1]
+    failed: dict[int, FileOutcome] = {}
     workers: list[_Worker] = []
     aborted = False
-    ctx = multiprocessing.get_context()
+    timeout = config.per_file_timeout
+    number = 0  # of the last chunk sent
+    ctx = multiprocessing.get_context("fork")  # workers inherit the progress word
 
     def record(idx: int, outcome: FileOutcome) -> None:
         nonlocal aborted
@@ -302,50 +357,80 @@ def run(config: RunConfig) -> CorpusReport:
         if outcome.status != "ok" and config.on_error == "abort":
             aborted = True
 
-    try:
-        while not aborted:
-            while pending and not aborted:
-                worker = next((w for w in workers if w.job is None), None)
-                if worker is None and len(workers) >= config.parallelism:
-                    break
-                idx, path = pending.pop()
-                text = None
+    def take_chunk() -> list[tuple[int, str, str | None]]:
+        """The next files for a worker, ceil(left / (4 * parallelism)) at
+        most. A file whose outcome the parent holds (it cannot be read, or
+        its worker failed on it) is recorded if it comes first and ends the
+        chunk otherwise, so outcomes are recorded in discovery order."""
+        size = -(-len(pending) // (4 * config.parallelism))
+        chunk = []
+        while pending and len(chunk) < size and not aborted:
+            idx, path, text = pending[-1]
+            if text is None and idx not in failed:
                 try:
                     if path == STDIN_ID and "-" in config.inputs:
                         text = decode_source(sys.stdin.buffer.read())
                     elif not Path(path).exists():
                         raise FileNotFoundError("input path does not exist")
                 except (OSError, ValueError) as exc:
-                    record(idx, FileOutcome(path=path, status="io_error",
-                                            diagnostics=[str(exc)]))
-                    continue
-                if worker is None:
-                    worker = _Worker(ctx, config)
-                    workers.append(worker)
-                worker.send(idx, path, text, config.per_file_timeout)
-            busy = [w for w in workers if w.job is not None]
+                    failed[idx] = FileOutcome(path=path, status="io_error",
+                                              diagnostics=[str(exc)])
+            if idx in failed and chunk:
+                break
+            pending.pop()
+            if idx in failed:
+                record(idx, failed.pop(idx))
+            else:
+                chunk.append((idx, path, text))
+        return chunk
+
+    try:
+        while not aborted:
+            while pending and not aborted:
+                worker = next((w for w in workers if w.chunk is None), None)
+                if worker is None and len(workers) >= config.parallelism:
+                    break
+                chunk = take_chunk()
+                if chunk:
+                    if worker is None:
+                        worker = _Worker(ctx, config)
+                        workers.append(worker)
+                    number += 1
+                    worker.send(number, chunk)
+            busy = [w for w in workers if w.chunk is not None]
             if aborted or not busy:
                 break
-            wait_for = max(0.0, min(w.deadline for w in busy) - time.monotonic())
+            wait_for = max(0.0, min(w.current(timeout)[1] for w in busy) - time.monotonic())
             ready = multiprocessing.connection.wait([w.conn for w in busy],
                                                     timeout=min(wait_for, _MAX_WAIT))
             for worker in busy:
-                idx, path = worker.job
-                if worker.conn in ready:
-                    outcome = worker.receive()
-                elif time.monotonic() >= worker.deadline:
-                    outcome = FileOutcome(path=path, status="timeout")
-                    worker.stop(kill=True)
-                else:
+                chunk, answered = worker.chunk, worker.conn in ready
+                results = worker.receive() if answered else None
+                if results is not None:
+                    worker.chunk = None
+                    for (idx, _, _), outcome in zip(chunk, results):
+                        record(idx, outcome)
+                        if aborted:
+                            break
                     continue
-                if worker.conn.closed:
-                    workers.remove(worker)
-                worker.job = None
-                record(idx, outcome)
+                position, deadline = worker.current(timeout)
+                if not answered and time.monotonic() < deadline:
+                    continue
+                worker.stop(kill=True)
+                workers.remove(worker)
+                idx, path, _ = chunk[position]
+                failed[idx] = (FileOutcome(path=path, status="internal_error",
+                                           diagnostics=[f"worker exited with code "
+                                                        f"{worker.proc.exitcode}"])
+                               if answered else FileOutcome(path=path, status="timeout"))
+                # The chunk goes back whole: the outcomes of the files before
+                # the failed one died with the worker.
+                pending.extend(chunk)
+                pending.sort(reverse=True)
     finally:
-        # On abort, files still in flight are terminated and get no outcome.
+        # On abort, chunks still in flight are terminated and get no outcome.
         for worker in workers:
-            worker.stop(kill=aborted or worker.job is not None)
+            worker.stop(kill=aborted or worker.chunk is not None)
     ordered = [outcomes[i] for i in sorted(outcomes)]
     return CorpusReport(outcomes=ordered, aborted=aborted,
                         wall_time_s=time.monotonic() - started)

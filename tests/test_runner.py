@@ -1,12 +1,15 @@
 """Corpus runner: discovery, isolation, timeouts, deterministic emission."""
 
 import gc
+import io
 import json
 import multiprocessing
 import os
 import random
 import re
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -292,8 +295,9 @@ def test_follow_imports_warns_about_missing_local_files(tmp_path):
 
 
 def test_an_import_chain_is_merged_into_one_model(tmp_path, monkeypatch):
-    """Each file of a 20-file chain is walked once when parsed and once in
-    the merged model, and the vector is that of its axioms in import order."""
+    """Only the importing file gets a model of its own: every axiom of a
+    20-file chain is walked once in the merged model, the importer's once
+    more, and the vector is that of the axioms in import order."""
     files = [tmp_path / f"{k}.ofn" for k in range(20)]
     for k, f in enumerate(files):
         imports = f"Import(<{k + 1}.ofn>)\n" if k + 1 < len(files) else ""
@@ -315,8 +319,44 @@ def test_an_import_chain_is_merged_into_one_model(tmp_path, monkeypatch):
     monkeypatch.setattr(Ontology, "__init__", counting)
     outcome = runner._extract_file(str(files[0]), None, True, (1 / 3, 1 / 3, 1 / 3))
     assert outcome.status == "ok" and outcome.warnings == []
-    assert sum(walked) <= 2 * total
+    assert sum(walked) == len(parts[0].axioms) + total
     assert outcome.vector.values == expected.values
+
+
+def test_shared_local_imports_give_the_same_bytes_at_any_jobs_level(tmp_path):
+    """Files that import each other (cycles, a shared base, a missing and a
+    remote import) give byte-identical matrices and reports at --jobs 1 and
+    2, whether imports are followed or not."""
+    from gen import random_ontology
+    from ontoprof.serializer import serialize
+
+    rng = random.Random(20261019)
+    corpus = tmp_path / "corpus"
+    (corpus / "lib").mkdir(parents=True)
+    names = [f"f{i:02d}.ofn" for i in range(16)] + [f"lib/l{i}.ofn" for i in range(4)]
+    for name in names:
+        imports = [f"lib/l{i}.ofn" for i in range(4) if rng.random() < 0.4]
+        imports += rng.sample([n for n in names if n.startswith("f")], 2)
+        imports += ["missing.ofn", "http://example.org/remote.ofn"][:rng.randrange(3)]
+        onto = random_ontology(rng)
+        if name.startswith("lib/"):  # relative to the importing file
+            imports = [i.removeprefix("lib/") if i.startswith("lib/") else f"../{i}"
+                       for i in imports]
+        text = serialize(Ontology(onto.axioms, onto.iri, imports=tuple(imports)))
+        (corpus / name).write_text(text, encoding="utf-8")
+    matrices = {}
+    for follow in (False, True):
+        for jobs in (1, 2):
+            config = RunConfig(inputs=[str(corpus)], parallelism=jobs, per_file_timeout=60,
+                               follow_imports=follow)
+            report = run(config)
+            assert report.totals["ok"] == len(names)
+            outcomes = report.as_dict(config)["outcomes"]
+            matrices[follow, jobs] = (emit_matrix(report.vectors(), "csv"),
+                                      emit_matrix(report.vectors(), "json"), outcomes)
+        assert matrices[follow, 1] == matrices[follow, 2]
+    assert matrices[True, 1][0] != matrices[False, 1][0]  # the imports were merged
+    assert any(o["warnings"] for o in matrices[True, 1][2])
 
 
 def test_abort_on_missing_input(tmp_path):
@@ -383,6 +423,82 @@ def test_timeout_replaces_only_the_stuck_worker(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def _spy_chunks(monkeypatch):
+    """The stems of the files of each chunk the parent sends, in order."""
+    chunks = []
+    send = runner._Worker.send
+
+    def spy(worker, number, chunk):
+        chunks.append([Path(path).stem for _, path, _ in chunk])
+        send(worker, number, chunk)
+
+    monkeypatch.setattr(runner._Worker, "send", spy)
+    return chunks
+
+
+FILLERS = tuple("efghijklmnop")  # 16 files in all make a first chunk of 4 at --jobs 1
+
+
+def test_a_files_timeout_starts_when_the_worker_starts_it(tmp_path, monkeypatch):
+    corpus = make_corpus(tmp_path, names=("a_slow", "b_slow", "c_slow", "d_slow") + FILLERS)
+    _patch_extractor(monkeypatch, "_slow.ofn", lambda: time.sleep(0.6))
+    chunks = _spy_chunks(monkeypatch)
+    report = run(RunConfig(inputs=[str(corpus)], parallelism=1, per_file_timeout=1.0))
+    assert chunks[0] == ["a_slow", "b_slow", "c_slow", "d_slow"]  # 2.4 s from its send
+    assert report.totals["ok"] == 16
+
+
+def test_a_stuck_file_inside_a_chunk_times_out_alone(tmp_path, monkeypatch):
+    corpus = make_corpus(tmp_path, names=("a", "b_stuck", "c", "d") + FILLERS)
+    _patch_extractor(monkeypatch, "b_stuck.ofn", lambda: time.sleep(60))
+    chunks = _spy_chunks(monkeypatch)
+    report = run(RunConfig(inputs=[str(corpus)], parallelism=1, per_file_timeout=1.0))
+    assert chunks[0] == ["a", "b_stuck", "c", "d"]
+    assert [o.status for o in report.outcomes] == ["ok", "timeout"] + ["ok"] * 14
+    assert multiprocessing.active_children() == []
+
+
+def test_abort_inside_a_chunk_keeps_the_outcomes_before_the_failure(tmp_path, monkeypatch):
+    """The files before a stuck one are extracted again after the kill, so
+    an aborted --jobs 1 run records them, as it would file by file."""
+    corpus = make_corpus(tmp_path, names=("a", "b", "c_stuck", "d") + FILLERS)
+    _patch_extractor(monkeypatch, "c_stuck.ofn", lambda: time.sleep(60))
+    chunks = _spy_chunks(monkeypatch)
+    report = run(RunConfig(inputs=[str(corpus)], parallelism=1, per_file_timeout=1.0,
+                           on_error="abort"))
+    assert chunks == [["a", "b", "c_stuck", "d"], ["a", "b"]]
+    assert report.aborted
+    assert [o.status for o in report.outcomes] == ["ok", "ok", "timeout"]
+    assert multiprocessing.active_children() == []
+
+
+def test_input_from_stdin_is_kept_when_its_chunk_goes_back(tmp_path, monkeypatch):
+    make_corpus(tmp_path, names=("b_stuck",) + FILLERS + ("q", "r"))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(VALID.encode())))
+    _patch_extractor(monkeypatch, "b_stuck.ofn", lambda: time.sleep(60))
+    chunks = _spy_chunks(monkeypatch)
+    report = run(RunConfig(inputs=["-", "corpus"], parallelism=1, per_file_timeout=1.0))
+    assert chunks[:2] == [["<stdin>", "b_stuck", "e", "f"], ["<stdin>"]]
+    assert [o.status for o in report.outcomes] == ["ok", "timeout"] + ["ok"] * 14
+    assert report.vectors()[0] == ("<stdin>", report.vectors()[1][1])
+
+
+def test_a_corpus_of_small_files_takes_few_round_trips(tmp_path, monkeypatch):
+    corpus = make_corpus(tmp_path, names=tuple(f"o{i:02d}" for i in range(40)))
+    calls = []  # the forked worker appends to its own copy
+    recv = multiprocessing.connection.Connection.recv
+
+    def counting(conn):
+        calls.append(1)
+        return recv(conn)
+
+    monkeypatch.setattr(multiprocessing.connection.Connection, "recv", counting)
+    report = run(RunConfig(inputs=[str(corpus)], parallelism=1, per_file_timeout=60))
+    assert report.totals["ok"] == 40
+    assert len(calls) < 20
+
+
 def test_worker_death_is_internal_error(tmp_path, monkeypatch):
     corpus = make_corpus(tmp_path, names=("a", "b", "c", "d"))
     _patch_extractor(monkeypatch, "b.ofn", lambda: os._exit(3))
@@ -439,18 +555,18 @@ def test_extraction_leaves_no_cyclic_garbage():
 
 
 class _WorkerEnd:
-    """The worker's end of its pipe: jobs in, and each outcome out with
-    whether the collector was on when it was sent."""
+    """The worker's end of its pipe: chunks in, and each outcome out with
+    whether the collector was on when its chunk's list was sent."""
 
-    def __init__(self, jobs):
-        self.jobs = iter([*jobs, None])
+    def __init__(self, chunks):
+        self.chunks = iter([*chunks, None])
         self.sent = []
 
     def recv(self):
-        return next(self.jobs)
+        return next(self.chunks)
 
-    def send(self, outcome):
-        self.sent.append((outcome.path, outcome.status, gc.isenabled()))
+    def send(self, outcomes):
+        self.sent += [(o.path, o.status, gc.isenabled()) for o in outcomes]
 
 
 def test_worker_turns_the_collector_back_on_after_each_file(monkeypatch):
@@ -461,13 +577,17 @@ def test_worker_turns_the_collector_back_on_after_each_file(monkeypatch):
             raise RuntimeError("extractor bug")
         return runner.FileOutcome(path=path, status="parse_error")
 
+    stamps = []  # with whether the collector was on before each file
     monkeypatch.setattr(runner, "_extract_file", extract)
-    end = _WorkerEnd([("bug.ofn", ""), ("bad.ofn", "")])
+    monkeypatch.setattr(runner, "_stamp", lambda word, number, position:
+                        stamps.append((number, position, gc.isenabled())))
+    end = _WorkerEnd([(7, [("bug.ofn", ""), ("bad.ofn", "")])])
     try:
-        runner._serve(end, False, (1 / 3, 1 / 3, 1 / 3))
+        runner._serve(end, None, False, (1 / 3, 1 / 3, 1 / 3))
     finally:
         enabled = gc.isenabled()
         gc.enable()
+    assert stamps == [(7, 0, True), (7, 1, True)]
     assert end.sent == [("bug.ofn", "internal_error", True), ("bad.ofn", "parse_error", True)]
     assert enabled
 

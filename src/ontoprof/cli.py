@@ -14,8 +14,8 @@ from pathlib import Path
 
 from .schema import FEATURE_GROUPS, FORMATS, ON_ERROR_POLICIES, schema_as_dict
 
-# `schema` and `check` never need the runner, which pulls in multiprocessing
-# and the feature layers, so `run` and `write_outputs` resolve on first use
+# `schema` and `check` never need the runner, which pulls in the feature
+# layers, so `run` and `write_outputs` resolve on first use
 # (PEP 562). They stay module globals once read, and `cmd_extract` reads them
 # through the module, so a caller that replaces `cli.run` or
 # `cli.write_outputs` is still obeyed.

@@ -1,17 +1,21 @@
 """Corpus orchestration: walk inputs, extract per file in worker processes,
 emit deterministic feature matrices and a run report.
 
-At most `parallelism` long-lived workers are started. Each is handed a chunk
-of files in one message over its pipe and answers with one list of
-outcomes, so a run of small files pays one round trip per chunk, not per
-file. A chunk holds ceil(files left / (4 * parallelism)) files, the
-heuristic of `multiprocessing.Pool.map` recomputed from what is left.
+At most `parallelism` long-lived workers are forked. Each gets two pipes:
+the parent writes chunks of files down one and reads the answers from the
+other. A message is the length and bytes of one `marshal` dump of plain
+data: (chunk number, [(path, text or None), ...]) or the None sentinel
+down, and one list of outcome entries (see `_entry`) back, so a run of
+small files pays one round trip per chunk, not per file. Both ends are
+this program, so `marshal` is safe. A chunk holds ceil(files left /
+(4 * parallelism)) files, the heuristic of `multiprocessing.Pool.map`
+recomputed from what is left.
 
 Before each file the worker stamps (chunk number, position in the chunk,
 start time) into a word of memory it shares with the parent, so a file's
 timeout starts when the worker starts it; until the chunk is stamped, it
 runs from when the chunk was sent. A worker that overruns a file's timeout
-or dies is terminated alone: the file the word names gets `timeout` or
+or dies is killed alone: the file the word names gets `timeout` or
 `internal_error`, and the rest of its chunk is extracted again by a
 replacement, which is started only if files are still waiting. Results are
 reordered by discovery order before emission, so parallel and serial runs
@@ -24,11 +28,13 @@ import csv
 import gc
 import io
 import json
+import marshal
+import math
 import mmap
-import multiprocessing
-import multiprocessing.connection
 import os
 import re
+import select
+import signal
 import struct
 import sys
 import time
@@ -37,7 +43,7 @@ from pathlib import Path
 from .features import FeatureVector, extract_all
 from .model import Ontology, Record
 from .parser import OntologyParseError, _parse_fields, decode_source, parse_ontology
-from .schema import (COHESION_WEIGHTS, FEATURE_GROUPS, FEATURE_SCHEMA, FORMATS,
+from .schema import (COHESION_WEIGHTS, FEATURE_GROUPS, FEATURE_IDS, FEATURE_SCHEMA, FORMATS,
                      ON_ERROR_POLICIES, SCHEMA_VERSION)
 
 DEFAULT_TIMEOUT = 300.0
@@ -47,6 +53,7 @@ _URI_SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*:")  # RFC 3986 scheme
 # A worker's progress word: chunk number (from 1), position in the chunk and
 # time.monotonic_ns() when it started the file there.
 _STAMP = struct.Struct("qqq")
+_LENGTH = struct.Struct("Q")  # the byte length of a message on a worker's pipe
 
 
 class RunConfig(Record):
@@ -243,19 +250,57 @@ def _stamp(progress, number: int, position: int) -> None:
     progress[:16] = stamp[:16]
 
 
-def _serve(conn, progress, follow_imports: bool, weights) -> None:
+def _send(writer, message) -> None:
+    """Write `message` to a pipe as its marshalled length and bytes."""
+    data = marshal.dumps(message)
+    writer.write(_LENGTH.pack(len(data)))
+    writer.write(data)
+    writer.flush()
+
+
+def _read(reader):
+    """The next message `_send` wrote to the pipe; EOFError if it ends first."""
+    head = reader.read(_LENGTH.size)
+    if len(head) == _LENGTH.size:
+        (size,) = _LENGTH.unpack(head)
+        data = reader.read(size)
+        if len(data) == size:
+            return marshal.loads(data)
+    raise EOFError("the pipe ended before a whole message")
+
+
+def _entry(outcome: FileOutcome) -> tuple:
+    """`outcome` as plain data for the pipe, without its path: (status,
+    feature values in FEATURE_IDS order or None, diagnostics, imports,
+    anonymous individuals, warnings)."""
+    values = None if outcome.vector is None else [outcome.vector.values[f] for f in FEATURE_IDS]
+    return (outcome.status, values, outcome.diagnostics, outcome.imports,
+            outcome.anonymous_individuals, outcome.warnings)
+
+
+def _outcome(path: str, entry: tuple) -> FileOutcome:
+    """The FileOutcome of `path` that `_entry` turned into `entry`."""
+    status, values, diagnostics, imports, anonymous, warnings = entry
+    vector = None if values is None else FeatureVector(SCHEMA_VERSION,
+                                                       dict(zip(FEATURE_IDS, values)))
+    return FileOutcome(path, status, vector, diagnostics, imports, anonymous, warnings)
+
+
+def _serve(reader, writer, progress, follow_imports: bool, weights) -> None:
     """Worker loop: answer each (chunk number, [(path, text), ...]) message
-    with the list of its FileOutcomes until the None sentinel arrives.
-    Before each file, stamp the chunk number, the file's position in the
-    chunk and the time into the shared word `progress`.
+    read from `reader` with the list of its outcomes' `_entry`s, written to
+    `writer`, until the None sentinel arrives. Before each file, stamp the
+    chunk number, the file's position in the chunk and the time into the
+    shared word `progress`.
 
     The cyclic garbage collector is off while a file is handled: the parse
     and the extraction build no reference cycles, so its passes over the
     model would find nothing to free (tests/test_runner.py checks that they
     leave none). A cycle one file might leave waits only for the collector's
     next pass after that file."""
-    for number, jobs in iter(conn.recv, None):
-        outcomes = []
+    while (message := _read(reader)) is not None:
+        number, jobs = message
+        entries = []
         for position, (path, text) in enumerate(jobs):
             _stamp(progress, number, position)
             gc.disable()
@@ -266,39 +311,82 @@ def _serve(conn, progress, follow_imports: bool, weights) -> None:
                                       diagnostics=[f"{type(exc).__name__}: {exc}"])
             finally:
                 gc.enable()
-            outcomes.append(outcome)
-        conn.send(outcomes)
+            entries.append(_entry(outcome))
+        _send(writer, entries)
+
+
+def _flush_std_streams() -> None:
+    """Flush what the process has buffered for stdout and stderr, so a
+    forked worker that writes to them cannot repeat it."""
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, ValueError):  # None, or closed
+            pass
+
+
+def _detach_stdin() -> None:
+    """Point a worker's standard input, descriptor and `sys.stdin`, at
+    /dev/null, so it can never read what the parent has yet to read."""
+    devnull = os.open(os.devnull, os.O_RDONLY)
+    os.dup2(devnull, 0)
+    os.close(devnull)
+    sys.stdin = open(0, encoding="utf-8", closefd=False)
 
 
 class _Worker:
-    """One long-lived worker process, the parent's end of its pipe, the
+    """One long-lived worker process, the parent's ends of its two pipes, the
     progress word the two share, and the chunk it is working on, if any, as
     (discovery index, path, text) per file."""
 
-    def __init__(self, ctx, config: RunConfig):
-        self.conn, child_conn = ctx.Pipe()
+    def __init__(self, config: RunConfig):
+        from_parent, to_worker = os.pipe()
+        from_worker, to_parent = os.pipe()
         self.progress = mmap.mmap(-1, _STAMP.size)  # shared with the forked worker
-        self.proc = ctx.Process(target=_serve, daemon=True,
-                                args=(child_conn, self.progress, config.follow_imports,
-                                      config.cohesion_weights))
-        self.proc.start()
-        child_conn.close()
+        _flush_std_streams()
+        try:
+            self.pid = os.fork()
+        except OSError:  # e.g. out of processes: release what was opened for it
+            for fd in (from_parent, to_worker, from_worker, to_parent):
+                os.close(fd)
+            self.progress.close()
+            raise
+        if self.pid == 0:
+            # The worker leaves only here, never by unwinding into the
+            # parent's frames or its exit handlers.
+            code = 1
+            try:
+                os.close(to_worker)
+                os.close(from_worker)
+                _detach_stdin()
+                _serve(open(from_parent, "rb"), open(to_parent, "wb"), self.progress,
+                       config.follow_imports, config.cohesion_weights)
+                code = 0
+            except EOFError:  # the parent is gone
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(from_parent)
+        os.close(to_parent)
+        self.writer, self.reader = open(to_worker, "wb"), open(from_worker, "rb")
         self.chunk: list[tuple[int, str, str | None]] | None = None
         self.number = 0
         self.sent = 0.0
+        self.exitcode: int | None = None
 
     def send(self, number: int, chunk: list[tuple[int, str, str | None]]) -> None:
         self.chunk, self.number, self.sent = chunk, number, time.monotonic()
         try:
-            self.conn.send((number, [(path, text) for _, path, text in chunk]))
-        except OSError:
+            _send(self.writer, (number, [(path, text) for _, path, text in chunk]))
+        except BrokenPipeError:
             pass  # the worker is gone; its pipe reads as EOF and receive reports it
 
-    def receive(self) -> list[FileOutcome] | None:
-        """The outcomes of the chunk, or None if the worker died on it."""
+    def receive(self) -> list[tuple] | None:
+        """The entries of the chunk's outcomes, or None if the worker died on
+        it (its answer ends early or cannot be read)."""
         try:
-            return self.conn.recv()
-        except (EOFError, OSError):  # OSError: reset by a worker that died unread
+            return _read(self.reader)
+        except (EOFError, ValueError):
             return None
 
     def current(self, timeout: float) -> tuple[int, float]:
@@ -317,16 +405,20 @@ class _Worker:
 
     def stop(self, kill: bool) -> None:
         """Send the sentinel to an idle worker, or kill a busy one; then reap
-        it and release its pipe and progress word."""
+        it, keep its exit code and release its pipes and progress word."""
         if kill:
-            self.proc.terminate()
+            os.kill(self.pid, signal.SIGKILL)
         else:
             try:
-                self.conn.send(None)
-            except OSError:
+                _send(self.writer, None)
+            except BrokenPipeError:
                 pass  # already exited
-        self.proc.join()
-        self.conn.close()
+        self.exitcode = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self.reader.close()
+        try:
+            self.writer.close()
+        except BrokenPipeError:  # what the worker never read; the pipe is closed anyway
+            pass
         self.progress.close()
 
 
@@ -349,7 +441,6 @@ def run(config: RunConfig) -> CorpusReport:
     aborted = False
     timeout = config.per_file_timeout
     number = 0  # of the last chunk sent
-    ctx = multiprocessing.get_context("fork")  # workers inherit the progress word
 
     def record(idx: int, outcome: FileOutcome) -> None:
         nonlocal aborted
@@ -393,7 +484,7 @@ def run(config: RunConfig) -> CorpusReport:
                 chunk = take_chunk()
                 if chunk:
                     if worker is None:
-                        worker = _Worker(ctx, config)
+                        worker = _Worker(config)
                         workers.append(worker)
                     number += 1
                     worker.send(number, chunk)
@@ -401,15 +492,18 @@ def run(config: RunConfig) -> CorpusReport:
             if aborted or not busy:
                 break
             wait_for = max(0.0, min(w.current(timeout)[1] for w in busy) - time.monotonic())
-            ready = multiprocessing.connection.wait([w.conn for w in busy],
-                                                    timeout=min(wait_for, _MAX_WAIT))
+            poller = select.poll()
             for worker in busy:
-                chunk, answered = worker.chunk, worker.conn in ready
-                results = worker.receive() if answered else None
-                if results is not None:
+                poller.register(worker.reader, select.POLLIN)
+            # Whole ms, rounded up, so the wait never ends just short of a deadline.
+            ready = {fd for fd, _ in poller.poll(math.ceil(min(wait_for, _MAX_WAIT) * 1000))}
+            for worker in busy:
+                chunk, answered = worker.chunk, worker.reader.fileno() in ready
+                entries = worker.receive() if answered else None
+                if entries is not None:
                     worker.chunk = None
-                    for (idx, _, _), outcome in zip(chunk, results):
-                        record(idx, outcome)
+                    for (idx, path, _), entry in zip(chunk, entries):
+                        record(idx, _outcome(path, entry))
                         if aborted:
                             break
                     continue
@@ -421,7 +515,7 @@ def run(config: RunConfig) -> CorpusReport:
                 idx, path, _ = chunk[position]
                 failed[idx] = (FileOutcome(path=path, status="internal_error",
                                            diagnostics=[f"worker exited with code "
-                                                        f"{worker.proc.exitcode}"])
+                                                        f"{worker.exitcode}"])
                                if answered else FileOutcome(path=path, status="timeout"))
                 # The chunk goes back whole: the outcomes of the files before
                 # the failed one died with the worker.

@@ -106,8 +106,9 @@ def test_schema_command(capsys):
     assert out == (FIXTURES / "feature_schema.json").read_text(encoding="utf-8")
 
 
-def modules_loaded_by(argv: list[str], names: tuple[str, ...]) -> list[str]:
-    """Those of `names` that a fresh interpreter has loaded after `main(argv)`."""
+def modules_loaded_by(argv: list[str], names: tuple[str, ...], *flags: str) -> list[str]:
+    """Those of `names` that a fresh interpreter, started with `flags`, has
+    loaded after `main(argv)`."""
     probe = ("import io, sys\n"
              "from ontoprof.cli import main\n"
              "sys.stdout = io.StringIO()\n"
@@ -115,7 +116,7 @@ def modules_loaded_by(argv: list[str], names: tuple[str, ...]) -> list[str]:
              f"print(*[name for name in {names!r} if name in sys.modules], file=sys.stderr)\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, *flags, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     return done.stderr.split()
@@ -123,7 +124,7 @@ def modules_loaded_by(argv: list[str], names: tuple[str, ...]) -> list[str]:
 
 # What only `extract` needs: the feature layers and the runner.
 EXTRACT_ONLY = ("ontoprof.features", "ontoprof.expressivity", "ontoprof.hierarchy",
-                  "multiprocessing", "ontoprof.runner")
+                "ontoprof.runner")
 
 
 def test_schema_loads_neither_the_runner_nor_the_parser():
@@ -134,6 +135,14 @@ def test_schema_loads_neither_the_runner_nor_the_parser():
 def test_check_loads_no_feature_layer_and_no_runner():
     golden = str(FIXTURES / "golden" / "family_kb.ofn")
     assert modules_loaded_by(["check", golden], EXTRACT_ONLY) == []
+
+
+def test_extract_loads_no_process_pool_or_pickle():
+    """Workers are forked and fed over plain pipes; run without `site`,
+    which may load some of these on its own."""
+    golden = str(FIXTURES / "golden" / "family_kb.ofn")
+    assert modules_loaded_by(["extract", golden], ("multiprocessing", "pickle", "socket",
+                                                   "subprocess", "selectors"), "-S") == []
 
 
 def test_start_up_loads_no_dataclasses_configparser_or_resources():

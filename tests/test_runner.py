@@ -1,12 +1,15 @@
 """Corpus runner: discovery, isolation, timeouts, deterministic emission."""
 
+import errno
 import gc
 import io
 import json
-import multiprocessing
+import math
 import os
 import random
 import re
+import select
+import signal
 import sys
 import time
 from pathlib import Path
@@ -16,7 +19,7 @@ import pytest
 from ontoprof import runner
 from ontoprof.features import FeatureVector, extract_all
 from ontoprof.model import Ontology
-from ontoprof.parser import parse_ontology
+from ontoprof.parser import decode_source, parse_ontology
 from ontoprof.runner import RunConfig, discover_inputs, emit_matrix, run, write_outputs
 
 from golden_data import GOLDEN_DIR
@@ -29,6 +32,15 @@ SubClassOf(:B :C)
 """
 
 MALFORMED = "Ontology(SubClassOf(:A))\n"
+
+
+def no_child_left() -> bool:
+    """Whether this process has no child process, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 def make_corpus(tmp_path, names=("a", "b", "c")):
@@ -401,17 +413,17 @@ def _patch_extractor(monkeypatch, name, action):
 def test_workers_are_reused(tmp_path, monkeypatch):
     corpus = make_corpus(tmp_path, names=tuple(f"o{i:02d}" for i in range(20)))
     started = []
-    start = multiprocessing.process.BaseProcess.start
+    init = runner._Worker.__init__
 
-    def spy(proc):
-        started.append(proc)
-        start(proc)
+    def spy(worker, *args):
+        started.append(worker)
+        init(worker, *args)
 
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", spy)
+    monkeypatch.setattr(runner._Worker, "__init__", spy)
     report = run(RunConfig(inputs=[str(corpus)], parallelism=2, per_file_timeout=60))
     assert report.totals["ok"] == 20
     assert 1 <= len(started) <= 2
-    assert multiprocessing.active_children() == []
+    assert no_child_left()
 
 
 def test_timeout_replaces_only_the_stuck_worker(tmp_path, monkeypatch):
@@ -420,7 +432,7 @@ def test_timeout_replaces_only_the_stuck_worker(tmp_path, monkeypatch):
     report = run(RunConfig(inputs=[str(corpus)], parallelism=1, per_file_timeout=1.0))
     statuses = [o.status for o in report.outcomes]
     assert statuses == ["timeout", "ok", "ok", "ok"]
-    assert multiprocessing.active_children() == []
+    assert no_child_left()
 
 
 def _spy_chunks(monkeypatch):
@@ -455,7 +467,7 @@ def test_a_stuck_file_inside_a_chunk_times_out_alone(tmp_path, monkeypatch):
     report = run(RunConfig(inputs=[str(corpus)], parallelism=1, per_file_timeout=1.0))
     assert chunks[0] == ["a", "b_stuck", "c", "d"]
     assert [o.status for o in report.outcomes] == ["ok", "timeout"] + ["ok"] * 14
-    assert multiprocessing.active_children() == []
+    assert no_child_left()
 
 
 def test_abort_inside_a_chunk_keeps_the_outcomes_before_the_failure(tmp_path, monkeypatch):
@@ -469,7 +481,7 @@ def test_abort_inside_a_chunk_keeps_the_outcomes_before_the_failure(tmp_path, mo
     assert chunks == [["a", "b", "c_stuck", "d"], ["a", "b"]]
     assert report.aborted
     assert [o.status for o in report.outcomes] == ["ok", "ok", "timeout"]
-    assert multiprocessing.active_children() == []
+    assert no_child_left()
 
 
 def test_input_from_stdin_is_kept_when_its_chunk_goes_back(tmp_path, monkeypatch):
@@ -486,14 +498,14 @@ def test_input_from_stdin_is_kept_when_its_chunk_goes_back(tmp_path, monkeypatch
 
 def test_a_corpus_of_small_files_takes_few_round_trips(tmp_path, monkeypatch):
     corpus = make_corpus(tmp_path, names=tuple(f"o{i:02d}" for i in range(40)))
-    calls = []  # the forked worker appends to its own copy
-    recv = multiprocessing.connection.Connection.recv
+    calls = []
+    receive = runner._Worker.receive
 
-    def counting(conn):
+    def counting(worker):
         calls.append(1)
-        return recv(conn)
+        return receive(worker)
 
-    monkeypatch.setattr(multiprocessing.connection.Connection, "recv", counting)
+    monkeypatch.setattr(runner._Worker, "receive", counting)
     report = run(RunConfig(inputs=[str(corpus)], parallelism=1, per_file_timeout=60))
     assert report.totals["ok"] == 40
     assert len(calls) < 20
@@ -508,7 +520,7 @@ def test_worker_death_is_internal_error(tmp_path, monkeypatch):
                         "c.ofn": "ok", "d.ofn": "ok"}
     died = report.outcomes[1]
     assert died.diagnostics == ["worker exited with code 3"]
-    assert multiprocessing.active_children() == []
+    assert no_child_left()
 
 
 def test_worker_exception_is_internal_error(tmp_path, monkeypatch):
@@ -555,18 +567,27 @@ def test_extraction_leaves_no_cyclic_garbage():
 
 
 class _WorkerEnd:
-    """The worker's end of its pipe: chunks in, and each outcome out with
-    whether the collector was on when its chunk's list was sent."""
+    """The worker's ends of its pipes: `reader` holds the chunks and the
+    sentinel, and each write to this end is kept with whether the collector
+    was on when it was made."""
 
     def __init__(self, chunks):
-        self.chunks = iter([*chunks, None])
-        self.sent = []
+        self.reader = io.BytesIO()
+        for message in [*chunks, None]:
+            runner._send(self.reader, message)
+        self.reader.seek(0)
+        self.writes = []
 
-    def recv(self):
-        return next(self.chunks)
+    def write(self, data):
+        self.writes.append((bytes(data), gc.isenabled()))
 
-    def send(self, outcomes):
-        self.sent += [(o.path, o.status, gc.isenabled()) for o in outcomes]
+    def flush(self):
+        pass
+
+    def answers(self):
+        """The messages written, each a list of outcome entries."""
+        written = io.BytesIO(b"".join(data for data, _ in self.writes))
+        return [runner._read(written) for _ in range(len(self.writes) // 2)]
 
 
 def test_worker_turns_the_collector_back_on_after_each_file(monkeypatch):
@@ -583,12 +604,16 @@ def test_worker_turns_the_collector_back_on_after_each_file(monkeypatch):
                         stamps.append((number, position, gc.isenabled())))
     end = _WorkerEnd([(7, [("bug.ofn", ""), ("bad.ofn", "")])])
     try:
-        runner._serve(end, None, False, (1 / 3, 1 / 3, 1 / 3))
+        runner._serve(end.reader, end, None, False, (1 / 3, 1 / 3, 1 / 3))
     finally:
         enabled = gc.isenabled()
         gc.enable()
     assert stamps == [(7, 0, True), (7, 1, True)]
-    assert end.sent == [("bug.ofn", "internal_error", True), ("bad.ofn", "parse_error", True)]
+    (answer,) = end.answers()
+    assert [entry[:3] for entry in answer] == [("internal_error", None,
+                                                ["RuntimeError: extractor bug"]),
+                                               ("parse_error", None, [])]
+    assert [on for _, on in end.writes] == [True, True]  # the length, then the entries
     assert enabled
 
 
@@ -632,7 +657,7 @@ def test_abort_leaves_no_worker_behind(tmp_path, monkeypatch):
                            per_file_timeout=60, on_error="abort"))
     assert report.aborted
     assert [o.status for o in report.outcomes] == ["parse_error"]
-    assert multiprocessing.active_children() == []
+    assert no_child_left()
 
 
 def _mutants(count, seed):
@@ -670,3 +695,205 @@ def test_mutation_fuzz_yields_rows_or_positioned_diagnostics(tmp_path):
         if outcome.status == "parse_error":
             assert outcome.diagnostics, outcome.path
             assert all(positioned.search(d) for d in outcome.diagnostics), outcome.diagnostics
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+@pytest.mark.parametrize("ending", ["ok", "timeout", "dead_worker", "abort", "fork_fails"])
+def test_no_descriptor_or_child_is_left_behind(tmp_path, monkeypatch, ending):
+    """Raw pipes raise no ResourceWarning when they leak, so count them."""
+    corpus = make_corpus(tmp_path, names=("a", "b", "c", "d"))
+    if ending == "abort":
+        (corpus / "0bad.ofn").write_text(MALFORMED)
+    if ending in ("timeout", "dead_worker", "abort"):
+        _patch_extractor(monkeypatch, "a.ofn", {"timeout": lambda: time.sleep(60),
+                                                "dead_worker": lambda: os._exit(3),
+                                                "abort": lambda: time.sleep(60)}[ending])
+    if ending == "fork_fails":
+        def fork():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+    before = sorted(os.listdir("/proc/self/fd"))
+    config = RunConfig(inputs=[str(corpus)], parallelism=2, per_file_timeout=1.0,
+                       on_error="abort" if ending == "abort" else "skip")
+    if ending == "fork_fails":
+        with pytest.raises(BlockingIOError):
+            run(config)
+    else:
+        report = run(config)
+        assert [o.status for o in report.outcomes] == {
+            "ok": ["ok"] * 4, "timeout": ["timeout", "ok", "ok", "ok"],
+            "dead_worker": ["internal_error", "ok", "ok", "ok"], "abort": ["parse_error"]}[ending]
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert no_child_left()
+
+
+def _same_value(a, b) -> bool:
+    """Equal with the same type; NaN matches NaN, and -0.0 does not match 0.0."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return (a == b or a != a and b != b) and math.copysign(1, a) == math.copysign(1, b)
+    return a == b
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_feature_values_keep_their_type_through_the_pipe(tmp_path, jobs):
+    from gen import random_ontology
+    from ontoprof.serializer import serialize
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for fixture in sorted(GOLDEN_DIR.glob("*.ofn")):
+        (corpus / f"golden_{fixture.name}").write_bytes(fixture.read_bytes())
+    for seed in range(50):
+        (corpus / f"random_{seed:02d}.ofn").write_text(
+            serialize(random_ontology(random.Random(seed))), encoding="utf-8")
+    # A cardinality beyond 64 bits, and a mean cardinality beyond the float range.
+    (corpus / "huge.ofn").write_text("Prefix(:=<http://example.org/h#>)\nOntology(\n"
+                                     f"SubClassOf(:A ObjectMinCardinality({'9' * 400} :p))\n)\n")
+    expected = {str(path): extract_all(parse_ontology(decode_source(path.read_bytes()),
+                                                      origin=str(path))).values
+                for path in sorted(corpus.iterdir())}
+    report = run(RunConfig(inputs=[str(corpus)], parallelism=jobs, per_file_timeout=60))
+    assert report.totals["ok"] == len(expected)
+    for path, vector in report.vectors():
+        assert vector.schema_version == "1"
+        assert list(vector.values) == list(expected[path])
+        for fid, value in vector.items():
+            assert _same_value(value, expected[path][fid]), (path, fid, value)
+    assert dict(report.vectors())[str(corpus / "huge.ofn")]["HVC_Min"] == int("9" * 400)
+
+
+def test_output_buffered_before_a_fork_is_written_once(tmp_path, monkeypatch, capfd):
+    """Text the parent has buffered is flushed before a worker is forked, so
+    a worker that writes to stdout or stderr does not repeat it."""
+    corpus = make_corpus(tmp_path, names=("a",))
+    # Block-buffered: under capfd neither descriptor is a terminal.
+    out, err = (open(fd, "w", encoding="utf-8", closefd=False) for fd in (1, 2))
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+
+    def speak():
+        print("worker", file=sys.stdout, flush=True)
+        print("worker", file=sys.stderr, flush=True)
+
+    _patch_extractor(monkeypatch, "a.ofn", speak)
+    print("parent", end="", file=sys.stdout)
+    print("parent", end="", file=sys.stderr)
+    try:
+        report = run(RunConfig(inputs=[str(corpus)], parallelism=1, per_file_timeout=60))
+    finally:
+        monkeypatch.undo()
+        out.close()
+        err.close()
+    assert report.totals["ok"] == 1
+    assert capfd.readouterr() == ("parentworker\n", "parentworker\n")
+
+
+def test_a_worker_reads_nothing_of_the_parents_stdin(tmp_path, monkeypatch):
+    """The parent reads `-` only when its chunk comes up; a worker that
+    reads standard input before that gets end of input, and the parent
+    still gets all of it."""
+    corpus = make_corpus(tmp_path, names=("a",))  # discovered before "<stdin>"
+    seen = tmp_path / "seen"
+    _patch_extractor(monkeypatch, "a.ofn", lambda: seen.write_text(
+        repr((os.read(0, 1 << 16), sys.stdin.read()))))
+    read_end, write_end = os.pipe()
+    os.write(write_end, VALID.encode())
+    os.close(write_end)
+    saved = os.dup(0)
+    os.dup2(read_end, 0)
+    os.close(read_end)
+    stdin = open(0, encoding="utf-8", closefd=False)
+    monkeypatch.setattr(sys, "stdin", stdin)
+    try:
+        report = run(RunConfig(inputs=[str(corpus), "-"], parallelism=1, per_file_timeout=60))
+    finally:
+        os.dup2(saved, 0)
+        os.close(saved)
+        stdin.close()
+    assert seen.read_text() == repr((b"", ""))
+    assert [o.status for o in report.outcomes] == ["ok", "ok"]
+    assert report.vectors()[1] == ("<stdin>", report.vectors()[0][1])
+
+
+def test_a_worker_never_returns_into_the_parents_frames(tmp_path, monkeypatch):
+    """A worker that raises, even a BaseException, exits with code 1; it
+    never unwinds into the frames it was forked from."""
+    corpus = make_corpus(tmp_path, names=("a", "b"))
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(runner, "_serve", interrupted)
+    parent, unwound = os.getpid(), tmp_path / "unwound"
+    try:
+        report = run(RunConfig(inputs=[str(corpus)], parallelism=1, per_file_timeout=60))
+    finally:
+        if os.getpid() != parent:  # a worker got back here
+            unwound.touch()
+            os._exit(0)
+    assert not unwound.exists()
+    assert [o.diagnostics for o in report.outcomes] == [["worker exited with code 1"]] * 2
+
+
+def test_the_parent_does_not_spin_before_a_deadline(tmp_path, monkeypatch):
+    """Waits are whole ms rounded up, so none ends just short of the
+    deadline it waits for: the stuck file costs two waits, one per start."""
+    corpus = make_corpus(tmp_path, names=("stuck",))
+    _patch_extractor(monkeypatch, "stuck.ofn", lambda: time.sleep(60))
+    waits = []
+    poll = select.poll
+
+    class Poller:
+        def __init__(self):
+            self.poller = poll()
+            self.register = self.poller.register
+
+        def poll(self, ms):
+            waits.append(ms)
+            return self.poller.poll(ms)
+
+    monkeypatch.setattr(select, "poll", Poller)
+    report = run(RunConfig(inputs=[str(corpus)], parallelism=1, per_file_timeout=0.5))
+    assert [o.status for o in report.outcomes] == ["timeout"]
+    assert 1 <= len(waits) <= 3, waits
+    assert all(type(ms) is int and ms > 0 for ms in waits), waits
+
+
+def _write_garbage(reader, writer, *args):
+    """A worker that answers its chunk with bytes no message is made of,
+    then waits for its pipe to close, so the parent kills it."""
+    writer.write(runner._LENGTH.pack(3) + b"\xff\xff\xff")
+    writer.flush()
+    reader.read()
+
+
+def _write_half(reader, writer, *args):
+    """A worker that dies half way through its answer."""
+    writer.write(runner._LENGTH.pack(100) + b"\x00" * 10)
+    writer.flush()
+    os._exit(4)
+
+
+@pytest.mark.parametrize("serve, code", [(_write_garbage, -signal.SIGKILL),
+                                         (_write_half, 4)])
+def test_an_answer_that_cannot_be_read_is_a_dead_worker(tmp_path, monkeypatch, serve, code):
+    corpus = make_corpus(tmp_path, names=("a", "b"))
+    monkeypatch.setattr(runner, "_serve", serve)
+    report = run(RunConfig(inputs=[str(corpus)], parallelism=1, per_file_timeout=60))
+    assert [(o.status, o.diagnostics) for o in report.outcomes] == [
+        ("internal_error", [f"worker exited with code {code}"])] * 2
+    assert no_child_left()
+
+
+def test_a_send_to_a_dead_worker_is_a_dead_worker(monkeypatch):
+    """A chunk larger than a pipe holds meets a worker that has exited."""
+    text = VALID + "# padding\n" * 200_000
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
+    monkeypatch.setattr(runner, "_serve", lambda *args: os._exit(5))
+    report = run(RunConfig(inputs=["-"], parallelism=1, per_file_timeout=60))
+    assert [(o.path, o.status, o.diagnostics) for o in report.outcomes] == [
+        ("<stdin>", "internal_error", ["worker exited with code 5"])]
+    assert no_child_left()

@@ -12,7 +12,8 @@ from collections import namedtuple
 from enum import Enum
 from itertools import chain
 
-from .model import Census, Ontology
+from .census import Census
+from .model import Ontology
 
 
 class ProfileLabel(Enum):

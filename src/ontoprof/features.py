@@ -1,10 +1,11 @@
 """The feature vector of an ontology.
 
 `extract_all` is a pure function of the parsed ontology, arithmetic over
-its census, signature and two hierarchies. It is total on any well-formed
-input: ratio features whose denominator is zero come out as 0 so the
-vector is always complete.  The vector's layout is the catalogue in
-`schema`, frozen per schema version.
+its census, signature and two hierarchies. It reads no axiom, so a worker
+hands it a `census.Summary`, which has the census and the signature and no
+axioms. It is total on any well-formed input: ratio features whose
+denominator is zero come out as 0 so the vector is always complete.  The
+vector's layout is the catalogue in `schema`, frozen per schema version.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ class FeatureVector(Record):
 
 def extract_all(o: Ontology,
                 cohesion_weights: tuple[float, float, float] = COHESION_WEIGHTS) -> FeatureVector:
-    """Full feature vector, each value written once, in schema order."""
+    """Full feature vector, each value written once, in schema order. `o` is
+    an Ontology or anything else with its `census` and `signature`."""
     census = o.census  # the one walk over the axioms, before the layers that read it
     ch = build_class_hierarchy(o)
     ph = build_property_hierarchy(o)
@@ -54,12 +56,12 @@ def extract_all(o: Ontology,
     sop = _count_without(sig.object_properties, BUILTIN_OBJECT_PROPERTIES)
     sdp = _count_without(sig.data_properties, BUILTIN_DATA_PROPERTIES)
     si = len(sig.individuals)
-    sla = o.logical_axiom_count
-    tbox_size = len(o.tbox)
+    tbox_size, rbox_size, abox_size, non_logical = census.category_sizes
+    sla = tbox_size + rbox_size + abox_size
     nc, np_ = len(ch.nodes), len(ph.nodes)
     values: dict[str, int | float | str] = {
         "SC": sc, "SOP": sop, "SDP": sdp, "SI": si, "SDT": len(sig.datatypes),
-        "SLA": sla, "SA": len(o.axioms),
+        "SLA": sla, "SA": sla + non_logical,
         "OPR": owl_profile(o).value,
         "DFN": dl_family_name(o).value,
     }
@@ -87,8 +89,8 @@ def extract_all(o: Ontology,
     values["AttrRichness"] = _ratio(sdp, sc)
 
     values["RTBx"] = _ratio(tbox_size, sla)
-    values["RRBx"] = _ratio(len(o.rbox), sla)
-    values["RABx"] = _ratio(len(o.abox), sla)
+    values["RRBx"] = _ratio(rbox_size, sla)
+    values["RABx"] = _ratio(abox_size, sla)
     for t in LOGICAL_AXIOM_TYPES:
         values[f"ATF_{t}"] = _ratio(census.axiom_types[t], sla)
     values["AMP"] = census.depth_max

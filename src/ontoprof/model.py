@@ -1,29 +1,31 @@
 """Structural model of OWL 2 ontologies.
 
 Entities, class expressions, property expressions, axioms and the Ontology
-container, plus the Census, the one walk over the logical axioms that every
-analysis pass reads.  All model values are immutable after construction and
-safe to share across threads.
+container, plus the signature walk.  All model values are immutable after
+construction and safe to share across threads.
 
 The grammar is stated once, in NODES: for every node type its
 functional-syntax keyword, its KB category and its fields in syntax order,
 each with a Shape, after the W3C OWL 2 Structural Specification
 (https://www.w3.org/TR/owl2-syntax/).  The node classes are made from it by
 `_node`, and the parser, the serializer, the signature walk and the census
-all read it.
+(in `census`) all read it.
+
+`signature_walk` is the one signature walk: `Ontology` runs it over all
+its axioms at once, and a worker's `census.Summary` over one parser window
+at a time, so that the worker never holds a document's axioms.
 """
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from collections.abc import Iterator
 from enum import Enum
 from functools import cached_property, partial
-from itertools import chain
 from operator import itemgetter
 
 # LOGICAL_AXIOM_TYPES stays importable from here for perfbench/workloads.py.
-from .schema import LOGICAL_AXIOM_TYPES, PROPERTY_CHARACTERISTICS
+from .schema import LOGICAL_AXIOM_TYPES
 
 try:  # the C field accessor namedtuple uses; a property is the portable equivalent
     from _collections import _tuplegetter
@@ -430,18 +432,6 @@ AnnotationPropertyRange = _node("AnnotationPropertyRange", Axiom,
 UnknownAxiom = _node("UnknownAxiom", Axiom, ("name", TEXT), ("text", TEXT), keyword=None,
                      category=_N)
 
-# Property characteristic axioms and the feature-name stem they count under:
-# the first seven PROPERTY_CHARACTERISTICS, in that order.
-_CHARACTERISTIC_STEMS = dict(zip(
-    (TransitiveObjectProperty, SymmetricObjectProperty, AsymmetricObjectProperty,
-     ReflexiveObjectProperty, IrreflexiveObjectProperty, FunctionalObjectProperty,
-     InverseFunctionalObjectProperty), PROPERTY_CHARACTERISTICS))
-# Characteristics OWL 2 DL allows on simple properties only.
-_SIMPLE_ROLE_AXIOMS = (FunctionalObjectProperty, InverseFunctionalObjectProperty,
-                       IrreflexiveObjectProperty, AsymmetricObjectProperty)
-_CARDINALITY_TYPES = (ObjectMinCardinality, ObjectMaxCardinality, ObjectExactCardinality)
-
-
 def axiom_category(axiom: Axiom) -> Category:
     """Total, deterministic TBox/RBox/ABox/NonLogical assignment."""
     spec = NODES.get(type(axiom))
@@ -504,311 +494,6 @@ def class_expressions_of(axiom: Axiom) -> tuple[ClassExpression, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Census.
-
-def _is_top(ce: ClassExpression | None) -> bool:
-    return type(ce) is NamedClass and ce.iri == OWL_THING
-
-
-def _data_range_tags(dr: DataRange, tags: Counter, sizes: Counter) -> None:
-    """Count a data range's node names into `tags` and its DataOneOf
-    arities into `sizes`."""
-    stack = [dr]
-    while stack:
-        node = stack.pop()
-        t = type(node)
-        tags[t.__name__] += 1
-        if t is DataIntersectionOf or t is DataUnionOf:
-            stack.extend(node.operands)
-        elif t is DataComplementOf:
-            stack.append(node.operand)
-        elif t is DataOneOf:
-            sizes["DataOneOf", len(node.literals)] += 1
-
-
-class Census:
-    """Counts, sets, maxima and edge lists over the logical axioms, gathered
-    in one iterative walk of each axiom but a named-to-named SubClassOf,
-    which is only an edge and a dependency.  Once the Ontology is built, it is
-    the only walk over the axioms: the syntactic features, the profile
-    checks, the DL family name and the cohesion and individual features are
-    arithmetic over it, and the hierarchies are built from its edges.
-
-    A node's tag is its constructor name, or the kind of a data restriction.
-    """
-
-    __slots__ = (
-        "axiom_types",       # logical axiom type names, plus SubObjectPropertyChain
-        "depth_sum", "depth_max",       # nesting depth of each logical axiom
-        "constructors",      # node tags (and data range names) in TBox axioms
-        "constructor_max",   # most class constructors in one TBox axiom
-        "tags",              # every tag and data range name, plus ObjectInverseOf
-        "property_usage",    # TBox restriction and key occurrences per property
-        "nominals",          # named-individual occurrences in TBox expressions
-        "nominal_axioms",    # TBox axioms with such an occurrence
-        "iu", "euvi", "cuvi",
-        "pcd", "npcd", "gci",
-        "nominal_defined",   # classes defined with a nominal
-        "disjoint_classes",  # classes under DisjointClasses or DisjointUnion
-        "dependencies",      # class -> list of named classes in its definitions, repeats kept
-        "sizes",             # (tag, cardinality or OneOf arity) occurrences
-        "simple_required",   # properties OWL 2 DL requires to be simple
-        "dl_flags",          # DL family letters no axiom type or tag implies
-        "class_edges",       # named-to-named SubClassOf, both ways in all-named equivalences
-        "property_edges",    # named-to-named SubObjectPropertyOf
-        "property_links",    # property -> those its non-simplicity passes to
-        "characteristics",   # PROPERTY_CHARACTERISTICS stem -> declared properties
-        "domains", "ranges",  # named property -> named classes, a top intersection flattened
-        "same_individuals", "different_individuals",  # named individuals in those axioms
-    )
-
-    def __init__(self, o: Ontology):
-        axiom_types: Counter = Counter()
-        constructors: Counter = Counter()
-        other_tags: Counter = Counter()
-        usage: Counter = Counter()       # property expressions in TBox axioms
-        other_opes: Counter = Counter()  # and in RBox and ABox axioms
-        sizes: Counter = Counter()
-        pair_exist: Counter = Counter()  # (named class, property) per SubClassOf
-        pair_univ: Counter = Counter()
-        pair_card: Counter = Counter()
-        simple: set = set()
-        flags: set[str] = set()
-        deps: dict[str, list[str]] = {}
-        nominal_defined: set[str] = set()
-        disjoint: set[str] = set()
-        class_edges: set[tuple[str, str]] = set()
-        property_edges: set[tuple[str, str]] = set()
-        links: dict[str, set[str]] = {}
-        declared: dict[str, set[str]] = {c: set() for c in PROPERTY_CHARACTERISTICS}
-        domains: dict[str, set[str]] = {}
-        ranges: dict[str, set[str]] = {}
-        same: set[str] = set()
-        different: set[str] = set()
-        depth_sum = depth_max = constructor_max = nominals = nominal_axioms = 0
-        iu = euvi = cuvi = pcd = npcd = gci = 0
-        operands_of = _OPERAND_GETTERS  # class_expressions_of, without its call
-        for tbox, axioms in ((True, o.tbox), (False, o.rbox), (False, o.abox)):
-            tags, opes = (constructors, usage) if tbox else (other_tags, other_opes)
-            for ax in axioms:
-                t = type(ax)
-                axiom_types[t.__name__] += 1
-                if t is SubClassOf:
-                    sub, sup = ax
-                    if type(sub) is NamedClass and type(sup) is NamedClass:
-                        class_edges.add((sub.iri, sup.iri))  # an edge and a dependency, no walk
-                        deps.setdefault(sub.iri, []).append(sup.iri)
-                        pcd += 1
-                        continue
-                parts = []  # (named classes, has a nominal) per top-level expression
-                deepest = count = named = 0
-                for top in operands_of[t](ax):
-                    if type(top) is NamedClass:
-                        parts.append(((top.iri,), False))
-                        continue
-                    names: list[str] = []
-                    nominal = False
-                    stack = [(top, 1)]
-                    while stack:
-                        node, d = stack.pop()
-                        nt = type(node)
-                        if nt is NamedClass:
-                            names.append(node.iri)
-                            continue
-                        if d > deepest:
-                            deepest = d
-                        if nt is DataRestriction:
-                            tags[node.kind] += 1
-                            if node.n is not None:
-                                sizes[node.kind, node.n] += 1
-                            if node.range is not None:
-                                _data_range_tags(node.range, tags, sizes)
-                            continue
-                        tag = nt.__name__
-                        tags[tag] += 1
-                        count += 1
-                        d += 1
-                        if nt is ObjectIntersectionOf or nt is ObjectUnionOf:
-                            ops = node.operands
-                            for op in ops:
-                                stack.append((op, d))
-                            if not tbox:
-                                continue
-                            if nt is ObjectUnionOf:
-                                iu += any(type(op) is ObjectIntersectionOf for op in ops)
-                                continue
-                            iu += any(type(op) is ObjectUnionOf for op in ops)
-                            univ = {op.prop for op in ops if type(op) is ObjectAllValuesFrom}
-                            if univ:
-                                euvi += len(univ.intersection(
-                                    op.prop for op in ops if type(op) is ObjectSomeValuesFrom))
-                                cuvi += len(univ.intersection(
-                                    op.prop for op in ops if type(op) in _CARDINALITY_TYPES))
-                        elif nt is ObjectComplementOf:
-                            stack.append((node.operand, d))
-                        elif nt is ObjectOneOf:
-                            nominal = True
-                            sizes[tag, len(node.individuals)] += 1
-                            named += sum(type(i) is str for i in node.individuals)
-                        else:  # a restriction on an object property expression
-                            opes[node.prop] += 1
-                            if nt is ObjectSomeValuesFrom:
-                                if not _is_top(node.filler):
-                                    flags.add("C")
-                                stack.append((node.filler, d))
-                            elif nt is ObjectAllValuesFrom:
-                                stack.append((node.filler, d))
-                            elif nt is ObjectHasValue:
-                                nominal = True
-                                named += type(node.individual) is str
-                            else:  # ObjectHasSelf or a cardinality restriction
-                                simple.add(node.prop)
-                                if nt is not ObjectHasSelf:
-                                    sizes[tag, node.n] += 1
-                                    filler = node.filler
-                                    flags.add("N" if filler is None or _is_top(filler) else "Q")
-                                    if filler is not None:
-                                        stack.append((filler, d))
-                    parts.append((names, nominal))
-                depth_sum += deepest
-                if deepest > depth_max:
-                    depth_max = deepest
-                if tbox:
-                    if count > constructor_max:
-                        constructor_max = count
-                    nominals += named
-                    nominal_axioms += named > 0
-                    if t is SubClassOf:
-                        sub, sup = ax
-                        if type(sub) is NamedClass:
-                            pcd += 1
-                            iri = sub.iri
-                            names, nominal = parts[1]
-                            deps.setdefault(iri, []).extend(names)
-                            if nominal:
-                                nominal_defined.add(iri)
-                            st = type(sup)  # not a NamedClass: that case is above
-                            if st is ObjectSomeValuesFrom:
-                                pair_exist[iri, sup.prop] += 1
-                            elif st is ObjectAllValuesFrom:
-                                pair_univ[iri, sup.prop] += 1
-                            elif st in _CARDINALITY_TYPES:
-                                pair_card[iri, sup.prop] += 1
-                        else:
-                            gci += 1
-                    elif t is EquivalentClasses:
-                        (ops,) = ax
-                        defined = [(i, op.iri) for i, op in enumerate(ops)
-                                   if type(op) is NamedClass]
-                        npcd += bool(defined)
-                        gci += not defined
-                        if len(defined) == len(ops):
-                            class_edges.update((a, b) for _, a in defined
-                                               for _, b in defined if a != b)
-                        for i, iri in defined:
-                            targets = deps.setdefault(iri, [])
-                            for j, (names, nominal) in enumerate(parts):
-                                if j != i:
-                                    targets.extend(names)
-                                    if nominal:
-                                        nominal_defined.add(iri)
-                    elif t is DisjointClasses or t is DisjointUnion:
-                        for names, _ in parts:
-                            disjoint.update(names)
-                    elif t is HasKey:
-                        opes.update(ax.object_props)
-                        if ax.data_props:
-                            flags.add("D")
-                    elif t is DatatypeDefinition:
-                        _data_range_tags(ax.range, tags, sizes)
-                elif t is SubObjectPropertyOf:
-                    sub, sup = ax
-                    opes[sup] += 1
-                    if type(sub) is PropertyChain:
-                        axiom_types["SubObjectPropertyChain"] += 1
-                        opes.update(sub.operands)
-                        declared["Chain"].add(property_name(sup))
-                    else:
-                        flags.add("H")
-                        opes[sub] += 1
-                        links.setdefault(property_name(sub), set()).add(property_name(sup))
-                        if type(sub) is str and type(sup) is str:
-                            property_edges.add((sub, sup))
-                elif t is EquivalentObjectProperties or t is DisjointObjectProperties:
-                    (ops,) = ax
-                    opes.update(ops)
-                    if t is DisjointObjectProperties:
-                        simple.update(ops)
-                    else:
-                        names = {property_name(p) for p in ops}
-                        for a in names:
-                            links.setdefault(a, set()).update(names)
-                elif t is InverseObjectProperties:
-                    first, second = ax
-                    opes[first] += 1
-                    opes[second] += 1
-                    a, b = property_name(first), property_name(second)
-                    declared["Inverse"].update((a, b))
-                    links.setdefault(a, set()).add(b)
-                    links.setdefault(b, set()).add(a)
-                elif t in _CHARACTERISTIC_STEMS:
-                    prop = ax.prop
-                    opes[prop] += 1
-                    declared[_CHARACTERISTIC_STEMS[t]].add(property_name(prop))
-                    if t in _SIMPLE_ROLE_AXIOMS:
-                        simple.add(prop)
-                elif t is ObjectPropertyDomain or t is ObjectPropertyRange:
-                    prop, ce = ax
-                    opes[prop] += 1
-                    if type(prop) is str:
-                        by_prop = domains if t is ObjectPropertyDomain else ranges
-                        target = by_prop.setdefault(prop, set())
-                        ct = type(ce)
-                        if ct is NamedClass:
-                            target.add(ce.iri)
-                        elif ct is ObjectIntersectionOf:
-                            target.update(op.iri for op in ce.operands
-                                          if type(op) is NamedClass)
-                elif t is ObjectPropertyAssertion or t is NegativeObjectPropertyAssertion:
-                    opes[ax.prop] += 1
-                elif t is DataPropertyRange:
-                    _data_range_tags(ax.range, tags, sizes)
-                elif t is SameIndividual or t is DifferentIndividuals:
-                    (individuals,) = ax
-                    (same if t is SameIndividual else different).update(
-                        i for i in individuals if type(i) is str)
-        for ax in o.non_logical:
-            if type(ax) is Declaration and ax.entity.kind in (EntityKind.DATA_PROPERTY,
-                                                              EntityKind.DATATYPE):
-                flags.add("D")
-        self.tags = set(constructors) | set(other_tags)
-        if any(type(p) is ObjectInverseOf for p in chain(usage, other_opes)):
-            self.tags.add("ObjectInverseOf")
-        self.property_usage = Counter()
-        for p, n in usage.items():
-            self.property_usage[property_name(p)] += n
-        self.axiom_types, self.constructors, self.sizes = axiom_types, constructors, sizes
-        self.depth_sum, self.depth_max, self.constructor_max = depth_sum, depth_max, constructor_max
-        self.nominals, self.nominal_axioms = nominals, nominal_axioms
-        self.iu = iu
-        self.euvi = euvi + sum(n * pair_univ[k] for k, n in pair_exist.items())
-        self.cuvi = cuvi + sum(n * pair_univ[k] for k, n in pair_card.items())
-        self.pcd, self.npcd, self.gci = pcd, npcd, gci
-        self.nominal_defined, self.disjoint_classes = nominal_defined, disjoint
-        self.dependencies = deps
-        self.simple_required = {property_name(p) for p in simple}
-        self.dl_flags = flags
-        self.class_edges, self.property_edges = frozenset(class_edges), frozenset(property_edges)
-        self.property_links, self.characteristics = links, declared
-        self.domains, self.ranges = domains, ranges
-        self.same_individuals, self.different_individuals = same, different
-
-    def largest(self, *tags: str) -> int:
-        """Largest cardinality or OneOf arity under the given tags, 0 if none."""
-        return max((n for tag, n in self.sizes if tag in tags), default=0)
-
-
-# ---------------------------------------------------------------------------
 # Signature and ontology.
 
 Signature = namedtuple("Signature", "classes object_properties data_properties individuals "
@@ -849,6 +534,72 @@ _SIGNATURE_PLANS = {
 _LEAVES = {t: spec.shapes[0].sig for t, spec in NODES.items()
            if len(spec.shapes) == 1 and not issubclass(t, Axiom)
            and spec.shapes[0].kind in ("iri", "node_id")}
+
+
+def signature_sets() -> list[set]:
+    """One empty set per Signature field, for `signature_walk` to fill."""
+    return [set() for _ in Signature._fields]
+
+
+def signature_walk(axioms, sets: list[set]) -> tuple[list, list, list, list]:
+    """The signature walk: add every entity `axioms` mention to `sets`, in
+    Signature field order, and return the axioms bucketed by category
+    (TBox, RBox, ABox, non-logical).  Each node's fields are read as their
+    shapes say, with an explicit stack for nested expressions and data
+    ranges."""
+    buckets = tuple([] for _ in _CATEGORIES)
+    plans = _SIGNATURE_PLANS
+    # IRIs that feed no signature set land in a set that is dropped.
+    leaf_set = {t: set() if s is None else sets[s] for t, s in _LEAVES.items()}.get
+    stack = []
+    push = stack.append
+    for ax in axioms:
+        category, plan = plans[type(ax)]
+        buckets[category].append(ax)
+        node = ax
+        while True:
+            for i, how, sig in plan:
+                v = node[i]
+                if how == _WALK_ONE:
+                    values = (v,)
+                elif how == _WALK_MANY:
+                    values = v
+                elif how == _WALK_OPTIONAL:
+                    if not v:
+                        continue
+                    values = (v,)
+                elif how == _WALK_ENTITY:
+                    sets[_ENTITY_SETS[v.kind]].add(v.iri)
+                    continue
+                else:  # _WALK_FACETS
+                    stack.extend(literal for _, literal in v)
+                    continue
+                for x in values:
+                    if type(x) is str:
+                        sets[sig].add(x)
+                    else:
+                        target = leaf_set(type(x))
+                        if target is None:
+                            push(x)
+                        else:
+                            target.add(x[0])
+            if not stack:
+                break
+            node = stack.pop()
+            plan = plans[type(node)][1]
+    return buckets
+
+
+def frozen_signature(sets: list[set], annotations=()) -> Signature:
+    """The Signature of `sets` once the ontology's own `annotations` add
+    their properties.  Each set is dropped from `sets` as soon as it is
+    frozen, so no more than one is ever held twice."""
+    sets[ANNOTATION_PROPERTIES].update(anno.prop for anno in annotations)
+    frozen = []
+    for i in range(len(sets)):
+        frozen.append(frozenset(sets[i]))
+        sets[i] = None
+    return Signature(*frozen)
 
 
 class Record:
@@ -895,59 +646,23 @@ class Ontology(FrozenRecord):
                  version_iri: str | None = None, imports: tuple[str, ...] = (),
                  annotations: tuple[OntologyAnnotation, ...] = ()):
         """Bucket the axioms by category and gather the signature in the same
-        pass: each node's fields are read as their shapes say, with an
-        explicit stack for nested expressions and data ranges."""
+        pass, the one `signature_walk`."""
         vars(self).update(axioms=axioms, iri=iri, version_iri=version_iri, imports=imports,
                           annotations=annotations)
-        sets = tuple(set() for _ in range(ANONYMOUS + 1))
-        buckets = tuple([] for _ in _CATEGORIES)
-        plans = _SIGNATURE_PLANS
-        # IRIs that feed no signature set land in a set that is dropped.
-        leaf_set = {t: set() if s is None else sets[s] for t, s in _LEAVES.items()}.get
-        stack = []
-        push = stack.append
-        for ax in axioms:
-            category, plan = plans[type(ax)]
-            buckets[category].append(ax)
-            node = ax
-            while True:
-                for i, how, sig in plan:
-                    v = node[i]
-                    if how == _WALK_ONE:
-                        values = (v,)
-                    elif how == _WALK_MANY:
-                        values = v
-                    elif how == _WALK_OPTIONAL:
-                        if not v:
-                            continue
-                        values = (v,)
-                    elif how == _WALK_ENTITY:
-                        sets[_ENTITY_SETS[v.kind]].add(v.iri)
-                        continue
-                    else:  # _WALK_FACETS
-                        stack.extend(literal for _, literal in v)
-                        continue
-                    for x in values:
-                        if type(x) is str:
-                            sets[sig].add(x)
-                        else:
-                            target = leaf_set(type(x))
-                            if target is None:
-                                push(x)
-                            else:
-                                target.add(x[0])
-                if not stack:
-                    break
-                node = stack.pop()
-                plan = plans[type(node)][1]
-        sets[ANNOTATION_PROPERTIES].update(anno.prop for anno in annotations)
+        sets = signature_sets()
+        buckets = signature_walk(axioms, sets)
         vars(self).update(zip(("tbox", "rbox", "abox", "non_logical"), map(tuple, buckets)),
-                          signature=Signature(*map(frozenset, sets)))
+                          signature=frozen_signature(sets, annotations))
 
     @cached_property
-    def census(self) -> Census:
-        """One walk over the logical axioms, taken on first use."""
-        return Census(self)
+    def census(self):
+        """The census of all the axioms as one batch, taken on first use."""
+        from .census import Census  # not needed until then, as by `ontoprof check`
+
+        census = Census()
+        census.add((self.tbox, self.rbox, self.abox, self.non_logical))
+        census.finish()
+        return census
 
     @property
     def logical_axiom_count(self) -> int:

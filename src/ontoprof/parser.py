@@ -4,6 +4,12 @@ Whole-document parse into an immutable Ontology.  On any error the parser
 raises OntologyParseError carrying positioned diagnostics; no partial model
 is ever returned.  Unknown top-level constructs (e.g. rules) are preserved
 verbatim as non-logical axioms.
+
+The text is parsed one window of about 64 K characters at a time.  Given a
+`fold`, the parser hands it the axioms completed so far each time it moves
+to the next window, and the rest at the end, and keeps none of them: a
+worker folds each such batch into its census and lets the axioms go.  A
+parse error still fails the whole document.
 """
 
 from __future__ import annotations
@@ -193,9 +199,12 @@ class _More(Exception):
 
 
 class _Parser:
-    def __init__(self, text: str, origin: str):
+    def __init__(self, text: str, origin: str, fold=None):
         self.text = text
         self.origin = origin
+        # The axioms parsed since `fold`, if given, was last handed a batch.
+        self.axioms: list[Axiom] = []
+        self.fold = fold
         # The window's tokens; the first is token `dropped` of the document
         # and lexing stopped at offset `end`.
         self.dropped = self.end = 0
@@ -207,7 +216,9 @@ class _Parser:
         # before the first name is resolved, so an entry never goes stale,
         # and a name used again shares one IRI string.
         self.iris: dict[str, str] = {}
-        # Name token -> its NamedClass, so a class named again is not built again.
+        # IRI -> its NamedClass, so a class named again is not built again.
+        # Keyed by the memo's IRI, not by a token, so that a class first
+        # declared and then used keeps no second copy of its name.
         self.classes: dict[str, NamedClass] = {}
         self.spans: list[tuple[int, int]] | None = None
 
@@ -228,7 +239,11 @@ class _Parser:
     def more(self, start: int):
         """Drop the tokens before `start`, where the current top-level item
         begins, and append the next window, to parse the item again from
-        its first token. The window doubles while that item does not fit."""
+        its first token. The window doubles while that item does not fit.
+        The axioms completed before that item go to `fold` first."""
+        if self.fold is not None and self.axioms:
+            self.fold(self.axioms)
+            self.axioms = []
         self.size = 2 * self.size if start == 0 else _WINDOW
         tokens = self.tokens
         del tokens[:start]
@@ -301,11 +316,11 @@ class _Parser:
         `Ontology(` header, then Imports, Annotations and axioms up to ')'.
         An item that fails on the window's end is parsed again with the next
         window appended, so only the window's tokens are ever held. Returns
-        the Ontology's arguments in order."""
+        the Ontology's arguments in order; with a `fold`, the axioms have
+        all gone to it and none are returned."""
         iri = version = None
         imports: list[str] = []
         annotations: list[OntologyAnnotation] = []
-        axioms: list[Axiom] = []
         stage = _HEAD
         while True:
             tok = self.tokens[self.i]
@@ -329,10 +344,14 @@ class _Parser:
                     elif tok == "Annotation":
                         annotations.append(self.parse_node(_ANNOTATION, annotated=True))
                     else:
-                        axioms.append(self.parse_axiom())
+                        self.axioms.append(self.parse_axiom())
                 elif stage is _TAIL:
                     if tok:
                         self.fail(f"unexpected trailing content {_value(tok)!r}")
+                    axioms = self.axioms
+                    if self.fold is not None:
+                        self.fold(axioms)
+                        axioms = ()
                     return tuple(axioms), iri, version, tuple(imports), tuple(annotations)
                 elif tok == "Prefix":
                     self.parse_prefix_declaration()
@@ -480,17 +499,17 @@ class _Parser:
 
     def parse_class_expression(self, shape: Shape | None = None, owner: int | None = None):
         tok = self.tokens[self.i]
-        node = self.classes.get(tok)
-        if node is None:
+        iri = self.iris.get(tok)
+        if iri is None:
             form = _CE_FORMS.get(tok)
             if form is not None:
                 return self.parse_node(form)
-            iri = self.iris.get(tok)
-            if iri is None:
-                if _kind(tok) == "IDENT":
-                    self.fail(f"unknown class expression constructor {tok!r}")
-                iri = self.resolve(tok, "class expression")
-            node = self.classes[tok] = _new(NamedClass, (iri,))
+            if _kind(tok) == "IDENT":
+                self.fail(f"unknown class expression constructor {tok!r}")
+            iri = self.resolve(tok, "class expression")
+        node = self.classes.get(iri)
+        if node is None:
+            node = self.classes[iri] = _new(NamedClass, (iri,))
         self.i += 1
         return node
 
@@ -647,12 +666,14 @@ def decode_source(data: bytes) -> str:
     return data.decode("utf-8-sig")
 
 
-def _parse_fields(text: str, origin: str) -> tuple:
+def _parse_fields(text: str, origin: str, fold=None) -> tuple:
     """The arguments of `Ontology` for one functional-syntax document, in
     order: axioms, IRI, version IRI, imports, annotations. Raises
     OntologyParseError. The parser, with its name memos and token window,
-    is freed on return, before any signature walk."""
-    parser = _Parser(text, origin)
+    is freed on return, before any signature walk. With `fold`, the axioms
+    go to it in batches as they are parsed (see `_Parser.more`), and the
+    axioms returned are ()."""
+    parser = _Parser(text, origin, fold)
     try:
         return parser.parse_document()
     except RecursionError:

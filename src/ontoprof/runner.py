@@ -19,7 +19,13 @@ or dies is killed alone: the file the word names gets `timeout` or
 `internal_error`, and the rest of its chunk is extracted again by a
 replacement, which is started only if files are still waiting. Results are
 reordered by discovery order before emission, so parallel and serial runs
-produce identical bytes.
+produce identical bytes. A worker closes the parent's ends of the pipes of
+the workers forked before it, so no worker holds another's pipes open.
+
+A worker builds no model. The parser hands each window's axioms to one
+`census.Summary`, which folds them into the signature and the census and
+drops them, and the features are taken from the Summary; its memory grows
+with the signature and the census, not with the document.
 """
 
 from __future__ import annotations
@@ -40,9 +46,10 @@ import sys
 import time
 from pathlib import Path
 
+from .census import Summary
 from .features import FeatureVector, extract_all
-from .model import Ontology, Record
-from .parser import OntologyParseError, _parse_fields, decode_source, parse_ontology
+from .model import Record
+from .parser import OntologyParseError, _parse_fields, decode_source
 from .schema import (COHESION_WEIGHTS, FEATURE_GROUPS, FEATURE_IDS, FEATURE_SCHEMA, FORMATS,
                      ON_ERROR_POLICIES, SCHEMA_VERSION)
 
@@ -181,42 +188,41 @@ def _extract_file(path: str, text: str | None, follow_imports: bool,
                   weights: tuple[float, float, float]) -> FileOutcome:
     """Outcome for one input; when `text` is None it is decoded from the
     bytes of `path` by `decode_source`, as standard input is, so carriage
-    returns reach the parser as written."""
+    returns reach the parser as written.
+
+    The axioms are never held together: the parser hands each window's
+    axioms to one Summary, which folds them into the signature and the
+    census and drops them, and the features are taken from the Summary."""
     try:
         if text is None:
             text = decode_source(Path(path).read_bytes())
     except (OSError, UnicodeDecodeError) as exc:
         return FileOutcome(path=path, status="io_error", diagnostics=[str(exc)])
     warnings: list[str] = []
+    summary = Summary()
     try:
-        onto = parse_ontology(text, origin=path)
-        del text  # extraction reads only the model; the source can be freed
-        if follow_imports and onto.imports:  # one merged model, built once all are read
-            imported = _imported_axioms(onto.imports, path, warnings,
-                                        {str(Path(path).resolve())})
-            onto = Ontology(onto.axioms + tuple(imported), onto.iri, onto.version_iri,
-                            onto.imports, onto.annotations)
-        vector = extract_all(onto, cohesion_weights=weights)
-        return FileOutcome(
-            path=path, status="ok", vector=vector,
-            imports=list(onto.imports),
-            anonymous_individuals=len(onto.signature.anonymous_individuals),
-            warnings=warnings,
-        )
+        _, _, _, imports, annotations = _parse_fields(text, path, summary.add)
     except OntologyParseError as exc:
         return FileOutcome(path=path, status="parse_error",
                            diagnostics=[d.format() for d in exc.diagnostics])
+    del text  # extraction reads only the summary; the source can be freed
+    if follow_imports and imports:
+        _fold_imports(imports, path, warnings, {str(Path(path).resolve())}, summary)
+    vector = extract_all(summary.finish(annotations), cohesion_weights=weights)
+    return FileOutcome(path=path, status="ok", vector=vector, imports=list(imports),
+                       anonymous_individuals=len(summary.signature.anonymous_individuals),
+                       warnings=warnings)
 
 
-def _imported_axioms(imports, path: str, warnings: list[str], seen: set[str]) -> list:
-    """The axioms of the `imports` of the file at `path` that are local files
-    (a `file://` IRI or one without a URI scheme), each file's own before its
-    imports', none of a file in `seen`; remote imports are left to the report
-    as unresolved. An imported file is only parsed: its axioms are walked
-    once, in the merged model. A local file that is missing, unreadable or
-    unparsable is not merged, and a warning naming the import and the reason
-    joins `warnings`."""
-    merged = []
+def _fold_imports(imports, path: str, warnings: list[str], seen: set[str],
+                  summary: Summary) -> None:
+    """Fold into `summary` the axioms of the `imports` of the file at `path`
+    that are local files (a `file://` IRI or one without a URI scheme), each
+    file's own before its imports', none of a file in `seen`; remote imports
+    are left to the report as unresolved. An imported file is folded in
+    once it has parsed whole, so only its own axioms are ever held. A local
+    file that is missing, unreadable or unparsable is not merged, and a
+    warning naming the import and the reason joins `warnings`."""
     for iri in imports:
         candidate = iri.removeprefix("file://")
         if candidate == iri and _URI_SCHEME.match(iri):
@@ -236,9 +242,9 @@ def _imported_axioms(imports, path: str, warnings: list[str], seen: set[str]) ->
             warnings.append(f"{path}: warning: import <{iri}> not merged: "
                             f"{exc.diagnostics[0].format()}")
             continue
-        merged.extend(axioms)
-        merged.extend(_imported_axioms(nested, str(target), warnings, seen))
-    return merged
+        summary.add(axioms)
+        del axioms  # before the nested imports are parsed
+        _fold_imports(nested, str(target), warnings, seen, summary)
 
 
 def _stamp(progress, number: int, position: int) -> None:
@@ -295,9 +301,9 @@ def _serve(reader, writer, progress, follow_imports: bool, weights) -> None:
 
     The cyclic garbage collector is off while a file is handled: the parse
     and the extraction build no reference cycles, so its passes over the
-    model would find nothing to free (tests/test_runner.py checks that they
-    leave none). A cycle one file might leave waits only for the collector's
-    next pass after that file."""
+    nodes, the census and the hierarchies would find nothing to free
+    (tests/test_runner.py checks that they leave none). A cycle one file
+    might leave waits only for the collector's next pass after that file."""
     while (message := _read(reader)) is not None:
         number, jobs = message
         entries = []
@@ -337,9 +343,10 @@ def _detach_stdin() -> None:
 class _Worker:
     """One long-lived worker process, the parent's ends of its two pipes, the
     progress word the two share, and the chunk it is working on, if any, as
-    (discovery index, path, text) per file."""
+    (discovery index, path, text) per file. `others` are the workers forked
+    before it and still running."""
 
-    def __init__(self, config: RunConfig):
+    def __init__(self, config: RunConfig, others: list[_Worker]):
         from_parent, to_worker = os.pipe()
         from_worker, to_parent = os.pipe()
         self.progress = mmap.mmap(-1, _STAMP.size)  # shared with the forked worker
@@ -358,6 +365,12 @@ class _Worker:
             try:
                 os.close(to_worker)
                 os.close(from_worker)
+                # The parent's ends of the earlier workers' pipes, closed by
+                # descriptor: closing their file objects would flush what
+                # the parent has buffered into another worker's pipe.
+                for other in others:
+                    os.close(other.writer.fileno())
+                    os.close(other.reader.fileno())
                 _detach_stdin()
                 _serve(open(from_parent, "rb"), open(to_parent, "wb"), self.progress,
                        config.follow_imports, config.cohesion_weights)
@@ -484,7 +497,7 @@ def run(config: RunConfig) -> CorpusReport:
                 chunk = take_chunk()
                 if chunk:
                     if worker is None:
-                        worker = _Worker(config)
+                        worker = _Worker(config, workers)
                         workers.append(worker)
                     number += 1
                     worker.send(number, chunk)

@@ -487,27 +487,44 @@ CR_DOCUMENTS = {
 }
 
 
-def record_unknown_axioms(monkeypatch, module, log: Path):
-    """Make `module.parse_ontology` append the text of each UnknownAxiom it
-    returns to `log`; forked workers inherit the patch."""
+def record_unknown_axioms(monkeypatch, command: str, log: Path):
+    """Append the text of each UnknownAxiom that `command` parses to `log`:
+    those `parser.parse_ontology` returns for check, and those in the
+    batches a worker folds for extract; forked workers inherit the patch."""
+    from ontoprof import parser, runner
     from ontoprof.model import UnknownAxiom
-    parse = module.parse_ontology
 
-    def recording(text, origin="<string>"):
-        onto = parse(text, origin=origin)
+    def record(axioms):
         with log.open("a", encoding="utf-8") as fh:
-            fh.writelines(f"{ax.text!r}\n" for ax in onto.axioms if type(ax) is UnknownAxiom)
-        return onto
+            fh.writelines(f"{ax.text!r}\n" for ax in axioms if type(ax) is UnknownAxiom)
 
-    monkeypatch.setattr(module, "parse_ontology", recording)
+    if command == "check":
+        parse = parser.parse_ontology
+
+        def recording(text, origin="<string>"):
+            onto = parse(text, origin=origin)
+            record(onto.axioms)
+            return onto
+
+        monkeypatch.setattr(parser, "parse_ontology", recording)
+    else:
+        parse_fields = runner._parse_fields
+
+        def recording(text, origin, fold):
+            def folding(axioms):
+                record(axioms)
+                fold(axioms)
+
+            return parse_fields(text, origin, folding)
+
+        monkeypatch.setattr(runner, "_parse_fields", recording)
 
 
 @pytest.mark.parametrize("newline", ["\r", "\r\n"])
 @pytest.mark.parametrize("command", ["check", "extract"])
 def test_files_and_stdin_read_line_ends_alike(command, newline, tmp_path, capsys, monkeypatch):
-    from ontoprof import parser, runner
     log = tmp_path / "unknown.log"
-    record_unknown_axioms(monkeypatch, parser if command == "check" else runner, log)
+    record_unknown_axioms(monkeypatch, command, log)
     flags = ["--jobs", "1"] if command == "extract" else []
     for name, lines in CR_DOCUMENTS.items():
         data = newline.join(lines).encode()

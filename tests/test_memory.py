@@ -1,12 +1,19 @@
 """Memory held per class while a taxonomy is parsed and its features taken.
 
-A worker holds the source text, the model, the census and one hierarchy's
-transient at its peak; none of them may keep a container per class beyond
-the model's own nodes. On CPython 3.10-3.13 the parse transient reads
-163-214 B per class and the extraction peak 435-479. Each bound sits below
-what one container per class reads: a parser kept alive while the model
-is built gives a parse transient of 301-347, and a set per class in the
-census dependencies alone an extraction peak of 548-592.
+The library builds the model, and its census and one hierarchy's transient
+come on top of it at the extraction peak. A worker holds no model: it
+folds each parser window's axioms into the signature and the census and
+drops them, so at its peak it holds the source text, the parser's name
+memos, the census and the signature, and later one hierarchy's transient.
+None of them may keep a container per class beyond the model's own nodes.
+
+On CPython 3.10-3.13 the parse transient reads 129-175 B per class, the
+extraction peak 435-479 and the worker's peak over the text 718-793. Each
+bound sits below what one container too many reads: a parser kept alive
+while the model is built gives a parse transient of 301-347, a set per
+class in the census dependencies alone an extraction peak of 548-592, and
+a worker that holds the axioms until extraction a peak of 919-991 (one
+that builds the whole model first, as before, reads 851-903).
 
     python tests/test_memory.py
 
@@ -22,12 +29,14 @@ from pathlib import Path
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from ontoprof import runner
 from ontoprof.features import extract_all
 from ontoprof.parser import parse_ontology
 
 CLASSES = 6000
 PARSE_BOUND = 260    # B per class: parse peak less the source text and the kept model
 EXTRACT_BOUND = 520  # B per class: extract_all's peak over the parsed model
+WORKER_BOUND = 850   # B per class: a worker's peak over the text it is handed
 
 
 def tree_taxonomy(n: int, seed: int = 1) -> str:
@@ -47,11 +56,13 @@ def tree_taxonomy(n: int, seed: int = 1) -> str:
     return "\n".join(lines) + "\n"
 
 
-def per_class_peaks(n: int = CLASSES) -> tuple[float, float]:
-    """(parse transient, extraction peak) in bytes per class, traced with the
-    cyclic collector off as in a worker, after a small file has loaded what
-    every file shares (such as the profile rules)."""
+def per_class_peaks(n: int = CLASSES) -> tuple[float, float, float]:
+    """(parse transient, extraction peak, worker peak) in bytes per class,
+    traced with the cyclic collector off as in a worker, after a small file
+    has loaded what every file shares (such as the profile rules)."""
+    weights = (1 / 3, 1 / 3, 1 / 3)
     extract_all(parse_ontology(tree_taxonomy(10)))
+    runner._extract_file("small.ofn", tree_taxonomy(10), False, weights)
     text = tree_taxonomy(n)
     tracing = tracemalloc.is_tracing()
     enabled = gc.isenabled()
@@ -67,23 +78,29 @@ def per_class_peaks(n: int = CLASSES) -> tuple[float, float]:
         base = tracemalloc.get_traced_memory()[0]
         vector = extract_all(model)
         extract = tracemalloc.get_traced_memory()[1] - base
+        del model, vector
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]  # the text is held by this frame
+        outcome = runner._extract_file("tree.ofn", text, False, weights)
+        worker = tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:
             tracemalloc.stop()
         if enabled:
             gc.enable()
-    assert vector["SC"] == n and vector["C_MSB"] > 0
-    return parse / n, extract / n
+    assert outcome.vector["SC"] == n and outcome.vector["C_MSB"] > 0
+    return parse / n, extract / n, worker / n
 
 
 def test_taxonomy_memory_per_class():
-    parse, extract = per_class_peaks()
+    parse, extract, worker = per_class_peaks()
     assert parse < PARSE_BOUND, f"parse transient {parse:.0f} B per class"
     assert extract < EXTRACT_BOUND, f"extraction peak {extract:.0f} B per class"
+    assert worker < WORKER_BOUND, f"worker peak {worker:.0f} B per class"
 
 
 if __name__ == "__main__":
-    parse, extract = per_class_peaks()
+    parse, extract, worker = per_class_peaks()
     print(f"Python {sys.version.split()[0]}: parse transient {parse:.0f} B per class, "
-          f"extraction peak {extract:.0f} B per class")
+          f"extraction peak {extract:.0f} B per class, worker peak {worker:.0f} B per class")
     test_taxonomy_memory_per_class()

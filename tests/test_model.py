@@ -6,8 +6,9 @@ import pickle
 
 import pytest
 
+from ontoprof.census import _CHARACTERISTIC_STEMS
 from ontoprof.model import (
-    _CHARACTERISTIC_STEMS, NODES, XSD,
+    NODES, XSD,
     Category, ClassAssertion, ClassExpression, DataIntersectionOf, DataOneOf, DataRestriction,
     DataUnionOf, DatatypeRef, Declaration, DifferentIndividuals, DisjointClasses,
     DisjointUnion, Entity, EntityKind, EquivalentClasses, HasKey, Literal, NamedClass,

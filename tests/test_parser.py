@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ontoprof import OntologyParseError, parse_ontology, parser, serialize
+from ontoprof import OntologyParseError, extract_all, parse_ontology, parser, runner, serialize
 from ontoprof.model import (
     XSD, AnnotationAssertion, DataPropertyAssertion, DataRestriction,
     Declaration, EquivalentClasses, IriRef, Literal, NamedClass,
@@ -538,10 +538,22 @@ def outcome(text: str):
         return [d.format() for d in exc.diagnostics]
 
 
-def outcomes_under_window(monkeypatch, window: int, texts) -> list:
+def typed(vector) -> list:
+    """A vector's values, each with its type and exact text."""
+    return [(fid, type(value), repr(value)) for fid, value in vector.items()]
+
+
+def streamed(text: str) -> tuple:
+    """What a worker makes of `text`, which it folds one window at a time:
+    its status, its typed values, and its formatted diagnostics."""
+    out = runner._extract_file("w.ofn", text, False, (1 / 3, 1 / 3, 1 / 3))
+    return out.status, out.vector and typed(out.vector), out.diagnostics
+
+
+def outcomes_under_window(monkeypatch, window: int, texts, run=outcome) -> list:
     with monkeypatch.context() as patch:
         patch.setattr(parser, "_WINDOW", window)
-        return [outcome(text) for text in texts]
+        return [run(text) for text in texts]
 
 
 def window_corpus() -> list[str]:
@@ -561,6 +573,12 @@ def test_window_size_changes_no_model_or_diagnostic(window, monkeypatch):
     assert sum(isinstance(o, list) for o in expected) > 60
     assert sum(isinstance(o, Ontology) for o in expected) > 60
     assert outcomes_under_window(monkeypatch, window, texts) == expected
+    # A worker's batches are the windows: no vector or diagnostic may move
+    # with them, and each vector is the library's, value by value and type.
+    library = [("ok", typed(extract_all(o)), []) if isinstance(o, Ontology)
+               else ("parse_error", None, o) for o in expected]
+    assert outcomes_under_window(monkeypatch, parser._WINDOW, texts, streamed) == library
+    assert outcomes_under_window(monkeypatch, window, texts, streamed) == library
 
 
 def test_window_cutting_a_string_literal(monkeypatch):

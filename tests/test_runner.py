@@ -12,11 +12,13 @@ import select
 import signal
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from ontoprof import runner
+from ontoprof.census import Summary
 from ontoprof.features import FeatureVector, extract_all
 from ontoprof.model import Ontology
 from ontoprof.parser import decode_source, parse_ontology
@@ -306,10 +308,10 @@ def test_follow_imports_warns_about_missing_local_files(tmp_path):
     assert emit_matrix(clean.vectors()) == emit_matrix(report.vectors())
 
 
-def test_an_import_chain_is_merged_into_one_model(tmp_path, monkeypatch):
-    """Only the importing file gets a model of its own: every axiom of a
-    20-file chain is walked once in the merged model, the importer's once
-    more, and the vector is that of the axioms in import order."""
+def test_an_import_chain_is_folded_into_one_summary(tmp_path, monkeypatch):
+    """A worker builds no model: every axiom of a 20-file chain is folded
+    into the importer's summary exactly once, and the vector is that of
+    the merged model of the axioms in import order."""
     files = [tmp_path / f"{k}.ofn" for k in range(20)]
     for k, f in enumerate(files):
         imports = f"Import(<{k + 1}.ofn>)\n" if k + 1 < len(files) else ""
@@ -320,19 +322,50 @@ def test_an_import_chain_is_merged_into_one_model(tmp_path, monkeypatch):
     top = parts[0]
     expected = extract_all(Ontology(tuple(ax for p in parts for ax in p.axioms), top.iri,
                                     top.version_iri, top.imports, top.annotations))
-    total = sum(len(p.axioms) for p in parts)
-    walked = []
-    init = Ontology.__init__
+    folded: Counter = Counter()
+    models = []
+    add, init = Summary.add, Ontology.__init__
 
-    def counting(self, axioms, *args, **kwargs):
-        walked.append(len(axioms))
-        init(self, axioms, *args, **kwargs)
+    def counting(self, axioms):
+        folded.update(axioms)
+        add(self, axioms)
 
-    monkeypatch.setattr(Ontology, "__init__", counting)
+    def building(self, *args, **kwargs):
+        models.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Summary, "add", counting)
+    monkeypatch.setattr(Ontology, "__init__", building)
     outcome = runner._extract_file(str(files[0]), None, True, (1 / 3, 1 / 3, 1 / 3))
     assert outcome.status == "ok" and outcome.warnings == []
-    assert sum(walked) == len(parts[0].axioms) + total
+    assert models == []
+    assert folded == Counter(ax for p in parts for ax in p.axioms)
+    assert set(folded.values()) == {1} and len(folded) == 20 * 51
     assert outcome.vector.values == expected.values
+
+
+def test_the_import_fixture_merges_each_file_once_in_import_order():
+    """tests/fixtures/imports/app.ofn imports mid.ofn, which imports
+    base.ofn; side.ofn, which imports base.ofn again and app.ofn, a cycle;
+    and missing.ofn, which does not exist."""
+    folder = GOLDEN_DIR.parent / "imports"
+    parts = {name: parse_ontology((folder / f"{name}.ofn").read_text(encoding="utf-8"))
+             for name in ("app", "mid", "base", "side")}
+    app = parts["app"]
+    merged = Ontology(tuple(ax for part in parts.values() for ax in part.axioms), app.iri,
+                      app.version_iri, app.imports, app.annotations)
+    path = str(folder / "app.ofn")
+    for follow, expected in ((True, extract_all(merged)), (False, extract_all(app))):
+        outcome = runner._extract_file(path, None, follow, (1 / 3, 1 / 3, 1 / 3))
+        assert outcome.status == "ok" and outcome.imports == list(app.imports)
+        assert list(outcome.vector.values) == list(expected.values)
+        for fid, value in outcome.vector.items():
+            assert _same_value(value, expected[fid]), (follow, fid, value)
+    assert outcome.warnings == []
+    assert runner._extract_file(path, None, True, (1 / 3, 1 / 3, 1 / 3)).warnings == [
+        f"{path}: warning: import <missing.ofn> not merged: "
+        f"[Errno 2] No such file or directory: '{folder / 'missing.ofn'}'"]
+    assert extract_all(merged).values != extract_all(app).values
 
 
 def test_shared_local_imports_give_the_same_bytes_at_any_jobs_level(tmp_path):
@@ -423,6 +456,40 @@ def test_workers_are_reused(tmp_path, monkeypatch):
     report = run(RunConfig(inputs=[str(corpus)], parallelism=2, per_file_timeout=60))
     assert report.totals["ok"] == 20
     assert 1 <= len(started) <= 2
+    assert no_child_left()
+
+
+def _pipes() -> set[str]:
+    """The pipes this process holds a descriptor of, as /proc names them."""
+    pipes = set()
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:  # the directory listdir had open
+            continue
+        if target.startswith("pipe:"):
+            pipes.add(target)
+    return pipes
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+def test_a_worker_holds_no_other_workers_pipes(tmp_path, monkeypatch):
+    """The worker forked second closes the parent's ends of the first
+    worker's pipes: each worker holds its own two pipes and no other's."""
+    corpus = make_corpus(tmp_path, names=tuple(f"o{i}" for i in range(8)))
+    inherited = _pipes()  # this process's own, which every worker inherits
+
+    def report_pipes(path, *args):
+        return runner.FileOutcome(path, "parse_error",
+                                  diagnostics=[str(os.getpid()), *(_pipes() - inherited)])
+
+    monkeypatch.setattr(runner, "_extract_file", report_pipes)
+    report = run(RunConfig(inputs=[str(corpus)], parallelism=2, per_file_timeout=60))
+    by_worker = {o.diagnostics[0]: frozenset(o.diagnostics[1:]) for o in report.outcomes}
+    assert len(by_worker) == 2
+    first, second = by_worker.values()
+    assert len(first) == len(second) == 2
+    assert first.isdisjoint(second)
     assert no_child_left()
 
 

@@ -4,23 +4,27 @@ emit deterministic feature matrices and a run report.
 At most `parallelism` long-lived workers are forked. Each gets two pipes:
 the parent writes chunks of files down one and reads the answers from the
 other. A message is the length and bytes of one `marshal` dump of plain
-data: (chunk number, [(path, text or None), ...]) or the None sentinel
-down, and one list of outcome entries (see `_entry`) back, so a run of
-small files pays one round trip per chunk, not per file. Both ends are
-this program, so `marshal` is safe. A chunk holds ceil(files left /
-(4 * parallelism)) files, the heuristic of `multiprocessing.Pool.map`
+data: a chunk [(path, text or None), ...] or the None sentinel down, and
+one answer per file back, (time.monotonic_ns() when the file was done, its
+outcome's `_entry`), written as soon as the file is done. A worker never
+waits on the parent between the files of a chunk. Both ends are this
+program, so `marshal` is safe. A chunk holds ceil(files left / (4 *
+parallelism)) files, the heuristic of `multiprocessing.Pool.map`
 recomputed from what is left.
 
-Before each file the worker stamps (chunk number, position in the chunk,
-start time) into a word of memory it shares with the parent, so a file's
-timeout starts when the worker starts it; until the chunk is stamped, it
-runs from when the chunk was sent. A worker that overruns a file's timeout
-or dies is killed alone: the file the word names gets `timeout` or
-`internal_error`, and the rest of its chunk is extracted again by a
-replacement, which is started only if files are still waiting. Results are
-reordered by discovery order before emission, so parallel and serial runs
-produce identical bytes. A worker closes the parent's ends of the pipes of
-the workers forked before it, so no worker holds another's pipes open.
+Since every file is answered, the parent knows which file a worker is on
+and when it started it: the first file of a chunk when the chunk was
+sent, each later one when the answer before it was done. A worker that
+overruns a file's timeout or dies is killed alone: that file gets
+`timeout` or `internal_error`, and only the files after it go back to be
+sent again, to a replacement that is started only if files are still
+waiting. No file is extracted twice. Outcomes are recorded as they arrive
+and reported in discovery order, so parallel and serial runs produce
+identical bytes. Under the abort policy no file after the earliest
+failure known is sent, and the run ends once every file up to that
+failure has its outcome, so an aborted run reports the same outcomes at
+any parallelism. A worker closes the parent's ends of the pipes of the
+workers forked before it, so no worker holds another's pipes open.
 
 A worker builds no model. The parser hands each window's axioms to one
 `census.Summary`, which folds them into the signature and the census and
@@ -36,7 +40,6 @@ import io
 import json
 import marshal
 import math
-import mmap
 import os
 import re
 import select
@@ -57,9 +60,6 @@ DEFAULT_TIMEOUT = 300.0
 _MAX_WAIT = 3600.0  # seconds; poll() takes an int of ms, which ~24.9 days overflows
 STDIN_ID = "<stdin>"  # the ontology id of input read from `-`
 _URI_SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*:")  # RFC 3986 scheme
-# A worker's progress word: chunk number (from 1), position in the chunk and
-# time.monotonic_ns() when it started the file there.
-_STAMP = struct.Struct("qqq")
 _LENGTH = struct.Struct("Q")  # the byte length of a message on a worker's pipe
 
 
@@ -247,13 +247,14 @@ def _fold_imports(imports, path: str, warnings: list[str], seen: set[str],
         _fold_imports(nested, str(target), warnings, seen, summary)
 
 
-def _stamp(progress, number: int, position: int) -> None:
-    """Write (number, position, now) into a worker's progress word. The start
-    time goes in first, so a read between the two writes never pairs the
-    file with an earlier file's start."""
-    stamp = _STAMP.pack(number, position, time.monotonic_ns())
-    progress[16:] = stamp[16:]
-    progress[:16] = stamp[:16]
+def _exactly(reader, size: int) -> bytes:
+    """`size` bytes from `reader`, fewer only if the pipe ends first. A raw
+    reader's read() returns what one system call gives, so read until done."""
+    parts = []
+    while size and (part := reader.read(size)):
+        parts.append(part)
+        size -= len(part)
+    return b"".join(parts)
 
 
 def _send(writer, message) -> None:
@@ -266,10 +267,10 @@ def _send(writer, message) -> None:
 
 def _read(reader):
     """The next message `_send` wrote to the pipe; EOFError if it ends first."""
-    head = reader.read(_LENGTH.size)
+    head = _exactly(reader, _LENGTH.size)
     if len(head) == _LENGTH.size:
         (size,) = _LENGTH.unpack(head)
-        data = reader.read(size)
+        data = _exactly(reader, size)
         if len(data) == size:
             return marshal.loads(data)
     raise EOFError("the pipe ended before a whole message")
@@ -284,6 +285,12 @@ def _entry(outcome: FileOutcome) -> tuple:
             outcome.anonymous_individuals, outcome.warnings)
 
 
+def _failure(status: str, *diagnostics: str) -> tuple:
+    """The `_entry` of an outcome the parent gives a file it cannot send or
+    whose worker failed on it."""
+    return (status, None, list(diagnostics), [], 0, [])
+
+
 def _outcome(path: str, entry: tuple) -> FileOutcome:
     """The FileOutcome of `path` that `_entry` turned into `entry`."""
     status, values, diagnostics, imports, anonymous, warnings = entry
@@ -292,23 +299,19 @@ def _outcome(path: str, entry: tuple) -> FileOutcome:
     return FileOutcome(path, status, vector, diagnostics, imports, anonymous, warnings)
 
 
-def _serve(reader, writer, progress, follow_imports: bool, weights) -> None:
-    """Worker loop: answer each (chunk number, [(path, text), ...]) message
-    read from `reader` with the list of its outcomes' `_entry`s, written to
-    `writer`, until the None sentinel arrives. Before each file, stamp the
-    chunk number, the file's position in the chunk and the time into the
-    shared word `progress`.
+def _serve(reader, writer, follow_imports: bool, weights) -> None:
+    """Worker loop: for each chunk [(path, text), ...] read from `reader`,
+    write one answer per file to `writer` as soon as the file is done,
+    (time.monotonic_ns() at its finish, its outcome's `_entry`), until the
+    None sentinel arrives.
 
     The cyclic garbage collector is off while a file is handled: the parse
     and the extraction build no reference cycles, so its passes over the
-    nodes, the census and the hierarchies would find nothing to free
+    signature and the census would find nothing to free
     (tests/test_runner.py checks that they leave none). A cycle one file
     might leave waits only for the collector's next pass after that file."""
-    while (message := _read(reader)) is not None:
-        number, jobs = message
-        entries = []
-        for position, (path, text) in enumerate(jobs):
-            _stamp(progress, number, position)
+    while (chunk := _read(reader)) is not None:
+        for path, text in chunk:
             gc.disable()
             try:
                 outcome = _extract_file(path, text, follow_imports, weights)
@@ -317,8 +320,7 @@ def _serve(reader, writer, progress, follow_imports: bool, weights) -> None:
                                       diagnostics=[f"{type(exc).__name__}: {exc}"])
             finally:
                 gc.enable()
-            entries.append(_entry(outcome))
-        _send(writer, entries)
+            _send(writer, (time.monotonic_ns(), _entry(outcome)))
 
 
 def _flush_std_streams() -> None:
@@ -341,22 +343,21 @@ def _detach_stdin() -> None:
 
 
 class _Worker:
-    """One long-lived worker process, the parent's ends of its two pipes, the
-    progress word the two share, and the chunk it is working on, if any, as
-    (discovery index, path, text) per file. `others` are the workers forked
-    before it and still running."""
+    """One long-lived worker process and the parent's ends of its two pipes.
+    `chunk` holds the files it was sent and has not answered, as (discovery
+    index, path, text) each, the one it is on last; `started` is the
+    monotonic time at which it started that file. `others` are the workers
+    forked before it and still running."""
 
     def __init__(self, config: RunConfig, others: list[_Worker]):
         from_parent, to_worker = os.pipe()
         from_worker, to_parent = os.pipe()
-        self.progress = mmap.mmap(-1, _STAMP.size)  # shared with the forked worker
         _flush_std_streams()
         try:
             self.pid = os.fork()
         except OSError:  # e.g. out of processes: release what was opened for it
             for fd in (from_parent, to_worker, from_worker, to_parent):
                 os.close(fd)
-            self.progress.close()
             raise
         if self.pid == 0:
             # The worker leaves only here, never by unwinding into the
@@ -372,7 +373,7 @@ class _Worker:
                     os.close(other.writer.fileno())
                     os.close(other.reader.fileno())
                 _detach_stdin()
-                _serve(open(from_parent, "rb"), open(to_parent, "wb"), self.progress,
+                _serve(open(from_parent, "rb"), open(to_parent, "wb"),
                        config.follow_imports, config.cohesion_weights)
                 code = 0
             except EOFError:  # the parent is gone
@@ -381,44 +382,35 @@ class _Worker:
                 os._exit(code)
         os.close(from_parent)
         os.close(to_parent)
-        self.writer, self.reader = open(to_worker, "wb"), open(from_worker, "rb")
-        self.chunk: list[tuple[int, str, str | None]] | None = None
-        self.number = 0
-        self.sent = 0.0
+        # Unbuffered, so no answer waits in a buffer where poll() cannot see it.
+        self.writer, self.reader = open(to_worker, "wb"), open(from_worker, "rb", buffering=0)
+        self.chunk: list[tuple[int, str, str | None]] = []
+        self.started = 0.0
         self.exitcode: int | None = None
 
-    def send(self, number: int, chunk: list[tuple[int, str, str | None]]) -> None:
-        self.chunk, self.number, self.sent = chunk, number, time.monotonic()
+    def send(self, chunk: list[tuple[int, str, str | None]]) -> None:
+        """Hand the worker `chunk`, in discovery order; its first file's
+        timeout runs from now."""
+        self.chunk, self.started = chunk[::-1], time.monotonic()
         try:
-            _send(self.writer, (number, [(path, text) for _, path, text in chunk]))
+            _send(self.writer, [(path, text) for _, path, text in chunk])
         except BrokenPipeError:
             pass  # the worker is gone; its pipe reads as EOF and receive reports it
 
-    def receive(self) -> list[tuple] | None:
-        """The entries of the chunk's outcomes, or None if the worker died on
-        it (its answer ends early or cannot be read)."""
+    def receive(self) -> tuple[int, tuple] | None:
+        """The discovery index and outcome `_entry` of the file the worker
+        was on, or None if it died on it (its answer ends early or cannot be
+        read)."""
         try:
-            return _read(self.reader)
+            finished_ns, entry = _read(self.reader)
         except (EOFError, ValueError):
             return None
-
-    def current(self, timeout: float) -> tuple[int, float]:
-        """The position in the chunk of the file the worker is on, and the
-        monotonic time at which that file's timeout runs out: `timeout` after
-        the worker stamped it, or after the chunk was sent while the chunk
-        is unstamped. The word is read until two reads agree, so a read torn
-        by a stamp being written is not used."""
-        stamp = _STAMP.unpack_from(self.progress)
-        while (again := _STAMP.unpack_from(self.progress)) != stamp:
-            stamp = again
-        number, position, started_ns = stamp
-        if number != self.number:
-            return 0, self.sent + timeout
-        return position, started_ns / 1e9 + timeout
+        self.started = finished_ns / 1e9
+        return self.chunk.pop()[0], entry
 
     def stop(self, kill: bool) -> None:
         """Send the sentinel to an idle worker, or kill a busy one; then reap
-        it, keep its exit code and release its pipes and progress word."""
+        it, keep its exit code and release its pipes."""
         if kill:
             os.kill(self.pid, signal.SIGKILL)
         else:
@@ -432,7 +424,6 @@ class _Worker:
             self.writer.close()
         except BrokenPipeError:  # what the worker never read; the pipe is closed anyway
             pass
-        self.progress.close()
 
 
 def run(config: RunConfig) -> CorpusReport:
@@ -445,53 +436,50 @@ def run(config: RunConfig) -> CorpusReport:
                               diagnostics=["input path does not exist"])
         return CorpusReport(outcomes=[outcome], aborted=True,
                             wall_time_s=time.monotonic() - started)
-    outcomes: dict[int, FileOutcome] = {}
-    # Files still to extract, the next one last, as (discovery index, path,
-    # text or None); `failed` holds the outcomes the parent gave some of them.
+    # The `_entry` of each file's outcome; they become FileOutcomes once the
+    # run is over, so the parent does little per answer. The report covers
+    # files[:end], `left` of which have no outcome yet; under abort, `end`
+    # is just past the earliest failure known.
+    outcomes: list = [None] * len(files)
+    end = left = len(files)
+    # Files still to send, the next one last, as (discovery index, path, text or None).
     pending = [(idx, path, None) for idx, path in enumerate(files)][::-1]
-    failed: dict[int, FileOutcome] = {}
     workers: list[_Worker] = []
-    aborted = False
     timeout = config.per_file_timeout
-    number = 0  # of the last chunk sent
 
-    def record(idx: int, outcome: FileOutcome) -> None:
-        nonlocal aborted
-        outcomes[idx] = outcome
-        if outcome.status != "ok" and config.on_error == "abort":
-            aborted = True
+    def record(idx: int, entry: tuple) -> None:
+        nonlocal end, left
+        if idx >= end:
+            return  # past the failure an aborted run stops at: not reported
+        outcomes[idx] = entry
+        left -= 1
+        if entry[0] != "ok" and config.on_error == "abort":
+            left -= outcomes[idx + 1:end].count(None)
+            end = idx + 1
 
     def take_chunk() -> list[tuple[int, str, str | None]]:
-        """The next files for a worker, ceil(left / (4 * parallelism)) at
-        most. A file whose outcome the parent holds (it cannot be read, or
-        its worker failed on it) is recorded if it comes first and ends the
-        chunk otherwise, so outcomes are recorded in discovery order."""
+        """The next files before `end` for a worker, ceil(left / (4 *
+        parallelism)) at most; one the parent cannot read is recorded."""
         size = -(-len(pending) // (4 * config.parallelism))
         chunk = []
-        while pending and len(chunk) < size and not aborted:
-            idx, path, text = pending[-1]
-            if text is None and idx not in failed:
+        while pending and len(chunk) < size and pending[-1][0] < end:
+            idx, path, text = pending.pop()
+            if text is None:
                 try:
                     if path == STDIN_ID and "-" in config.inputs:
                         text = decode_source(sys.stdin.buffer.read())
                     elif not Path(path).exists():
                         raise FileNotFoundError("input path does not exist")
                 except (OSError, ValueError) as exc:
-                    failed[idx] = FileOutcome(path=path, status="io_error",
-                                              diagnostics=[str(exc)])
-            if idx in failed and chunk:
-                break
-            pending.pop()
-            if idx in failed:
-                record(idx, failed.pop(idx))
-            else:
-                chunk.append((idx, path, text))
+                    record(idx, _failure("io_error", str(exc)))
+                    continue
+            chunk.append((idx, path, text))
         return chunk
 
     try:
-        while not aborted:
-            while pending and not aborted:
-                worker = next((w for w in workers if w.chunk is None), None)
+        while True:
+            while pending and pending[-1][0] < end:
+                worker = next((w for w in workers if not w.chunk), None)
                 if worker is None and len(workers) >= config.parallelism:
                     break
                 chunk = take_chunk()
@@ -499,46 +487,40 @@ def run(config: RunConfig) -> CorpusReport:
                     if worker is None:
                         worker = _Worker(config, workers)
                         workers.append(worker)
-                    number += 1
-                    worker.send(number, chunk)
-            busy = [w for w in workers if w.chunk is not None]
-            if aborted or not busy:
+                    worker.send(chunk)
+            if not left:
                 break
-            wait_for = max(0.0, min(w.current(timeout)[1] for w in busy) - time.monotonic())
+            busy = [w for w in workers if w.chunk]
+            wait_for = max(0.0, min(w.started for w in busy) + timeout - time.monotonic())
             poller = select.poll()
             for worker in busy:
                 poller.register(worker.reader, select.POLLIN)
             # Whole ms, rounded up, so the wait never ends just short of a deadline.
             ready = {fd for fd, _ in poller.poll(math.ceil(min(wait_for, _MAX_WAIT) * 1000))}
+            now = time.monotonic()
             for worker in busy:
-                chunk, answered = worker.chunk, worker.reader.fileno() in ready
-                entries = worker.receive() if answered else None
-                if entries is not None:
-                    worker.chunk = None
-                    for (idx, path, _), entry in zip(chunk, entries):
-                        record(idx, _outcome(path, entry))
-                        if aborted:
-                            break
+                answered = worker.reader.fileno() in ready
+                if answered and (answer := worker.receive()) is not None:
+                    record(*answer)
                     continue
-                position, deadline = worker.current(timeout)
-                if not answered and time.monotonic() < deadline:
+                if not answered and now < worker.started + timeout:
                     continue
                 worker.stop(kill=True)
                 workers.remove(worker)
-                idx, path, _ = chunk[position]
-                failed[idx] = (FileOutcome(path=path, status="internal_error",
-                                           diagnostics=[f"worker exited with code "
-                                                        f"{worker.exitcode}"])
-                               if answered else FileOutcome(path=path, status="timeout"))
-                # The chunk goes back whole: the outcomes of the files before
-                # the failed one died with the worker.
-                pending.extend(chunk)
+                record(worker.chunk.pop()[0],
+                       _failure("internal_error", f"worker exited with code {worker.exitcode}")
+                       if answered else _failure("timeout"))
+                # Only the files after the failed one go back.
+                pending.extend(worker.chunk)
                 pending.sort(reverse=True)
     finally:
-        # On abort, chunks still in flight are terminated and get no outcome.
+        # A worker still on a chunk, say after an abort, is killed.
         for worker in workers:
-            worker.stop(kill=aborted or worker.chunk is not None)
-    ordered = [outcomes[i] for i in sorted(outcomes)]
+            worker.stop(kill=bool(worker.chunk))
+    for idx in range(end):  # in place, so each entry is freed as it is replaced
+        outcomes[idx] = _outcome(files[idx], outcomes[idx])
+    ordered = outcomes[:end]
+    aborted = config.on_error == "abort" and any(o.status != "ok" for o in ordered)
     return CorpusReport(outcomes=ordered, aborted=aborted,
                         wall_time_s=time.monotonic() - started)
 

@@ -507,9 +507,9 @@ def _spy_chunks(monkeypatch):
     chunks = []
     send = runner._Worker.send
 
-    def spy(worker, number, chunk):
+    def spy(worker, chunk):
         chunks.append([Path(path).stem for _, path, _ in chunk])
-        send(worker, number, chunk)
+        send(worker, chunk)
 
     monkeypatch.setattr(runner._Worker, "send", spy)
     return chunks
@@ -538,44 +538,104 @@ def test_a_stuck_file_inside_a_chunk_times_out_alone(tmp_path, monkeypatch):
 
 
 def test_abort_inside_a_chunk_keeps_the_outcomes_before_the_failure(tmp_path, monkeypatch):
-    """The files before a stuck one are extracted again after the kill, so
-    an aborted --jobs 1 run records them, as it would file by file."""
+    """The files before a stuck one were answered one by one before the
+    kill, so an aborted --jobs 1 run records them, as it would file by file,
+    and never sends them again."""
     corpus = make_corpus(tmp_path, names=("a", "b", "c_stuck", "d") + FILLERS)
     _patch_extractor(monkeypatch, "c_stuck.ofn", lambda: time.sleep(60))
     chunks = _spy_chunks(monkeypatch)
     report = run(RunConfig(inputs=[str(corpus)], parallelism=1, per_file_timeout=1.0,
                            on_error="abort"))
-    assert chunks == [["a", "b", "c_stuck", "d"], ["a", "b"]]
+    assert chunks == [["a", "b", "c_stuck", "d"]]
     assert report.aborted
     assert [o.status for o in report.outcomes] == ["ok", "ok", "timeout"]
     assert no_child_left()
 
 
+def _log_extractions(monkeypatch, log):
+    """Append the path of each file a worker starts to extract to `log`."""
+    extract = runner._extract_file
+
+    def logged(path, *args):
+        with open(log, "a", encoding="utf-8") as out:
+            out.write(path + "\n")
+        return extract(path, *args)
+
+    monkeypatch.setattr(runner, "_extract_file", logged)
+
+
+@pytest.mark.parametrize("failure, status", [(lambda: time.sleep(60), "timeout"),
+                                             (lambda: os._exit(3), "internal_error")])
+def test_a_failed_file_after_instant_ones_in_its_chunk_is_named_alone(tmp_path, monkeypatch,
+                                                                      failure, status):
+    """The parent pauses after each send, so the answers of the instant
+    files are all waiting when it reads the first; each must be seen before
+    it waits again, or the wait would time the wrong file. After the kill
+    only the files after the failed one are sent again, so no file is
+    extracted twice."""
+    corpus = make_corpus(tmp_path, names=("a", "b", "c", "d_stuck") + FILLERS)
+    _patch_extractor(monkeypatch, "d_stuck.ofn", failure)
+    log = tmp_path / "extracted"
+    _log_extractions(monkeypatch, log)
+    send = runner._Worker.send
+    monkeypatch.setattr(runner._Worker, "send",
+                        lambda worker, chunk: (send(worker, chunk), time.sleep(0.3)))
+    chunks = _spy_chunks(monkeypatch)
+    report = run(RunConfig(inputs=[str(corpus)], parallelism=1, per_file_timeout=1.0))
+    assert chunks[:2] == [["a", "b", "c", "d_stuck"], ["e", "f", "g"]]
+    assert [o.status for o in report.outcomes] == ["ok"] * 3 + [status] + ["ok"] * 12
+    assert [Path(o.path).stem for o in report.outcomes if o.status != "ok"] == ["d_stuck"]
+    assert Counter(log.read_text().splitlines()) == {o.path: 1 for o in report.outcomes}
+    assert no_child_left()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_an_aborted_run_reports_the_same_outcomes_at_any_jobs_level(tmp_path, monkeypatch,
+                                                                     capsys, jobs):
+    """A failure found while an earlier file is still being extracted stops
+    the run only once that file has its outcome."""
+    from ontoprof.cli import main
+
+    corpus = make_corpus(tmp_path, names=("a_slow", "c", "d"))
+    (corpus / "b_bad.ofn").write_text(MALFORMED)
+    (corpus / "e_bad.ofn").write_text(MALFORMED)
+    _patch_extractor(monkeypatch, "a_slow.ofn", lambda: time.sleep(0.5))
+    report = run(RunConfig(inputs=[str(corpus)], parallelism=jobs, per_file_timeout=60,
+                           on_error="abort"))
+    assert report.aborted
+    assert [(Path(o.path).stem, o.status) for o in report.outcomes] == [
+        ("a_slow", "ok"), ("b_bad", "parse_error")]
+    assert no_child_left()
+    assert main(["extract", "--on-error", "abort", "--jobs", str(jobs), str(corpus)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "".join(f"{d}\n" for d in report.outcomes[1].diagnostics) + \
+        "ontoprof: run aborted\n"
+
+
 def test_input_from_stdin_is_kept_when_its_chunk_goes_back(tmp_path, monkeypatch):
-    make_corpus(tmp_path, names=("b_stuck",) + FILLERS + ("q", "r"))
+    """"#" sorts before "<", so the stuck file comes just before the
+    standard input, whose text is in the part of the chunk that goes back."""
+    (tmp_path / "#stuck").mkdir()
+    (tmp_path / "#stuck" / "a_stuck.ofn").write_text(VALID)
+    make_corpus(tmp_path, names=FILLERS + ("q", "r"))
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(VALID.encode())))
-    _patch_extractor(monkeypatch, "b_stuck.ofn", lambda: time.sleep(60))
+    _patch_extractor(monkeypatch, "a_stuck.ofn", lambda: time.sleep(60))
     chunks = _spy_chunks(monkeypatch)
-    report = run(RunConfig(inputs=["-", "corpus"], parallelism=1, per_file_timeout=1.0))
-    assert chunks[:2] == [["<stdin>", "b_stuck", "e", "f"], ["<stdin>"]]
-    assert [o.status for o in report.outcomes] == ["ok", "timeout"] + ["ok"] * 14
+    report = run(RunConfig(inputs=["#stuck", "-", "corpus"], parallelism=1,
+                           per_file_timeout=1.0))
+    assert chunks[:2] == [["a_stuck", "<stdin>", "e", "f"], ["<stdin>", "e", "f", "g"]]
+    assert [o.status for o in report.outcomes] == ["timeout"] + ["ok"] * 15
     assert report.vectors()[0] == ("<stdin>", report.vectors()[1][1])
 
 
 def test_a_corpus_of_small_files_takes_few_round_trips(tmp_path, monkeypatch):
     corpus = make_corpus(tmp_path, names=tuple(f"o{i:02d}" for i in range(40)))
-    calls = []
-    receive = runner._Worker.receive
-
-    def counting(worker):
-        calls.append(1)
-        return receive(worker)
-
-    monkeypatch.setattr(runner._Worker, "receive", counting)
+    chunks = _spy_chunks(monkeypatch)
     report = run(RunConfig(inputs=[str(corpus)], parallelism=1, per_file_timeout=60))
     assert report.totals["ok"] == 40
-    assert len(calls) < 20
+    assert len(chunks) < 20
 
 
 def test_worker_death_is_internal_error(tmp_path, monkeypatch):
@@ -652,7 +712,7 @@ class _WorkerEnd:
         pass
 
     def answers(self):
-        """The messages written, each a list of outcome entries."""
+        """The messages written, each (finish time in ns, outcome entry)."""
         written = io.BytesIO(b"".join(data for data, _ in self.writes))
         return [runner._read(written) for _ in range(len(self.writes) // 2)]
 
@@ -665,22 +725,22 @@ def test_worker_turns_the_collector_back_on_after_each_file(monkeypatch):
             raise RuntimeError("extractor bug")
         return runner.FileOutcome(path=path, status="parse_error")
 
-    stamps = []  # with whether the collector was on before each file
     monkeypatch.setattr(runner, "_extract_file", extract)
-    monkeypatch.setattr(runner, "_stamp", lambda word, number, position:
-                        stamps.append((number, position, gc.isenabled())))
-    end = _WorkerEnd([(7, [("bug.ofn", ""), ("bad.ofn", "")])])
+    end = _WorkerEnd([[("bug.ofn", ""), ("bad.ofn", "")]])
+    before = time.monotonic_ns()
     try:
-        runner._serve(end.reader, end, None, False, (1 / 3, 1 / 3, 1 / 3))
+        runner._serve(end.reader, end, False, (1 / 3, 1 / 3, 1 / 3))
     finally:
         enabled = gc.isenabled()
         gc.enable()
-    assert stamps == [(7, 0, True), (7, 1, True)]
-    (answer,) = end.answers()
-    assert [entry[:3] for entry in answer] == [("internal_error", None,
-                                                ["RuntimeError: extractor bug"]),
-                                               ("parse_error", None, [])]
-    assert [on for _, on in end.writes] == [True, True]  # the length, then the entries
+    answers = end.answers()
+    assert [entry[:3] for _, entry in answers] == [("internal_error", None,
+                                                    ["RuntimeError: extractor bug"]),
+                                                   ("parse_error", None, [])]
+    finished = [finished_ns for finished_ns, _ in answers]
+    assert before <= finished[0] <= finished[1] <= time.monotonic_ns()
+    # One answer per file, each its length and then its entry.
+    assert [on for _, on in end.writes] == [True] * 4
     assert enabled
 
 

@@ -15,8 +15,8 @@ from collections import Counter
 from itertools import chain
 
 from .model import (
-    _OPERAND_GETTERS, OWL_THING, AsymmetricObjectProperty, ClassExpression, DataComplementOf,
-    DataIntersectionOf, DataOneOf, DataPropertyRange, DataRange, DataRestriction,
+    _OPERAND_GETTERS, ANNOTATION_PROPERTIES, OWL_THING, AsymmetricObjectProperty, ClassExpression,
+    DataComplementOf, DataIntersectionOf, DataOneOf, DataPropertyRange, DataRange, DataRestriction,
     DataUnionOf, DatatypeDefinition, Declaration, DifferentIndividuals, DisjointClasses,
     DisjointObjectProperties, DisjointUnion, EntityKind, EquivalentClasses,
     EquivalentObjectProperties, FunctionalObjectProperty, HasKey,
@@ -25,9 +25,9 @@ from .model import (
     ObjectExactCardinality, ObjectHasSelf, ObjectHasValue, ObjectIntersectionOf,
     ObjectInverseOf, ObjectMaxCardinality, ObjectMinCardinality, ObjectOneOf,
     ObjectPropertyAssertion, ObjectPropertyDomain, ObjectPropertyRange, ObjectSomeValuesFrom,
-    ObjectUnionOf, PropertyChain, ReflexiveObjectProperty, SameIndividual, SubClassOf,
-    SubObjectPropertyOf, SymmetricObjectProperty, TransitiveObjectProperty, frozen_signature,
-    property_name, signature_sets, signature_walk,
+    ObjectUnionOf, PropertyChain, ReflexiveObjectProperty, SameIndividual, Signature,
+    SubClassOf, SubObjectPropertyOf, SymmetricObjectProperty, TransitiveObjectProperty,
+    property_name, signature_walk,
 )
 from .schema import PROPERTY_CHARACTERISTICS
 
@@ -391,7 +391,7 @@ class Summary:
     __slots__ = ("signature", "census", "_sets")
 
     def __init__(self):
-        self._sets = signature_sets()
+        self._sets = [set() for _ in Signature._fields]  # in Signature field order
         self.census = Census()
         self.signature = None
 
@@ -399,7 +399,13 @@ class Summary:
         self.census.add(signature_walk(axioms, self._sets))
 
     def finish(self, annotations=()) -> Summary:
-        self.signature = frozen_signature(self._sets, annotations)
+        """Each signature set is dropped as soon as it is frozen, so no more
+        than one is ever held twice."""
+        sets = self._sets
         del self._sets
+        sets[ANNOTATION_PROPERTIES].update(anno.prop for anno in annotations)
+        for i in range(len(sets)):
+            sets[i] = frozenset(sets[i])
+        self.signature = Signature(*sets)
         self.census.finish()
         return self

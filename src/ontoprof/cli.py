@@ -178,7 +178,12 @@ def cmd_schema(_args) -> int:
 
 
 def cmd_check(args) -> int:
-    from .parser import OntologyParseError, decode_source, parse_ontology
+    """Parse one document and count its axioms per category as they are
+    parsed; no model is built."""
+    from collections import Counter
+
+    from .model import Category, axiom_category
+    from .parser import OntologyParseError, _parse_fields, decode_source
 
     origin = "<stdin>" if args.file == "-" else args.file
     try:
@@ -187,13 +192,15 @@ def cmd_check(args) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"ontoprof: error: {exc}", file=sys.stderr)
         return 2
+    sizes = Counter()
     try:
-        onto = parse_ontology(text, origin=origin)
+        _parse_fields(text, origin, lambda axioms: sizes.update(map(axiom_category, axioms)))
     except OntologyParseError as exc:
         for diag in exc.diagnostics:
             print(diag.format(), file=sys.stderr)
         return 2
-    print(f"{origin}: ok: {len(onto.axioms)} axioms ({onto.logical_axiom_count} logical)")
+    total = sum(sizes.values())
+    print(f"{origin}: ok: {total} axioms ({total - sizes[Category.NON_LOGICAL]} logical)")
     return 0
 
 

@@ -48,7 +48,7 @@ def extract_all(o: Ontology,
                 cohesion_weights: tuple[float, float, float] = COHESION_WEIGHTS) -> FeatureVector:
     """Full feature vector, each value written once, in schema order. `o` is
     an Ontology or anything else with its `census` and `signature`."""
-    census = o.census  # the one walk over the axioms, before the layers that read it
+    census = o.census
     ch = build_class_hierarchy(o)
     ph = build_property_hierarchy(o)
     sig = o.signature

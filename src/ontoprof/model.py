@@ -11,9 +11,10 @@ each with a Shape, after the W3C OWL 2 Structural Specification
 `_node`, and the parser, the serializer, the signature walk and the census
 (in `census`) all read it.
 
-`signature_walk` is the one signature walk: `Ontology` runs it over all
-its axioms at once, and a worker's `census.Summary` over one parser window
-at a time, so that the worker never holds a document's axioms.
+`signature_walk` is the one signature walk, and `census.Summary` its one
+caller: an `Ontology` folds all its axioms into a Summary as one batch,
+and a worker one parser window at a time, so that the worker never holds
+a document's axioms.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 from enum import Enum
-from functools import cached_property, partial
+from functools import partial
 from operator import itemgetter
 
 # LOGICAL_AXIOM_TYPES stays importable from here for perfbench/workloads.py.
@@ -536,11 +537,6 @@ _LEAVES = {t: spec.shapes[0].sig for t, spec in NODES.items()
            and spec.shapes[0].kind in ("iri", "node_id")}
 
 
-def signature_sets() -> list[set]:
-    """One empty set per Signature field, for `signature_walk` to fill."""
-    return [set() for _ in Signature._fields]
-
-
 def signature_walk(axioms, sets: list[set]) -> tuple[list, list, list, list]:
     """The signature walk: add every entity `axioms` mention to `sets`, in
     Signature field order, and return the axioms bucketed by category
@@ -590,18 +586,6 @@ def signature_walk(axioms, sets: list[set]) -> tuple[list, list, list, list]:
     return buckets
 
 
-def frozen_signature(sets: list[set], annotations=()) -> Signature:
-    """The Signature of `sets` once the ontology's own `annotations` add
-    their properties.  Each set is dropped from `sets` as soon as it is
-    frozen, so no more than one is ever held twice."""
-    sets[ANNOTATION_PROPERTIES].update(anno.prop for anno in annotations)
-    frozen = []
-    for i in range(len(sets)):
-        frozen.append(frozenset(sets[i]))
-        sets[i] = None
-    return Signature(*frozen)
-
-
 class Record:
     """Base of a plain record: equal to a record of its own type whose fields
     named in `_fields` are equal, and shown by them."""
@@ -638,32 +622,20 @@ class FrozenRecord(Record):
 
 
 class Ontology(FrozenRecord):
-    """A parsed knowledge base: signature plus categorized axiom list."""
+    """A parsed knowledge base: its axioms, header, signature and census."""
 
     _fields = ("axioms", "iri", "version_iri", "imports", "annotations")
 
     def __init__(self, axioms: tuple[Axiom, ...], iri: str | None = None,
                  version_iri: str | None = None, imports: tuple[str, ...] = (),
                  annotations: tuple[OntologyAnnotation, ...] = ()):
-        """Bucket the axioms by category and gather the signature in the same
-        pass, the one `signature_walk`."""
+        """Fold the axioms into one `census.Summary`, as one batch, for the
+        signature and the census."""
+        from .census import Summary  # census imports this module
+
+        summary = Summary()
+        summary.add(axioms)
+        summary.finish(annotations)
         vars(self).update(axioms=axioms, iri=iri, version_iri=version_iri, imports=imports,
-                          annotations=annotations)
-        sets = signature_sets()
-        buckets = signature_walk(axioms, sets)
-        vars(self).update(zip(("tbox", "rbox", "abox", "non_logical"), map(tuple, buckets)),
-                          signature=frozen_signature(sets, annotations))
-
-    @cached_property
-    def census(self):
-        """The census of all the axioms as one batch, taken on first use."""
-        from .census import Census  # not needed until then, as by `ontoprof check`
-
-        census = Census()
-        census.add((self.tbox, self.rbox, self.abox, self.non_logical))
-        census.finish()
-        return census
-
-    @property
-    def logical_axiom_count(self) -> int:
-        return len(self.tbox) + len(self.rbox) + len(self.abox)
+                          annotations=annotations, signature=summary.signature,
+                          census=summary.census)

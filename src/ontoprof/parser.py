@@ -1,15 +1,16 @@
 """Recursive-descent parser for OWL 2 functional-style syntax.
 
-Whole-document parse into an immutable Ontology.  On any error the parser
-raises OntologyParseError carrying positioned diagnostics; no partial model
-is ever returned.  Unknown top-level constructs (e.g. rules) are preserved
+On any error the parser raises OntologyParseError carrying positioned
+diagnostics.  Unknown top-level constructs (e.g. rules) are preserved
 verbatim as non-logical axioms.
 
-The text is parsed one window of about 64 K characters at a time.  Given a
-`fold`, the parser hands it the axioms completed so far each time it moves
-to the next window, and the rest at the end, and keeps none of them: a
-worker folds each such batch into its census and lets the axioms go.  A
-parse error still fails the whole document.
+The text is parsed one window of about 64 K characters at a time.  The
+parser hands its `fold` the axioms completed so far each time it moves to
+the next window, and the rest at the end, and keeps none of them:
+`parse_ontology` collects them into one immutable Ontology, a worker folds
+each batch into its census and lets the axioms go, and `ontoprof check`
+only counts them.  A parse error still fails the whole document, and no
+partial model is ever returned.
 """
 
 from __future__ import annotations
@@ -199,10 +200,10 @@ class _More(Exception):
 
 
 class _Parser:
-    def __init__(self, text: str, origin: str, fold=None):
+    def __init__(self, text: str, origin: str, fold):
         self.text = text
         self.origin = origin
-        # The axioms parsed since `fold`, if given, was last handed a batch.
+        # The axioms parsed since `fold` was last handed a batch.
         self.axioms: list[Axiom] = []
         self.fold = fold
         # The window's tokens; the first is token `dropped` of the document
@@ -241,7 +242,7 @@ class _Parser:
         begins, and append the next window, to parse the item again from
         its first token. The window doubles while that item does not fit.
         The axioms completed before that item go to `fold` first."""
-        if self.fold is not None and self.axioms:
+        if self.axioms:
             self.fold(self.axioms)
             self.axioms = []
         self.size = 2 * self.size if start == 0 else _WINDOW
@@ -316,8 +317,8 @@ class _Parser:
         `Ontology(` header, then Imports, Annotations and axioms up to ')'.
         An item that fails on the window's end is parsed again with the next
         window appended, so only the window's tokens are ever held. Returns
-        the Ontology's arguments in order; with a `fold`, the axioms have
-        all gone to it and none are returned."""
+        the header: IRI, version IRI, imports and annotations; the axioms
+        have all gone to `fold`."""
         iri = version = None
         imports: list[str] = []
         annotations: list[OntologyAnnotation] = []
@@ -348,11 +349,8 @@ class _Parser:
                 elif stage is _TAIL:
                     if tok:
                         self.fail(f"unexpected trailing content {_value(tok)!r}")
-                    axioms = self.axioms
-                    if self.fold is not None:
-                        self.fold(axioms)
-                        axioms = ()
-                    return tuple(axioms), iri, version, tuple(imports), tuple(annotations)
+                    self.fold(self.axioms)
+                    return iri, version, tuple(imports), tuple(annotations)
                 elif tok == "Prefix":
                     self.parse_prefix_declaration()
                 else:
@@ -666,13 +664,12 @@ def decode_source(data: bytes) -> str:
     return data.decode("utf-8-sig")
 
 
-def _parse_fields(text: str, origin: str, fold=None) -> tuple:
-    """The arguments of `Ontology` for one functional-syntax document, in
-    order: axioms, IRI, version IRI, imports, annotations. Raises
-    OntologyParseError. The parser, with its name memos and token window,
-    is freed on return, before any signature walk. With `fold`, the axioms
-    go to it in batches as they are parsed (see `_Parser.more`), and the
-    axioms returned are ()."""
+def _parse_fields(text: str, origin: str, fold) -> tuple:
+    """The header of one functional-syntax document: IRI, version IRI,
+    imports and annotations, the arguments of `Ontology` after its axioms.
+    The axioms go to `fold` in batches as they are parsed (see
+    `_Parser.more`). Raises OntologyParseError. The parser, with its name
+    memos and token window, is freed on return."""
     parser = _Parser(text, origin, fold)
     try:
         return parser.parse_document()
@@ -684,4 +681,7 @@ def _parse_fields(text: str, origin: str, fold=None) -> tuple:
 
 def parse_ontology(text: str, origin: str = "<string>") -> Ontology:
     """Parse one functional-syntax document; raises OntologyParseError."""
-    return Ontology(*_parse_fields(text, origin))
+    axioms = []
+    header = _parse_fields(text, origin, axioms.extend)
+    axioms = tuple(axioms)  # the list goes before the model is built
+    return Ontology(axioms, *header)

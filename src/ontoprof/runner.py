@@ -81,6 +81,8 @@ class RunConfig(Record):
             raise ValueError("parallelism must be >= 1")
         if not 0 < per_file_timeout < float("inf"):  # also false for NaN
             raise ValueError("per_file_timeout must be a finite positive number")
+        if len(cohesion_weights) != 3:
+            raise ValueError("cohesion weights must be three numbers")
         if not all(0 <= w < float("inf") for w in cohesion_weights):
             raise ValueError("cohesion weights must be finite and non-negative")
         if format not in FORMATS:
@@ -201,7 +203,7 @@ def _extract_file(path: str, text: str | None, follow_imports: bool,
     warnings: list[str] = []
     summary = Summary()
     try:
-        _, _, _, imports, annotations = _parse_fields(text, path, summary.add)
+        _, _, imports, annotations = _parse_fields(text, path, summary.add)
     except OntologyParseError as exc:
         return FileOutcome(path=path, status="parse_error",
                            diagnostics=[d.format() for d in exc.diagnostics])
@@ -233,8 +235,9 @@ def _fold_imports(imports, path: str, warnings: list[str], seen: set[str],
             if resolved in seen:
                 continue
             seen.add(resolved)
-            axioms, _, _, nested, _ = _parse_fields(decode_source(target.read_bytes()),
-                                                    str(target))
+            axioms = []
+            _, _, nested, _ = _parse_fields(decode_source(target.read_bytes()), str(target),
+                                            axioms.extend)
         except (OSError, UnicodeDecodeError) as exc:
             warnings.append(f"{path}: warning: import <{iri}> not merged: {exc}")
             continue

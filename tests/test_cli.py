@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from ontoprof.cli import load_config_file, main
+from ontoprof.parser import decode_source, parse_ontology
 from ontoprof.runner import CorpusReport, RunConfig
 
 VALID = """Prefix(:=<http://example.org/c#>)
@@ -134,7 +135,7 @@ def test_schema_loads_neither_the_runner_nor_the_parser():
 
 def test_check_loads_no_feature_layer_and_no_runner():
     golden = str(FIXTURES / "golden" / "family_kb.ofn")
-    assert modules_loaded_by(["check", golden], EXTRACT_ONLY) == []
+    assert modules_loaded_by(["check", golden], EXTRACT_ONLY + ("ontoprof.census",)) == []
 
 
 def test_extract_loads_no_process_pool_or_pickle():
@@ -176,11 +177,29 @@ def test_every_public_name_imports():
         ontoprof.no_such_name
 
 
-def test_check_ok(tmp_path, capsys):
-    f = tmp_path / "ok.ofn"
-    f.write_text(VALID)
-    assert main(["check", str(f)]) == 0
-    assert "ok: 1 axioms" in capsys.readouterr().out
+RULE_AND_ANNOTATION = """Prefix(:=<http://example.org/c#>)
+Ontology(
+DLSafeRule(Body(ClassAtom(:A Variable(:x))) Head(ClassAtom(:B Variable(:x))))
+AnnotationAssertion(rdfs:label :A "a")
+SubClassOf(:A :B)
+)
+"""
+
+
+@pytest.mark.parametrize("source", [*sorted(FIXTURES.glob("*/*.ofn")), RULE_AND_ANNOTATION],
+                         ids=lambda s: s.name if isinstance(s, Path) else "rule_and_annotation")
+def test_check_ok(source, tmp_path, capsys):
+    """`check` counts what `parse_ontology` builds: every axiom, and the
+    logical ones by the census's category sizes."""
+    if isinstance(source, str):
+        path = tmp_path / "ok.ofn"
+        path.write_text(source)
+    else:
+        path = source
+    o = parse_ontology(decode_source(path.read_bytes()))
+    logical = sum(o.census.category_sizes[:3])
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out == f"{path}: ok: {len(o.axioms)} axioms ({logical} logical)\n"
 
 
 def test_check_reports_positioned_diagnostics(tmp_path, capsys):
@@ -489,8 +508,9 @@ CR_DOCUMENTS = {
 
 def record_unknown_axioms(monkeypatch, command: str, log: Path):
     """Append the text of each UnknownAxiom that `command` parses to `log`:
-    those `parser.parse_ontology` returns for check, and those in the
-    batches a worker folds for extract; forked workers inherit the patch."""
+    those in the batches the parser hands its fold, through the module
+    global `_parse_fields` that check (in `parser`) and extract (in
+    `runner`) read; forked workers inherit the patch."""
     from ontoprof import parser, runner
     from ontoprof.model import UnknownAxiom
 
@@ -498,26 +518,17 @@ def record_unknown_axioms(monkeypatch, command: str, log: Path):
         with log.open("a", encoding="utf-8") as fh:
             fh.writelines(f"{ax.text!r}\n" for ax in axioms if type(ax) is UnknownAxiom)
 
-    if command == "check":
-        parse = parser.parse_ontology
+    module = parser if command == "check" else runner
+    parse_fields = module._parse_fields
 
-        def recording(text, origin="<string>"):
-            onto = parse(text, origin=origin)
-            record(onto.axioms)
-            return onto
+    def recording(text, origin, fold):
+        def folding(axioms):
+            record(axioms)
+            fold(axioms)
 
-        monkeypatch.setattr(parser, "parse_ontology", recording)
-    else:
-        parse_fields = runner._parse_fields
+        return parse_fields(text, origin, folding)
 
-        def recording(text, origin, fold):
-            def folding(axioms):
-                record(axioms)
-                fold(axioms)
-
-            return parse_fields(text, origin, folding)
-
-        monkeypatch.setattr(runner, "_parse_fields", recording)
+    monkeypatch.setattr(module, "_parse_fields", recording)
 
 
 @pytest.mark.parametrize("newline", ["\r", "\r\n"])

@@ -1,5 +1,7 @@
 """One realistic document touching every grammar corner at once."""
 
+from collections import Counter
+
 from ontoprof import extract_all, parse_ontology, serialize
 from ontoprof.model import Category, axiom_category
 
@@ -111,7 +113,6 @@ def test_kitchen_sink_vector_total_and_oracle_clean():
 
 def test_kitchen_sink_category_counts():
     o = parse_ontology(DOC, origin="menu.ofn")
-    assert len(o.tbox) == 15
-    assert len(o.rbox) == 20
-    assert len(o.abox) == 8
-    assert len(o.non_logical) == 12
+    counts = Counter(axiom_category(ax).value for ax in o.axioms)
+    assert counts == {"TBox": 15, "RBox": 20, "ABox": 8, "NonLogical": 12}
+    assert o.census.category_sizes == [15, 20, 8, 12]

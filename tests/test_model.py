@@ -144,9 +144,9 @@ def test_signature_closure_and_partition():
     assert {NS + "A", NS + "B", NS + "Lonely"} <= sig.classes
     assert NS + "r" in sig.object_properties
     assert NS + "i" in sig.individuals
-    assert len(o.tbox) + len(o.rbox) + len(o.abox) == o.logical_axiom_count == 3
+    assert list(map(axiom_category, axioms)) == list(Category)
+    assert o.census.category_sizes == [1, 1, 1, 1]
     assert len(o.axioms) == 4
-    assert o.non_logical == (axioms[3],)
 
 
 def test_arity_validation():

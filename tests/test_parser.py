@@ -11,10 +11,10 @@ import pytest
 
 from ontoprof import OntologyParseError, extract_all, parse_ontology, parser, runner, serialize
 from ontoprof.model import (
-    XSD, AnnotationAssertion, DataPropertyAssertion, DataRestriction,
+    XSD, AnnotationAssertion, Category, DataPropertyAssertion, DataRestriction,
     Declaration, EquivalentClasses, IriRef, Literal, NamedClass,
     ObjectIntersectionOf, ObjectInverseOf, Ontology, PropertyChain,
-    SubClassOf, SubObjectPropertyOf, UnknownAxiom,
+    SubClassOf, SubObjectPropertyOf, UnknownAxiom, axiom_category,
 )
 
 import gen
@@ -37,7 +37,7 @@ def diagnostics_of(body: str):
 def test_minimal_document():
     o = parse("SubClassOf(:Man :Human)")
     assert len(o.axioms) == 1
-    assert o.logical_axiom_count == 1
+    assert o.census.category_sizes == [1, 0, 0, 0]
     ax = o.axioms[0]
     assert isinstance(ax, SubClassOf)
     assert ax.sub == NamedClass("http://example.org/t#Man")
@@ -53,8 +53,9 @@ def test_missing_operand_is_arity_violation_at_keyword():
 
 def test_equivalent_intersection_is_one_tbox_axiom():
     o = parse("EquivalentClasses(:Man ObjectIntersectionOf(:Human :Male))")
-    assert len(o.tbox) == 1
-    ax = o.tbox[0]
+    assert o.census.category_sizes == [1, 0, 0, 0]
+    (ax,) = o.axioms
+    assert axiom_category(ax) is Category.TBOX
     assert isinstance(ax, EquivalentClasses)
     inner = [op for op in ax.operands if isinstance(op, ObjectIntersectionOf)]
     assert len(inner) == 1
@@ -99,7 +100,7 @@ def test_ontology_and_axiom_annotations():
               'AnnotationAssertion(rdfs:label :A "a label"@en)')
     assert len(o.annotations) == 1
     assert len(o.axioms) == 2
-    assert o.logical_axiom_count == 1
+    assert o.census.category_sizes == [1, 0, 0, 1]
 
 
 def test_anonymous_individuals_counted_separately():
@@ -137,7 +138,8 @@ def test_unknown_construct_preserved_verbatim():
     assert isinstance(ax, UnknownAxiom)
     assert ax.name == "DLSafeRule"
     assert ax.text.startswith("DLSafeRule(")
-    assert o.logical_axiom_count == 0
+    assert axiom_category(ax) is Category.NON_LOGICAL
+    assert o.census.category_sizes == [0, 0, 0, 1]
     # survives a serialization round-trip untouched
     again = parse_ontology(serialize(o))
     assert again == o

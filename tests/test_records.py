@@ -31,8 +31,7 @@ def test_ontology_equality_and_hash_ignore_the_derived_fields():
     a = parse_ontology(DOC)
     b = Ontology(axioms=a.axioms, iri=a.iri, version_iri=a.version_iri,
                  imports=a.imports, annotations=a.annotations)
-    a.census  # filled on one side only
-    vars(b)["tbox"] = ()  # a derived field that differs
+    vars(b).update(signature=Signature(), census=None)  # derived fields that differ
     assert a == b and hash(a) == hash(b)
     assert a != Ontology(axioms=a.axioms, iri="http://example.org/other")
     assert a != Ontology(axioms=a.axioms[1:], iri=a.iri)
@@ -51,7 +50,7 @@ def test_records_reject_assignment():
     onto = parse_ontology(DOC)
     hierarchy = build_class_hierarchy(onto)
     diagnostic = ParseDiagnostic("error", 1, 2, "message")
-    for record, field in [(onto, "iri"), (onto, "signature"), (onto, "tbox"),
+    for record, field in [(onto, "iri"), (onto, "signature"), (onto, "census"),
                           (onto.signature, "classes"), (hierarchy, "nodes"),
                           (hierarchy, "ndhc"), (hierarchy, "scc_map"),
                           (diagnostic, "line")]:
@@ -101,6 +100,7 @@ def test_record_defaults():
       for t in (float("inf"), float("nan"))),
     *(({"cohesion_weights": w}, "cohesion weights must be finite and non-negative")
       for w in ((float("nan"), 1, 1), (1, float("inf"), 1), (0.5, 0.5, -0.0001))),
+    ({"cohesion_weights": (0.5, 0.5)}, "cohesion weights must be three numbers"),
 ])
 def test_run_config_validation_messages(kwargs, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -11,8 +11,10 @@ axioms as they are parsed, through a Summary, and keeps none of them.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
-from itertools import chain
+from itertools import chain, compress, islice, repeat
+from operator import add, eq, floordiv, mod, mul, ne
 
 from .model import (
     _OPERAND_GETTERS, ANNOTATION_PROPERTIES, OWL_THING, AsymmetricObjectProperty, ClassExpression,
@@ -63,19 +65,39 @@ def _data_range_tags(dr: DataRange, tags: Counter, sizes: Counter) -> None:
             sizes["DataOneOf", len(node.literals)] += 1
 
 
+def distinct_edges(subs, sups, n: int) -> tuple[array, array]:
+    """The edges `subs[i] -> sups[i]` among the ids 0..n-1 once each, as two
+    array('i') columns: the same two when no edge repeats. Repeats are found
+    by sorting one int key per edge, which takes less memory than a set of
+    them or of pairs."""
+    keys = sorted(map(add, map(mul, subs, repeat(n)), sups))
+    if not any(map(eq, keys, islice(keys, 1, None))):
+        return subs, sups
+    keys = array("q", compress(keys, map(ne, keys, chain((-1,), keys))))  # first of each run
+    return array("i", map(floordiv, keys, repeat(n))), array("i", map(mod, keys, repeat(n)))
+
+
 class Census:
-    """Counts, sets, maxima and edge lists over the logical axioms, gathered
-    in one iterative walk of each axiom but a named-to-named SubClassOf,
-    which is only an edge and a dependency.  Once it is finished, it is the
-    only record of the axioms the features read: the syntactic features, the
+    """Counts, sets, maxima and edge columns over the logical axioms,
+    gathered in one iterative walk of each axiom but a named-to-named
+    SubClassOf, which is only an edge.  Once it is finished, it is the only
+    record of the axioms the features read: the syntactic features, the
     profile checks, the DL family name and the cohesion and individual
     features are arithmetic over it, and the hierarchies are built from its
     edges.
 
+    Each named class in a class edge or a dependency is numbered once, in
+    the order it is first met, and so is each named object property in a
+    property edge.  Every edge set is two array('i') columns of those ids.
+    The hierarchy edges are deduplicated at `finish`; a repeated dependency
+    is harmless to `cyclic_classes`, so it is kept.  The dependency graph of
+    `CCyc` is the class edges plus the dependencies, which hold only what
+    the class edges lack.
+
     Within a batch the TBox axioms are walked first, then the RBox and the
-    ABox ones.  The dependency lists are filled from TBox axioms alone, in
-    their order, and the sets and counters are read only by member and key,
-    so no value depends on how the axioms are cut into batches.
+    ABox ones.  No value depends on the ids, edges and sets are read only as
+    sets, and counters only by key, so no value depends on how the axioms
+    are cut into batches.
 
     A node's tag is its constructor name, or the kind of a data restriction.
     """
@@ -94,12 +116,15 @@ class Census:
         "pcd", "npcd", "gci",
         "nominal_defined",   # classes defined with a nominal
         "disjoint_classes",  # classes under DisjointClasses or DisjointUnion
-        "dependencies",      # class -> list of named classes in its definitions, repeats kept
+        "dependencies",      # (subs, sups): definition edges the class edges lack, repeats kept
         "sizes",             # (tag, cardinality or OneOf arity) occurrences
         "simple_required",   # properties OWL 2 DL requires to be simple
         "dl_flags",          # DL family letters no axiom type or tag implies
-        "class_edges",       # named-to-named SubClassOf, both ways in all-named equivalences
-        "property_edges",    # named-to-named SubObjectPropertyOf
+        "class_names",       # class IRI per id
+        "class_edges",       # (subs, sups): named-to-named SubClassOf, and both ways
+                             # between distinct names in all-named equivalences
+        "property_names",    # object property IRI per id
+        "property_edges",    # (subs, sups): named-to-named SubObjectPropertyOf
         "property_links",    # property -> those its non-simplicity passes to
         "characteristics",   # PROPERTY_CHARACTERISTICS stem -> declared properties
         "domains", "ranges",  # named property -> named classes, a top intersection flattened
@@ -109,6 +134,7 @@ class Census:
         "_usage", "_other_opes",  # property expressions in TBox axioms, and elsewhere
         "_pair_exist", "_pair_univ", "_pair_card",  # (named class, property) per SubClassOf
         "_simple",           # property expressions OWL 2 DL requires to be simple
+        "_class_ids", "_property_ids",  # IRI -> id
     )
 
     def __init__(self):
@@ -124,11 +150,13 @@ class Census:
         self._pair_card = Counter()
         self._simple = set()
         self.dl_flags = set()
-        self.dependencies = {}
+        self._class_ids = {}
+        self._property_ids = {}
+        self.class_edges = (array("i"), array("i"))
+        self.dependencies = (array("i"), array("i"))
         self.nominal_defined = set()
         self.disjoint_classes = set()
-        self.class_edges = set()
-        self.property_edges = set()
+        self.property_edges = (array("i"), array("i"))
         self.property_links = {}
         self.characteristics = {c: set() for c in PROPERTY_CHARACTERISTICS}
         self.domains = {}
@@ -146,9 +174,15 @@ class Census:
                                                  self._other_tags)
         usage, other_opes, sizes = self._usage, self._other_opes, self.sizes
         pair_exist, pair_univ, pair_card = self._pair_exist, self._pair_univ, self._pair_card
-        simple, flags, deps = self._simple, self.dl_flags, self.dependencies
+        simple, flags = self._simple, self.dl_flags
+        ids = self._class_ids
+        number = ids.setdefault  # number(iri, len(ids)): the id of a class, new ones next
+        edge_subs, edge_sups = self.class_edges
+        dep_subs, dep_sups = self.dependencies
         nominal_defined, disjoint = self.nominal_defined, self.disjoint_classes
-        class_edges, property_edges = self.class_edges, self.property_edges
+        property_ids = self._property_ids
+        number_property = property_ids.setdefault
+        property_subs, property_sups = self.property_edges
         links, declared = self.property_links, self.characteristics
         domains, ranges = self.domains, self.ranges
         same, different = self.same_individuals, self.different_individuals
@@ -165,8 +199,8 @@ class Census:
                 if t is SubClassOf:
                     sub, sup = ax
                     if type(sub) is NamedClass and type(sup) is NamedClass:
-                        class_edges.add((sub.iri, sup.iri))  # an edge and a dependency, no walk
-                        deps.setdefault(sub.iri, []).append(sup.iri)
+                        edge_subs.append(number(sub.iri, len(ids)))  # only an edge, no walk
+                        edge_sups.append(number(sup.iri, len(ids)))
                         pcd += 1
                         continue
                 parts = []  # (named classes, has a nominal) per top-level expression
@@ -253,7 +287,11 @@ class Census:
                             pcd += 1
                             iri = sub.iri
                             names, nominal = parts[1]
-                            deps.setdefault(iri, []).extend(names)
+                            if names:
+                                a = number(iri, len(ids))
+                                for name in names:
+                                    dep_subs.append(a)
+                                    dep_sups.append(number(name, len(ids)))
                             if nominal:
                                 nominal_defined.add(iri)
                             st = type(sup)  # not a NamedClass: that case is above
@@ -271,16 +309,23 @@ class Census:
                                    if type(op) is NamedClass]
                         npcd += bool(defined)
                         gci += not defined
-                        if len(defined) == len(ops):
-                            class_edges.update((a, b) for _, a in defined
-                                               for _, b in defined if a != b)
+                        # Each named operand depends on every name in the others. Between
+                        # two distinct names in an all-named equivalence that is a class
+                        # edge, and anything else a dependency.
+                        all_named = len(defined) == len(ops)
                         for i, iri in defined:
-                            targets = deps.setdefault(iri, [])
+                            a = number(iri, len(ids))
                             for j, (names, nominal) in enumerate(parts):
-                                if j != i:
-                                    targets.extend(names)
-                                    if nominal:
-                                        nominal_defined.add(iri)
+                                if j == i:
+                                    continue
+                                for name in names:
+                                    b = number(name, len(ids))
+                                    subs, sups = ((edge_subs, edge_sups) if all_named and a != b
+                                                  else (dep_subs, dep_sups))
+                                    subs.append(a)
+                                    sups.append(b)
+                                if nominal:
+                                    nominal_defined.add(iri)
                     elif t is DisjointClasses or t is DisjointUnion:
                         for names, _ in parts:
                             disjoint.update(names)
@@ -302,7 +347,8 @@ class Census:
                         opes[sub] += 1
                         links.setdefault(property_name(sub), set()).add(property_name(sup))
                         if type(sub) is str and type(sup) is str:
-                            property_edges.add((sub, sup))
+                            property_subs.append(number_property(sub, len(property_ids)))
+                            property_sups.append(number_property(sup, len(property_ids)))
                 elif t is EquivalentObjectProperties or t is DisjointObjectProperties:
                     (ops,) = ax
                     opes.update(ops)
@@ -368,8 +414,10 @@ class Census:
         self.euvi += sum(n * pair_univ[k] for k, n in self._pair_exist.items())
         self.cuvi += sum(n * pair_univ[k] for k, n in self._pair_card.items())
         self.simple_required = {property_name(p) for p in self._simple}
-        self.class_edges = frozenset(self.class_edges)
-        self.property_edges = frozenset(self.property_edges)
+        self.class_names = list(self._class_ids)
+        self.class_edges = distinct_edges(*self.class_edges, len(self.class_names))
+        self.property_names = list(self._property_ids)
+        self.property_edges = distinct_edges(*self.property_edges, len(self.property_names))
         for name in _SCRATCH:
             delattr(self, name)
 

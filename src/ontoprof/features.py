@@ -107,7 +107,7 @@ def extract_all(o: Ontology,
     values["PCD"] = _ratio(census.pcd, tbox_size)
     values["NPCD"] = _ratio(census.npcd, tbox_size)
     values["GCI"] = _ratio(census.gci, tbox_size)
-    values["CCyc"] = _ratio(_count_without(cyclic_classes(o), BUILTIN_CLASSES), sc)
+    values["CCyc"] = _ratio(_count_without(cyclic_classes(o, ch), BUILTIN_CLASSES), sc)
     values["CDIJ"] = _ratio(_count_without(census.disjoint_classes, BUILTIN_CLASSES), sc)
     values["CNOM"] = _ratio(_count_without(census.nominal_defined, BUILTIN_CLASSES), sc)
 

@@ -3,13 +3,20 @@
 Hierarchies connect named entities only; complex expressions never become
 nodes.  Depth is measured on the strongly-connected-component condensation,
 so asserted cycles cannot make it unbounded.
+
+The graph code works on ids: each named node is numbered once, the edges
+are two array('i') columns of ids, and whatever is kept per node or per
+component is a list indexed by id.  The census numbers the classes and
+the object properties as it reads them; an edge set of names handed to
+`Hierarchy` is numbered as it is built.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import chain
-from operator import countOf, itemgetter
+from array import array
+from functools import cached_property
+from itertools import chain, count
+from operator import countOf
 
 from .model import FrozenRecord, Ontology
 
@@ -20,37 +27,85 @@ class Hierarchy(FrozenRecord):
     the component id per node `scc_map`, `depth` (the longest path, in
     edges, through the condensation), `max_children` (most direct children
     of a node), `tangled` (nodes with two or more direct parents) and
-    `max_parents` (most direct parents of a node)."""
+    `max_parents` (most direct parents of a node).
+
+    It is built over ids, and keeps the component id per id and the
+    condensation's successors for `cyclic_classes`; `direct_edges` and
+    `scc_map` are spelled out by name when first read."""
 
     _fields = ("nodes", "direct_edges")
 
     def __init__(self, nodes: frozenset[str], direct_edges: frozenset[tuple[str, str]]):
-        # Each per-node map is dropped once its counts are taken, so no two
-        # are held at once.
-        parents = Counter(map(itemgetter(0), direct_edges)).values()
-        tangled, max_parents = len(parents) - countOf(parents, 1), max(parents, default=0)
+        ends = list(chain.from_iterable(direct_edges))  # sub, sup, sub, sup, ...
+        names = list(dict.fromkeys(ends))
+        ids = array("i", map(dict(zip(names, count())).__getitem__, ends))
+        vars(self)["direct_edges"] = direct_edges
+        self._build(nodes, names, (ids[::2], ids[1::2]))
+
+    @classmethod
+    def of_ids(cls, nodes, names, edges):
+        """The hierarchy over `nodes` whose `edges` are two columns of ids
+        into `names`, without repeats, as the census keeps them."""
+        h = cls.__new__(cls)
+        h._build(nodes, names, edges)
+        return h
+
+    def _build(self, nodes, names, edges):
+        # The parent counts and the child lists are dropped once read.
+        subs, sups = edges
+        n = len(names)
+        parents = [0] * n
+        children: list = [None] * n  # per parent: None, one child id, or a list of them
+        for u, v in zip(subs, sups):
+            parents[u] += 1
+            kids = children[v]
+            if kids is None:
+                children[v] = u
+            elif type(kids) is list:
+                kids.append(u)
+            else:
+                children[v] = [kids, u]
+        tangled = n - countOf(parents, 0) - countOf(parents, 1)
+        max_parents = max(parents, default=0)
         del parents
-        children: dict[str, list[str]] = {}
-        for u, v in direct_edges:
-            children.setdefault(v, []).append(u)
-        max_children = max(map(len, children.values()), default=0)
-        comp, size = _scc_map(nodes, children)
+        max_children = max((len(kids) for kids in children if type(kids) is list),
+                           default=1 if subs else 0)
+        comp, size = _scc_map(children)
         del children
-        pairs, depth = _condensation_counts(direct_edges, comp, size)
-        ndhc = len(direct_edges)
-        vars(self).update(nodes=nodes, direct_edges=direct_edges, ndhc=ndhc, nidhc=pairs - ndhc,
-                          scc_map=comp, depth=depth, max_children=max_children,
-                          tangled=tangled, max_parents=max_parents)
+        succ, cyclic = _successors(subs, sups, comp, len(size))
+        ndhc = len(subs)
+        pairs, depth = _condensation_counts(succ, cyclic, size) if ndhc else (0, 0)
+        vars(self).update(nodes=nodes, ndhc=ndhc, nidhc=pairs - ndhc, depth=depth,
+                          max_children=max_children, tangled=tangled,
+                          max_parents=max_parents, _names=names, _edges=edges, _comp=comp,
+                          _succ=succ, _cyclic=cyclic)
+
+    @cached_property
+    def direct_edges(self) -> frozenset[tuple[str, str]]:
+        name = self._names.__getitem__
+        subs, sups = self._edges
+        return frozenset(zip(map(name, subs), map(name, sups)))
+
+    @cached_property
+    def scc_map(self) -> dict[str, int]:
+        """Component id per node, over `nodes` and every edge endpoint, such
+        that every component a component reaches has a smaller id. A node
+        that was not numbered has no edge, and is a component of its own
+        after the others."""
+        comp = dict(zip(self._names, self._comp))
+        comp.update(zip([v for v in self.nodes if v not in comp], count(len(self._succ))))
+        return comp
 
 
-def _condensation_counts(edges, comp: dict[str, int], size: list[int]) -> tuple[int, int]:
+def _condensation_counts(succ: list, cyclic: bytearray, size: list[int]) -> tuple[int, int]:
     """The number of (u, v) pairs with a directed path of length >= 1 from u
     to v, and the longest path (in edges) through the condensation.
 
-    Counted on the condensation `comp`, with `size` members per component,
-    from `_scc_map` without materializing the closure (Purdom 1970; Nuutila
-    1995). Every component a component reaches has a smaller id, so one pass
-    in ascending id order sees successors first. With the nodes laid out
+    Counted on the condensation, as `_successors` gives it over the
+    components of `_scc_map` with `size` members each, without materializing
+    the closure (Purdom 1970; Nuutila 1995). Every component a component
+    reaches has a smaller id, so one pass in ascending id order sees
+    successors first. With the nodes laid out
     contiguously by component, a component's reach is a Python-int bitset,
     the OR of its successors' reach and members; each member of component c
     reaches its popcount, plus all of c when c is cyclic (two or more
@@ -60,10 +115,7 @@ def _condensation_counts(edges, comp: dict[str, int], size: list[int]) -> tuple[
     a bitset holds at most one bit per node and is dropped after its last
     reader. Heights come in the same pass.
     """
-    if not edges:
-        return 0, 0
     n = len(size)
-    succ, cyclic = _successors(edges, comp, n)
     # readers[d]: components that OR d's bitset into their own, i.e. the
     # predecessors of d that branch or whose own bitset is read.
     readers = [0] * n
@@ -101,17 +153,17 @@ def _condensation_counts(edges, comp: dict[str, int], size: list[int]) -> tuple[
     return total, max(height)
 
 
-def _successors(edges, comp: dict[str, int], n: int) -> tuple[list, list[bool]]:
+def _successors(subs, sups, comp: list[int], n: int) -> tuple[list, bytearray]:
     """Per component of `comp` (ids 0..n-1): its successors in the
-    condensation of `edges`, and whether an edge stays inside it. The
-    successors are None, one bare id, or a set once there are two distinct
-    ones, so a taxonomy keeps no container per component."""
+    condensation of the edges `subs[i] -> sups[i]`, and whether an edge stays
+    inside it. The successors are None, one bare id, or a set once there are
+    two distinct ones, so a taxonomy keeps no container per component."""
     succ: list = [None] * n
-    cyclic = [False] * n
-    for u, v in edges:
+    cyclic = bytearray(n)
+    for u, v in zip(subs, sups):
         cu, cv = comp[u], comp[v]
         if cu == cv:
-            cyclic[cu] = True
+            cyclic[cu] = 1
             continue
         targets = succ[cu]
         if targets is None:
@@ -123,14 +175,14 @@ def _successors(edges, comp: dict[str, int], n: int) -> tuple[list, list[bool]]:
     return succ, cyclic
 
 
-def _components(roots, adj) -> list:
+def _components(roots, adj: list) -> list:
     """Tarjan's algorithm, iterative: the strongly connected components
-    reachable from `roots` over the successor lists in `adj` (a node missing
-    from it has none), each after every component it reaches. A component is
-    a list of its members, or the bare node for a node without successors,
-    which is a component at once and gets no frame; in a taxonomy most nodes
-    are leaves."""
-    num: dict = {}  # DFS number while on the stack, `done` after
+    reachable from `roots` over the ids whose successors are `adj[v]`: None,
+    one bare id, or a collection of ids. Each component comes after every
+    component it reaches. A component is a list of its members, or the bare
+    node for a node without successors, which is a component at once and
+    gets no frame; in a taxonomy most nodes are leaves."""
+    num: list = [None] * len(adj)  # DFS number while on the stack, `done` after
     stack: list = []
     components: list = []
     done = float("inf")
@@ -140,17 +192,18 @@ def _components(roots, adj) -> list:
         frame = work[-1]
         v, it, low = frame
         for w in it:
-            nw = num.get(w)
+            nw = num[w]
             if nw is None:
-                successors = adj.get(w)
-                if not successors:
+                successors = adj[w]
+                if successors is None:
                     num[w] = done
                     components.append(w)
                     continue
                 num[w] = counter
                 stack.append(w)
                 frame[2] = low
-                work.append([w, iter(successors), counter])
+                work.append([w, iter((successors,) if type(successors) is int else successors),
+                             counter])
                 counter += 1
                 break
             if nw < low:
@@ -172,18 +225,17 @@ def _components(roots, adj) -> list:
                 components.append(component)
 
 
-def _scc_map(nodes, children) -> tuple[dict[str, int], list[int]]:
-    """Component id per node, over `nodes` and every edge endpoint, such that
-    every component a component reaches has a smaller id (nothing reads more),
-    and the size of each component.
+def _scc_map(children: list) -> tuple[list[int], list[int]]:
+    """Component id per id, such that every component a component reaches
+    has a smaller id (nothing reads more), and the size of each component.
 
-    Tarjan's algorithm runs over the parent-to-child lists, where it finishes
-    a component after every component below it, so the ids are that order
-    reversed. That holds for any visiting order, so the nodes are not sorted.
-    A child is reached from its parent, so only parents join `nodes` as roots.
+    Tarjan's algorithm runs over the parent-to-child lists, where it
+    finishes a component after every component below it, so the ids are
+    that order reversed. That holds for any visiting order.
     """
-    components = _components(chain(nodes, children), children)[::-1]
-    comp: dict[str, int] = {}
+    components = _components(range(len(children)), children)
+    components.reverse()
+    comp = [0] * len(children)
     size = [1] * len(components)
     for c, members in enumerate(components):
         if type(members) is list:
@@ -199,28 +251,57 @@ def build_class_hierarchy(o: Ontology) -> Hierarchy:
     """Edges from named-to-named SubClassOf plus mutual edges for all-named
     equivalences, as the census collects them; axioms with any complex side
     contribute nothing."""
-    return Hierarchy(nodes=o.signature.classes, direct_edges=o.census.class_edges)
+    return Hierarchy.of_ids(o.signature.classes, o.census.class_names, o.census.class_edges)
 
 
 def build_property_hierarchy(o: Ontology) -> Hierarchy:
     """Edges only from named-to-named SubObjectPropertyOf, as the census
     collects them; chains and all characteristic axioms are ignored."""
-    return Hierarchy(nodes=o.signature.object_properties, direct_edges=o.census.property_edges)
+    return Hierarchy.of_ids(o.signature.object_properties, o.census.property_names,
+                            o.census.property_edges)
 
 
-def cyclic_classes(o: Ontology) -> frozenset[str]:
+def cyclic_classes(o: Ontology, ch: Hierarchy | None = None) -> frozenset[str]:
     """Named classes on an explicit definition cycle.
 
     A depends on B when B occurs anywhere in the defining sides of A's
     SubClassOf or EquivalentClasses axioms; cycles are self-loops or
     components of size two or more in that dependency graph.
+
+    That graph is the class edges plus `census.dependencies`, so its cycles
+    are read off `ch`, the class hierarchy of `o` (built here when not
+    given). Contracting the hierarchy's components keeps the components of
+    the whole graph (Cormen et al., Introduction to Algorithms, §22.5). So a
+    class is on a cycle when its hierarchy component is cyclic, when a
+    dependency stays inside that component, or when Tarjan's algorithm over
+    the condensation, with the dependencies mapped onto component ids, puts
+    it in one component with others.
     """
-    deps = o.census.dependencies
-    # A class no definition mentions is on no cycle, so no search starts there.
-    mentioned = set().union(*deps.values())
-    cyclic: set[str] = set()
-    for members in _components([a for a in deps if a in mentioned], deps):
-        # A bare node has no dependencies, so it is on no cycle.
-        if type(members) is list and (len(members) > 1 or members[0] in deps[members[0]]):
-            cyclic.update(members)
-    return frozenset(cyclic)
+    census = o.census
+    if ch is None:
+        ch = build_class_hierarchy(o)
+    elif ch._names is not census.class_names:
+        raise ValueError("cyclic_classes takes the class hierarchy of the same ontology")
+    comp, succ = ch._comp, ch._succ
+    cyclic = bytearray(ch._cyclic)
+    extra = {}  # component -> the components its dependencies lead to
+    for u, v in zip(*census.dependencies):
+        cu, cv = comp[u], comp[v]
+        if cu == cv:
+            cyclic[cu] = 1  # a self-loop, or an edge inside a cyclic component
+        else:
+            extra.setdefault(cu, []).append(cv)
+    if extra:
+        adj = succ[:]
+        for c, targets in extra.items():
+            d = succ[c]
+            if d is not None:
+                targets.extend(d if type(d) is set else (d,))
+            adj[c] = targets
+        # A cycle that joins components takes a dependency, so it is found
+        # from the dependencies' sources.
+        for members in _components(extra, adj):
+            if type(members) is list and len(members) > 1:
+                for c in members:
+                    cyclic[c] = 1
+    return frozenset(name for name, c in zip(ch._names, comp) if cyclic[c])

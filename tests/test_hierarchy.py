@@ -2,9 +2,11 @@
 
 import random
 
+import pytest
+
 from ontoprof.features import extract_all
 from ontoprof.hierarchy import (
-    Hierarchy, _successors, build_class_hierarchy, build_property_hierarchy, cyclic_classes,
+    Hierarchy, build_class_hierarchy, build_property_hierarchy, cyclic_classes,
 )
 from ontoprof.model import (
     EquivalentClasses, NamedClass, ObjectIntersectionOf, ObjectSomeValuesFrom,
@@ -152,6 +154,12 @@ def test_cyclic_classes_matches_bruteforce_cycles():
         o = random_ontology(rng, max_axioms=15)
         nodes, edges = oracles.dependency_edges(o)
         assert cyclic_classes(o) == oracles.nodes_on_cycles(nodes, edges)
+    rng = random.Random(322)
+    for _ in range(300):
+        o = random_ontology(rng, max_axioms=15, every_form=True)
+        nodes, edges = oracles.dependency_edges(o)
+        assert cyclic_classes(o) == oracles.nodes_on_cycles(nodes, edges)
+        assert cyclic_classes(o, build_class_hierarchy(o)) == cyclic_classes(o)
 
 
 def test_tangledness_bounds_hold():
@@ -339,15 +347,14 @@ def test_hundred_thousand_node_chain_closed_into_a_cycle_at_its_top():
 
 def _compact_successors(names, edges):
     """The hierarchy over `edges` checked against the oracles, with its
-    successors and cyclic flags per component, keyed by member names."""
+    component ids by member name, and the successors and cyclic flags that
+    `_successors` gave it per component id."""
     h = Hierarchy(nodes=frozenset(names), direct_edges=frozenset(edges))
     pairs = oracles.reachability(names, h.direct_edges)
     _assert_ids_order_the_condensation(h, pairs)
     assert h.nidhc == len(pairs) - len(h.direct_edges)
     assert h.depth == oracles.longest_condensation_path(names, h.direct_edges)
-    comp = h.scc_map
-    succ, cyclic = _successors(h.direct_edges, comp, max(comp.values()) + 1)
-    return comp, succ, cyclic
+    return h.scc_map, h._succ, h._cyclic
 
 
 def test_a_cycle_with_many_edges_into_one_parent_keeps_one_id():
@@ -386,25 +393,111 @@ def _cyclic_against_the_oracle(*axioms):
     return o
 
 
+def _named(census, edges):
+    """A census edge set, its ids spelled out as class names."""
+    names = census.class_names
+    return sorted((names[u], names[v]) for u, v in zip(*edges))
+
+
 def test_cyclic_classes_over_dependency_lists_with_repeats():
     twice = SubClassOf(c("A"), c("B"))
     o = _cyclic_against_the_oracle(twice, twice)
-    assert o.census.dependencies == {NS + "A": [NS + "B", NS + "B"]}
+    assert _named(o.census, o.census.class_edges) == [(NS + "A", NS + "B")]  # once
+    assert _named(o.census, o.census.dependencies) == []  # a named edge is no dependency
     assert cyclic_classes(o) == frozenset()
     defined = EquivalentClasses((c("A"), ObjectIntersectionOf(
         (c("B"), ObjectSomeValuesFrom(NS + "r", c("B"))))))
     o = _cyclic_against_the_oracle(defined)
-    assert o.census.dependencies[NS + "A"] == [NS + "B", NS + "B"]
+    assert _named(o.census, o.census.dependencies) == [(NS + "A", NS + "B")] * 2  # kept twice
     assert cyclic_classes(o) == frozenset()
     o = _cyclic_against_the_oracle(defined, SubClassOf(c("B"), c("A")), twice)
+    assert _named(o.census, o.census.class_edges) == [(NS + "A", NS + "B"),
+                                                      (NS + "B", NS + "A")]
+    assert _named(o.census, o.census.dependencies) == [(NS + "A", NS + "B")] * 2
     assert cyclic_classes(o) == {NS + "A", NS + "B"}
     some = SubClassOf(c("C"), ObjectSomeValuesFrom(NS + "r", c("C")))
-    assert cyclic_classes(_cyclic_against_the_oracle(some, some)) == {NS + "C"}
+    o = _cyclic_against_the_oracle(some, some)
+    assert _named(o.census, o.census.dependencies) == [(NS + "C", NS + "C")] * 2
+    assert cyclic_classes(o) == {NS + "C"}
 
 
 def test_cyclic_classes_self_subclass():
     o = _cyclic_against_the_oracle(SubClassOf(c("A"), c("A")), SubClassOf(c("B"), c("A")))
-    assert o.census.dependencies == {NS + "A": [NS + "A"], NS + "B": [NS + "A"]}
+    assert _named(o.census, o.census.class_edges) == [(NS + "A", NS + "A"), (NS + "B", NS + "A")]
+    assert _named(o.census, o.census.dependencies) == []
     assert cyclic_classes(o) == {NS + "A"}
     o = _cyclic_against_the_oracle(EquivalentClasses((c("D"), c("D"))))
+    assert _named(o.census, o.census.class_edges) == []  # the self-loop is only a dependency
+    assert _named(o.census, o.census.dependencies) == [(NS + "D", NS + "D")] * 2  # per operand
     assert cyclic_classes(o) == {NS + "D"}
+
+
+def some(prop, filler):
+    return ObjectSomeValuesFrom(NS + prop, filler)
+
+
+def test_cyclic_classes_cases_against_the_oracle():
+    o = _cyclic_against_the_oracle(EquivalentClasses((c("A"), c("A"))))
+    assert cyclic_classes(o) == {NS + "A"}
+    # Named and complex operands: the named partners depend on each other,
+    # though no hierarchy edge joins them.
+    o = _cyclic_against_the_oracle(EquivalentClasses((c("A"), c("B"), some("r", c("C")))))
+    assert build_class_hierarchy(o).ndhc == 0
+    assert cyclic_classes(o) == {NS + "A", NS + "B"}
+    o = _cyclic_against_the_oracle(EquivalentClasses((c("A"), some("r", c("A")))))
+    assert cyclic_classes(o) == {NS + "A"}
+    # Only through complex definitions.
+    o = _cyclic_against_the_oracle(
+        SubClassOf(c("A"), some("r", c("B"))),
+        SubClassOf(c("B"), ObjectUnionOf((c("C"), c("E")))),
+        EquivalentClasses((c("C"), ObjectIntersectionOf((c("D"), some("s", c("A")))))))
+    assert cyclic_classes(o) == {NS + "A", NS + "B", NS + "C"}
+    # Two such cycles that do not reach each other, each after a class that
+    # reaches neither.
+    o = _cyclic_against_the_oracle(
+        SubClassOf(c("X"), some("r", c("Y"))),
+        SubClassOf(c("A"), some("r", c("B"))), SubClassOf(c("B"), some("r", c("A"))),
+        SubClassOf(c("Z"), some("r", c("Y"))),
+        SubClassOf(c("C"), some("r", c("D"))), SubClassOf(c("D"), some("r", c("C"))))
+    assert cyclic_classes(o) == {NS + "A", NS + "B", NS + "C", NS + "D"}
+    # Only through named edges.
+    o = _cyclic_against_the_oracle(SubClassOf(c("A"), c("B")), SubClassOf(c("B"), c("C")),
+                                   SubClassOf(c("C"), c("A")), SubClassOf(c("C"), c("D")),
+                                   SubClassOf(c("E"), some("r", c("A"))))
+    assert cyclic_classes(o) == {NS + "A", NS + "B", NS + "C"}
+    # A mix: a named chain closed by a complex definition, and a named
+    # equivalence beside it.
+    o = _cyclic_against_the_oracle(SubClassOf(c("A"), c("B")), SubClassOf(c("B"), c("C")),
+                                   SubClassOf(c("C"), some("r", c("A"))),
+                                   EquivalentClasses((c("D"), c("E"))),
+                                   SubClassOf(c("E"), some("r", c("A"))))
+    assert cyclic_classes(o) == {NS + "A", NS + "B", NS + "C", NS + "D", NS + "E"}
+
+
+def test_cyclic_classes_join_hierarchy_components():
+    """Two cyclic components of the class hierarchy, joined into one by two
+    dependencies, and classes around them that stay off every cycle."""
+    o = _cyclic_against_the_oracle(
+        SubClassOf(c("A"), c("B")), SubClassOf(c("B"), c("A")),
+        SubClassOf(c("C"), c("D")), SubClassOf(c("D"), c("C")),
+        SubClassOf(c("B"), some("r", c("C"))), SubClassOf(c("D"), some("s", c("A"))),
+        SubClassOf(c("E"), c("A")), SubClassOf(c("A"), some("r", c("F"))),
+        SubClassOf(c("G"), some("r", c("H"))), SubClassOf(c("H"), c("I")))
+    comp = build_class_hierarchy(o).scc_map
+    assert comp[NS + "A"] == comp[NS + "B"] != comp[NS + "C"] == comp[NS + "D"]
+    assert cyclic_classes(o) == {NS + "A", NS + "B", NS + "C", NS + "D"}
+    # The same, with the second component acyclic in the hierarchy: the
+    # dependencies alone close the cycle through it.
+    o = _cyclic_against_the_oracle(
+        SubClassOf(c("A"), c("B")), SubClassOf(c("B"), c("A")), SubClassOf(c("C"), c("D")),
+        SubClassOf(c("B"), some("r", c("C"))), SubClassOf(c("D"), some("s", c("A"))))
+    assert cyclic_classes(o) == {NS + "A", NS + "B", NS + "C", NS + "D"}
+
+
+def test_cyclic_classes_takes_only_its_own_class_hierarchy():
+    o = onto(SubClassOf(c("A"), some("r", c("A"))))
+    other = onto(SubClassOf(c("A"), some("r", c("A"))))
+    assert cyclic_classes(o, build_class_hierarchy(o)) == {NS + "A"}
+    for wrong in (build_class_hierarchy(other), build_property_hierarchy(o)):
+        with pytest.raises(ValueError):
+            cyclic_classes(o, wrong)

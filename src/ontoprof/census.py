@@ -4,17 +4,17 @@ pass reads, and the Summary that folds a stream of axioms into it.
 The census is an accumulator. `Census.add` counts one batch of axioms,
 given as its category buckets, and `Census.finish` does the arithmetic
 that needs every axiom: the pair products of `EUvI` and `CUvI`, the tag
-set, the usage per named property and the frozen edge sets. An Ontology
-adds all its axioms as one batch; a worker adds each parser window's
-axioms as they are parsed, through a Summary, and keeps none of them.
+set, the usage per named property and the properties required to be
+simple. The class and property edges stay IRIs, as they are met, for
+`hierarchy.Hierarchy` to number. An Ontology adds all its axioms as one
+batch; a worker adds each parser window's axioms as they are parsed,
+through a Summary, and keeps none of them.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
-from itertools import chain, compress, islice, repeat
-from operator import add, eq, floordiv, mod, mul, ne
+from itertools import chain, repeat
 
 from .model import (
     _OPERAND_GETTERS, ANNOTATION_PROPERTIES, OWL_THING, AsymmetricObjectProperty, ClassExpression,
@@ -65,18 +65,6 @@ def _data_range_tags(dr: DataRange, tags: Counter, sizes: Counter) -> None:
             sizes["DataOneOf", len(node.literals)] += 1
 
 
-def distinct_edges(subs, sups, n: int) -> tuple[array, array]:
-    """The edges `subs[i] -> sups[i]` among the ids 0..n-1 once each, as two
-    array('i') columns: the same two when no edge repeats. Repeats are found
-    by sorting one int key per edge, which takes less memory than a set of
-    them or of pairs."""
-    keys = sorted(map(add, map(mul, subs, repeat(n)), sups))
-    if not any(map(eq, keys, islice(keys, 1, None))):
-        return subs, sups
-    keys = array("q", compress(keys, map(ne, keys, chain((-1,), keys))))  # first of each run
-    return array("i", map(floordiv, keys, repeat(n))), array("i", map(mod, keys, repeat(n)))
-
-
 class Census:
     """Counts, sets, maxima and edge columns over the logical axioms,
     gathered in one iterative walk of each axiom but a named-to-named
@@ -86,18 +74,15 @@ class Census:
     features are arithmetic over it, and the hierarchies are built from its
     edges.
 
-    Each named class in a class edge or a dependency is numbered once, in
-    the order it is first met, and so is each named object property in a
-    property edge.  Every edge set is two array('i') columns of those ids.
-    The hierarchy edges are deduplicated at `finish`; a repeated dependency
-    is harmless to `cyclic_classes`, so it is kept.  The dependency graph of
-    `CCyc` is the class edges plus the dependencies, which hold only what
-    the class edges lack.
+    Every edge set is two lists `(subs, sups)` of IRIs, an edge per
+    occurrence: `Hierarchy` numbers the names and drops the repeats, and a
+    repeated dependency is harmless to `cyclic_classes`.  The dependency
+    graph of `CCyc` is the class edges plus the dependencies, which hold
+    only what the class edges lack.
 
     Within a batch the TBox axioms are walked first, then the RBox and the
-    ABox ones.  No value depends on the ids, edges and sets are read only as
-    sets, and counters only by key, so no value depends on how the axioms
-    are cut into batches.
+    ABox ones.  Edges and sets are read only as sets, and counters only by
+    key, so no value depends on how the axioms are cut into batches.
 
     A node's tag is its constructor name, or the kind of a data restriction.
     """
@@ -120,10 +105,8 @@ class Census:
         "sizes",             # (tag, cardinality or OneOf arity) occurrences
         "simple_required",   # properties OWL 2 DL requires to be simple
         "dl_flags",          # DL family letters no axiom type or tag implies
-        "class_names",       # class IRI per id
         "class_edges",       # (subs, sups): named-to-named SubClassOf, and both ways
                              # between distinct names in all-named equivalences
-        "property_names",    # object property IRI per id
         "property_edges",    # (subs, sups): named-to-named SubObjectPropertyOf
         "property_links",    # property -> those its non-simplicity passes to
         "characteristics",   # PROPERTY_CHARACTERISTICS stem -> declared properties
@@ -134,7 +117,6 @@ class Census:
         "_usage", "_other_opes",  # property expressions in TBox axioms, and elsewhere
         "_pair_exist", "_pair_univ", "_pair_card",  # (named class, property) per SubClassOf
         "_simple",           # property expressions OWL 2 DL requires to be simple
-        "_class_ids", "_property_ids",  # IRI -> id
     )
 
     def __init__(self):
@@ -150,13 +132,11 @@ class Census:
         self._pair_card = Counter()
         self._simple = set()
         self.dl_flags = set()
-        self._class_ids = {}
-        self._property_ids = {}
-        self.class_edges = (array("i"), array("i"))
-        self.dependencies = (array("i"), array("i"))
+        self.class_edges = ([], [])
+        self.dependencies = ([], [])
         self.nominal_defined = set()
         self.disjoint_classes = set()
-        self.property_edges = (array("i"), array("i"))
+        self.property_edges = ([], [])
         self.property_links = {}
         self.characteristics = {c: set() for c in PROPERTY_CHARACTERISTICS}
         self.domains = {}
@@ -175,13 +155,9 @@ class Census:
         usage, other_opes, sizes = self._usage, self._other_opes, self.sizes
         pair_exist, pair_univ, pair_card = self._pair_exist, self._pair_univ, self._pair_card
         simple, flags = self._simple, self.dl_flags
-        ids = self._class_ids
-        number = ids.setdefault  # number(iri, len(ids)): the id of a class, new ones next
         edge_subs, edge_sups = self.class_edges
         dep_subs, dep_sups = self.dependencies
         nominal_defined, disjoint = self.nominal_defined, self.disjoint_classes
-        property_ids = self._property_ids
-        number_property = property_ids.setdefault
         property_subs, property_sups = self.property_edges
         links, declared = self.property_links, self.characteristics
         domains, ranges = self.domains, self.ranges
@@ -199,8 +175,8 @@ class Census:
                 if t is SubClassOf:
                     sub, sup = ax
                     if type(sub) is NamedClass and type(sup) is NamedClass:
-                        edge_subs.append(number(sub.iri, len(ids)))  # only an edge, no walk
-                        edge_sups.append(number(sup.iri, len(ids)))
+                        edge_subs.append(sub.iri)  # only an edge, no walk
+                        edge_sups.append(sup.iri)
                         pcd += 1
                         continue
                 parts = []  # (named classes, has a nominal) per top-level expression
@@ -287,11 +263,8 @@ class Census:
                             pcd += 1
                             iri = sub.iri
                             names, nominal = parts[1]
-                            if names:
-                                a = number(iri, len(ids))
-                                for name in names:
-                                    dep_subs.append(a)
-                                    dep_sups.append(number(name, len(ids)))
+                            dep_subs.extend(repeat(iri, len(names)))
+                            dep_sups.extend(names)
                             if nominal:
                                 nominal_defined.add(iri)
                             st = type(sup)  # not a NamedClass: that case is above
@@ -314,16 +287,15 @@ class Census:
                         # edge, and anything else a dependency.
                         all_named = len(defined) == len(ops)
                         for i, iri in defined:
-                            a = number(iri, len(ids))
                             for j, (names, nominal) in enumerate(parts):
                                 if j == i:
                                     continue
                                 for name in names:
-                                    b = number(name, len(ids))
-                                    subs, sups = ((edge_subs, edge_sups) if all_named and a != b
+                                    subs, sups = ((edge_subs, edge_sups)
+                                                  if all_named and iri != name
                                                   else (dep_subs, dep_sups))
-                                    subs.append(a)
-                                    sups.append(b)
+                                    subs.append(iri)
+                                    sups.append(name)
                                 if nominal:
                                     nominal_defined.add(iri)
                     elif t is DisjointClasses or t is DisjointUnion:
@@ -347,8 +319,8 @@ class Census:
                         opes[sub] += 1
                         links.setdefault(property_name(sub), set()).add(property_name(sup))
                         if type(sub) is str and type(sup) is str:
-                            property_subs.append(number_property(sub, len(property_ids)))
-                            property_sups.append(number_property(sup, len(property_ids)))
+                            property_subs.append(sub)
+                            property_sups.append(sup)
                 elif t is EquivalentObjectProperties or t is DisjointObjectProperties:
                     (ops,) = ax
                     opes.update(ops)
@@ -414,10 +386,6 @@ class Census:
         self.euvi += sum(n * pair_univ[k] for k, n in self._pair_exist.items())
         self.cuvi += sum(n * pair_univ[k] for k, n in self._pair_card.items())
         self.simple_required = {property_name(p) for p in self._simple}
-        self.class_names = list(self._class_ids)
-        self.class_edges = distinct_edges(*self.class_edges, len(self.class_names))
-        self.property_names = list(self._property_ids)
-        self.property_edges = distinct_edges(*self.property_edges, len(self.property_names))
         for name in _SCRATCH:
             delattr(self, name)
 

@@ -4,19 +4,18 @@ Hierarchies connect named entities only; complex expressions never become
 nodes.  Depth is measured on the strongly-connected-component condensation,
 so asserted cycles cannot make it unbounded.
 
-The graph code works on ids: each named node is numbered once, the edges
-are two array('i') columns of ids, and whatever is kept per node or per
-component is a list indexed by id.  The census numbers the classes and
-the object properties as it reads them; an edge set of names handed to
-`Hierarchy` is numbered as it is built.
+This is the one module that numbers names: `Hierarchy` numbers its edge
+endpoints and nodes once, the edges become two array('i') columns of ids,
+and whatever is kept per node or per component is a list indexed by id.
+The census hands it IRI pairs as they were met, repeats and all.
 """
 
 from __future__ import annotations
 
 from array import array
 from functools import cached_property
-from itertools import chain, count
-from operator import countOf
+from itertools import chain, compress, count, islice, repeat
+from operator import add, countOf, eq, floordiv, mod, mul, ne
 
 from .model import FrozenRecord, Ontology
 
@@ -29,31 +28,33 @@ class Hierarchy(FrozenRecord):
     of a node), `tangled` (nodes with two or more direct parents) and
     `max_parents` (most direct parents of a node).
 
-    It is built over ids, and keeps the component id per id and the
-    condensation's successors for `cyclic_classes`; `direct_edges` and
-    `scc_map` are spelled out by name when first read."""
+    `direct_edges` is any iterable of (sub, sup) name pairs; an endpoint
+    need not be in `nodes`, and a repeated pair is one edge.  The endpoints
+    are numbered in the order met, then the other nodes.  The hierarchy
+    keeps the name per id, the edges and the component id per id, and the
+    condensation's successors and cyclic flags for `cyclic_classes`;
+    `direct_edges` and `scc_map` are spelled out by name when first read."""
 
     _fields = ("nodes", "direct_edges")
 
-    def __init__(self, nodes: frozenset[str], direct_edges: frozenset[tuple[str, str]]):
+    def __init__(self, nodes: frozenset[str], direct_edges):
+        # The id map, the sort keys, the parent counts and the child lists
+        # are dropped once read.
         ends = list(chain.from_iterable(direct_edges))  # sub, sup, sub, sup, ...
-        names = list(dict.fromkeys(ends))
-        ids = array("i", map(dict(zip(names, count())).__getitem__, ends))
-        vars(self)["direct_edges"] = direct_edges
-        self._build(nodes, names, (ids[::2], ids[1::2]))
-
-    @classmethod
-    def of_ids(cls, nodes, names, edges):
-        """The hierarchy over `nodes` whose `edges` are two columns of ids
-        into `names`, without repeats, as the census keeps them."""
-        h = cls.__new__(cls)
-        h._build(nodes, names, edges)
-        return h
-
-    def _build(self, nodes, names, edges):
-        # The parent counts and the child lists are dropped once read.
-        subs, sups = edges
+        names = list(dict.fromkeys(chain(ends, nodes)))
         n = len(names)
+        ids = array("i", map(dict(zip(names, count())).__getitem__, ends))
+        del ends
+        subs, sups = ids[::2], ids[1::2]
+        del ids
+        # Repeats are found by sorting one int key per edge, which takes less
+        # memory than a set of them or of pairs.
+        keys = sorted(map(add, map(mul, subs, repeat(n)), sups))
+        if any(map(eq, keys, islice(keys, 1, None))):
+            keys = array("q", compress(keys, map(ne, keys, chain((-1,), keys))))  # run starts
+            subs = array("i", map(floordiv, keys, repeat(n)))
+            sups = array("i", map(mod, keys, repeat(n)))
+        del keys
         parents = [0] * n
         children: list = [None] * n  # per parent: None, one child id, or a list of them
         for u, v in zip(subs, sups):
@@ -77,8 +78,8 @@ class Hierarchy(FrozenRecord):
         pairs, depth = _condensation_counts(succ, cyclic, size) if ndhc else (0, 0)
         vars(self).update(nodes=nodes, ndhc=ndhc, nidhc=pairs - ndhc, depth=depth,
                           max_children=max_children, tangled=tangled,
-                          max_parents=max_parents, _names=names, _edges=edges, _comp=comp,
-                          _succ=succ, _cyclic=cyclic)
+                          max_parents=max_parents, _names=names, _edges=(subs, sups),
+                          _comp=comp, _succ=succ, _cyclic=cyclic)
 
     @cached_property
     def direct_edges(self) -> frozenset[tuple[str, str]]:
@@ -89,12 +90,8 @@ class Hierarchy(FrozenRecord):
     @cached_property
     def scc_map(self) -> dict[str, int]:
         """Component id per node, over `nodes` and every edge endpoint, such
-        that every component a component reaches has a smaller id. A node
-        that was not numbered has no edge, and is a component of its own
-        after the others."""
-        comp = dict(zip(self._names, self._comp))
-        comp.update(zip([v for v in self.nodes if v not in comp], count(len(self._succ))))
-        return comp
+        that every component a component reaches has a smaller id."""
+        return dict(zip(self._names, self._comp))
 
 
 def _condensation_counts(succ: list, cyclic: bytearray, size: list[int]) -> tuple[int, int]:
@@ -251,14 +248,13 @@ def build_class_hierarchy(o: Ontology) -> Hierarchy:
     """Edges from named-to-named SubClassOf plus mutual edges for all-named
     equivalences, as the census collects them; axioms with any complex side
     contribute nothing."""
-    return Hierarchy.of_ids(o.signature.classes, o.census.class_names, o.census.class_edges)
+    return Hierarchy(o.signature.classes, zip(*o.census.class_edges))
 
 
 def build_property_hierarchy(o: Ontology) -> Hierarchy:
     """Edges only from named-to-named SubObjectPropertyOf, as the census
     collects them; chains and all characteristic axioms are ignored."""
-    return Hierarchy.of_ids(o.signature.object_properties, o.census.property_names,
-                            o.census.property_edges)
+    return Hierarchy(o.signature.object_properties, zip(*o.census.property_edges))
 
 
 def cyclic_classes(o: Ontology, ch: Hierarchy | None = None) -> frozenset[str]:
@@ -277,15 +273,14 @@ def cyclic_classes(o: Ontology, ch: Hierarchy | None = None) -> frozenset[str]:
     the condensation, with the dependencies mapped onto component ids, puts
     it in one component with others.
     """
-    census = o.census
     if ch is None:
         ch = build_class_hierarchy(o)
-    elif ch._names is not census.class_names:
+    elif ch.nodes is not o.signature.classes:
         raise ValueError("cyclic_classes takes the class hierarchy of the same ontology")
-    comp, succ = ch._comp, ch._succ
+    comp, succ = ch.scc_map, ch._succ
     cyclic = bytearray(ch._cyclic)
     extra = {}  # component -> the components its dependencies lead to
-    for u, v in zip(*census.dependencies):
+    for u, v in zip(*o.census.dependencies):
         cu, cv = comp[u], comp[v]
         if cu == cv:
             cyclic[cu] = 1  # a self-loop, or an edge inside a cyclic component
@@ -304,4 +299,4 @@ def cyclic_classes(o: Ontology, ch: Hierarchy | None = None) -> frozenset[str]:
             if type(members) is list and len(members) > 1:
                 for c in members:
                     cyclic[c] = 1
-    return frozenset(name for name, c in zip(ch._names, comp) if cyclic[c])
+    return frozenset(name for name, c in comp.items() if cyclic[c])

@@ -169,6 +169,28 @@ def test_start_up_loads_no_dataclasses_configparser_or_resources():
     assert done.stderr == "schema []\ncheck []\nrunner []\n"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_extract_is_the_same_under_any_hash_seed(tmp_path, fmt):
+    """Sets iterate in an order the hash seed picks, and a hierarchy numbers
+    the nodes without an edge in that order: no output byte may follow it."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for seed in ("0", "4242"):
+        cwd = tmp_path / seed
+        cwd.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-m", "ontoprof.cli", "extract", "--jobs", "1",
+                               "--follow-imports", "--format", fmt, "--out", f"m.{fmt}",
+                               str(FIXTURES)], cwd=cwd, env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        report = (cwd / f"m.{fmt}.report.json").read_bytes()
+        report, timed = re.subn(rb'\n *"wall_time_s": [^\n]*', b"", report)
+        assert timed == 1
+        outputs.append(((cwd / f"m.{fmt}").read_bytes(), report, done.stderr))
+    assert outputs[0] == outputs[1]
+
+
 def test_every_public_name_imports():
     import ontoprof
     for name in ontoprof.__all__:

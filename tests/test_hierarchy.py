@@ -248,6 +248,13 @@ def _partition(groups) -> set[frozenset]:
     return {frozenset(members) for members in groups}
 
 
+def _components_by_name(h) -> set[frozenset]:
+    by_id: dict = {}
+    for n, c in h.scc_map.items():
+        by_id.setdefault(c, set()).add(n)
+    return _partition(by_id.values())
+
+
 def _assert_ids_order_the_condensation(h, pairs):
     """Ids cover the nodes and edge endpoints and run 0..k-1; every edge
     leads to an id no larger, equal exactly within one oracle SCC; and the
@@ -261,10 +268,7 @@ def _assert_ids_order_the_condensation(h, pairs):
     for u, v in h.direct_edges:
         assert comp[u] >= comp[v]
         assert (comp[u] == comp[v]) == (v in same[u])
-    by_id: dict = {}
-    for n, c in comp.items():
-        by_id.setdefault(c, set()).add(n)
-    assert _partition(by_id.values()) == _partition(same.values())
+    assert _components_by_name(h) == _partition(same.values())
 
 
 def test_component_ids_order_the_condensation_on_random_digraphs():
@@ -274,6 +278,23 @@ def test_component_ids_order_the_condensation_on_random_digraphs():
         pairs = oracles.reachability(names, edges)
         for nodes in (frozenset(names), frozenset(rng.sample(names, len(names) // 2))):
             _assert_ids_order_the_condensation(Hierarchy(nodes=nodes, direct_edges=edges), pairs)
+
+
+def test_repeated_pairs_and_endpoints_outside_the_nodes():
+    """Any iterable of pairs, with repeats and with endpoints outside
+    `nodes`, makes the hierarchy of its deduplicated frozenset."""
+    rng = random.Random(31)
+    for _ in range(200):
+        names, edges = _random_digraph(rng)
+        nodes = frozenset(rng.sample(names, len(names) // 2))
+        pairs = [*edges, *edges, *rng.sample(sorted(edges), len(edges) // 2)]
+        rng.shuffle(pairs)
+        h, once = Hierarchy(nodes, iter(pairs)), Hierarchy(nodes, edges)
+        assert h == once and h.direct_edges == edges and h.ndhc == len(edges)
+        for field in ("nidhc", "depth", "tangled", "max_parents", "max_children"):
+            assert getattr(h, field) == getattr(once, field), field
+        assert h.scc_map.keys() == once.scc_map.keys()
+        assert _components_by_name(h) == _components_by_name(once)
 
 
 def _cycle_between_dags(rng):
@@ -393,43 +414,41 @@ def _cyclic_against_the_oracle(*axioms):
     return o
 
 
-def _named(census, edges):
-    """A census edge set, its ids spelled out as class names."""
-    names = census.class_names
-    return sorted((names[u], names[v]) for u, v in zip(*edges))
+A, B, C, D = NS + "A", NS + "B", NS + "C", NS + "D"
 
 
 def test_cyclic_classes_over_dependency_lists_with_repeats():
     twice = SubClassOf(c("A"), c("B"))
     o = _cyclic_against_the_oracle(twice, twice)
-    assert _named(o.census, o.census.class_edges) == [(NS + "A", NS + "B")]  # once
-    assert _named(o.census, o.census.dependencies) == []  # a named edge is no dependency
+    assert o.census.class_edges == ([A, A], [B, B])  # kept twice
+    assert o.census.dependencies == ([], [])  # a named edge is no dependency
+    h = build_class_hierarchy(o)
+    assert h.direct_edges == {(A, B)} and h.ndhc == 1  # counted once
     assert cyclic_classes(o) == frozenset()
     defined = EquivalentClasses((c("A"), ObjectIntersectionOf(
         (c("B"), ObjectSomeValuesFrom(NS + "r", c("B"))))))
     o = _cyclic_against_the_oracle(defined)
-    assert _named(o.census, o.census.dependencies) == [(NS + "A", NS + "B")] * 2  # kept twice
+    assert o.census.dependencies == ([A, A], [B, B])  # kept twice
     assert cyclic_classes(o) == frozenset()
     o = _cyclic_against_the_oracle(defined, SubClassOf(c("B"), c("A")), twice)
-    assert _named(o.census, o.census.class_edges) == [(NS + "A", NS + "B"),
-                                                      (NS + "B", NS + "A")]
-    assert _named(o.census, o.census.dependencies) == [(NS + "A", NS + "B")] * 2
-    assert cyclic_classes(o) == {NS + "A", NS + "B"}
+    assert o.census.class_edges == ([B, A], [A, B])
+    assert o.census.dependencies == ([A, A], [B, B])
+    assert cyclic_classes(o) == {A, B}
     some = SubClassOf(c("C"), ObjectSomeValuesFrom(NS + "r", c("C")))
     o = _cyclic_against_the_oracle(some, some)
-    assert _named(o.census, o.census.dependencies) == [(NS + "C", NS + "C")] * 2
-    assert cyclic_classes(o) == {NS + "C"}
+    assert o.census.dependencies == ([C, C], [C, C])
+    assert cyclic_classes(o) == {C}
 
 
 def test_cyclic_classes_self_subclass():
     o = _cyclic_against_the_oracle(SubClassOf(c("A"), c("A")), SubClassOf(c("B"), c("A")))
-    assert _named(o.census, o.census.class_edges) == [(NS + "A", NS + "A"), (NS + "B", NS + "A")]
-    assert _named(o.census, o.census.dependencies) == []
-    assert cyclic_classes(o) == {NS + "A"}
+    assert o.census.class_edges == ([A, B], [A, A])
+    assert o.census.dependencies == ([], [])
+    assert cyclic_classes(o) == {A}
     o = _cyclic_against_the_oracle(EquivalentClasses((c("D"), c("D"))))
-    assert _named(o.census, o.census.class_edges) == []  # the self-loop is only a dependency
-    assert _named(o.census, o.census.dependencies) == [(NS + "D", NS + "D")] * 2  # per operand
-    assert cyclic_classes(o) == {NS + "D"}
+    assert o.census.class_edges == ([], [])  # the self-loop is only a dependency
+    assert o.census.dependencies == ([D, D], [D, D])  # per operand
+    assert cyclic_classes(o) == {D}
 
 
 def some(prop, filler):

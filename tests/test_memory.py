@@ -11,18 +11,23 @@ the model's own nodes.
 The readings, in B per class (parse transient, extraction peak, worker
 peak, worker's hold):
 
-    CPython 3.10.13   168  154  612  142
-    CPython 3.11.7    153  158  561  142
-    CPython 3.12.1    153  158  537  134
-    CPython 3.13.13   153  158  537  134
+    CPython 3.10.13   156  219  525  146
+    CPython 3.11.7    127  204  496  146
+    CPython 3.12.1    111  204  472  138
+    CPython 3.13.0    111  204  472  138
+
+The parse transient is the parse peak less the model it keeps, so it
+moves against the kept model: a model that shrinks raises it, one that
+grows lowers it, although the peak itself may move the other way.
 
 Each bound sits below what one container too many reads. A parser kept
-alive while the model is built gives a parse transient of 308-362. A set
-per class in the census gives a worker peak of 769-859 and a hold of
-385-407. A worker that collects a document's axioms in one list and folds
-them once after the parse holds 434-442; its peak, 592-615, is no longer
-above the others', since the parse's own transient now dominates both, so
-only the hold shows it.
+alive while the model is built gives a parse transient of 255-294. A set
+per class in the census gives a worker peak of 720-795 and a hold of
+389-411. A worker that collects a document's axioms in one list and
+folds them once after the parse peaks at 641-664 and holds 439-447. A
+census that numbers the classes as it reads them, in an id map dropped
+at `finish`, peaks at 548-623, which the worker bound catches on 3.10
+and 3.11 only.
 
     python tests/test_memory.py
 
@@ -43,9 +48,9 @@ from ontoprof.features import extract_all
 from ontoprof.parser import parse_ontology
 
 CLASSES = 6000
-PARSE_BOUND = 260    # B per class: parse peak less the source text and the kept model
+PARSE_BOUND = 210    # B per class: parse peak less the source text and the kept model
 EXTRACT_BOUND = 520  # B per class: extract_all's peak over the parsed model
-WORKER_BOUND = 680   # B per class: a worker's peak over the text it is handed
+WORKER_BOUND = 560   # B per class: a worker's peak over the text it is handed
 HOLD_BOUND = 250     # B per class: what a worker keeps over the text once the parse is over
 
 

@@ -186,15 +186,20 @@ def cmd_check(args) -> int:
     from .parser import OntologyParseError, _parse_fields, decode_source
 
     origin = "<stdin>" if args.file == "-" else args.file
+    sizes = Counter()
+
+    def count(axioms):
+        sizes.update(map(axiom_category, axioms))
+
     try:
-        data = sys.stdin.buffer.read() if args.file == "-" else Path(args.file).read_bytes()
-        text = decode_source(data)
+        if args.file == "-":
+            _parse_fields(decode_source(sys.stdin.buffer.read()), origin, count)
+        else:
+            with open(args.file, "rb") as source:  # read and decoded a window at a time
+                _parse_fields(source, origin, count)
     except (OSError, UnicodeDecodeError) as exc:
         print(f"ontoprof: error: {exc}", file=sys.stderr)
         return 2
-    sizes = Counter()
-    try:
-        _parse_fields(text, origin, lambda axioms: sizes.update(map(axiom_category, axioms)))
     except OntologyParseError as exc:
         for diag in exc.diagnostics:
             print(diag.format(), file=sys.stderr)

@@ -11,14 +11,29 @@ the next window, and the rest at the end, and keeps none of them:
 each batch into its census and lets the axioms go, and `ontoprof check`
 only counts them.  A parse error still fails the whole document, and no
 partial model is ever returned.
+
+The source is a str, held whole, or a binary file, which the parser reads
+and decodes as it goes, so that it holds about one window of text: the
+lines from the first window whose tokens it still holds to the end of the
+last one lexed (a document without a line feed, such as a CR-only one, is
+one line and one window).  A file no longer than one read, or one that
+cannot be read twice, is decoded whole like a str.  Token positions are
+lexed per held window (see `lexer`), and only for a window where a
+diagnostic or an unknown construct needs them.  Errors take precedence
+in this order wherever they are in the document: a decode error, then a
+lexical error, then a syntax error; after an error the rest of the
+source is lexed a window at a time, or only decoded after a lexical
+error, and none of it is kept.
 """
 
 from __future__ import annotations
 
-import re
+import codecs
 import sys
 from collections import namedtuple
 
+from .lexer import (_NAMES, _SKIP_RE, OntologyParseError, ParseDiagnostic, _diagnostic, _kind,
+                    _token_spans, _tokenize, _unescape, _value)
 from .model import (
     CE, NODES, OWL, RDF, RDFS, XSD, AnonymousIndividual, Axiom, ClassExpression,
     DataRange, DatatypeRef, Entity, IriRef, Literal, NamedClass, Node, ObjectInverseOf,
@@ -33,158 +48,6 @@ STANDARD_PREFIXES = {
 }
 
 
-class ParseDiagnostic(namedtuple("ParseDiagnostic", "severity line column message origin",
-                                 defaults=("<string>",))):
-    """One positioned message; `severity` is "error" or "warning"."""
-
-    __slots__ = ()
-
-    def format(self) -> str:
-        return f"{self.origin}:{self.line}:{self.column}: {self.severity}: {self.message}"
-
-
-class OntologyParseError(Exception):
-    """Parse failure; .diagnostics holds at least one positioned error."""
-
-    def __init__(self, diagnostics: list[ParseDiagnostic]):
-        super().__init__("; ".join(d.format() for d in diagnostics))
-        self.diagnostics = diagnostics
-
-
-def _diagnostic(text: str, offset: int, message: str, origin: str) -> ParseDiagnostic:
-    """An error positioned at `offset`; line and column are 1-based and a
-    column counts characters, so tabs and carriage returns count as one."""
-    line = text.count("\n", 0, offset) + 1
-    column = offset - text.rfind("\n", 0, offset)
-    return ParseDiagnostic("error", line, column, message, origin)
-
-
-# ---------------------------------------------------------------------------
-# Lexer, after the "Writing a Tokenizer" recipe of the `re` docs. A token is
-# the text it is written as: the parser reads its kind from that text and
-# cuts a value out of it only where it uses one. Whitespace is exactly
-# [ \t\r\n]: any other character outside a token is a lexical error.
-#
-# The text is lexed one window at a time, each by one findall: from the
-# first token after the last window to the line feed about _WINDOW
-# characters on (or to the end of the text). Each match is one token plus
-# the whitespace and comments after it or, where no token matches, the
-# whole rest of the window, so matches are contiguous and the scan never
-# searches past a failed offset (a search that did would be quadratic on a
-# long line of unclosed '<'). Only a string literal can hold a line feed,
-# so a window cuts no other token; a cut literal is the rest of the window
-# and lexes again in a window twice as long. A window ends in the "" of the
-# end of input, and the parser retries an item that runs into it (see
-# `_Parser.more`). Token offsets are needed only for a syntax error or for
-# an unknown construct's text; `_token_spans` lexes the whole document
-# again, with one finditer, to find them.
-#
-# A keyword is tried before a prefixed name, so the common case is not
-# scanned twice; its lookahead sends a word that runs on into a prefixed
-# name (`a.b:c`) to the prefixed-name alternative, and one that stops at
-# '_', '.' or '-' without a colon to the plain keyword after it.
-
-_TOKEN = r"""
-      \( | \) | = | \^\^
-    | <[^>\n]*>                                        # IRI
-    | [A-Za-z][A-Za-z0-9]*(?![A-Za-z0-9_.\-:])         # keyword
-    | "[^"\\]*(?:\\["\\][^"\\]*)*"                     # string literal
-    | @[A-Za-z]+(?:-[A-Za-z0-9]+)*                     # language tag
-    | _:[A-Za-z0-9_.\-]+                               # anonymous individual
-    | (?:[A-Za-z][A-Za-z0-9_.\-]*)?:[A-Za-z0-9_.\-]*   # prefixed name
-    | [A-Za-z][A-Za-z0-9]*                             # keyword before _ . -
-    | [0-9]+
-"""
-_SKIP = r"[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*"
-_TOKEN_RE = re.compile(f"({_TOKEN}){_SKIP}", re.VERBOSE)
-_TOKENS_RE = re.compile(rf"({_TOKEN}|[\s\S]+){_SKIP}", re.VERBOSE)
-_SKIP_RE = re.compile(_SKIP, re.VERBOSE)
-# A string literal up to its first invalid escape, or to the end of input.
-_STRING_PREFIX_RE = re.compile(r'"[^"\\]*(?:\\["\\][^"\\]*)*')
-
-# A token's kind, by its first character; a letter starts a keyword, or a
-# prefixed name if the token has a colon. "" is the end of input.
-_KIND_OF = {"": "EOF", "(": "LPAREN", ")": "RPAREN", "=": "EQUALS", "^": "DTMARK",
-            "<": "IRI", '"': "STRING", "@": "LANGTAG", "_": "NODEID", ":": "PNAME",
-            **dict.fromkeys("0123456789", "INT")}
-_NAMES = ("IRI", "PNAME")
-
-
-def _kind(tok: str) -> str:
-    return _KIND_OF.get(tok[:1]) or ("PNAME" if ":" in tok else "IDENT")
-
-
-def _unescape(raw: str) -> str:
-    # Every backslash in a lexed string starts a \\ or \" escape, so the
-    # \\ pairs split cleanly from the left and only \" is left inside parts.
-    return "\\".join(part.replace('\\"', '"') for part in raw.split("\\\\"))
-
-
-def _value(tok: str) -> str:
-    """What a token stands for: a string literal's text with its escapes
-    undone, and an IRI, language tag or node id without its delimiters."""
-    first = tok[:1]
-    if first == '"':
-        tok = tok[1:-1]
-        return _unescape(tok) if "\\" in tok else tok
-    if first == "<":
-        return tok[1:-1]
-    if first == "@":
-        return tok[1:]
-    if first == "_":
-        return tok[2:]
-    return tok
-
-
-def _lexical_error(text: str, offset: int, origin: str):
-    """Raise the diagnostic for the character at `offset`, where no token
-    matches."""
-    ch = text[offset]
-    if ch == "<":
-        message = "unterminated IRI"
-    elif ch == '"':
-        prefix_end = _STRING_PREFIX_RE.match(text, offset).end()
-        message = ("unterminated string literal" if prefix_end == len(text)
-                   else "invalid escape in string literal")
-    elif ch == "@":
-        message = "malformed language tag"
-    elif text.startswith("_:", offset):
-        message = "malformed anonymous individual"
-    else:
-        message = f"unexpected character {ch!r}"
-    raise OntologyParseError([_diagnostic(text, offset, f"lexical error: {message}", origin)])
-
-
-def _tokenize(text: str, origin: str, start: int = 0,
-              stop: int | None = None) -> list[str] | None:
-    """The tokens of text[start:stop], then "" for the end of input; raises
-    OntologyParseError at the first character no token matches. A window
-    (`stop` short of the end, just after a line feed) that cuts a string
-    literal gives None."""
-    if stop is None:
-        stop = len(text)
-    tokens = _TOKENS_RE.findall(text, _SKIP_RE.match(text, start).end(), stop)
-    if tokens and not _TOKEN_RE.fullmatch(tokens[-1]):
-        # The last match is the rest of the window, from the failed offset.
-        at = stop - len(tokens[-1])
-        if text[at] == '"' and stop < len(text):
-            return None
-        _lexical_error(text, at, origin)
-    tokens.append("")
-    return tokens
-
-
-def _token_spans(text: str, origin: str) -> list[tuple[int, int]]:
-    """The (start, end) offsets of every token of `text`, then an empty span
-    at the end of input; raises OntologyParseError at the first character
-    no token matches."""
-    spans = [m.span(1) for m in _TOKENS_RE.finditer(text, _SKIP_RE.match(text).end())]
-    if spans and not _TOKEN_RE.fullmatch(text, *spans[-1]):
-        _lexical_error(text, spans[-1][0], origin)
-    spans.append((len(text), len(text)))
-    return spans
-
-
 # ---------------------------------------------------------------------------
 # Parser: one routine per field shape, driven by the node table. A routine
 # takes the field's shape and the index of the keyword token of the node
@@ -192,6 +55,7 @@ def _token_spans(text: str, origin: str) -> list[tuple[int, int]]:
 
 _new = tuple.__new__
 _WINDOW = 1 << 16  # characters lexed at a time, up to the next line feed
+_READ = 1 << 16  # bytes read from a file at a time
 _HEAD, _BODY, _TAIL = "head", "body", "tail"  # where parse_document is
 
 
@@ -199,18 +63,67 @@ class _More(Exception):
     """The parse reached the end of the window with input left."""
 
 
+# A window's first token is token `first` of the document, and `count`
+# tokens lie between document offsets `start` and `stop`.
+_Window = namedtuple("_Window", "first count start stop")
+
+
+def decode_source(data: bytes) -> str:
+    """A document's text: strict UTF-8 without a leading byte-order mark."""
+    return data.decode("utf-8-sig")
+
+
+def _decoded(file, data: bytes):
+    """The text of the seekable binary `file`, whose first `data` was read,
+    `_READ` bytes at a time, decoded as `decode_source` decodes the whole;
+    newlines are kept as written. A UnicodeDecodeError is the one
+    `decode_source` gives for the whole file, with its position in the
+    file, so the file is decoded whole once more on that path."""
+    decoder = codecs.getincrementaldecoder("utf-8-sig")()
+    try:
+        while data:
+            yield decoder.decode(data)
+            data = file.read(_READ)
+        yield decoder.decode(b"", True)
+    except UnicodeDecodeError:
+        file.seek(0)
+        decode_source(file.read())
+        raise  # the file changed under the parse
+
+
 class _Parser:
-    def __init__(self, text: str, origin: str, fold):
-        self.text = text
+    def __init__(self, source, origin: str, fold):
+        # The held text: text[0] starts a line of the document, at offset
+        # `base` after `lines` line feeds. A str is held whole. A file is
+        # read on while the lexer needs more, and `line` keeps what was
+        # decoded after the last line feed, so the text held ends just after
+        # a line feed until it reaches the end of the document (`done`).
+        if not isinstance(source, str):
+            data = source.read(_READ)
+            if len(data) < _READ or not source.seekable():
+                # A file no longer than one read is whole already, and a pipe
+                # cannot be read again for a decode error's position, so each
+                # is decoded whole, as standard input is.
+                source = decode_source(data if len(data) < _READ else data + source.read())
+        if isinstance(source, str):
+            self.text, self.pieces, self.done = source, iter(()), True
+        else:
+            self.text, self.pieces, self.done = "", _decoded(source, data), False
+        self.line: list[str] = []
+        self.base = self.lines = 0
         self.origin = origin
         # The axioms parsed since `fold` was last handed a batch.
         self.axioms: list[Axiom] = []
         self.fold = fold
-        # The window's tokens; the first is token `dropped` of the document
-        # and lexing stopped at offset `end`.
-        self.dropped = self.end = 0
+        # The windows whose tokens are held, and the positions of those a
+        # diagnostic or an unknown construct needed, as (base, spans). The
+        # held tokens' first is token `dropped` of the document, `lexed`
+        # tokens have been lexed, and lexing stopped at document offset `end`.
+        self.windows: list[_Window] = []
+        self.spans: dict[_Window, tuple[int, list[tuple[int, int]]]] = {}
+        self.dropped = self.lexed = self.end = 0
         self.size = _WINDOW
-        self.tokens = self.lex(_WINDOW)
+        self.tokens: list[str] = []
         self.i = 0
         self.prefixes = dict(STANDARD_PREFIXES)
         # IRI or prefixed-name token -> its IRI. Every prefix is declared
@@ -221,57 +134,130 @@ class _Parser:
         # Keyed by the memo's IRI, not by a token, so that a class first
         # declared and then used keeps no second copy of its name.
         self.classes: dict[str, NamedClass] = {}
-        self.spans: list[tuple[int, int]] | None = None
 
-    # -- token plumbing -----------------------------------------------------
+    # -- text and token plumbing --------------------------------------------
+
+    def read(self, upto: int, start: int):
+        """Read on until the held text has a line feed at or after document
+        offset `upto`, or holds the rest of the document. The text before
+        the line of the first held window, or of `start` if none is held,
+        is dropped first."""
+        text = self.text
+        if self.done or text.find("\n", upto - self.base) >= 0:
+            return
+        keep = (self.windows[0].start if self.windows else start) - self.base
+        cut = text.rfind("\n", 0, keep) + 1
+        self.lines += text.count("\n", 0, cut)
+        self.base += cut
+        parts = [text[cut:]]
+        self.text = text = ""
+        length = len(parts[0])
+        line = self.line
+        for piece in self.pieces:
+            lf = piece.rfind("\n") + 1
+            if not lf:
+                line.append(piece)
+                continue
+            line.append(piece[:lf])
+            parts += line
+            length += sum(map(len, line))
+            line = [piece[lf:]]
+            if self.base + length > upto:
+                break
+        else:
+            parts += line
+            line = []
+            self.done = True
+        self.line = line
+        self.text = "".join(parts)
 
     def lex(self, size: int) -> list[str]:
         """The tokens from offset `end` to a line feed about `size`
-        characters after the first of them, then ""; moves `end` past them."""
-        text = self.text
-        start = _SKIP_RE.match(text, self.end).end()
+        characters after the first of them, then ""; moves `end` past them
+        and holds their window. Held text short of the document's end ends
+        just after a line feed, outside any token or comment, so a skip that
+        reaches its end leaves the rest to the tokenizer."""
+        start = self.base + _SKIP_RE.match(self.text, self.end - self.base).end()
         while True:
-            self.end = text.find("\n", start + size) + 1 or len(text)
-            tokens = _tokenize(text, self.origin, start, self.end)
+            self.read(start + size, start)
+            text, base = self.text, self.base
+            stop = text.find("\n", start + size - base) + 1 or len(text)
+            tokens = _tokenize(text, self.origin, start - base, stop, more=not self.done,
+                               lines=self.lines)
             if tokens is not None:
-                return tokens
+                break
             size *= 2  # a string literal runs on past the line feed
+        self.end = base + stop
+        self.windows.append(_Window(self.lexed, len(tokens) - 1, start, self.end))
+        self.lexed += len(tokens) - 1
+        return tokens
 
     def more(self, start: int):
         """Drop the tokens before `start`, where the current top-level item
-        begins, and append the next window, to parse the item again from
-        its first token. The window doubles while that item does not fit.
-        The axioms completed before that item go to `fold` first."""
+        begins, and the windows that held only them, and append the next
+        window, to parse the item again from its first token. The window
+        doubles while that item does not fit, but not past a window of only
+        whitespace and comments. The axioms completed before that item go to
+        `fold` first."""
         if self.axioms:
             self.fold(self.axioms)
             self.axioms = []
-        self.size = 2 * self.size if start == 0 else _WINDOW
         tokens = self.tokens
+        self.size = 2 * self.size if start == 0 and len(tokens) > 1 else _WINDOW
         del tokens[:start]
-        tokens[-1:] = self.lex(self.size)
         self.dropped += start
+        windows = self.windows
+        while windows and windows[0].first + windows[0].count <= self.dropped:
+            self.spans.pop(windows.pop(0), None)
+        tokens[-1:] = self.lex(self.size)
         self.i = 0
+
+    def input_left(self) -> bool:
+        """Whether input may be left after the last window lexed."""
+        return not self.done or self.end < self.base + len(self.text)
 
     def at_window_end(self) -> bool:
         """Whether the parse may have read the "" that ends the window
         while input is left; it looks at most one token ahead."""
-        return self.i >= len(self.tokens) - 2 and self.end < len(self.text)
+        return self.i >= len(self.tokens) - 2 and self.input_left()
 
     def span(self, at: int) -> tuple[int, int]:
-        """The offsets of the window's token `at`; the first call lexes the
-        whole document for all of them."""
-        if self.spans is None:
-            self.spans = _token_spans(self.text, self.origin)
-        return self.spans[self.dropped + at]
+        """The document offsets of the held token `at`; the first call for a
+        window lexes the positions of that window's tokens."""
+        index = self.dropped + at
+        window = next(w for w in reversed(self.windows) if w.first <= index)
+        found = self.spans.get(window)
+        if found is None:
+            base = self.base
+            found = self.spans[window] = base, _token_spans(
+                self.text, self.origin, window.start - base, window.stop - base)
+        base, spans = found
+        start, end = spans[index - window.first]
+        return base + start, base + end
+
+    def read_rest(self, error: OntologyParseError):
+        """Read the rest of the document after `error`, for an error there
+        that takes precedence: a decode error anywhere, and a lexical error
+        after a syntax error. Lexes a window at a time and keeps none."""
+        self.tokens = self.axioms = []
+        self.spans.clear()
+        try:
+            if not error.diagnostics[0].message.startswith("lexical error"):
+                while self.input_left():
+                    self.windows.clear()
+                    self.lex(_WINDOW)
+        finally:
+            for _ in self.pieces:  # decode what is left
+                pass
 
     def fail(self, message: str, at: int | None = None, kind: str = "syntax error"):
         """Raise `message` positioned at token `at`, by default the current
         one, or _More if the parse may have failed on the window's end."""
         if self.at_window_end():
             raise _More
-        offset = self.span(self.i if at is None else at)[0]
+        offset = self.span(self.i if at is None else at)[0] - self.base
         raise OntologyParseError([_diagnostic(self.text, offset, f"{kind}: {message}",
-                                              self.origin)])
+                                              self.origin, self.lines)])
 
     def expected(self, what: str):
         tok = self.tokens[self.i]
@@ -323,9 +309,10 @@ class _Parser:
         imports: list[str] = []
         annotations: list[OntologyAnnotation] = []
         stage = _HEAD
+        self.tokens = self.lex(_WINDOW)
         while True:
             tok = self.tokens[self.i]
-            if not tok and self.end < len(self.text):  # the window is used up
+            if not tok and self.input_left():  # the window is used up
                 self.more(self.i)
                 continue
             start = self.i
@@ -424,8 +411,8 @@ class _Parser:
             elif not tok:
                 self.fail(f"unterminated construct {tokens[at]!r}", at)
             self.i += 1
-        text = self.text[self.span(at)[0]:self.span(self.i - 1)[1]]
-        return UnknownAxiom(name=tokens[at], text=text)
+        start, end = self.span(at)[0], self.span(self.i - 1)[1]
+        return UnknownAxiom(name=tokens[at], text=self.text[start - self.base:end - self.base])
 
     # -- nodes --------------------------------------------------------------
 
@@ -659,24 +646,25 @@ _ANNOTATION = _forms(OntologyAnnotation)["Annotation"]
 _NON_AXIOM_KEYWORDS = (set(_forms(Node)) - set(_AXIOM_FORMS)) | {"Prefix", "Ontology"}
 
 
-def decode_source(data: bytes) -> str:
-    """A document's text: strict UTF-8 without a leading byte-order mark."""
-    return data.decode("utf-8-sig")
-
-
-def _parse_fields(text: str, origin: str, fold) -> tuple:
+def _parse_fields(source, origin: str, fold) -> tuple:
     """The header of one functional-syntax document: IRI, version IRI,
     imports and annotations, the arguments of `Ontology` after its axioms.
-    The axioms go to `fold` in batches as they are parsed (see
-    `_Parser.more`). Raises OntologyParseError. The parser, with its name
-    memos and token window, is freed on return."""
-    parser = _Parser(text, origin, fold)
+    `source` is the text, or a binary file that is read and decoded a
+    window at a time (the caller closes it). The axioms go to `fold` in
+    batches as they are parsed (see `_Parser.more`). Raises
+    OntologyParseError, or UnicodeDecodeError for a file that is not UTF-8.
+    The parser, with its name memos and token window, is freed on return."""
+    parser = _Parser(source, origin, fold)
     try:
-        return parser.parse_document()
-    except RecursionError:
-        pass  # leave the except block so the deep traceback is freed first
-    parser.fail("nesting is deeper than the parser's recursion limit",
-                kind="limit exceeded")
+        try:
+            return parser.parse_document()
+        except RecursionError:
+            pass  # leave the except block so the deep traceback is freed first
+        parser.fail("nesting is deeper than the parser's recursion limit",
+                    kind="limit exceeded")
+    except OntologyParseError as error:
+        parser.read_rest(error)
+        raise
 
 
 def parse_ontology(text: str, origin: str = "<string>") -> Ontology:

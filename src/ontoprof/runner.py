@@ -26,10 +26,14 @@ failure has its outcome, so an aborted run reports the same outcomes at
 any parallelism. A worker closes the parent's ends of the pipes of the
 workers forked before it, so no worker holds another's pipes open.
 
-A worker builds no model. The parser hands each window's axioms to one
-`census.Summary`, which folds them into the signature and the census and
-drops them, and the features are taken from the Summary; its memory grows
-with the signature and the census, not with the document.
+A worker builds no model and never holds a file's whole text. The parser
+reads and decodes the file a window at a time, holding about one window
+of text (a CR-only document, one line, is one window), and hands each
+window's axioms to one `census.Summary`, which folds them into the
+signature and the census and drops them; the features are taken from the
+Summary. So a worker's memory grows with the signature and the census,
+not with the document. Standard input is the exception: the parent reads
+it whole and sends its text.
 """
 
 from __future__ import annotations
@@ -188,22 +192,24 @@ def discover_inputs(config: RunConfig) -> list[str]:
 
 def _extract_file(path: str, text: str | None, follow_imports: bool,
                   weights: tuple[float, float, float]) -> FileOutcome:
-    """Outcome for one input; when `text` is None it is decoded from the
-    bytes of `path` by `decode_source`, as standard input is, so carriage
-    returns reach the parser as written.
+    """Outcome for one input: `text`, decoded standard input, or when it is
+    None the file at `path`, which the parser reads and decodes a window at
+    a time, so carriage returns reach it as written and the worker never
+    holds the whole source.
 
     The axioms are never held together: the parser hands each window's
     axioms to one Summary, which folds them into the signature and the
     census and drops them, and the features are taken from the Summary."""
-    try:
-        if text is None:
-            text = decode_source(Path(path).read_bytes())
-    except (OSError, UnicodeDecodeError) as exc:
-        return FileOutcome(path=path, status="io_error", diagnostics=[str(exc)])
     warnings: list[str] = []
     summary = Summary()
     try:
-        _, _, imports, annotations = _parse_fields(text, path, summary.add)
+        if text is None:
+            with open(path, "rb") as source:
+                _, _, imports, annotations = _parse_fields(source, path, summary.add)
+        else:
+            _, _, imports, annotations = _parse_fields(text, path, summary.add)
+    except (OSError, UnicodeDecodeError) as exc:
+        return FileOutcome(path=path, status="io_error", diagnostics=[str(exc)])
     except OntologyParseError as exc:
         return FileOutcome(path=path, status="parse_error",
                            diagnostics=[d.format() for d in exc.diagnostics])
@@ -236,8 +242,8 @@ def _fold_imports(imports, path: str, warnings: list[str], seen: set[str],
                 continue
             seen.add(resolved)
             axioms = []
-            _, _, nested, _ = _parse_fields(decode_source(target.read_bytes()), str(target),
-                                            axioms.extend)
+            with open(target, "rb") as source:
+                _, _, nested, _ = _parse_fields(source, str(target), axioms.extend)
         except (OSError, UnicodeDecodeError) as exc:
             warnings.append(f"{path}: warning: import <{iri}> not merged: {exc}")
             continue

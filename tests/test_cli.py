@@ -312,6 +312,35 @@ def test_extract_files_undecodable_stdin_as_io_error(capsys, monkeypatch):
     assert captured.err == f"ontoprof: <stdin>: io_error\n{DECODE_ERROR}\n"
 
 
+@pytest.mark.parametrize("window", [1, 7, 64])
+def test_a_late_undecodable_byte_wins_over_an_early_syntax_error(window, tmp_path, capsys,
+                                                                 monkeypatch):
+    """A file is streamed through the parser, yet a decode error anywhere is
+    reported as decoding the whole file reports it, for check, extract and
+    an import under --follow-imports."""
+    from ontoprof import parser
+
+    monkeypatch.setattr(parser, "_WINDOW", window)
+    monkeypatch.setattr(parser, "_READ", 7)
+    body = VALID.replace("SubClassOf(:A :B)", "SubClassOf(:A)\n" + "SubClassOf(:A :B)\n" * 40)
+    data = body.encode().replace(b"\n)\n", b"\n\xff)\n")
+    with pytest.raises(UnicodeDecodeError) as whole:
+        decode_source(data)
+    message = str(whole.value)
+    assert str(len(data) - 3) in message
+    bad = tmp_path / "bad.ofn"
+    bad.write_bytes(data)
+    assert main(["check", str(bad)]) == 2
+    assert capsys.readouterr().err == f"ontoprof: error: {message}\n"
+    assert main(["extract", "--jobs", "1", str(bad)]) == 0
+    assert capsys.readouterr().err == f"ontoprof: {bad}: io_error\n{message}\n"
+    importer = tmp_path / "importer.ofn"
+    importer.write_text(VALID.replace("Ontology(", "Ontology(\nImport(<bad.ofn>)"))
+    assert main(["extract", "--jobs", "1", "--follow-imports", str(importer)]) == 0
+    assert capsys.readouterr().err.splitlines()[0] == (
+        f"{importer}: warning: import <bad.ofn> not merged: {message}")
+
+
 BOM = "\ufeff".encode()
 
 

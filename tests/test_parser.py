@@ -1,5 +1,6 @@
 """Parser and serializer: grammar coverage, diagnostics, round-trips."""
 
+import io
 import random
 import re
 import string
@@ -496,25 +497,65 @@ def test_lexer_agrees_with_the_reference_lexer():
     assert min(forks["keyword before _ . -"], forks["prefix with _ . -"]) > 50, forks
 
 
-def test_unknown_constructs_lex_positions_once(monkeypatch):
+def test_unknown_constructs_lex_positions_once_per_window(monkeypatch):
+    """Token positions are lexed for one held window at a time, at most once
+    per window, and never for the whole document."""
     calls = []
     token_spans = parser._token_spans
 
-    def spy(text, origin):
-        calls.append(origin)
-        return token_spans(text, origin)
+    def spy(text, origin, start, stop):
+        calls.append((start, stop))
+        return token_spans(text, origin, start, stop)
 
     monkeypatch.setattr(parser, "_token_spans", spy)
     rules = [f"DLSafeRule(Body(ClassAtom(:A Variable(:x{i})))  # body\r\n"
              f"  Head(ClassAtom(:B\tVariable(:x{i}))))" for i in range(4000)]
-    o = parse(" # rule\n".join(rules))
+    text = HEADER + " # rule\n".join(rules) + "\n)\n"
+    windows = -(-len(text) // parser._WINDOW)
+    assert windows >= 5
+
+    def each_window_once():
+        # A str is held whole, so its offsets are the document's.
+        assert len(set(calls)) == len(calls) <= windows
+        assert sum(stop - start for start, stop in calls) <= len(text)
+        assert max(stop - start for start, stop in calls) < parser._WINDOW + 200
+        calls.clear()
+
+    o = parse_ontology(text)
     assert [ax.text for ax in o.axioms] == rules
-    assert len(calls) == 1
-    calls.clear()
+    each_window_once()
     diags = diagnostics_of("\n".join(rules) + "\nSubClassOf(:A)")
     assert [d.format() for d in diags] == [
         "test.ofn:8003:1: error: arity violation: SubClassOf needs at least 2 class expressions"]
-    assert len(calls) == 1
+    each_window_once()
+
+
+def test_one_unknown_construct_adds_about_one_window_of_positions():
+    """An unknown construct at the end of a document of many windows costs
+    the parse the positions of its window, not those of the document."""
+    rng = random.Random(12)
+    vocab = gen.Vocabulary(rng)
+    text = serialize(Ontology(axioms=tuple(gen.random_axiom(rng, vocab) for _ in range(10500))))
+    assert text.endswith("\n)\n") and len(text) > 15 * parser._WINDOW
+    with_rule = text[:-2] + ("DLSafeRule(Body(ClassAtom(<http://x#A> Variable(<http://x#x>)))"
+                             " Head(ClassAtom(<http://x#B> Variable(<http://x#x>))))\n)\n")
+
+    def parse_peak(source: str) -> int:
+        tracemalloc.start()
+        try:
+            parse_ontology(source)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    tracemalloc.start()
+    try:
+        parser._token_spans(text, "<string>")
+        whole = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    added = parse_peak(with_rule) - parse_peak(text)
+    assert added < 2 * whole / 15, (added, whole)
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +593,14 @@ def streamed(text: str) -> tuple:
     return out.status, out.vector and typed(out.vector), out.diagnostics
 
 
+def streamed_from_file(text: str) -> tuple:
+    """`streamed` for a file `w.ofn` holding `text`, in the current
+    directory, which the worker reads and decodes `_READ` bytes at a time."""
+    Path("w.ofn").write_bytes(text.encode())
+    out = runner._extract_file("w.ofn", None, False, (1 / 3, 1 / 3, 1 / 3))
+    return out.status, out.vector and typed(out.vector), out.diagnostics
+
+
 def outcomes_under_window(monkeypatch, window: int, texts, run=outcome) -> list:
     with monkeypatch.context() as patch:
         patch.setattr(parser, "_WINDOW", window)
@@ -568,7 +617,7 @@ def window_corpus() -> list[str]:
 
 
 @pytest.mark.parametrize("window", [1, 7, 64])
-def test_window_size_changes_no_model_or_diagnostic(window, monkeypatch):
+def test_window_size_changes_no_model_or_diagnostic(window, monkeypatch, tmp_path):
     texts = window_corpus()
     # At the same stack depth, as the nesting limit counts the caller's frames.
     expected = outcomes_under_window(monkeypatch, parser._WINDOW, texts)
@@ -581,6 +630,10 @@ def test_window_size_changes_no_model_or_diagnostic(window, monkeypatch):
                else ("parse_error", None, o) for o in expected]
     assert outcomes_under_window(monkeypatch, parser._WINDOW, texts, streamed) == library
     assert outcomes_under_window(monkeypatch, window, texts, streamed) == library
+    # Nor may they move when the worker streams the file in small reads.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(parser, "_READ", 61)
+    assert outcomes_under_window(monkeypatch, window, texts, streamed_from_file) == library
 
 
 def test_window_cutting_a_string_literal(monkeypatch):
@@ -646,13 +699,188 @@ def test_carriage_return_only_document_is_one_window(monkeypatch):
     lexed = []
     tokenize = parser._tokenize
 
-    def spy(*args):
-        lexed.append(args[2:])
-        return tokenize(*args)
+    def spy(*args, **kwargs):
+        lexed.append(args[2:4])
+        return tokenize(*args, **kwargs)
 
     monkeypatch.setattr(parser, "_tokenize", spy)
     assert len(outcomes_under_window(monkeypatch, 1, [text])[0].axioms) == 200
     assert lexed == [(0, len(text))]
+
+
+# ---------------------------------------------------------------------------
+# Streaming a file: the parser reads and decodes it `_READ` bytes at a time,
+# and no window or read size may change a model, a diagnostic or a decode
+# error, nor which of them a document gets.
+
+STREAM_WINDOWS = (1, 7, 64)
+STREAM_READS = (1, 3, 16, 256)
+
+
+def outcome_of_text(data: bytes):
+    """What a document whose bytes are `data` gives when decoded whole and
+    parsed as a str: its model, its formatted diagnostics, or the text of
+    its decode error."""
+    try:
+        text = parser.decode_source(data)
+    except UnicodeDecodeError as exc:
+        return str(exc)
+    return outcome(text)
+
+
+def outcome_of_file(path: Path):
+    """`outcome_of_text` for the file at `path`, streamed through the
+    parser as the worker and `ontoprof check` read it."""
+    axioms = []
+    try:
+        with open(path, "rb") as source:
+            header = parser._parse_fields(source, "w.ofn", axioms.extend)
+    except UnicodeDecodeError as exc:
+        return str(exc)
+    except OntologyParseError as exc:
+        return [d.format() for d in exc.diagnostics]
+    return Ontology(tuple(axioms), *header)
+
+
+def streamed_alike(monkeypatch, tmp_path, documents) -> list:
+    """The outcome of each document in `documents` (bytes), after checking
+    that it is the same decoded whole and streamed at every window and
+    read size."""
+    path = tmp_path / "w.ofn"
+    expected = [outcome_of_text(data) for data in documents]
+    for window in STREAM_WINDOWS:
+        for read in STREAM_READS:
+            with monkeypatch.context() as patch:
+                patch.setattr(parser, "_WINDOW", window)
+                patch.setattr(parser, "_READ", read)
+                for data, want in zip(documents, expected):
+                    path.write_bytes(data)
+                    assert outcome_of_file(path) == want, (window, read, data)
+                    assert outcome_of_text(data) == want, (window, data)
+    return expected
+
+
+def test_a_decode_error_wins_over_earlier_parse_errors(monkeypatch, tmp_path):
+    body = "SubClassOf(:A :B)\n" * 40
+    syntax, lexical = (HEADER + "SubClassOf(:A)\n" + body, HEADER + "SubClassOf(:%)\n" + body)
+    data = syntax.encode() + b"\xff)\n"
+    message, after_lexical = streamed_alike(monkeypatch, tmp_path,
+                                            [data, lexical.encode() + b"\xff)\n"])
+    assert message == after_lexical == ("'utf-8' codec can't decode byte 0xff in position "
+                                        f"{len(data) - 3}: invalid start byte")
+    # The position counts from after a leading byte-order mark, as decoding
+    # the whole file does.
+    assert streamed_alike(monkeypatch, tmp_path, [BOM + data]) == [message]
+    truncated = (HEADER + body).encode() + "é".encode()[:1]
+    assert streamed_alike(monkeypatch, tmp_path, [truncated]) == [
+        f"'utf-8' codec can't decode byte 0xc3 in position {len(truncated) - 1}: "
+        "unexpected end of data"]
+
+
+def test_an_unseekable_file_is_read_whole(monkeypatch):
+    """A pipe cannot be read again for the position of a decode error, so
+    it is decoded whole first, as standard input is."""
+
+    class Pipe(io.BytesIO):
+        def seekable(self):
+            return False
+
+        def seek(self, *args):
+            raise io.UnsupportedOperation("seek")
+
+    monkeypatch.setattr(parser, "_READ", 16)
+    data = (HEADER + "SubClassOf(:A :B)\n" * 40).encode() + b"\xff)\n"
+    with pytest.raises(UnicodeDecodeError) as whole:
+        parser.decode_source(data)
+    with pytest.raises(UnicodeDecodeError) as piped:
+        parser._parse_fields(Pipe(data), "w.ofn", lambda axioms: None)
+    assert str(piped.value) == str(whole.value)
+    axioms = []
+    parser._parse_fields(Pipe(data[:-3] + b")\n"), "w.ofn", axioms.extend)
+    assert len(axioms) == 40
+
+
+def test_errors_in_later_windows_when_streamed(monkeypatch, tmp_path):
+    # Indented, so that a window's first token is not at the start of its line.
+    body = "  SubClassOf(:A :B)\n" * 30
+    documents = [HEADER + body + "  SubClassOf(:A)\n)\n",
+                 HEADER + "  SubClassOf(:A)\n" + body + "  SubClassOf(:A %)\n)\n",
+                 HEADER + "  SubClassOf(:A %)\n" + body + "  SubClassOf(:A)\n)\n"]
+    assert streamed_alike(monkeypatch, tmp_path, [text.encode() for text in documents]) == [
+        ["w.ofn:33:3: error: arity violation: SubClassOf needs at least 2 class expressions"],
+        ["w.ofn:34:17: error: lexical error: unexpected character '%'"],
+        ["w.ofn:3:17: error: lexical error: unexpected character '%'"]]
+
+
+def test_multi_byte_characters_split_across_reads(monkeypatch, tmp_path):
+    labels = ["é", "日本語", "𝔸𝔹", "a\u00e9\u20ac\U0001f600"]
+    data = (HEADER + "".join(f'AnnotationAssertion(:p :a{i} "{label}")\n'
+                             for i, label in enumerate(labels * 3)) + ")\n").encode()
+    [model] = streamed_alike(monkeypatch, tmp_path, [data])
+    assert [ax.value.lexical for ax in model.axioms] == labels * 3
+
+
+BOM = "\ufeff".encode()
+
+
+def test_byte_order_marks_split_across_reads(monkeypatch, tmp_path):
+    text = HEADER + "SubClassOf(:A :B)\n)\n"
+    plain, marked, doubled = streamed_alike(
+        monkeypatch, tmp_path, [text.encode(), BOM + text.encode(), BOM + BOM + text.encode()])
+    assert marked == plain and len(plain.axioms) == 1
+    assert doubled == ["w.ofn:1:1: error: lexical error: unexpected character '\\ufeff'"]
+
+
+def test_carriage_return_only_file_is_one_window(monkeypatch, tmp_path):
+    text = HEADER.replace("\n", "\r") + "SubClassOf(:A :B)\r" * 200 + ")\r"
+    [model] = streamed_alike(monkeypatch, tmp_path, [text.encode()])
+    assert len(model.axioms) == 200
+    lexed = []
+    tokenize = parser._tokenize
+
+    def spy(*args, **kwargs):
+        lexed.append(args[2:4])
+        return tokenize(*args, **kwargs)
+
+    monkeypatch.setattr(parser, "_tokenize", spy)
+    monkeypatch.setattr(parser, "_WINDOW", 1)
+    monkeypatch.setattr(parser, "_READ", 5)
+    path = tmp_path / "cr.ofn"
+    path.write_bytes(text.encode())
+    assert outcome_of_file(path) == model
+    assert lexed == [(0, len(text))]
+
+
+def test_a_string_literal_cut_by_a_window_when_streamed(monkeypatch, tmp_path):
+    texts = [HEADER + 'AnnotationAssertion(:p :a "one\ntwo\n\nthree")\n)\n',
+             HEADER + 'SubClassOf(:A :B)\nAnnotationAssertion(:p :a "one\ntwo)\n)\n',
+             HEADER + 'AnnotationAssertion(:p :a "one\n' + "x\n" * 100 + '")\n)\n']
+    model, unterminated, long = streamed_alike(monkeypatch, tmp_path,
+                                               [text.encode() for text in texts])
+    assert model.axioms[0].value.lexical == "one\ntwo\n\nthree"
+    assert unterminated == ["w.ofn:4:27: error: lexical error: unterminated string literal"]
+    assert long.axioms[0].value.lexical == "one\n" + "x\n" * 100
+
+
+def test_streamed_file_holds_about_one_window_of_text(monkeypatch, tmp_path):
+    """The parser never holds much more text than a window or two, however
+    long the file."""
+    lines = [f"SubClassOf(:C{i} :C{i + 1})" for i in range(20_000)]
+    lines[100:100] = [f"# {i:<97}" for i in range(2000)]  # 50 windows of comments
+    path = tmp_path / "long.ofn"
+    path.write_text(HEADER + "\n".join(lines) + "\n)\n", encoding="utf-8")
+    held = []
+    read = parser._Parser.read
+
+    def spy(self, upto, start):
+        read(self, upto, start)
+        held.append(len(self.text))
+
+    monkeypatch.setattr(parser._Parser, "read", spy)
+    monkeypatch.setattr(parser, "_WINDOW", 4096)
+    monkeypatch.setattr(parser, "_READ", 4096)
+    assert len(outcome_of_file(path).axioms) == 20_000
+    assert len(held) > 50 and max(held) < 4 * 4096
 
 
 def test_parse_holds_one_window_of_tokens():

@@ -12,6 +12,7 @@ import select
 import signal
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -342,6 +343,29 @@ def test_an_import_chain_is_folded_into_one_summary(tmp_path, monkeypatch):
     assert folded == Counter(ax for p in parts for ax in p.axioms)
     assert set(folded.values()) == {1} and len(folded) == 20 * 51
     assert outcome.vector.values == expected.values
+
+
+@pytest.mark.parametrize("follow", [False, True])
+def test_a_worker_never_holds_the_whole_source(follow, tmp_path):
+    """A worker streams a file, and an import, through the parser: its heap
+    peak stays far below the text of a file that is mostly comments."""
+    lines = [f"SubClassOf(:C{i} :C{i + 1})  # {'x' * 2000}" for i in range(1000)]
+    text = "Prefix(:=<http://example.org/w#>)\nOntology(\n" + "\n".join(lines) + "\n)\n"
+    path = tmp_path / "big.ofn"
+    path.write_text(text, encoding="utf-8")
+    if follow:
+        path = tmp_path / "importer.ofn"
+        path.write_text("Ontology(Import(<big.ofn>))\n", encoding="utf-8")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        outcome = runner._extract_file(str(path), None, follow, (1 / 3, 1 / 3, 1 / 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome.status == "ok" and outcome.warnings == []
+    assert outcome.vector["SC"] == 1001
+    assert len(text) > 2_000_000 and peak < len(text) / 2, peak
 
 
 def test_the_import_fixture_merges_each_file_once_in_import_order():

@@ -13,11 +13,13 @@ only counts them.  A parse error still fails the whole document, and no
 partial model is ever returned.
 
 The source is a str, held whole, or a binary file, which the parser reads
-and decodes as it goes, so that it holds about one window of text: the
-lines from the first window whose tokens it still holds to the end of the
-last one lexed (a document without a line feed, such as a CR-only one, is
-one line and one window).  A file no longer than one read, or one that
-cannot be read twice, is decoded whole like a str.  Token positions are
+through an `io.TextIOWrapper` as it goes, strict UTF-8 with newlines as
+written, so that it holds about one window of text: the lines from the
+first window whose tokens it still holds to the end of the last one lexed
+(only LF ends a line, so a document without one, such as a CR-only one,
+is one line and one window).  The wrapper is detached when the parse ends,
+so the caller's file stays open.  A file no longer than one read, or one
+that cannot be read twice, is decoded whole like a str.  Token positions are
 lexed per held window (see `lexer`), and only for a window where a
 diagnostic or an unknown construct needs them.  Errors take precedence
 in this order wherever they are in the document: a decode error, then a
@@ -28,7 +30,7 @@ error, and none of it is kept.
 
 from __future__ import annotations
 
-import codecs
+import io
 import sys
 from collections import namedtuple
 
@@ -73,43 +75,27 @@ def decode_source(data: bytes) -> str:
     return data.decode("utf-8-sig")
 
 
-def _decoded(file, data: bytes):
-    """The text of the seekable binary `file`, whose first `data` was read,
-    `_READ` bytes at a time, decoded as `decode_source` decodes the whole;
-    newlines are kept as written. A UnicodeDecodeError is the one
-    `decode_source` gives for the whole file, with its position in the
-    file, so the file is decoded whole once more on that path."""
-    decoder = codecs.getincrementaldecoder("utf-8-sig")()
-    try:
-        while data:
-            yield decoder.decode(data)
-            data = file.read(_READ)
-        yield decoder.decode(b"", True)
-    except UnicodeDecodeError:
-        file.seek(0)
-        decode_source(file.read())
-        raise  # the file changed under the parse
-
-
 class _Parser:
     def __init__(self, source, origin: str, fold):
         # The held text: text[0] starts a line of the document, at offset
         # `base` after `lines` line feeds. A str is held whole. A file is
-        # read on while the lexer needs more, and `line` keeps what was
-        # decoded after the last line feed, so the text held ends just after
-        # a line feed until it reaches the end of the document (`done`).
+        # read on through a text wrapper while the lexer needs more, up to
+        # a line feed, so the text held ends just after one until it
+        # reaches the end of the document (`done`).
+        self.text, self.done, self.file = source, True, None
         if not isinstance(source, str):
             data = source.read(_READ)
             if len(data) < _READ or not source.seekable():
                 # A file no longer than one read is whole already, and a pipe
                 # cannot be read again for a decode error's position, so each
                 # is decoded whole, as standard input is.
-                source = decode_source(data if len(data) < _READ else data + source.read())
-        if isinstance(source, str):
-            self.text, self.pieces, self.done = source, iter(()), True
-        else:
-            self.text, self.pieces, self.done = "", _decoded(source, data), False
-        self.line: list[str] = []
+                self.text = decode_source(data if len(data) < _READ else data + source.read())
+            else:
+                source.seek(0)
+                self.text, self.done = "", False
+                # Newlines as written: only LF ends a line.
+                self.file = io.TextIOWrapper(source, encoding="utf-8-sig", newline="\n")
+                self.file._CHUNK_SIZE = _READ
         self.base = self.lines = 0
         self.origin = origin
         # The axioms parsed since `fold` was last handed a batch.
@@ -149,27 +135,25 @@ class _Parser:
         cut = text.rfind("\n", 0, keep) + 1
         self.lines += text.count("\n", 0, cut)
         self.base += cut
-        parts = [text[cut:]]
-        self.text = text = ""
-        length = len(parts[0])
-        line = self.line
-        for piece in self.pieces:
-            lf = piece.rfind("\n") + 1
-            if not lf:
-                line.append(piece)
-                continue
-            line.append(piece[:lf])
-            parts += line
-            length += sum(map(len, line))
-            line = [piece[lf:]]
-            if self.base + length > upto:
-                break
-        else:
-            parts += line
-            line = []
+        self.text = text = text[cut:]  # the dropped text goes before the read
+        self.text = text + self.decode(max(upto - self.base - len(text), 0))
+
+    def decode(self, size: int) -> str:
+        """The next `size` characters of the file and the rest of the line
+        of the last; `done` once the file ends. A UnicodeDecodeError is the
+        one `decode_source` gives for the whole file, with its position in
+        the file, so the file is decoded whole once more on that path."""
+        file = self.file
+        try:
+            text = file.read(size)
+            line = file.readline() if len(text) == size else ""
+        except UnicodeDecodeError:
             self.done = True
-        self.line = line
-        self.text = "".join(parts)
+            file.buffer.seek(0)
+            decode_source(file.buffer.read())
+            raise  # the file changed under the parse
+        self.done = not line.endswith("\n")
+        return text + line
 
     def lex(self, size: int) -> list[str]:
         """The tokens from offset `end` to a line feed about `size`
@@ -247,8 +231,8 @@ class _Parser:
                     self.windows.clear()
                     self.lex(_WINDOW)
         finally:
-            for _ in self.pieces:  # decode what is left
-                pass
+            while not self.done:  # decode what is left
+                self.decode(_READ)
 
     def fail(self, message: str, at: int | None = None, kind: str = "syntax error"):
         """Raise `message` positioned at token `at`, by default the current
@@ -665,6 +649,9 @@ def _parse_fields(source, origin: str, fold) -> tuple:
     except OntologyParseError as error:
         parser.read_rest(error)
         raise
+    finally:
+        if parser.file is not None:
+            parser.file.detach()  # leaves the caller's file open
 
 
 def parse_ontology(text: str, origin: str = "<string>") -> Ontology:

@@ -52,6 +52,7 @@ import struct
 import sys
 import time
 from pathlib import Path
+from urllib.parse import unquote
 
 from .census import Summary
 from .features import FeatureVector, extract_all
@@ -64,6 +65,7 @@ DEFAULT_TIMEOUT = 300.0
 _MAX_WAIT = 3600.0  # seconds; poll() takes an int of ms, which ~24.9 days overflows
 STDIN_ID = "<stdin>"  # the ontology id of input read from `-`
 _URI_SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*:")  # RFC 3986 scheme
+_FILE_IRI = re.compile(r"file:(?://([^/]*))?", re.IGNORECASE)  # RFC 8089, with its authority
 _LENGTH = struct.Struct("Q")  # the byte length of a message on a worker's pipe
 
 
@@ -225,17 +227,25 @@ def _extract_file(path: str, text: str | None, follow_imports: bool,
 def _fold_imports(imports, path: str, warnings: list[str], seen: set[str],
                   summary: Summary) -> None:
     """Fold into `summary` the axioms of the `imports` of the file at `path`
-    that are local files (a `file://` IRI or one without a URI scheme), each
-    file's own before its imports', none of a file in `seen`; remote imports
-    are left to the report as unresolved. An imported file is folded in
-    once it has parsed whole, so only its own axioms are ever held. A local
-    file that is missing, unreadable or unparsable is not merged, and a
-    warning naming the import and the reason joins `warnings`."""
+    that are local files, each file's own before its imports', none of a
+    file in `seen`; remote imports are left to the report as unresolved. A
+    local import is a reference without a URI scheme, or a `file:` IRI with
+    no authority or an empty or `localhost` one (RFC 8089); percent escapes
+    in its path are decoded. An imported file is folded in once it has
+    parsed whole, so only its own axioms are ever held. A local file that
+    is missing, unreadable or unparsable is not merged, and a warning
+    naming the import and the reason joins `warnings`."""
     for iri in imports:
-        candidate = iri.removeprefix("file://")
-        if candidate == iri and _URI_SCHEME.match(iri):
+        file = _FILE_IRI.match(iri)
+        if file:
+            if (file[1] or "localhost").lower() != "localhost":
+                continue  # on another host: never fetched
+            reference = iri[file.end():]
+        elif _URI_SCHEME.match(iri):
             continue  # remote: never fetched
-        target = Path(path).parent / candidate  # an absolute candidate stays as it is
+        else:
+            reference = iri
+        target = Path(path).parent / unquote(reference)  # an absolute path stays as it is
         try:
             resolved = str(target.resolve())
             if resolved in seen:

@@ -1,10 +1,13 @@
 """Parser and serializer: grammar coverage, diagnostics, round-trips."""
 
+import gc
 import io
+import math
 import random
 import re
 import string
 import tracemalloc
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -775,6 +778,47 @@ def test_a_decode_error_wins_over_earlier_parse_errors(monkeypatch, tmp_path):
     assert streamed_alike(monkeypatch, tmp_path, [truncated]) == [
         f"'utf-8' codec can't decode byte 0xc3 in position {len(truncated) - 1}: "
         "unexpected end of data"]
+
+
+def test_end_of_file_at_read_and_window_boundaries(monkeypatch, tmp_path):
+    """Where the file ends, against the reads and the windows, decides
+    nothing: the last read may be full or short, and the last line may
+    lack its line feed."""
+    text = HEADER + "SubClassOf(:A :B)\n" * 40 + ")"
+    exact = text + " " * (-(len(text) + 1) % math.lcm(*STREAM_READS)) + "\n"
+    assert all(len(exact) % read == 0 for read in STREAM_READS)
+    documents = [exact, text, (text + "\n").replace("\n", "\r\n"), text + "\n# done"]
+    models = streamed_alike(monkeypatch, tmp_path, [doc.encode() for doc in documents])
+    assert models == [models[0]] * 4 and len(models[0].axioms) == 40
+
+
+def test_the_parser_leaves_the_callers_file_open(monkeypatch, tmp_path):
+    """The parser reads the file it is given, whether it parses, fails to
+    parse or fails to decode, but neither closes it nor leaves it to be
+    closed unclosed."""
+    monkeypatch.setattr(parser, "_READ", 16)
+    body = HEADER + "SubClassOf(:A :B)\n" * 40
+    documents = [((body + ")\n").encode(), None),
+                 ((body + "SubClassOf(:A)\n)\n").encode(), OntologyParseError),
+                 (body.encode() + b"\xff)\n", UnicodeDecodeError)]
+    path = tmp_path / "w.ofn"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for data, error in documents:
+            path.write_bytes(data)
+            with open(path, "rb") as source:
+                raised = None
+                try:
+                    parser._parse_fields(source, "w.ofn", list)
+                except (OntologyParseError, UnicodeDecodeError) as exc:
+                    raised = type(exc)
+                gc.collect()
+                assert raised is error
+                assert not source.closed
+                source.seek(0)
+                assert source.read() == data
+            gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_an_unseekable_file_is_read_whole(monkeypatch):

@@ -309,6 +309,43 @@ def test_follow_imports_warns_about_missing_local_files(tmp_path):
     assert emit_matrix(clean.vectors()) == emit_matrix(report.vectors())
 
 
+@pytest.mark.parametrize("reference, merged", [
+    ("file://{dir}/base%20onto.ofn", True),
+    ("file://localhost{dir}/base%20onto.ofn", True),
+    ("FILE://LocalHost{dir}/base%20onto.ofn", True),
+    ("file:{dir}/base%20onto.ofn", True),
+    ("base%20onto.ofn", True),
+    ("file://example.org{dir}/base%20onto.ofn", False),
+    ("file://example.org{dir}/gone.ofn", False),
+])
+def test_follow_imports_resolves_file_iris_by_rfc_8089(tmp_path, reference, merged):
+    """A `file:` IRI is local with no authority or an empty or `localhost`
+    one, and remote, so silent, with any other; percent escapes in a local
+    path are decoded, with or without the scheme."""
+    (tmp_path / "base onto.ofn").write_text(VALID)
+    iri = reference.format(dir=tmp_path.as_posix())
+    importer = tmp_path / "main.ofn"
+    importer.write_text("Prefix(:=<http://example.org/r#>)\n"
+                        f"Ontology(\nImport(<{iri}>)\nSubClassOf(:X :Y)\n)")
+    outcome = runner._extract_file(str(importer), None, True, (1 / 3, 1 / 3, 1 / 3))
+    assert outcome.status == "ok" and outcome.imports == [iri]
+    assert outcome.warnings == []
+    assert outcome.vector["SLA"] == (3 if merged else 1)
+
+
+@pytest.mark.parametrize("reference", ["file://{dir}/gone%20file.ofn",
+                                       "file://localhost{dir}/gone%20file.ofn",
+                                       "gone%20file.ofn"])
+def test_follow_imports_warns_about_a_missing_file_by_its_decoded_path(tmp_path, reference):
+    iri = reference.format(dir=tmp_path.as_posix())
+    importer = tmp_path / "main.ofn"
+    importer.write_text(f"Ontology(\nImport(<{iri}>)\n)")
+    outcome = runner._extract_file(str(importer), None, True, (1 / 3, 1 / 3, 1 / 3))
+    assert outcome.warnings == [
+        f"{importer}: warning: import <{iri}> not merged: "
+        f"[Errno 2] No such file or directory: '{tmp_path / 'gone file.ofn'}'"]
+
+
 def test_an_import_chain_is_folded_into_one_summary(tmp_path, monkeypatch):
     """A worker builds no model: every axiom of a 20-file chain is folded
     into the importer's summary exactly once, and the vector is that of

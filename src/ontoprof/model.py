@@ -11,10 +11,11 @@ each with a Shape, after the W3C OWL 2 Structural Specification
 `_node`, and the parser, the serializer, the signature walk and the census
 (in `census`) all read it.
 
-`signature_walk` is the one signature walk, and `census.Summary` its one
-caller: an `Ontology` folds all its axioms into a Summary as one batch,
-and a worker one parser window at a time, so that the worker never holds
-a document's axioms.
+A field's Shape says which signature set a name in it joins.  The parser
+adds each name to its set as it reads it, so a worker folds a document
+into a `census.Summary` one parser window at a time and walks no axiom
+for its signature.  `signature_walk` reads the same shapes off axioms
+built as nodes: an `Ontology` walks all its axioms once, into its Summary.
 """
 
 from __future__ import annotations
@@ -443,10 +444,12 @@ def axiom_category(axiom: Axiom) -> Category:
 # Class-expression operands.
 
 # Per node type, the (field index, how) of its class-expression fields: one
-# expression, a tuple of them, or a class IRI that stands for a named class.
-_ONE, _MANY, _NAMED = range(3)
+# expression, one or None, a tuple of them, or a class IRI that stands for a
+# named class.
+_ONE, _OPTIONAL, _MANY, _NAMED = range(4)
 _OPERANDS = {
-    t: tuple((i, _MANY if s.many else _ONE) if s.kind == "ce" else (i, _NAMED)
+    t: tuple((i, _MANY if s.many else _OPTIONAL if s.optional else _ONE) if s.kind == "ce"
+             else (i, _NAMED)
              for i, s in enumerate(spec.shapes)
              if s.kind == "ce" or (s is CLASS_IRI and issubclass(t, Axiom)))
     for t, spec in NODES.items()}
@@ -459,7 +462,7 @@ def _operands(plan, node) -> tuple:
         if how == _MANY:
             out += v
         elif how == _NAMED:
-            out += (NamedClass(v),)
+            out += (tuple.__new__(NamedClass, (v,)),)  # an IRI needs no validation
         elif v is not None:
             out += (v,)
     return out
@@ -467,7 +470,12 @@ def _operands(plan, node) -> tuple:
 
 def _operand_getter(plan):
     """node -> its class-expression operands as `plan` says, with one
-    itemgetter call where the operands are plain fields."""
+    itemgetter call where the operands are plain fields: a slice of none or
+    one field, the fields, or the field that is their tuple."""
+    if not plan:
+        return itemgetter(slice(0, 0))
+    if len(plan) == 1 and plan[0][1] == _ONE:
+        return itemgetter(slice(plan[0][0], plan[0][0] + 1))
     if len(plan) >= 2 and all(how == _ONE for _, how in plan):
         return itemgetter(*(i for i, _ in plan))
     if len(plan) == 1 and plan[0][1] == _MANY:
@@ -507,7 +515,6 @@ _ENTITY_SETS = {EntityKind.CLASS: CLASSES, EntityKind.DATATYPE: DATATYPES,
                 EntityKind.DATA_PROPERTY: DATA_PROPERTIES,
                 EntityKind.ANNOTATION_PROPERTY: ANNOTATION_PROPERTIES,
                 EntityKind.NAMED_INDIVIDUAL: INDIVIDUALS}
-_CATEGORIES = tuple(Category)
 # How the signature walk reads a field: one value, a tuple of values, a value
 # that may be empty, a declared entity, or datatype facets.
 _WALK_ONE, _WALK_MANY, _WALK_OPTIONAL, _WALK_ENTITY, _WALK_FACETS = range(5)
@@ -525,11 +532,10 @@ def _walk_plan(shape: Shape):
     return how, shape.sig
 
 
-# Per node type: its KB category index and the (field index, how, signature
-# set) of each field the walk reads.
+# Per node type: the (field index, how, signature set) of each field the walk
+# reads.
 _SIGNATURE_PLANS = {
-    t: (_CATEGORIES.index(spec.category or Category.NON_LOGICAL),
-        tuple((i, *plan) for i, plan in enumerate(map(_walk_plan, spec.shapes)) if plan))
+    t: tuple((i, *plan) for i, plan in enumerate(map(_walk_plan, spec.shapes)) if plan)
     for t, spec in NODES.items()}
 # Node types that are one IRI or node id: it goes straight into its set.
 _LEAVES = {t: spec.shapes[0].sig for t, spec in NODES.items()
@@ -537,21 +543,18 @@ _LEAVES = {t: spec.shapes[0].sig for t, spec in NODES.items()
            and spec.shapes[0].kind in ("iri", "node_id")}
 
 
-def signature_walk(axioms, sets: list[set]) -> tuple[list, list, list, list]:
+def signature_walk(axioms, sets: list[set]) -> None:
     """The signature walk: add every entity `axioms` mention to `sets`, in
-    Signature field order, and return the axioms bucketed by category
-    (TBox, RBox, ABox, non-logical).  Each node's fields are read as their
-    shapes say, with an explicit stack for nested expressions and data
-    ranges."""
-    buckets = tuple([] for _ in _CATEGORIES)
+    Signature field order, as the parser does while it reads them.  Each
+    node's fields are read as their shapes say, with an explicit stack for
+    nested expressions and data ranges."""
     plans = _SIGNATURE_PLANS
     # IRIs that feed no signature set land in a set that is dropped.
     leaf_set = {t: set() if s is None else sets[s] for t, s in _LEAVES.items()}.get
     stack = []
     push = stack.append
     for ax in axioms:
-        category, plan = plans[type(ax)]
-        buckets[category].append(ax)
+        plan = plans[type(ax)]
         node = ax
         while True:
             for i, how, sig in plan:
@@ -582,8 +585,7 @@ def signature_walk(axioms, sets: list[set]) -> tuple[list, list, list, list]:
             if not stack:
                 break
             node = stack.pop()
-            plan = plans[type(node)][1]
-    return buckets
+            plan = plans[type(node)]
 
 
 class Record:
@@ -629,11 +631,12 @@ class Ontology(FrozenRecord):
     def __init__(self, axioms: tuple[Axiom, ...], iri: str | None = None,
                  version_iri: str | None = None, imports: tuple[str, ...] = (),
                  annotations: tuple[OntologyAnnotation, ...] = ()):
-        """Fold the axioms into one `census.Summary`, as one batch, for the
-        signature and the census."""
+        """Walk the axioms into one `census.Summary`'s signature sets, and
+        fold them into its census as one batch."""
         from .census import Summary  # census imports this module
 
         summary = Summary()
+        signature_walk(axioms, summary.sets)
         summary.add(axioms)
         summary.finish(annotations)
         vars(self).update(axioms=axioms, iri=iri, version_iri=version_iri, imports=imports,

@@ -12,6 +12,15 @@ each batch into its census and lets the axioms go, and `ontoprof check`
 only counts them.  A parse error still fails the whole document, and no
 partial model is ever returned.
 
+Each name the axioms mention joins its signature set as it is read, by
+the `sig` of its field's Shape, as `model.signature_walk` would add it
+from the model, so a worker walks no axiom for the signature.  A memo
+adds a class, object property or individual name once.  Names read only
+in annotations join no set.  An item that reaches the window's end is
+parsed again with the next window, and only a name whose role no later
+token can change joins a set before the item is whole (see
+`parse_leading_iris`).
+
 The source is a str, held whole, or a binary file, which the parser reads
 through an `io.TextIOWrapper` as it goes, strict UTF-8 with newlines as
 written, so that it holds about one window of text: the lines from the
@@ -37,9 +46,10 @@ from collections import namedtuple
 from .lexer import (_NAMES, _SKIP_RE, OntologyParseError, ParseDiagnostic, _diagnostic, _kind,
                     _token_spans, _tokenize, _unescape, _value)
 from .model import (
-    CE, NODES, OWL, RDF, RDFS, XSD, AnonymousIndividual, Axiom, ClassExpression,
+    _ENTITY_SETS, ANONYMOUS, CE, CLASSES, DATA_PROPERTIES, DATATYPES, INDIVIDUALS, NODES,
+    OBJECT_PROPERTIES, OWL, RDF, RDFS, XSD, AnonymousIndividual, Axiom, ClassExpression,
     DataRange, DatatypeRef, Entity, IriRef, Literal, NamedClass, Node, ObjectInverseOf,
-    Ontology, OntologyAnnotation, PropertyChain, Shape, UnknownAxiom, shortfall,
+    Ontology, OntologyAnnotation, PropertyChain, Shape, Signature, UnknownAxiom, shortfall,
 )
 
 STANDARD_PREFIXES = {
@@ -65,6 +75,21 @@ class _More(Exception):
     """The parse reached the end of the window with input left."""
 
 
+class _Unfed:
+    """In place of a signature set that nothing reads: it keeps no name."""
+
+    __slots__ = ()
+
+    def add(self, name):
+        pass
+
+    def update(self, names):
+        pass
+
+
+_UNFED = [_Unfed()] * len(Signature._fields)
+
+
 # A window's first token is token `first` of the document, and `count`
 # tokens lie between document offsets `start` and `stop`.
 _Window = namedtuple("_Window", "first count start stop")
@@ -76,7 +101,7 @@ def decode_source(data: bytes) -> str:
 
 
 class _Parser:
-    def __init__(self, source, origin: str, fold):
+    def __init__(self, source, origin: str, fold, sets: list[set]):
         # The held text: text[0] starts a line of the document, at offset
         # `base` after `lines` line feeds. A str is held whole. A file is
         # read on through a text wrapper while the lexer needs more, up to
@@ -101,6 +126,8 @@ class _Parser:
         # The axioms parsed since `fold` was last handed a batch.
         self.axioms: list[Axiom] = []
         self.fold = fold
+        # The signature sets each name read joins.
+        self.sets = sets
         # The windows whose tokens are held, and the positions of those a
         # diagnostic or an unknown construct needed, as (base, spans). The
         # held tokens' first is token `dropped` of the document, `lexed`
@@ -116,10 +143,15 @@ class _Parser:
         # before the first name is resolved, so an entry never goes stale,
         # and a name used again shares one IRI string.
         self.iris: dict[str, str] = {}
-        # IRI -> its NamedClass, so a class named again is not built again.
-        # Keyed by the memo's IRI, not by a token, so that a class first
-        # declared and then used keeps no second copy of its name.
+        # IRI -> its NamedClass, so a class named again is not built again,
+        # nor added to the class set again. Keyed by the memo's IRI, not by a
+        # token, so that a class first declared and then used keeps no second
+        # copy of its name.
         self.classes: dict[str, NamedClass] = {}
+        # Object property and individual token -> its IRI, which joins its
+        # signature set once. No annotation holds either.
+        self.properties: dict[str, str] = {}
+        self.individuals: dict[str, str] = {}
 
     # -- text and token plumbing --------------------------------------------
 
@@ -314,7 +346,7 @@ class _Parser:
                         self.expect(")", "')'")
                         imports.append(target)  # only once whole: it may be parsed again
                     elif tok == "Annotation":
-                        annotations.append(self.parse_node(_ANNOTATION, annotated=True))
+                        annotations.append(self.parse_annotation())
                     else:
                         self.axioms.append(self.parse_axiom())
                 elif stage is _TAIL:
@@ -410,7 +442,7 @@ class _Parser:
         self.expect("(", "'('")
         if annotated:
             while self.tokens[self.i] == "Annotation":
-                self.parse_node(_ANNOTATION, annotated=True)
+                self.parse_annotation()
         args = template.copy()
         for where, parse, shape in steps:
             args[where] = parse(self, shape, at)
@@ -420,6 +452,16 @@ class _Parser:
                 self.fail(message, at, kind="arity violation")
         self.expect(")", "')'")
         return _new(cls, args)
+
+    def parse_annotation(self) -> OntologyAnnotation:
+        """An annotation, whose names join no signature set: an axiom's
+        annotations are dropped, and an ontology annotation's property joins
+        its set in `Summary.finish`."""
+        sets, self.sets = self.sets, _UNFED
+        try:
+            return self.parse_node(_ANNOTATION, annotated=True)
+        finally:
+            self.sets = sets
 
     def parse_many(self, shape: Shape, owner: int) -> tuple:
         """Values of one shape up to ')' (or `shape.maximum` of them)."""
@@ -444,7 +486,10 @@ class _Parser:
         return _ITEM_ROUTINES[shape.kind](self, shape, owner)
 
     def parse_name(self, shape: Shape, owner: int) -> str:
-        return self.parse_iri(shape.what)
+        iri = self.parse_iri(shape.what)
+        if shape.sig is not None:
+            self.sets[shape.sig].add(iri)
+        return iri
 
     def parse_entity_iri(self, shape: Shape, owner: int) -> str:
         iri = self.parse_iri(shape.what)
@@ -479,13 +524,21 @@ class _Parser:
         node = self.classes.get(iri)
         if node is None:
             node = self.classes[iri] = _new(NamedClass, (iri,))
+            self.sets[CLASSES].add(iri)
         self.i += 1
         return node
 
     def parse_object_property(self, shape: Shape | None = None, owner: int | None = None):
-        if self.tokens[self.i] == "ObjectInverseOf":
+        tok = self.tokens[self.i]
+        iri = self.properties.get(tok)
+        if iri is not None:
+            self.i += 1
+            return iri
+        if tok == "ObjectInverseOf":
             return self.parse_node(_INVERSE)
-        return self.parse_iri("object property")
+        iri = self.properties[tok] = self.parse_iri("object property")
+        self.sets[OBJECT_PROPERTIES].add(iri)
+        return iri
 
     def parse_sub_property(self, shape: Shape, owner: int):
         if self.tokens[self.i] == "ObjectPropertyChain":
@@ -494,10 +547,22 @@ class _Parser:
 
     def parse_individual(self, shape: Shape | None = None, owner: int | None = None):
         tok = self.tokens[self.i]
-        if tok[:1] == "_":
+        iri = self.individuals.get(tok)
+        if iri is not None:
             self.i += 1
-            return _new(AnonymousIndividual, (tok[2:],))
-        return self.parse_iri("individual")
+            return iri
+        if tok[:1] == "_":
+            return self.parse_anonymous(tok)
+        iri = self.individuals[tok] = self.parse_iri("individual")
+        self.sets[INDIVIDUALS].add(iri)
+        return iri
+
+    def parse_anonymous(self, tok: str) -> AnonymousIndividual:
+        """The anonymous individual `_:id` that the current token `tok` is."""
+        self.i += 1
+        node_id = tok[2:]
+        self.sets[ANONYMOUS].add(node_id)
+        return _new(AnonymousIndividual, (node_id,))
 
     def parse_literal(self, shape: Shape | None = None, owner: int | None = None) -> Literal:
         tokens = self.tokens
@@ -511,7 +576,9 @@ class _Parser:
         nxt = tokens[self.i]
         if nxt == "^^":
             self.i += 1
-            return _new(Literal, (lexical, self.parse_iri("datatype IRI"), None))
+            datatype = self.parse_iri("datatype IRI")
+            self.sets[DATATYPES].add(datatype)
+            return _new(Literal, (lexical, datatype, None))
         if nxt[:1] == "@":
             self.i += 1
             return _new(Literal, (lexical, None, nxt[1:]))
@@ -521,7 +588,9 @@ class _Parser:
         form = _DATA_RANGE_FORMS.get(self.tokens[self.i])
         if form is not None:
             return self.parse_node(form)
-        return _new(DatatypeRef, (self.parse_iri("data range"),))
+        iri = self.parse_iri("data range")
+        self.sets[DATATYPES].add(iri)
+        return _new(DatatypeRef, (iri,))
 
     def parse_facets(self, shape: Shape, owner: int) -> tuple:
         facets = []
@@ -535,7 +604,9 @@ class _Parser:
     def parse_leading_iris(self, shape: Shape, owner: int) -> tuple:
         """The data properties of DataSomeValuesFrom/DataAllValuesFrom: every
         IRI up to the data range, which is the last IRI when it is a bare
-        datatype."""
+        datatype. An IRI before the window's end may be that datatype, so
+        there the item is parsed again, before any joins the data property
+        set (the data range would fail there anyway)."""
         tokens = self.tokens
         props = [self.parse_iri(shape.what)]
         while _kind(tokens[self.i]) in _NAMES and tokens[self.i + 1] != ")":
@@ -543,6 +614,9 @@ class _Parser:
         if tokens[self.i] == ")":
             self.fail(f"{tokens[owner]} needs a data property and a data range", owner,
                       kind="arity violation")
+        if self.at_window_end():
+            raise _More
+        self.sets[DATA_PROPERTIES].update(props)
         return tuple(props)
 
     def parse_entity(self, shape: Shape, owner: int) -> Entity:
@@ -550,13 +624,14 @@ class _Parser:
         form = _ENTITY_FORMS.get(tok)
         if form is None:
             self.fail(f"expected entity kind, found {_value(tok)!r}")
-        return self.parse_node(form)
+        entity = self.parse_node(form)
+        self.sets[_ENTITY_SIGNATURE[tok]].add(entity.iri)
+        return entity
 
     def parse_annotation_subject(self, shape: Shape, owner: int):
         tok = self.tokens[self.i]
         if tok[:1] == "_":
-            self.i += 1
-            return _new(AnonymousIndividual, (tok[2:],))
+            return self.parse_anonymous(tok)
         return _new(IriRef, (self.parse_iri(shape.what),))
 
     def parse_annotation_value(self, shape: Shape, owner: int):
@@ -622,6 +697,7 @@ _CE_FORMS = _forms(ClassExpression)
 _DATA_RANGE_FORMS = _forms(DataRange)
 _AXIOM_FORMS = _forms(Axiom)
 _ENTITY_FORMS = _forms(Entity)
+_ENTITY_SIGNATURE = {kind.value: sig for kind, sig in _ENTITY_SETS.items()}  # keyword -> set
 _INVERSE = _forms(ObjectInverseOf)["ObjectInverseOf"]
 _CHAIN = _forms(PropertyChain)["ObjectPropertyChain"]
 _ANNOTATION = _forms(OntologyAnnotation)["Annotation"]
@@ -630,15 +706,20 @@ _ANNOTATION = _forms(OntologyAnnotation)["Annotation"]
 _NON_AXIOM_KEYWORDS = (set(_forms(Node)) - set(_AXIOM_FORMS)) | {"Prefix", "Ontology"}
 
 
-def _parse_fields(source, origin: str, fold) -> tuple:
+def _parse_fields(source, origin: str, fold, sets: list[set] | None = None) -> tuple:
     """The header of one functional-syntax document: IRI, version IRI,
     imports and annotations, the arguments of `Ontology` after its axioms.
     `source` is the text, or a binary file that is read and decoded a
     window at a time (the caller closes it). The axioms go to `fold` in
-    batches as they are parsed (see `_Parser.more`). Raises
+    batches as they are parsed (see `_Parser.more`), and each name they
+    mention joins its set in `sets`, if given, a set per Signature field in
+    that order, as it is read: the sets `model.signature_walk` would fill
+    from the axioms. Names read only in annotations join none. Raises
     OntologyParseError, or UnicodeDecodeError for a file that is not UTF-8.
     The parser, with its name memos and token window, is freed on return."""
-    parser = _Parser(source, origin, fold)
+    if sets is None:
+        sets = _UNFED
+    parser = _Parser(source, origin, fold, sets)
     try:
         try:
             return parser.parse_document()

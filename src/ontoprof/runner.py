@@ -28,12 +28,13 @@ workers forked before it, so no worker holds another's pipes open.
 
 A worker builds no model and never holds a file's whole text. The parser
 reads and decodes the file a window at a time, holding about one window
-of text (a CR-only document, one line, is one window), and hands each
-window's axioms to one `census.Summary`, which folds them into the
-signature and the census and drops them; the features are taken from the
-Summary. So a worker's memory grows with the signature and the census,
-not with the document. Standard input is the exception: the parent reads
-it whole and sends its text.
+of text (a CR-only document, one line, is one window). It adds each name
+to the signature sets of one `census.Summary` as it reads it, and hands
+each window's axioms to that Summary, which folds them into the census
+and drops them; the features are taken from the Summary. So a worker's
+memory grows with the signature and the census, not with the document.
+Standard input is the exception: the parent reads it whole and sends its
+text.
 """
 
 from __future__ import annotations
@@ -54,10 +55,12 @@ import time
 from pathlib import Path
 from urllib.parse import unquote
 
+# The parser, the largest module, is compiled first: compiled after the census
+# and the feature layers, it sets a higher peak RSS for the whole run.
+from .parser import OntologyParseError, _parse_fields, decode_source
 from .census import Summary
 from .features import FeatureVector, extract_all
 from .model import Record
-from .parser import OntologyParseError, _parse_fields, decode_source
 from .schema import (COHESION_WEIGHTS, FEATURE_GROUPS, FEATURE_IDS, FEATURE_SCHEMA, FORMATS,
                      ON_ERROR_POLICIES, SCHEMA_VERSION)
 
@@ -199,17 +202,19 @@ def _extract_file(path: str, text: str | None, follow_imports: bool,
     a time, so carriage returns reach it as written and the worker never
     holds the whole source.
 
-    The axioms are never held together: the parser hands each window's
-    axioms to one Summary, which folds them into the signature and the
-    census and drops them, and the features are taken from the Summary."""
+    The axioms are never held together: the parser adds each name to the
+    signature sets of one Summary as it reads it and hands each window's
+    axioms to that Summary, which folds them into the census and drops
+    them, and the features are taken from the Summary."""
     warnings: list[str] = []
     summary = Summary()
     try:
         if text is None:
             with open(path, "rb") as source:
-                _, _, imports, annotations = _parse_fields(source, path, summary.add)
+                _, _, imports, annotations = _parse_fields(source, path, summary.add,
+                                                           summary.sets)
         else:
-            _, _, imports, annotations = _parse_fields(text, path, summary.add)
+            _, _, imports, annotations = _parse_fields(text, path, summary.add, summary.sets)
     except (OSError, UnicodeDecodeError) as exc:
         return FileOutcome(path=path, status="io_error", diagnostics=[str(exc)])
     except OntologyParseError as exc:
@@ -232,9 +237,10 @@ def _fold_imports(imports, path: str, warnings: list[str], seen: set[str],
     local import is a reference without a URI scheme, or a `file:` IRI with
     no authority or an empty or `localhost` one (RFC 8089); percent escapes
     in its path are decoded. An imported file is folded in once it has
-    parsed whole, so only its own axioms are ever held. A local file that
-    is missing, unreadable or unparsable is not merged, and a warning
-    naming the import and the reason joins `warnings`."""
+    parsed whole, its axioms and the names the parser read into sets of
+    its own, so only its own axioms are ever held. A local file that is
+    missing, unreadable or unparsable is not merged, and a warning naming
+    the import and the reason joins `warnings`."""
     for iri in imports:
         file = _FILE_IRI.match(iri)
         if file:
@@ -251,9 +257,9 @@ def _fold_imports(imports, path: str, warnings: list[str], seen: set[str],
             if resolved in seen:
                 continue
             seen.add(resolved)
-            axioms = []
+            axioms, sets = [], [set() for _ in summary.sets]
             with open(target, "rb") as source:
-                _, _, nested, _ = _parse_fields(source, str(target), axioms.extend)
+                _, _, nested, _ = _parse_fields(source, str(target), axioms.extend, sets)
         except (OSError, UnicodeDecodeError) as exc:
             warnings.append(f"{path}: warning: import <{iri}> not merged: {exc}")
             continue
@@ -262,7 +268,9 @@ def _fold_imports(imports, path: str, warnings: list[str], seen: set[str],
                             f"{exc.diagnostics[0].format()}")
             continue
         summary.add(axioms)
-        del axioms  # before the nested imports are parsed
+        for names, found in zip(summary.sets, sets):
+            names |= found
+        del axioms, sets  # before the nested imports are parsed
         _fold_imports(nested, str(target), warnings, seen, summary)
 
 

@@ -376,6 +376,15 @@ def signature_names(o):
     return out
 
 
+def signature_sets(o) -> tuple:
+    """`signature_names` as frozensets in the order of the library's
+    Signature fields."""
+    names = signature_names(o)
+    return tuple(frozenset(names[key]) for key in (
+        "classes", "object_properties", "data_properties", "individuals", "datatypes",
+        "annotation_properties", "anonymous"))
+
+
 def pattern_counts(o):
     """IU / EUvI / CUvI recounted from scratch on TBox axioms."""
     iu = euvi = cuvi = 0

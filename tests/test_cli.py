@@ -572,12 +572,12 @@ def record_unknown_axioms(monkeypatch, command: str, log: Path):
     module = parser if command == "check" else runner
     parse_fields = module._parse_fields
 
-    def recording(text, origin, fold):
+    def recording(text, origin, fold, *sets):
         def folding(axioms):
             record(axioms)
             fold(axioms)
 
-        return parse_fields(text, origin, folding)
+        return parse_fields(text, origin, folding, *sets)
 
     monkeypatch.setattr(module, "_parse_fields", recording)
 

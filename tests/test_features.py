@@ -9,10 +9,12 @@ from pathlib import Path
 
 import pytest
 
+from ontoprof import runner
 from ontoprof.features import extract_all
 from ontoprof.parser import parse_ontology
 from ontoprof.schema import CLASS_CONSTRUCTORS, FEATURE_IDS, FEATURE_SCHEMA, PROPERTY_CHARACTERISTICS
 
+from equivalence import check_against_oracles
 from gen import random_ontology
 from golden_data import GOLDEN_DIR
 from ontoprof.model import (
@@ -185,6 +187,77 @@ def test_patterns_ignore_abox():
         ObjectAllValuesFrom(NS + "r", c("D")))), NS + "i"))
     vector = extract_all(o)
     assert (vector["IU"], vector["EUvI"], vector["CUvI"]) == (0, 0, 0)
+
+
+# ObjectInverseOf: the census counts properties by name and keeps only a flag
+# that an inverse occurred; each value below is derived by hand.
+
+INVERSE_HEADER = "Prefix(:=<http://example.org/f#>)\nOntology(\n"
+
+
+def inverse_case(body: str):
+    """The model of `body`, its vector checked against the oracles and
+    against a worker's, which folds it through the parser-fed Summary."""
+    text = INVERSE_HEADER + body + "\n)\n"
+    o = parse_ontology(text)
+    check_against_oracles(o)
+    vector = extract_all(o)
+    worker = runner._extract_file("w.ofn", text, False, (1 / 3, 1 / 3, 1 / 3))
+    assert worker.status == "ok" and worker.vector.values == vector.values
+    return o, vector
+
+
+@pytest.mark.parametrize("inverse,plain,dfn,profile,plain_dfn,plain_profile", [
+    # RBox only: EL forbids ObjectInverseOf; QL, RL and DL do not.
+    ("SubObjectPropertyOf(ObjectInverseOf(:p) :q)", "SubObjectPropertyOf(:p :q)",
+     "ALHI", "QL", "ALH", "PFULL"),
+    # ABox only.
+    ("ObjectPropertyAssertion(ObjectInverseOf(:p) :a :b)", "ObjectPropertyAssertion(:p :a :b)",
+     "ALI", "QL", "AL", "PFULL"),
+    # Only in a key: QL forbids HasKey, EL the inverse, so RL is first.
+    ("HasKey(:A (ObjectInverseOf(:p)) ())", "HasKey(:A (:p) ())", "ALI", "RL", "AL", "EL"),
+])
+def test_an_inverse_outside_any_restriction_sets_the_tag(inverse, plain, dfn, profile,
+                                                         plain_dfn, plain_profile):
+    o, vector = inverse_case("SubClassOf(:A :B)\n" + inverse)
+    assert o.census.tags == {"ObjectInverseOf"}
+    assert (vector["DFN"], vector["OPR"]) == (dfn, profile)
+    o, vector = inverse_case("SubClassOf(:A :B)\n" + plain)
+    assert o.census.tags == set()
+    assert (vector["DFN"], vector["OPR"]) == (plain_dfn, plain_profile)
+
+
+def test_restrictions_on_a_property_and_its_inverse_count_toward_its_name():
+    o, vector = inverse_case("TransitiveObjectProperty(:p)\n"
+                             "SymmetricObjectProperty(:q)\n"
+                             "SubClassOf(:A ObjectSomeValuesFrom(ObjectInverseOf(:p) :B))\n"
+                             "SubClassOf(:B ObjectAllValuesFrom(:p :C))\n"
+                             "HasKey(:C (ObjectInverseOf(:q)) ())\n"
+                             "ClassAssertion(ObjectSomeValuesFrom(ObjectInverseOf(:p) :A) :a)")
+    # The ABox restriction is no TBox usage; the key is.
+    assert o.census.property_usage == {NS + "p": 2, NS + "q": 1}
+    assert vector["OPCF_Transitive"] == pytest.approx(2 / 3, abs=TOL)
+    assert vector["OPCF_Symmetric"] == pytest.approx(1 / 3, abs=TOL)
+    assert "ObjectInverseOf" in o.census.tags and vector["DFN"] == "SI"
+
+
+def test_pattern_pairs_keep_a_property_and_its_inverse_apart():
+    inv, plain = "ObjectInverseOf(:r)", ":r"
+    # In one intersection: only the inverse with the inverse is a pair.
+    for univ, euvi in ((plain, 0), (inv, 1)):
+        _, vector = inverse_case(f"SubClassOf(:A ObjectIntersectionOf("
+                                 f"ObjectSomeValuesFrom({inv} :C) ObjectAllValuesFrom({univ} :D) "
+                                 f"ObjectMaxCardinality(1 {inv} :E)))")
+        assert (vector["EUvI"], vector["CUvI"]) == (euvi, euvi)
+    # Across SubClassOf axioms on one named class.
+    body = (f"SubClassOf(:X ObjectSomeValuesFrom({inv} :C))\n"
+            f"SubClassOf(:X ObjectAllValuesFrom({plain} :D))\n"
+            f"SubClassOf(:X ObjectMinCardinality(2 {inv} :E))\n")
+    _, vector = inverse_case(body)
+    assert (vector["EUvI"], vector["CUvI"]) == (0, 0)
+    _, vector = inverse_case(body + f"SubClassOf(:X ObjectAllValuesFrom({inv} :F))\n"
+                                    f"SubClassOf(:X ObjectAllValuesFrom({inv} :G))")
+    assert (vector["EUvI"], vector["CUvI"]) == (2, 2)
 
 
 def test_class_definition_classification():

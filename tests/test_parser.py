@@ -14,7 +14,9 @@ from pathlib import Path
 import pytest
 
 from ontoprof import OntologyParseError, extract_all, parse_ontology, parser, runner, serialize
+from ontoprof.census import Summary
 from ontoprof.model import (
+    ANNOTATION_PROPERTIES, Signature, signature_walk,
     XSD, AnnotationAssertion, Category, DataPropertyAssertion, DataRestriction,
     Declaration, EquivalentClasses, IriRef, Literal, NamedClass,
     ObjectIntersectionOf, ObjectInverseOf, Ontology, PropertyChain,
@@ -957,3 +959,118 @@ def test_a_class_named_again_is_one_node():
     assert third.operands[1].operands[1] == first.sub
     assert parse_ontology(serialize(o)) == o
     assert parse_ontology(text) == o
+
+
+# ---------------------------------------------------------------------------
+# The parser feeds the signature: each name joins its signature set as it is
+# read, so a worker walks no axiom for it. The sets must be those the
+# signature walk and the scratch oracle collect from the model.
+
+def fed(source) -> Summary:
+    """The Summary a worker folds `source`, a str or a binary file, into:
+    the census of each batch, and the signature sets the parser fills."""
+    summary = Summary()
+    header = parser._parse_fields(source, "w.ofn", summary.add, summary.sets)
+    return summary.finish(header[3])
+
+
+def walked(model: Ontology) -> Signature:
+    """The signature `signature_walk` collects from `model`'s axioms, plus
+    its ontology annotations' properties."""
+    sets = [set() for _ in Signature._fields]
+    signature_walk(model.axioms, sets)
+    sets[ANNOTATION_PROPERTIES].update(a.prop for a in model.annotations)
+    return Signature(*map(frozenset, sets))
+
+
+def assert_fed_as_walked(text: str) -> Ontology:
+    model = parse_ontology(text, origin="w.ofn")
+    assert fed(text).signature == walked(model) == oracles.signature_sets(model), text
+    return model
+
+
+LINE_BROKEN = ("SubClassOf(:A{k} DataSomeValuesFrom(:d{k}\nxsd:int\n))\n"
+               "SubClassOf(:B{k} DataAllValuesFrom(:d{k} :e{k}\nxsd:string\n))\n"
+               "SubClassOf(:C{k} DataSomeValuesFrom(:d{k}\n:e{k}\nxsd:decimal\n))\n"
+               "SubObjectPropertyOf(ObjectPropertyChain(:p{k}\n:q{k}\n)\n:r{k})\n")
+
+
+def test_a_datatype_before_a_windows_end_is_no_data_property(monkeypatch, tmp_path):
+    """The last IRI of DataSomeValuesFrom or DataAllValuesFrom is the data
+    range when no ')' follows it, so the parser looks one token ahead. Where
+    a window ends just after the datatype, the first attempt at the item
+    takes it for a data property; that attempt fails at the window's end
+    and the item is parsed again, and only the second attempt's names may
+    join a set. Windows of 20 to 400 characters end after every line."""
+    text = (f"Prefix(:=<http://example.org/t#>)\nPrefix(xsd:=<{XSD}>)\nOntology(\n"
+            + "".join(LINE_BROKEN.format(k=k) for k in range(3)) + ")\n")
+    streamed_alike(monkeypatch, tmp_path, [text.encode()])
+    library = assert_fed_as_walked(text)
+    sig = library.signature
+    assert {XSD + t for t in ("int", "string", "decimal")} == sig.datatypes
+    assert len(sig.data_properties) == 6 and len(sig.object_properties) == 9
+    expected = (sig, typed(extract_all(library)))
+    path = tmp_path / "w.ofn"
+    path.write_bytes(text.encode())
+
+    def worker(source) -> tuple:
+        if source is None:
+            with open(path, "rb") as file:
+                signature = fed(file).signature
+        else:
+            signature = fed(source).signature
+        out = runner._extract_file(str(path), source, False, (1 / 3, 1 / 3, 1 / 3))
+        assert out.status == "ok" and out.anonymous_individuals == 0
+        return signature, typed(out.vector)
+
+    for window in STREAM_WINDOWS:
+        for read in STREAM_READS:
+            with monkeypatch.context() as patch:
+                patch.setattr(parser, "_WINDOW", window)
+                patch.setattr(parser, "_READ", read)
+                assert worker(None) == expected, (window, read)
+    for window in range(20, 401):
+        with monkeypatch.context() as patch:
+            patch.setattr(parser, "_WINDOW", window)
+            assert worker(text) == expected, window
+
+
+def test_the_parser_fed_signature_is_the_walks():
+    """On the fixtures, every-form documents and the mutants that parse."""
+    golden = sorted((Path(__file__).parent / "fixtures").glob("*/*.ofn"))
+    rng = random.Random(20261022)
+    texts = [path.read_text(encoding="utf-8") for path in golden]
+    texts += [serialize(random_ontology(rng, every_form=True)) for _ in range(300)]
+    mutants = [text for text in mutated_documents(600, 20261022)
+               if isinstance(outcome(text), Ontology)]
+    assert len(golden) > 10 and len(mutants) > 60
+    for text in texts + mutants:
+        assert_fed_as_walked(text)
+
+
+ANNOTATED = HEADER + """Annotation(:onto "v"^^:ontoType)
+Annotation(Annotation(:nested _:n1) :onto2 _:n2)
+Annotation(Annotation(:nested2 "w"^^:nestedType) :onto3 :ontoValue)
+SubClassOf(Annotation(:note "x"^^:noteType) Annotation(Annotation(:deep _:deep) :note2 _:n3) :A :B)
+AnnotationAssertion(Annotation(:meta _:n4) :label _:subject "l"^^:labelType)
+AnnotationAssertion(:label :A :iriValue)
+ClassAssertion(Annotation(:note3 :noteValue) :A _:x)
+)
+"""
+
+
+def test_names_only_in_annotations_join_no_set():
+    """Axiom annotations are dropped and an ontology annotation gives only
+    its property, so no IRI, node id or literal datatype met only in an
+    annotation joins the signature; an annotation assertion's own do."""
+    model = assert_fed_as_walked(ANNOTATED)
+    sig = fed(ANNOTATED).signature
+    t = "http://example.org/t#"
+    assert sig.classes == {t + "A", t + "B"}
+    assert sig.annotation_properties == {t + "onto", t + "onto2", t + "onto3", t + "label"}
+    assert sig.datatypes == {t + "labelType"}
+    assert sig.anonymous_individuals == {"subject", "x"}
+    assert sig.individuals == sig.object_properties == sig.data_properties == frozenset()
+    out = runner._extract_file("w.ofn", ANNOTATED, False, (1 / 3, 1 / 3, 1 / 3))
+    assert out.status == "ok" and out.anonymous_individuals == 2
+    assert typed(out.vector) == typed(extract_all(model))

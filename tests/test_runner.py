@@ -25,6 +25,7 @@ from ontoprof.model import Ontology
 from ontoprof.parser import decode_source, parse_ontology
 from ontoprof.runner import RunConfig, discover_inputs, emit_matrix, run, write_outputs
 
+import oracles
 from golden_data import GOLDEN_DIR
 
 VALID = """Prefix(:=<http://example.org/r#>)
@@ -427,6 +428,47 @@ def test_the_import_fixture_merges_each_file_once_in_import_order():
         f"{path}: warning: import <missing.ofn> not merged: "
         f"[Errno 2] No such file or directory: '{folder / 'missing.ofn'}'"]
     assert extract_all(merged).values != extract_all(app).values
+
+
+def worker_signatures(monkeypatch) -> list:
+    """The signature of each Summary the worker takes features from, which
+    the parser filled as it read the names."""
+    signatures = []
+
+    def spy(summary, **kwargs):
+        signatures.append(summary.signature)
+        return extract_all(summary, **kwargs)
+
+    monkeypatch.setattr(runner, "extract_all", spy)
+    return signatures
+
+
+def test_an_import_closures_names_are_those_the_walk_collects(monkeypatch, tmp_path):
+    """A worker's signature, folded from the imports fixture by the parser,
+    is the one `signature_walk` and the oracle give for the merged model;
+    an import that fails to parse adds none of the names it had read."""
+    signatures = worker_signatures(monkeypatch)
+    folder = GOLDEN_DIR.parent / "imports"
+    parts = {name: parse_ontology((folder / f"{name}.ofn").read_text(encoding="utf-8"))
+             for name in ("app", "mid", "base", "side")}
+    app = parts["app"]
+    merged = Ontology(tuple(ax for part in parts.values() for ax in part.axioms), app.iri,
+                      app.version_iri, app.imports, app.annotations)
+    for follow, model in ((True, merged), (False, app)):
+        outcome = runner._extract_file(str(folder / "app.ofn"), None, follow,
+                                       (1 / 3, 1 / 3, 1 / 3))
+        assert outcome.status == "ok"
+        assert signatures.pop() == model.signature == oracles.signature_sets(model)
+        assert outcome.anonymous_individuals == len(model.signature.anonymous_individuals)
+    assert merged.signature != app.signature
+    (tmp_path / "bad.ofn").write_text(
+        "Prefix(:=<http://example.org/bad#>)\nOntology(\n"
+        + "SubClassOf(:Ghost ObjectSomeValuesFrom(:haunts _:x))\n" * 3000 + "SubClassOf(:A)\n)\n")
+    (tmp_path / "top.ofn").write_text(VALID.replace("Ontology(", "Ontology(\nImport(<bad.ofn>)"))
+    outcome = runner._extract_file(str(tmp_path / "top.ofn"), None, True, (1 / 3, 1 / 3, 1 / 3))
+    assert outcome.status == "ok" and len(outcome.warnings) == 1
+    assert signatures.pop() == parse_ontology(VALID).signature
+    assert outcome.anonymous_individuals == 0
 
 
 def test_shared_local_imports_give_the_same_bytes_at_any_jobs_level(tmp_path):
